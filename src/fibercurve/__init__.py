@@ -39,7 +39,6 @@ from .neron import (
     AbelianInvariants,
     MetrizedGraph,
     component_group,
-    subdivide,
 )
 
 __version__ = "0.1.0"
@@ -75,7 +74,6 @@ __all__ = [
     "orbits",
     "special_fiber",
     "sqrt_in_field",
-    "subdivide",
     "supersingular_data",
     "verify_quotient_maps",
 ]

@@ -147,16 +147,6 @@ class GF:
     def one(self) -> "FqElement":
         return self._one
 
-    def from_index(self, i: int) -> "FqElement":
-        """Element with canonical index i (inverse of FqElement.index)."""
-        if not 0 <= i < self.order:
-            raise FieldError("index out of range")
-        coords = [0] * self.k
-        for j in range(self.k - 1, -1, -1):
-            coords[j] = i % self.p
-            i //= self.p
-        return FqElement(self, tuple(coords))
-
     def elements(self):
         """All elements in canonical (lexicographic) order."""
         if self.order > MAX_ENUM:
@@ -469,13 +459,6 @@ def _poly_deg(c) -> int:
         if c[i]:
             return i
     return -1
-
-
-def _poly_add(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim((x + y) % p for x, y in zip(a, b))
 
 
 def _poly_sub(a, b, p):

@@ -1,18 +1,21 @@
 """Component groups of Neron models from metrized dual graphs.
 
 An edge of width w in the dual graph stands for a chain of w - 1
-rational curves in the minimal regular model, so the graph is first
-subdivided into unit edges.  The component group is then the critical
-group of the subdivided graph: the cokernel of the reduced integer
-Laplacian, read off its Smith normal form.  Every call cross-checks the
-group order against the spanning-tree count obtained independently by a
-fraction-free determinant.
+rational curves in the minimal regular model.  The component group is
+the critical group of that model's graph, read off the Smith normal
+form of a relation matrix built on the dual graph itself: one
+generator per vertex but one and per edge, one relation per edge and
+per vertex but one.  Every call cross-checks the group order against
+the spanning-tree count of the regular model's graph, a weighted
+matrix-tree determinant of the dual graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm, prod
 
 
 class GraphError(ValueError):
@@ -40,41 +43,6 @@ class MetrizedGraph:
                 raise GraphError("edge lengths must be >= 1")
             norm.append((u, v, int(length)))
         return cls(vertices, tuple(norm))
-
-    def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = {v: [] for v in self.vertices}
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
-
-def subdivide(graph: MetrizedGraph) -> MetrizedGraph:
-    """Replace each edge of length w by a path of w unit edges."""
-    vertices = list(graph.vertices)
-    edges = []
-    for idx, (u, v, w) in enumerate(graph.edges):
-        if w == 1:
-            edges.append((u, v, 1))
-            continue
-        chain = [u]
-        for j in range(1, w):
-            name = "%s|%s#%d.%d" % (u, v, idx, j)
-            vertices.append(name)
-            chain.append(name)
-        chain.append(v)
-        for a, b in zip(chain, chain[1:]):
-            edges.append((a, b, 1))
-    return MetrizedGraph.build(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -107,132 +75,163 @@ class AbelianInvariants:
         return " x ".join("Z/%d" % d for d in self.factors)
 
 
-def smith_normal_form_diagonal(matrix) -> list:
-    """Diagonal of the Smith normal form of an integer matrix.
+def _abs_det(matrix) -> int:
+    """|det| of a square integer matrix by fraction-free (Bareiss) elimination.
 
-    Plain elementary-operation reduction with a smallest-pivot choice;
-    Python integers make overflow a non-issue.
+    A pivot equal to the previous one leaves the rows with a zero below
+    it unchanged, so the column's first such entry is the pivot if any.
     """
     m = [list(row) for row in matrix]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    diag = []
-    top = 0
-    while top < min(rows, cols):
-        # locate the entry of least nonzero magnitude in the block
-        pivot = None
-        best = None
-        for i in range(top, rows):
-            for j in range(top, cols):
-                v = abs(m[i][j])
-                if v and (best is None or v < best):
-                    best, pivot = v, (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        m[top], m[pi] = m[pi], m[top]
-        for row in m:
-            row[top], row[pj] = row[pj], row[top]
-        while True:
-            reduced = False
-            for i in range(top + 1, rows):
-                if m[i][top]:
-                    q = m[i][top] // m[top][top]
-                    for j in range(top, cols):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][top]:
-                        m[top], m[i] = m[i], m[top]
-                        reduced = True
-            for j in range(top + 1, cols):
-                if m[top][j]:
-                    q = m[top][j] // m[top][top]
-                    for i in range(top, rows):
-                        m[i][j] -= q * m[i][top]
-                    if m[top][j]:
-                        for row in m:
-                            row[top], row[j] = row[j], row[top]
-                        reduced = True
-            if not reduced:
-                break
-        # the pivot must divide every remaining entry
-        fixed = True
-        for i in range(top + 1, rows):
-            for j in range(top + 1, cols):
-                if m[i][j] % m[top][top]:
-                    for jj in range(top, cols):
-                        m[top][jj] += m[i][jj]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
+    prev = 1
+    for k in range(len(m)):
+        rows = [i for i in range(k, len(m)) if m[i][k]]
+        if not rows:
+            return 0
+        i = next((i for i in rows if abs(m[i][k]) == prev), rows[0])
+        top = m[i] if m[i][k] > 0 else [-x for x in m[i]]
+        m[i], m[k] = m[k], top
+        a, tail = top[k], top[k + 1:]
+        for row in m[k + 1:]:
+            if row[k] or a != prev:
+                b = row[k]
+                row[k + 1:] = [(a * x - b * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = a
+    return prev
+
+
+def _reduce(row, d):
+    return [v if -d < v < d else v % d for v in row]
+
+
+def _fold(block, j, d):
+    """Clear column j below the top row by Euclid on rows, modulo d."""
+    top, rest = block[0], []
+    for row in block[1:]:
+        while row[j]:
+            if top[j]:
+                q = row[j] // top[j]
+                row = _reduce([x - q * y for x, y in zip(row, top)], d)
+            if row[j]:
+                top, row = row, top
+        rest.append(row)
+    return [top] + rest
+
+
+def smith_normal_form_diagonal(matrix) -> list:
+    """Diagonal of the Smith normal form of a square nonsingular integer matrix.
+
+    The row lattice contains d Z^n for d = |det|, so the reduction runs
+    mod d and no entry exceeds it (Kannan-Bachem 1979, Domich-Kannan-
+    Trotter 1987).  Pivots that are units mod d come first, one column at
+    a time; without any, a factor common to the block is split off, or
+    Euclid on rows and columns makes a gcd pivot.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise GraphError("Smith normal form needs a square matrix")
+    d = _abs_det(matrix)
+    if not d:
+        raise GraphError("Smith normal form needs a nonsingular matrix")
+    block = [_reduce(row, d) for row in matrix]
+    diag, scale, j, tried = [], 1, 0, 0
+    while block:
+        j %= len(block)
+        units = [i for i, row in enumerate(block) if gcd(row[j], d) == 1]
+        if units:
+            i = min(units, key=lambda i: (abs(block[i][j]) != 1, -block[i].count(0)))
+            if abs(block[i][j]) != 1:
+                inv = pow(block[i][j], -1, d)
+                block[i] = [x * inv % d for x in block[i]]
+            tried = 0
+        elif tried < len(block):
+            j, tried = j + 1, tried + 1
             continue
-        diag.append(abs(m[top][top]))
-        top += 1
-    return diag
+        else:
+            c = gcd(d, *chain.from_iterable(block))
+            if c > 1:
+                scale *= c
+                d //= c ** len(block)
+                block = [[x // c for x in row] for row in block]
+                tried = 0
+                continue
+            i = 0
+        block[0], block[i] = block[i], block[0]
+        block = _fold(block, j, d)
+        # until the pivot divides its row, fold the row in as a column
+        while gcd(*block[0]) != abs(block[0][j]):
+            block = [list(col) for col in zip(*block)]
+            block[0], block[j] = block[j], block[0]
+            j = 0
+            block = _fold(block, j, d)
+        g = gcd(block[0][j], d)
+        diag.append(scale * g)
+        d //= g
+        block = [row[:j] + row[j + 1:] for row in block[1:]]
+    # the diagonal need not be a divisibility chain yet
+    rest = [x for x in diag if x > 1]
+    for i in range(len(rest)):
+        for k in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[k])
+            rest[i], rest[k] = g, rest[i] // g * rest[k]
+    return [1] * (n - len(rest)) + rest
 
 
-def _reduced_laplacian(graph: MetrizedGraph):
+def _relation_matrix(graph: MetrizedGraph):
+    """Relations of the component group on the unsubdivided graph.
+
+    Generators x_v per vertex but the last and t_e per edge u -> v of
+    width w; relations x_v - x_u - w t_e per edge and, per vertex but the
+    last, the signed sum of its t_e (the inner vertices of each chain of
+    the regular model, eliminated).
+    """
     index = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(graph.vertices)
-    lap = [[0] * n for _ in range(n)]
-    for u, v, w in graph.edges:
-        if w != 1:
-            raise GraphError("reduced Laplacian expects a unit-length graph")
-        i, j = index[u], index[v]
-        lap[i][i] += 1
-        lap[j][j] += 1
-        lap[i][j] -= 1
-        lap[j][i] -= 1
-    return [row[:-1] for row in lap[:-1]]
+    nv = len(graph.vertices) - 1
+    size = nv + len(graph.edges)
+    rows = [[0] * size for _ in range(size)]
+    for k, (u, v, w) in enumerate(graph.edges):
+        rows[k][nv + k] = -w
+        for end, sign in ((v, 1), (u, -1)):
+            if index[end] < nv:
+                rows[k][index[end]] = sign
+                rows[len(graph.edges) + index[end]][nv + k] = sign
+    return rows
 
 
 def spanning_tree_count(graph: MetrizedGraph) -> int:
-    """Kirchhoff count by a fraction-free (Bareiss) determinant."""
-    reduced = _reduced_laplacian(graph)
-    n = len(reduced)
-    if n == 0:
-        return 1
-    m = [[Fraction(x) for x in row] for row in reduced]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for i in range(col, n):
-            if m[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = m[col][col]
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] / inv
-                for j in range(col, n):
-                    m[i][j] -= f * m[col][j]
-    assert det.denominator == 1
-    return abs(int(det))
+    """Spanning trees of the graph with each edge of width w subdivided.
+
+    A tree of the subdivision omits one unit edge on each path it does
+    not use, so the count is (prod w) / L^(V-1) times the weighted
+    matrix-tree determinant with conductance L / w, L = lcm of widths.
+    """
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(graph.vertices) - 1
+    big = lcm(*(w for _, _, w in graph.edges))
+    lap = [[0] * n for _ in range(n)]
+    for u, v, w in graph.edges:
+        for i, k in ((index[u], index[v]), (index[v], index[u])):
+            if i < n:
+                lap[i][i] += big // w
+                if k < n:
+                    lap[i][k] -= big // w
+    trees, rem = divmod(prod(w for _, _, w in graph.edges) * _abs_det(lap), big ** n)
+    assert rem == 0
+    return trees
 
 
 def component_group(graph: MetrizedGraph) -> AbelianInvariants:
-    """Invariant factors of the critical group of the subdivided graph.
+    """Invariant factors of the component group of the graph's model.
 
     The product of the invariant factors is asserted equal to the
-    spanning-tree count of the subdivision on every call.
+    spanning-tree count of the subdivision on every call; the two come
+    from different matrices.
     """
-    if not graph.is_connected():
-        raise GraphError("graph must be connected")
-    unit = subdivide(graph)
-    reduced = _reduced_laplacian(unit)
-    diag = smith_normal_form_diagonal(reduced)
-    if 0 in diag or len(diag) < len(reduced):
-        raise GraphError("reduced Laplacian is singular on a connected graph")
-    factors = tuple(d for d in diag if d > 1)
-    invariants = AbelianInvariants(factors)
-    trees = spanning_tree_count(unit)
+    try:
+        diag = smith_normal_form_diagonal(_relation_matrix(graph))
+    except GraphError:  # det = tree count, 0 exactly when disconnected
+        raise GraphError("graph must be connected") from None
+    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
+    trees = spanning_tree_count(graph)
     assert invariants.order() == trees, (
         "Smith normal form order %d disagrees with the spanning-tree "
         "count %d" % (invariants.order(), trees)

@@ -179,9 +179,6 @@ class SubgroupTable:
     def __iter__(self):
         return iter(self.elements)
 
-    def fingerprint(self):
-        return (self.p, self.order, hash(self.elements))
-
     def intersect_psl2(self) -> "SubgroupTable":
         return SubgroupTable(self.p, [g for g in self.elements if g.in_psl2()])
 
@@ -296,22 +293,12 @@ class PSL2Handle:
         assert table.order == self.order
         return table
 
-    def fingerprint(self):
-        return ("psl2", self.p)
-
     def __repr__(self):
         return "PSL2(%d)" % self.p
 
 
-_TRANSVERSAL_CACHE: dict = {}
-
-
 def _coset_transversal(G: SubgroupTable, H: SubgroupTable):
     """Representatives and membership map for the right cosets H\\G."""
-    key = (G.fingerprint(), H.fingerprint())
-    hit = _TRANSVERSAL_CACHE.get(key)
-    if hit is not None:
-        return hit
     coset_of = {}
     reps = []
     for g in G.elements:
@@ -321,9 +308,7 @@ def _coset_transversal(G: SubgroupTable, H: SubgroupTable):
         reps.append(g)
         for h in H.elements:
             coset_of[h * g] = idx
-    result = (reps, coset_of)
-    _TRANSVERSAL_CACHE[key] = result
-    return result
+    return reps, coset_of
 
 
 def coset_cycle_counts(G, H: SubgroupTable, g: ProjTransform) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -136,3 +137,12 @@ def test_verify_rejects_malformed_range(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "paper",
                            "--primes", "a..b")
     assert code == 2
+
+
+@pytest.mark.parametrize("family,prime", [("s", "41"), ("s+", "59")])
+def test_neron_largest_seed_laplacians(capsys, family, prime):
+    code, out, _ = run_cli(capsys, "neron", "--family", family, "--prime", prime,
+                           "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["order"] == math.prod(payload["invariants"]) > 1

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -15,8 +16,39 @@ from fibercurve.neron import (
     component_group_prediction,
     smith_normal_form_diagonal,
     spanning_tree_count,
-    subdivide,
 )
+
+
+def subdivide(graph):
+    """The regular model's graph: each edge of width w as w unit edges."""
+    vertices, edges = list(graph.vertices), []
+    for idx, (u, v, w) in enumerate(graph.edges):
+        chain = [u] + ["%s|%s#%d.%d" % (u, v, idx, j) for j in range(1, w)] + [v]
+        vertices += chain[1:-1]
+        edges += [(a, b, 1) for a, b in zip(chain, chain[1:])]
+    return MetrizedGraph.build(vertices, edges)
+
+
+def reduced_unit_laplacian(graph):
+    """Laplacian of a unit-width graph without its last row and column."""
+    index = {v: i for i, v in enumerate(graph.vertices)}
+    n = len(graph.vertices)
+    lap = [[0] * n for _ in range(n)]
+    for u, v, _ in graph.edges:
+        i, j = index[u], index[v]
+        lap[i][i] += 1
+        lap[j][j] += 1
+        lap[i][j] -= 1
+        lap[j][i] -= 1
+    return [row[:-1] for row in lap[:-1]]
+
+
+def determinant(m):
+    """Laplace expansion along the first row; for small matrices only."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * determinant([row[:j] + row[j + 1:] for row in m[1:]])
+               for j in range(len(m)) if m[0][j])
 
 
 def brute_spanning_trees(graph):
@@ -42,33 +74,6 @@ def brute_spanning_trees(graph):
         if ok:
             count += 1
     return count
-
-
-def test_subdivide_single_edge():
-    g = MetrizedGraph.build(["a", "b"], [("a", "b", 3)])
-    sub = subdivide(g)
-    assert len(sub.vertices) == 4
-    assert len(sub.edges) == 3
-    assert all(w == 1 for _, _, w in sub.edges)
-
-
-def test_subdivide_unit_graph_is_fixed_point():
-    g = MetrizedGraph.build(["a", "b", "c"],
-                            [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
-    sub = subdivide(g)
-    assert len(sub.vertices) == 3 and len(sub.edges) == 3
-
-
-def test_subdivide_counts():
-    widths = [4, 4, 4, 4, 12, 12]
-    g = MetrizedGraph.build(
-        ["A", "B"] + ["h%d" % i for i in range(3)],
-        [("h0", "A", 4), ("h0", "B", 4), ("h1", "A", 4), ("h1", "B", 4),
-         ("h2", "A", 12), ("h2", "B", 12)],
-    )
-    sub = subdivide(g)
-    assert len(sub.edges) == sum(widths) == 40
-    assert len(sub.vertices) == 5 + sum(w - 1 for w in widths)
 
 
 def test_triangle_component_group():
@@ -138,18 +143,52 @@ def test_smith_normal_form_divisibility_chain_random():
     for _ in range(40):
         n = rng.randrange(1, 5)
         m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
+        if determinant(m) == 0:
+            with pytest.raises(GraphError):
+                smith_normal_form_diagonal(m)
+            continue
         diag = smith_normal_form_diagonal(m)
         prev = None
         for d in diag:
-            assert d >= 0
-            if prev not in (None, 0):
+            assert d >= 1
+            if prev is not None:
                 assert d % prev == 0
             prev = d
 
 
+def test_smith_normal_form_against_determinantal_divisors():
+    # d_1 ... d_k is the gcd of all k x k minors
+    rng = random.Random(41)
+    checked = 0
+    while checked < 300:
+        n = rng.randrange(1, 5)
+        bound = rng.choice((1, 3, 9))
+        m = [[rng.randrange(-bound, bound + 1) * rng.choice((1, 2, 6))
+              for _ in range(n)] for _ in range(n)]
+        if determinant(m) == 0:
+            continue
+        diag = smith_normal_form_diagonal(m)
+        assert len(diag) == n
+        prod = 1
+        for k in range(1, n + 1):
+            minors = [determinant([[m[r][c] for c in cols] for r in rows])
+                      for rows in itertools.combinations(range(n), k)
+                      for cols in itertools.combinations(range(n), k)]
+            prod *= diag[k - 1]
+            assert prod == math.gcd(*minors), (m, diag)
+        checked += 1
+
+
+def test_smith_normal_form_rejects_singular_and_non_square():
+    for m in ([[2, 4], [1, 2]], [[0]], [[1, 2]], [[1], [2]]):
+        with pytest.raises(GraphError):
+            smith_normal_form_diagonal(m)
+
+
 def test_spanning_tree_count_matches_determinant_banana():
     g = MetrizedGraph.build(["L", "R"], [("L", "R", 2), ("L", "R", 3)])
-    assert spanning_tree_count(subdivide(g)) == 5  # cycle C_5
+    assert spanning_tree_count(g) == 5  # subdivided: the cycle C_5
+    assert brute_spanning_trees(subdivide(g)) == 5
 
 
 def test_invariants_validation():
@@ -169,7 +208,7 @@ def test_nsplus_29_component_group():
     assert expected_invariants_nsplus(29, 3).factors == (8, 56)
 
 
-@pytest.mark.parametrize("p", [17, 29, 37, 41, 53])
+@pytest.mark.parametrize("p", [17, 29, 37, 41, 53, 101, 137])
 def test_prediction_match_for_1_mod_4(p):
     chk = component_group_prediction(p)
     assert chk.verdict == "match"
@@ -179,6 +218,15 @@ def test_prediction_match_for_1_mod_4(p):
     s = special_fiber("ns+", p).supersingular.s
     expect = sorted([8] * (s - 2) + [8 * n])
     assert sorted(chk.invariants.factors) == expect
+
+
+@pytest.mark.parametrize("family,p", [("s", 11), ("s+", 29), ("ns+", 101)])
+def test_component_group_matches_subdivided_laplacian(family, p):
+    # the presentation on the dual graph and the critical group of the
+    # subdivision, whose reduced Laplacian has over a hundred rows here
+    graph = fiber_metrized_graph(special_fiber(family, p))
+    diag = smith_normal_form_diagonal(reduced_unit_laplacian(subdivide(graph)))
+    assert component_group(graph).factors == tuple(d for d in diag if d > 1)
 
 
 @pytest.mark.parametrize("p", [19, 23, 31, 43])
