@@ -26,7 +26,6 @@ no toric rank are emitted for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .ffield import is_prime
 from .projline import (
@@ -604,7 +603,6 @@ def genus_oracle(H: SubgroupTable, p: int) -> int:
     return (rhs + 2) // 2
 
 
-@lru_cache(maxsize=4096)
 def total_genus(family: str, p: int) -> int:
     return genus_oracle(family_group_image(family, p), p)
 

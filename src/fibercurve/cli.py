@@ -2,14 +2,15 @@
 
 Subcommands: fiber, drinfeld, orbits, neron, verify.  Results are
 computed into JSON-serializable payloads, optionally cached one file per
-(subcommand, family, prime) with a schema version and an argument
-fingerprint, and rendered as json, dot or text.  Exit codes: 0 success,
-1 verification failure, 2 usage error.
+(subcommand, family, prime) with a schema version and a fingerprint of
+the arguments and of the package's source, and rendered as json, dot or
+text.  Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -54,8 +55,23 @@ def _require_prime(p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
+
+
+@functools.lru_cache(maxsize=None)
+def source_digest() -> str:
+    """sha256 over the package's source files, once per process."""
+    h = hashlib.sha256()
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name), "rb") as fh:
+                h.update(name.encode() + b"\0" + fh.read())
+    return h.hexdigest()
+
+
 def _fingerprint(args: dict) -> str:
-    blob = json.dumps(args, sort_keys=True).encode()
+    """Digest of the request and the code, so entries of other code miss."""
+    blob = json.dumps([source_digest(), args], sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -230,8 +246,13 @@ def orbits_text(payload: dict) -> str:
 
 
 def neron_payload(family: str, p: int) -> dict:
-    fiber = atlas.special_fiber(family, p)
-    invariants = neron.component_group(neron.fiber_metrized_graph(fiber))
+    # the ns+ prediction computes the component group it checks
+    check = neron.component_group_prediction(p) if family == "ns+" else None
+    if check is not None:
+        invariants = check.invariants
+    else:
+        fiber = atlas.special_fiber(family, p)
+        invariants = neron.component_group(neron.fiber_metrized_graph(fiber))
     payload = {
         "family": family,
         "p": p,
@@ -239,8 +260,8 @@ def neron_payload(family: str, p: int) -> dict:
         "order": invariants.order(),
         "group": invariants.describe(),
     }
-    if family == "ns+":
-        payload["verdict"] = neron.component_group_prediction(p).verdict
+    if check is not None:
+        payload["verdict"] = check.verdict
     return payload
 
 

@@ -14,7 +14,9 @@ Explicit generator matrices are used where a pinned convention exists
 (tetrahedral with a cube root of unity, octahedral from sqrt(2) and i,
 icosahedral at p = 421); otherwise a lexicographic scan over
 determinant-1 matrices finds the first pair passing the criteria, and
-the group order is verified in all cases.
+the group order is verified in all cases.  The scan enumerates only the
+matrices whose trace is admissible, in the same lexicographic order, so
+it finds the same first pair as a walk over all of SL_2(F_p).
 
 Orbit decompositions of P^1(F_p) are cross-checked against closed-form
 tables: the total orbit count N_p and the presence pattern of the
@@ -121,19 +123,32 @@ def _sqrt_pair(p: int, a: int):
     return tuple(sorted((r, (p - r) % p)))
 
 
-def _det1_matrices(p: int):
-    """All of SL_2(F_p) in lexicographic order of the entry tuple."""
+def _det1_matrices(p: int, traces):
+    """The matrices of SL_2(F_p) with trace in `traces`, in lexicographic
+    order of the entry tuple (a, b, c, d).
+
+    Only these are enumerated: a = 0 forces c = -1/b and d = t; a, b != 0
+    give d = t - a and c = (a d - 1)/b, one c per trace; b = 0 forces
+    d = 1/a, with every c, when a + 1/a is an allowed trace.
+    """
+    allowed = sorted({t % p for t in traces})
     for a in range(p):
         if a == 0:
             for b in range(1, p):
                 c = -inverse_mod(b, p) % p
-                for d in range(p):
-                    yield (0, b, c, d)
-        else:
-            ainv = inverse_mod(a, p)
-            for b in range(p):
-                for c in range(p):
-                    yield (a, b, c, (1 + b * c) * ainv % p)
+                for t in allowed:
+                    yield (0, b, c, t)
+            continue
+        ainv = inverse_mod(a, p)
+        if (a + ainv) % p in allowed:
+            for c in range(p):
+                yield (a, 0, c, ainv)
+        for b in range(1, p):
+            binv = inverse_mod(b, p)
+            for c, d in sorted(
+                ((a * (t - a) - 1) * binv % p, (t - a) % p) for t in allowed
+            ):
+                yield (a, b, c, d)
 
 
 def _trace_data(kind: str, p: int):
@@ -166,14 +181,10 @@ def _scan_generators(kind: str, p: int) -> SubgroupTable:
         st_traces = {1, p - 1}
     else:
         s_traces = t_traces = st_traces = traces
-    for sm in _det1_matrices(p):
+    for sm in _det1_matrices(p, s_traces):
         ts = (sm[0] + sm[3]) % p
-        if ts not in s_traces:
-            continue
-        for tm in _det1_matrices(p):
+        for tm in _det1_matrices(p, t_traces):
             tt = (tm[0] + tm[3]) % p
-            if tt not in t_traces:
-                continue
             tst = (
                 sm[0] * tm[0] + sm[1] * tm[2] + sm[2] * tm[1] + sm[3] * tm[3]
             ) % p

@@ -415,18 +415,15 @@ def cartan_nonsplit(p: int, normalizer: bool = False) -> SubgroupTable:
     """Image in PGL_2(F_p) of a nonsplit Cartan subgroup (or its normalizer).
 
     Realized as multiplication by F_{p^2}^* on the basis (1, sqrt(d)) for
-    d the first nonsquare: matrices [[a, b d], [b, a]].  The normalizer
-    adds conjugation, [[1, 0], [0, -1]].
+    d the first nonsquare: matrices [[a, b d], [b, a]].  Up to scalars
+    these are exactly p + 1 classes: the identity (b = 0), [[0, d], [1, 0]]
+    (a = 0), and [[1, b d], [b, 1]] for b in F_p^* (divide by a), so the
+    group is listed directly.  The normalizer adds conjugation,
+    [[1, 0], [0, -1]].
     """
     d = first_nonsquare(p)
-    elems = []
-    for a in range(p):
-        for b in range(p):
-            if a == 0 and b == 0:
-                continue
-            if (a * a - d * b * b) % p == 0:
-                continue
-            elems.append(ProjTransform(p, a, b * d, b, a))
+    elems = [ProjTransform(p, 0, d, 1, 0)]
+    elems += [ProjTransform(p, 1, b * d, b, 1) for b in range(p)]
     w = ProjTransform(p, 1, 0, 0, -1)
     if normalizer:
         elems = elems + [g * w for g in elems]

@@ -1,9 +1,11 @@
 import json
 import math
 import os
+import shutil
 
 import pytest
 
+from fibercurve import cli, neron
 from fibercurve.cli import main
 
 
@@ -146,3 +148,78 @@ def test_neron_largest_seed_laplacians(capsys, family, prime):
     assert code == 0
     payload = json.loads(out)
     assert payload["order"] == math.prod(payload["invariants"]) > 1
+
+
+def test_cache_entry_of_other_code_recomputed(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = cli.fiber_payload
+
+    def counting(family, p):
+        calls.append((family, p))
+        return real(family, p)
+
+    monkeypatch.setattr(cli, "fiber_payload", counting)
+    args = ["fiber", "--family", "ns", "--prime", "13", "--format", "json",
+            "--cache", str(tmp_path)]
+    _, out, _ = run_cli(capsys, *args)
+    _, again, _ = run_cli(capsys, *args)
+    assert len(calls) == 1 and again == out
+    monkeypatch.setattr(cli, "source_digest", lambda: "other code")
+    _, recomputed, _ = run_cli(capsys, *args)
+    assert len(calls) == 2 and recomputed == out
+
+
+def test_uncached_request_skips_source_digest(capsys, monkeypatch):
+    monkeypatch.delenv("FIBERCURVE_CACHE", raising=False)
+    monkeypatch.setattr(cli, "source_digest",
+                        lambda: pytest.fail("source digest taken without a cache"))
+    code, _, _ = run_cli(capsys, "orbits", "--group", "a4", "--prime", "13")
+    assert code == 0
+
+
+def test_source_digest_tracks_a_payload_builder(tmp_path, monkeypatch):
+    same, edited = tmp_path / "same", tmp_path / "edited"
+    for copy in (same, edited):
+        shutil.copytree(cli.PACKAGE_DIR, copy,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    source = (edited / "cli.py").read_text()
+    changed = source.replace('"order": invariants.order(),',
+                             '"order": invariants.order() + 0,')
+    assert changed != source
+    (edited / "cli.py").write_text(changed)
+    digest = cli.source_digest()
+    uncached = cli.source_digest.__wrapped__
+    monkeypatch.setattr(cli, "PACKAGE_DIR", str(same))
+    assert uncached() == digest
+    monkeypatch.setattr(cli, "PACKAGE_DIR", str(edited))
+    assert uncached() != digest
+
+
+# `neron --family ns+ --format json` output
+NSPLUS_NERON = {
+    13: {"family": "ns+", "group": "trivial", "invariants": [], "order": 1,
+         "p": 13, "verdict": "vacuous-trivial"},
+    101: {"family": "ns+", "group": "Z/8 x " * 7 + "Z/200",
+          "invariants": [8] * 7 + [200], "order": 419430400, "p": 101,
+          "verdict": "match"},
+    401: {"family": "ns+", "group": "Z/8 x " * 32 + "Z/800",
+          "invariants": [8] * 32 + [800],
+          "order": 63382530011411470074835160268800, "p": 401,
+          "verdict": "match"},
+}
+
+
+@pytest.mark.parametrize("p", sorted(NSPLUS_NERON))
+def test_neron_nsplus_computes_the_group_once(capsys, monkeypatch, p):
+    calls = []
+    real = neron.component_group
+
+    def counting(graph):
+        calls.append(graph)
+        return real(graph)
+
+    monkeypatch.setattr(neron, "component_group", counting)
+    code, out, _ = run_cli(capsys, "neron", "--family", "ns+", "--prime", str(p),
+                           "--format", "json")
+    assert code == 0 and len(calls) == 1
+    assert out == json.dumps(NSPLUS_NERON[p], indent=2, sort_keys=True) + "\n"

@@ -9,7 +9,11 @@ from fibercurve.exceptional import (
     check_congruence,
     build_exceptional,
     orbit_table,
+    _det1_matrices,
+    _scan_generators,
+    _trace_data,
 )
+from fibercurve.ffield import inverse_mod
 
 # published orbit sets; None stands for the point at infinity
 A4_13_ORBIT_OF_0 = {0, 9, 10, None}
@@ -146,3 +150,52 @@ def test_orbit_tables_sweep_below_100():
                 continue
             table = orbit_table(kind, p)  # raises on any table mismatch
             assert sum(len(o) for o in table.orbits) == p + 1
+
+
+def brute_det1_walk(p):
+    """Reference: all of SL_2(F_p) in lexicographic order of the entry tuple."""
+    for a in range(p):
+        if a == 0:
+            for b in range(1, p):
+                c = -inverse_mod(b, p) % p
+                for d in range(p):
+                    yield (0, b, c, d)
+        else:
+            ainv = inverse_mod(a, p)
+            for b in range(p):
+                for c in range(p):
+                    yield (a, b, c, (1 + b * c) * ainv % p)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_det1_matrices_match_filtered_full_walk(p):
+    # the scan's own trace sets exist for s4 at 7, 17, 23 and a5 at 11, 19
+    trace_sets = [{0}, {1, p - 1}, {2}, {p - 2, 2, 3}, set(range(p))]
+    for kind in KINDS:
+        try:
+            check_congruence(kind, p)
+        except CongruenceError:
+            continue
+        trace_sets.append(_trace_data(kind, p)[0])
+    for traces in trace_sets:
+        expected = [m for m in brute_det1_walk(p) if (m[0] + m[3]) % p in traces]
+        assert list(_det1_matrices(p, traces)) == expected, sorted(traces)
+
+
+# the first passing (S, T) pairs of the full lexicographic SL_2 walk,
+# as scalar-normalized entry tuples
+SCAN_PAIRS = {
+    ("a4", 449): ((0, 1, 448, 1), (1, 66, 68, 448)),
+    ("a5", 449): ((0, 1, 448, 0), (1, 22, 306, 447)),
+    ("s4", 991): ((0, 1, 990, 0), (0, 1, 878, 679)),
+    ("a5", 991): ((0, 1, 990, 0), (0, 1, 878, 430)),
+    ("s4", 23): ((0, 1, 22, 0), (1, 6, 11, 21)),
+}
+
+
+@pytest.mark.parametrize("kind,p", sorted(SCAN_PAIRS))
+def test_scan_finds_the_pinned_first_pair(kind, p):
+    G = _scan_generators(kind, p)
+    assert tuple(g.m for g in G.gens) == SCAN_PAIRS[kind, p]
+    assert G.order == PROJECTIVE_ORDER[kind]
+    assert build_exceptional(kind, p).elements == G.elements

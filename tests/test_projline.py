@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from fibercurve.ffield import is_prime
 from fibercurve.projline import (
     GroupError,
     ProjPoint,
@@ -13,6 +14,7 @@ from fibercurve.projline import (
     cartan_nonsplit,
     cartan_split,
     coset_cycle_counts,
+    first_nonsquare,
     generate_subgroup,
     orbits,
 )
@@ -224,6 +226,28 @@ def test_cycle_counts_feeding_the_genus_values():
     assert coset_cycle_counts(PSL2Handle(13), H13, ProjTransform(13, 0, -1, 1, 0)) == 42
     H17 = cartan_nonsplit(17, normalizer=True).intersect_psl2()
     assert coset_cycle_counts(PSL2Handle(17), H17, ProjTransform(17, 1, 1, 0, 1)) == 8
+
+
+def brute_cartan_nonsplit(p, normalizer):
+    """Reference: every nonzero [[a, b d], [b, a]], deduplicated up to scalars."""
+    d = first_nonsquare(p)
+    elems = {
+        ProjTransform(p, a, b * d, b, a)
+        for a in range(p) for b in range(p) if (a * a - d * b * b) % p
+    }
+    if normalizer:
+        w = ProjTransform(p, 1, 0, 0, -1)
+        elems |= {g * w for g in elems}
+    return tuple(sorted(elems))
+
+
+@pytest.mark.parametrize(
+    "p", [p for p in range(5, 60) if is_prime(p)] + [97, 139]
+)
+def test_cartan_nonsplit_matches_brute_force(p):
+    for normalizer in (False, True):
+        assert cartan_nonsplit(p, normalizer).elements == \
+            brute_cartan_nonsplit(p, normalizer)
 
 
 def test_cartan_subgroup_orders():
