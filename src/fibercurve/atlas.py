@@ -140,31 +140,35 @@ class _Fp2:
             for y in range(self.p):
                 yield (x, y)
 
-    def squares(self):
-        out = set()
-        for z in self.elements():
-            out.add(self.mul(z, z))
-        return out
-
 
 def brute_supersingular_data(p: int) -> SupersingularData:
     """Point-count oracle: try every j in F_{p^2}, count a curve with
-    that j over F_{p^2}, and test whether the trace vanishes mod p."""
+    that j over F_{p^2}, and test whether the trace vanishes mod p.
+
+    The count is table-driven.  Two tables are built once with _Fp2's
+    arithmetic: roots[v0 p + v1], the number of y with y^2 = v, and for
+    every x the tuple (c0, c1, x0, x1) with c = x^3.  Then #E(F_{p^2})
+    for y^2 = x^3 + a x + b is 1 + the sum of roots[x^3 + a x + b] over
+    x, with a x + b expanded in coordinates (w^2 = d) and each
+    coordinate reduced once.
+    """
     K = _Fp2(p)
     q = p * p
-    sq = K.squares()
+    roots = [0] * q
+    for y in K.elements():
+        v = K.mul(y, y)
+        roots[v[0] * p + v[1]] += 1
+    cubes = [K.mul(K.mul(x, x), x) + x for x in K.elements()]
     ss = set()
     for j in K.elements():
-        a, b = _curve_with_j(K, j)
-        n = 1  # the point at infinity
-        for x in K.elements():
-            v = K.add(K.add(K.mul(K.mul(x, x), x), K.mul(a, x)), b)
-            if v == (0, 0):
-                n += 1
-            elif v in sq:
-                n += 2
-        trace = (q + 1 - n) % p
-        if trace == 0:
+        (a0, a1), (b0, b1) = _curve_with_j(K, j)
+        da1 = K.d * a1
+        n = 1 + sum(  # 1 for the point at infinity
+            roots[(c0 + a0 * x0 + da1 * x1 + b0) % p * p
+                  + (c1 + a0 * x1 + a1 * x0 + b1) % p]
+            for c0, c1, x0, x1 in cubes
+        )
+        if (q + 1 - n) % p == 0:
             ss.add(j)
     return SupersingularData(
         p=p,
@@ -197,14 +201,18 @@ def hasse_supersingular_data(p: int) -> SupersingularData:
     for i in range(1, m + 1):
         c = c * (m - i + 1) % p * pow(i, p - 2, p) % p
         coeffs[i] = c * c % p
+    coeffs.reverse()
     ss = set()
     for lam in K.elements():
         if lam in ((0, 0), (1, 0)):
             continue
-        acc = (0, 0)
-        for co in reversed(coeffs):
-            acc = K.add(K.mul(acc, lam), (co, 0))
-        if acc == (0, 0):
+        # Horner in coordinates: (u + v w) <- (u + v w)(l0 + l1 w) + c
+        l0, l1 = lam
+        dl1 = K.d * l1
+        u = v = 0
+        for c in coeffs:
+            u, v = (u * l0 + v * dl1 + c) % p, (u * l1 + v * l0) % p
+        if u == 0 and v == 0:
             ss.add(_legendre_j(K, lam))
     return SupersingularData(
         p=p,

@@ -436,57 +436,64 @@ def _sample_in_field(F, p, count, rng):
     return None
 
 
-def verify_quotient_maps(family: str, p: int, samples: int, seed: int = 0) -> QuotientMapCheck:
-    """Push sampled points of the generic component through a quotient chain.
+_QUOTIENT_MAPS = {
+    "ns": "(alpha, beta) -> (u1, v1) = (atilde^(p+1), atilde btilde)",
+    "ns+": "(alpha, beta) -> (X, Y) = (V^2, U V)",
+    "s": "(alpha, beta) -> (u, v) = (alpha^(p-1), alpha beta)",
+    "s+": "(alpha, beta) -> (X, Y) = (V^2, U V)",
+}
+_QUOTIENT_TARGETS = {
+    "ns": "u1^2 - v1^(p+1) - a N u1 = 0",
+    "ns+": "Y^2 = X (X^((p+1)/2) + (a N / 2)^2)",
+    "s": "v^p - u^2 v + a u = 0",
+    "s+": "Y^2 = X (X^((p+1)/2) + (a / 2)^2)",
+}
+
+
+def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
+    """Push sampled points of the generic component through the quotient
+    chain of each Cartan family; returns {family: QuotientMapCheck}.
 
     Checks, per family, that the sampled points (alpha, beta) of
     alpha^p beta - alpha beta^p = 1 land on the intermediate and final
     quotient equations, and that the special-linear and root-of-unity
-    actions preserve the source equation.
+    actions preserve the source equation.  The points and the root of
+    unity are drawn once and shared; each family then replays the same
+    random actions from the generator state saved after the draw.
     """
     import random
 
-    if family not in CARTAN_FAMILIES:
-        raise ValueError("unknown family %r" % family)
     if p > SAMPLE_MAX_P:
         raise ValueError("p exceeds sampling bound")
     if samples < 0:
         raise ValueError("sample count must be nonnegative")
-    rng = random.Random(seed)
-    maps = {
-        "ns": "(alpha, beta) -> (u1, v1) = (atilde^(p+1), atilde btilde)",
-        "ns+": "(alpha, beta) -> (X, Y) = (V^2, U V)",
-        "s": "(alpha, beta) -> (u, v) = (alpha^(p-1), alpha beta)",
-        "s+": "(alpha, beta) -> (X, Y) = (V^2, U V)",
-    }[family]
-    target = {
-        "ns": "u1^2 - v1^(p+1) - a N u1 = 0",
-        "ns+": "Y^2 = X (X^((p+1)/2) + (a N / 2)^2)",
-        "s": "v^p - u^2 v + a u = 0",
-        "s+": "Y^2 = X (X^((p+1)/2) + (a / 2)^2)",
-    }[family]
-    check = QuotientMapCheck(
-        family=family,
-        p=p,
-        source="alpha^p beta - alpha beta^p = a (a = 1)",
-        maps=maps,
-        target=target,
-        samples=samples,
-        passed=True,
-    )
+    checks = {
+        family: QuotientMapCheck(
+            family=family,
+            p=p,
+            source="alpha^p beta - alpha beta^p = a (a = 1)",
+            maps=_QUOTIENT_MAPS[family],
+            target=_QUOTIENT_TARGETS[family],
+            samples=samples,
+            passed=True,
+        )
+        for family in CARTAN_FAMILIES
+    }
     if samples == 0:
-        return check
+        return checks
+    rng = random.Random(seed)
     F, pts = _sample_source_points(p, samples, rng)
-    one = F.one()
-    a = one
+    a = F.one()
     lam = element_of_order(F, p + 1, rng)
-    for alpha, beta in pts:
-        ok = _check_one_point(family, p, F, a, lam, alpha, beta, rng)
-        if not ok:
-            check.passed = False
-            check.witness = (alpha, beta)
-            break
-    return check
+    state = rng.getstate()
+    for family, check in checks.items():
+        rng.setstate(state)
+        for alpha, beta in pts:
+            if not _check_one_point(family, p, F, a, lam, alpha, beta, rng):
+                check.passed = False
+                check.witness = (alpha, beta)
+                break
+    return checks
 
 
 def _check_one_point(family, p, F, a, lam, alpha, beta, rng):

@@ -248,8 +248,9 @@ def test_acceptance_09a_action_and_quotient_map_suites():
         # 50 samples x 4 families = 200 sampled points; each sample also
         # exercises two random special-linear actions and one root of
         # unity action on the source equation
-        for family in ("ns", "ns+", "s", "s+"):
-            chk = verify_quotient_maps(family, 13, 50, seed=1)
+        checks = verify_quotient_maps(13, 50, seed=1)
+        assert sorted(checks) == sorted(("ns", "ns+", "s", "s+"))
+        for chk in checks.values():
             assert chk.passed and chk.samples == 50
 
 

@@ -141,6 +141,53 @@ def test_verify_rejects_malformed_range(capsys):
     assert code == 2
 
 
+def test_verify_jobs_clamped_to_primes_and_cores(capsys, monkeypatch):
+    import concurrent.futures
+
+    created = []
+
+    class RecordingPool:
+        """Records max_workers and maps in-process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "paper", "--primes", "5..8",
+                         "--jobs", "1000")
+    assert code == 0 and created == [2]  # two primes, 5 and 7
+    code, _, _ = run_cli(capsys, "verify", "--suite", "paper", "--primes", "5..6",
+                         "--jobs", "1000")
+    assert code == 0 and created == [2]  # one prime runs in-process
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "paper", "--primes", "5..20",
+                         "--jobs", "1000")
+    assert code == 0 and created == [2, 3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    code, _, _ = run_cli(capsys, "verify", "--suite", "paper", "--primes", "5..20",
+                         "--jobs", "1000")
+    assert code == 0 and created == [2, 3]  # unknown core count: in-process
+
+
+def test_verify_jobs_leave_the_output_unchanged(capsys, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so the pool really runs
+    argv = ("verify", "--suite", "paper", "--primes", "5..32")
+    code1, out1, _ = run_cli(capsys, *argv, "--jobs", "1")
+    code2, out2, _ = run_cli(capsys, *argv, "--jobs", "2")
+    assert code1 == code2 == 0
+    assert out1 == out2
+
+
 @pytest.mark.parametrize("family,prime", [("s", "41"), ("s+", "59")])
 def test_neron_largest_seed_laplacians(capsys, family, prime):
     code, out, _ = run_cli(capsys, "neron", "--family", family, "--prime", prime,

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from fibercurve.ffield import field_create, is_prime
+from fibercurve import drinfeld
+from fibercurve.ffield import element_of_order, field_create, is_prime
 from fibercurve.projline import ProjPoint
 from fibercurve.exceptional import CongruenceError, check_congruence, orbit_table
 from fibercurve.drinfeld import (
@@ -328,23 +329,79 @@ def test_admissible_twist_properties():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("family", ["ns", "ns+", "s", "s+"])
+CARTAN = ("ns", "ns+", "s", "s+")
+
+
+@pytest.mark.parametrize("family", CARTAN)
 def test_quotient_maps_pass(family):
-    chk = verify_quotient_maps(family, 13, 30)
+    checks = verify_quotient_maps(13, 30)
+    assert sorted(checks) == sorted(CARTAN)
+    chk = checks[family]
+    assert chk.family == family
     assert chk.passed and chk.witness is None
-    chk = verify_quotient_maps(family, 5, 20)
+    chk = verify_quotient_maps(5, 20)[family]
     assert chk.passed
 
 
 def test_quotient_maps_vacuous_on_zero_samples():
-    chk = verify_quotient_maps("ns", 13, 0)
-    assert chk.passed and chk.samples == 0
+    checks = verify_quotient_maps(13, 0)
+    assert all(chk.passed and chk.samples == 0 for chk in checks.values())
 
 
 def test_quotient_maps_bounds():
     with pytest.raises(ValueError):
-        verify_quotient_maps("ns", 37, 5)
+        verify_quotient_maps(37, 5)
     with pytest.raises(ValueError):
-        verify_quotient_maps("bogus", 13, 5)
-    with pytest.raises(ValueError):
-        verify_quotient_maps("ns", 13, -1)
+        verify_quotient_maps(13, -1)
+
+
+def per_family_quotient_check(family, p, samples, seed=0):
+    """One family's check the unshared way: its own generator, its own
+    sample and root of unity, then each point in turn."""
+    rng = random.Random(seed)
+    F, pts = drinfeld._sample_source_points(p, samples, rng)
+    lam = element_of_order(F, p + 1, rng)
+    for alpha, beta in pts:
+        if not drinfeld._check_one_point(family, p, F, F.one(), lam, alpha, beta, rng):
+            return False, (alpha, beta)
+    return True, None
+
+
+@pytest.mark.parametrize("p", [5, 13, 31])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
+    calls = []
+    check_one_point = drinfeld._check_one_point
+
+    def recording(family, p, F, a, lam, alpha, beta, rng):
+        calls.append((family, lam, alpha, beta, rng.getstate()))
+        return check_one_point(family, p, F, a, lam, alpha, beta, rng)
+
+    monkeypatch.setattr(drinfeld, "_check_one_point", recording)
+    checks = verify_quotient_maps(p, 8, seed=seed)
+    shared = list(calls)
+    del calls[:]
+    for family in CARTAN:
+        expect = per_family_quotient_check(family, p, 8, seed)
+        assert (checks[family].passed, checks[family].witness) == expect, family
+    # same point, root of unity and generator state at every call
+    assert shared == calls
+
+
+def test_shared_sample_reports_the_rejected_point(monkeypatch):
+    p, seed = 13, 1
+    _, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
+    rejected = pts[3]
+    check_one_point = drinfeld._check_one_point
+
+    def reject_for_s(family, p, F, a, lam, alpha, beta, rng):
+        if family == "s" and (alpha, beta) == rejected:
+            return False
+        return check_one_point(family, p, F, a, lam, alpha, beta, rng)
+
+    monkeypatch.setattr(drinfeld, "_check_one_point", reject_for_s)
+    checks = verify_quotient_maps(p, 8, seed=seed)
+    assert not checks["s"].passed and checks["s"].witness == rejected
+    assert per_family_quotient_check("s", p, 8, seed) == (False, rejected)
+    for family in ("ns", "ns+", "s+"):
+        assert checks[family].passed and checks[family].witness is None
