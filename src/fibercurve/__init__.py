@@ -9,13 +9,14 @@ computable claim.
 
 from .ffield import FqElement, FqPoly, GF, field_create, inverse_mod, sqrt_in_field
 from .projline import (
-    ProjPoint,
-    ProjTransform,
     SubgroupTable,
     act,
     coset_cycle_counts,
     generate_subgroup,
+    mul,
     orbits,
+    point_str,
+    transform,
 )
 from .exceptional import OrbitTable, build_exceptional, orbit_table
 from .drinfeld import (
@@ -52,8 +53,6 @@ __all__ = [
     "GF",
     "MetrizedGraph",
     "OrbitTable",
-    "ProjPoint",
-    "ProjTransform",
     "SubgroupTable",
     "SuperellipticCurve",
     "SupersingularData",
@@ -70,10 +69,13 @@ __all__ = [
     "generate_subgroup",
     "genus_oracle",
     "inverse_mod",
+    "mul",
     "orbit_table",
     "orbits",
+    "point_str",
     "special_fiber",
     "sqrt_in_field",
     "supersingular_data",
+    "transform",
     "verify_quotient_maps",
 ]

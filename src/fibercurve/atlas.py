@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 from .ffield import is_prime
 from .projline import (
-    ProjTransform,
     PSL2Handle,
     SubgroupTable,
     borel,
@@ -37,6 +36,7 @@ from .projline import (
     cartan_split,
     coset_cycle_counts,
     first_nonsquare,
+    transform,
 )
 from .exceptional import (
     KINDS as EXCEPTIONAL_KINDS,
@@ -594,12 +594,9 @@ def genus_oracle(H: SubgroupTable, p: int) -> int:
     if rem:
         raise ValueError("|H'| does not divide |PSL2|")
     reps = {
-        2: (ProjTransform(p, 0, -1, 1, 0), ProjTransform(p, 1, 1, -2, -1)),
-        3: (ProjTransform(p, 0, -1, 1, -1), ProjTransform(p, -1, -1, 1, 0)),
-        p: (
-            ProjTransform(p, 1, 1, 0, 1),
-            ProjTransform(p, 1, first_nonsquare(p), 0, 1),
-        ),
+        2: (transform(p, 0, -1, 1, 0), transform(p, 1, 1, -2, -1)),
+        3: (transform(p, 0, -1, 1, -1), transform(p, -1, -1, 1, 0)),
+        p: (transform(p, 1, 1, 0, 1), transform(p, 1, first_nonsquare(p), 0, 1)),
     }
     rhs = -2 * n
     for order, (g1, g2) in reps.items():

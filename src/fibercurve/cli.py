@@ -26,7 +26,7 @@ from .exceptional import (
     orbit_table,
 )
 from .ffield import is_prime
-from .projline import ProjPoint
+from .projline import point_str
 
 SCHEMA_VERSION = 1
 FAMILIES = ("ns", "ns+", "s", "s+") + EXCEPTIONAL_KINDS
@@ -195,9 +195,11 @@ def drinfeld_payload(family, group, p, orbit_pair) -> dict:
 
 
 def _parse_point(p, token):
+    """A point of P^1(F_p) named on the command line: inf, oo or
+    infinity for p, else an integer reduced mod p."""
     if token in ("inf", "oo", "infinity"):
-        return ProjPoint.infinity(p)
-    return ProjPoint(p, int(token))
+        return p
+    return int(token) % p
 
 
 def drinfeld_text(payload: dict) -> str:
@@ -217,10 +219,10 @@ def orbits_payload(group: str, p: int) -> dict:
         "N_p": table.total,
         "orbits": [
             {
-                "representative": repr(o.representative),
+                "representative": point_str(p, o.representative),
                 "size": len(o),
                 "isotropy": o.isotropy_order,
-                "points": [repr(pt) for pt in o.points],
+                "points": [point_str(p, x) for x in o.points],
             }
             for o in table.orbits
         ],
@@ -391,7 +393,9 @@ def run_verify(lo: int, hi: int, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="fibercurve",
         description="special fibers of prime-level modular curves: "

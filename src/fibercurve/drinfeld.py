@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 from .ffield import (
     FieldError,
-    FqPoly,
+    _poly_mul,
     element_of_order,
     field_create,
     inverse_mod,
     solve_affine_mod_p,
     sqrt_in_field,
 )
-from .projline import ProjPoint, first_nonsquare
+from .projline import first_nonsquare, point_str
 from .exceptional import CongruenceError, orbit_table
 
 POINT_COUNT_MAX_P = 31
@@ -214,34 +214,46 @@ def quotient_map(p: int, orbit1, orbit2, h1: int, h2: int):
            / prod_{P in O2, P != inf} (t - P)^h2,
     with h_i the isotropy orders.  Factors at infinity are omitted; the
     numerator and denominator stay monic so phi carries no scaling
-    freedom.
+    freedom.  Both come back as coefficient tuples mod p, low degree
+    first.
     """
-    F = field_create(p)
-    num = FqPoly.from_roots(
-        F, [(pt.t, h1) for pt in orbit1.points if not pt.is_infinity()]
-    )
-    den = FqPoly.from_roots(
-        F, [(pt.t, h2) for pt in orbit2.points if not pt.is_infinity()]
-    )
-    return num, den
+    return _orbit_polynomial(p, orbit1, h1), _orbit_polynomial(p, orbit2, h2)
 
 
-def evaluate_projective(num: FqPoly, den: FqPoly, point: ProjPoint):
-    """phi(point) in P^1(F_p); None encodes the value infinity."""
-    if point.is_infinity():
-        dn, dd = num.degree(), den.degree()
+def _orbit_polynomial(p: int, orbit, h: int):
+    base = (1,)
+    for x in orbit.points:
+        if x != p:
+            base = _poly_mul(base, (-x % p, 1), p)
+    poly = (1,)
+    for _ in range(h):
+        poly = _poly_mul(poly, base, p)
+    return poly
+
+
+def _horner(poly, x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def evaluate_projective(p: int, num, den, x: int) -> int:
+    """phi(x) in P^1(F_p), with p encoding the value infinity."""
+    if x == p:
+        dn, dd = len(num) - 1, len(den) - 1
         if dn > dd:
-            return None
+            return p
         if dn < dd:
             return 0
-        return (num.leading() / den.leading()).lift()
-    nv = num(point.t)
-    dv = den(point.t)
-    if dv.is_zero():
-        if nv.is_zero():
-            raise ArithmeticError("phi indeterminate at %r" % point)
-        return None
-    return (nv / dv).lift()
+        return num[-1] * inverse_mod(den[-1], p) % p
+    nv = _horner(num, x, p)
+    dv = _horner(den, x, p)
+    if dv == 0:
+        if nv == 0:
+            raise ArithmeticError("phi indeterminate at %s" % point_str(p, x))
+        return p
+    return nv * inverse_mod(dv, p) % p
 
 
 def exceptional_drinfeld(kind: str, p: int, orbit1=None, orbit2=None,
@@ -267,9 +279,9 @@ def exceptional_drinfeld(kind: str, p: int, orbit1=None, orbit2=None,
     factors = []
     seen = set()
     for orbit in table.orbits:
-        value = evaluate_projective(num, den, orbit.representative)
+        value = evaluate_projective(p, num, den, orbit.representative)
         exponent = inverse_mod(orbit.isotropy_order, n)
-        if value is None:
+        if value == p:
             continue
         if value in seen:
             raise ArithmeticError("distinct orbits share the branch value %d" % value)
@@ -285,8 +297,8 @@ def exceptional_drinfeld(kind: str, p: int, orbit1=None, orbit2=None,
 
 def _match_exponents(curve, table, num, den):
     for orbit in table.orbits:
-        value = evaluate_projective(num, den, orbit.representative)
-        if value is None:
+        value = evaluate_projective(curve.p, num, den, orbit.representative)
+        if value == curve.p:
             continue
         for c, m in curve.factors:
             if c == value:
@@ -295,13 +307,13 @@ def _match_exponents(curve, table, num, den):
 
 def default_orbit_pair(kind: str, p: int, table):
     if kind == "a4" and p == 13:
-        return table.orbit_of(ProjPoint(p, 1)), table.orbit_of(ProjPoint(p, 3))
-    o0 = table.orbit_of(ProjPoint(p, 0))
-    o1 = table.orbit_of(ProjPoint(p, 1))
+        return table.orbit_of(1), table.orbit_of(3)
+    o0 = table.orbit_of(0)
+    o1 = table.orbit_of(1)
     if o0 is not o1:
         return o0, o1
     for t in range(2, p):
-        cand = table.orbit_of(ProjPoint(p, t))
+        cand = table.orbit_of(t)
         if cand is not o1:
             return o1, cand
     raise ValueError("P^1(F_%d) is a single orbit, no pair available" % p)
@@ -315,7 +327,7 @@ def phi_constant_on_orbits(kind: str, p: int, orbit1=None, orbit2=None) -> bool:
     num, den = quotient_map(p, orbit1, orbit2, orbit1.isotropy_order,
                             orbit2.isotropy_order)
     for orbit in table.orbits:
-        values = {evaluate_projective(num, den, pt) for pt in orbit.points}
+        values = {evaluate_projective(p, num, den, x) for x in orbit.points}
         if len(values) != 1:
             return False
     return True
@@ -397,10 +409,12 @@ def _sample_source_points(p: int, count: int, rng):
     For a fixed nonzero alpha the equation in beta reduces to the
     additive equation s^p - s = c with s = beta/alpha, solvable by
     F_p-linear algebra; the extension degree 2k is raised until fibers
-    with solutions appear (k = 2 already suffices: over F_{p^2} the
-    trace obstruction never vanishes for this right-hand side).
+    with solutions appear.  The search starts at F_{p^6} (k = 3): over
+    F_{p^2} the curve has no points, since Frobenius negates
+    x^p y - x y^p, which therefore never equals 1; over F_{p^4} only
+    1/(p^2 + 1) of the alpha have a fiber with solutions.
     """
-    for k in range(1, SAMPLE_MAX_DEGREE + 1):
+    for k in range(3, SAMPLE_MAX_DEGREE + 1):
         F = field_create(p, 2 * k)
         pts = _sample_in_field(F, p, count, rng)
         if pts is not None:

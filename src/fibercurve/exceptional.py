@@ -31,11 +31,12 @@ from .ffield import field_create, inverse_mod, is_prime, sqrt_in_field
 from .projline import (
     GroupError,
     Orbit,
-    ProjTransform,
     SubgroupTable,
     generate_subgroup,
     orbits,
+    projective_order,
     stabilizer,
+    transform,
 )
 
 KINDS = ("a4", "s4", "a5")
@@ -192,9 +193,9 @@ def _scan_generators(kind: str, p: int) -> SubgroupTable:
                 continue
             if (ts * ts + tt * tt + tst * tst - ts * tt * tst) % p not in combos:
                 continue
-            S = ProjTransform(p, *sm)
-            T = ProjTransform(p, *tm)
-            group = generate_subgroup([S, T], cap=4 * target)
+            S = transform(p, *sm)
+            T = transform(p, *tm)
+            group = generate_subgroup(p, [S, T], cap=4 * target)
             if group.order == target:
                 return SubgroupTable(p, group.elements, (S, T))
     raise GroupError("no generator pair found for %s at p=%d" % (kind, p))
@@ -212,8 +213,8 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
     if kind == "a4" and p % 3 == 1:
         zeta = _cube_root_of_unity(p)
         gens = (
-            ProjTransform(p, zeta, 0, -1, zeta * zeta),
-            ProjTransform(p, 0, -1, 1, 0),
+            transform(p, zeta, 0, -1, zeta * zeta),
+            transform(p, 0, -1, 1, 0),
         )
     elif kind == "s4" and p % 8 == 1:
         if p in PINNED_S4_ROOTS:
@@ -221,12 +222,12 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
         else:
             r2 = _sqrt_pair(p, 2)[0]
             i = _sqrt_pair(p, -1)[0]
-        gens = (ProjTransform(p, r2, 1, -1, 0), ProjTransform(p, 1, i, i, 0))
+        gens = (transform(p, r2, 1, -1, 0), transform(p, 1, i, i, 0))
     elif kind == "a5" and p in A5_EXPLICIT:
         sm, tm = A5_EXPLICIT[p]
-        gens = (ProjTransform(p, *sm), ProjTransform(p, *tm))
+        gens = (transform(p, *sm), transform(p, *tm))
     if gens is not None:
-        group = generate_subgroup(list(gens), cap=4 * target)
+        group = generate_subgroup(p, gens, cap=4 * target)
         if group.order != target:
             raise GroupError(
                 "explicit generators gave order %d, expected %d"
@@ -293,7 +294,7 @@ def orbit_table(kind: str, p: int, group: SubgroupTable = None) -> OrbitTable:
     profile = ORBIT_PROFILE[kind]
     pending = sorted(
         (o for o in orbs if o.isotropy_order > 1),
-        key=lambda o: (o.isotropy_order, o.representative.sort_key()),
+        key=lambda o: (o.isotropy_order, o.representative),
     )
     expected_profile = sorted(
         ((profile[name], name) for name in expected_names),
@@ -323,9 +324,10 @@ def orbit_table(kind: str, p: int, group: SubgroupTable = None) -> OrbitTable:
 
 
 def _check_cyclic_isotropy(group: SubgroupTable, exceptional: dict) -> None:
+    p = group.p
     for name, orbit in exceptional.items():
         stab = stabilizer(group, orbit.representative)
         if stab.order != orbit.isotropy_order:
             raise VerificationError("stabilizer order mismatch on %s" % name)
-        if not any(g.projective_order() == stab.order for g in stab.elements):
+        if not any(projective_order(p, g) == stab.order for g in stab.elements):
             raise VerificationError("isotropy group of %s is not cyclic" % name)

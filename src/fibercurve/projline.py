@@ -1,9 +1,13 @@
-"""The projective line P^1(F_p) and subgroups of PGL_2(F_p).
+"""The projective line P^1(F_p) and subgroups of PGL_2(F_p), on plain ints.
 
-Transforms are 2x2 matrices mod p up to scalars, stored with the first
-nonzero entry normalized to 1 so each class has a unique hashable
-representative.  The action on points is by column vectors,
-(x : y) -> (a x + b y : c x + d y).
+A point of P^1(F_p) is an int 0..p: x < p is the finite point (x : 1)
+and p is the point at infinity (1 : 0), so int order lists the finite
+points by residue and infinity last.  An element of PGL_2(F_p) is the
+entry tuple (a, b, c, d) of a matrix mod p scaled so that its first
+nonzero entry is 1; each class has exactly one such tuple, so tuple
+equality, hashing and order are those of the classes.  Neither carries
+its prime: every function takes p first.  The action on points is by
+column vectors, (x : y) -> (a x + b y : c x + d y).
 
 Cycle counts of an element on a coset space H\\G come in two flavours:
 an explicit breadth-first transversal when G is small enough to hold in
@@ -14,150 +18,98 @@ asserted equal on overlapping inputs in the test suite.
 
 from __future__ import annotations
 
-from .ffield import inverse_mod, is_prime
+from .ffield import is_prime
 
 SUBGROUP_CAP = 10 ** 5
+
+IDENTITY = (1, 0, 0, 1)
 
 
 class GroupError(ValueError):
     pass
 
 
-class ProjPoint:
-    """A point of P^1(F_p): finite value t or the point at infinity."""
-
-    __slots__ = ("p", "t")
-
-    def __init__(self, p: int, t):
-        self.p = p
-        self.t = None if t is None else t % p
-
-    @classmethod
-    def infinity(cls, p: int) -> "ProjPoint":
-        return cls(p, None)
-
-    def is_infinity(self) -> bool:
-        return self.t is None
-
-    def sort_key(self):
-        # finite points by residue, infinity last
-        return (1, 0) if self.t is None else (0, self.t)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjPoint) and self.p == other.p and self.t == other.t
-        )
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __hash__(self):
-        return hash((self.p, self.t))
-
-    def __repr__(self):
-        return "oo" if self.t is None else str(self.t)
+def point_str(p: int, x: int) -> str:
+    """A point as printed: "oo" for infinity, else its residue."""
+    return "oo" if x == p else str(x)
 
 
-def all_points(p: int):
-    """The p+1 points of P^1(F_p) in canonical order."""
-    return [ProjPoint(p, t) for t in range(p)] + [ProjPoint.infinity(p)]
+def _normalized(p: int, a: int, b: int, c: int, d: int):
+    # residues of a nonsingular matrix, scaled to a leading 1; a = 0
+    # forces b != 0
+    if a:
+        if a != 1:
+            inv = pow(a, -1, p)
+            b, c, d = b * inv % p, c * inv % p, d * inv % p
+        return (1, b, c, d)
+    inv = pow(b, -1, p)
+    return (0, 1, c * inv % p, d * inv % p)
 
 
-class ProjTransform:
-    """An element of PGL_2(F_p) in scalar-normalized form."""
-
-    __slots__ = ("p", "m")
-
-    def __init__(self, p: int, a, b, c, d):
-        a, b, c, d = a % p, b % p, c % p, d % p
-        if (a * d - b * c) % p == 0:
-            raise GroupError("matrix is singular mod %d" % p)
-        for pivot in (a, b, c, d):
-            if pivot:
-                inv = inverse_mod(pivot, p)
-                a, b, c, d = a * inv % p, b * inv % p, c * inv % p, d * inv % p
-                break
-        self.p = p
-        self.m = (a, b, c, d)
-
-    @classmethod
-    def identity(cls, p: int) -> "ProjTransform":
-        return cls(p, 1, 0, 0, 1)
-
-    def det(self) -> int:
-        a, b, c, d = self.m
-        return (a * d - b * c) % self.p
-
-    def trace(self) -> int:
-        return (self.m[0] + self.m[3]) % self.p
-
-    def is_identity(self) -> bool:
-        return self.m == (1, 0, 0, 1)
-
-    def in_psl2(self) -> bool:
-        """Whether the class lies in PSL_2 (determinant a square mod scalars)."""
-        return pow(self.det(), (self.p - 1) // 2, self.p) == 1
-
-    def __mul__(self, other: "ProjTransform") -> "ProjTransform":
-        p = self.p
-        a, b, c, d = self.m
-        e, f, g, h = other.m
-        return ProjTransform(p, a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-    def inverse(self) -> "ProjTransform":
-        a, b, c, d = self.m
-        return ProjTransform(self.p, d, -b, -c, a)
-
-    def __call__(self, point: ProjPoint) -> ProjPoint:
-        return act(self, point)
-
-    def projective_order(self) -> int:
-        g = self
-        n = 1
-        while not g.is_identity():
-            g = g * self
-            n += 1
-            if n > self.p * (self.p + 1):
-                raise GroupError("order computation runaway")
-        return n
-
-    def has_projective_order_2(self) -> bool:
-        return self.trace() == 0 and not self.is_identity()
-
-    def has_projective_order_3(self) -> bool:
-        t, d = self.trace(), self.det()
-        return t * t % self.p == d and not self.is_identity()
-
-    def is_unipotent(self) -> bool:
-        # nonscalar with a double eigenvalue; projective order p
-        t, d = self.trace(), self.det()
-        return t * t % self.p == 4 * d % self.p and not self.is_identity()
-
-    def __eq__(self, other):
-        return isinstance(other, ProjTransform) and self.p == other.p and self.m == other.m
-
-    def __lt__(self, other):
-        return self.m < other.m
-
-    def __hash__(self):
-        return hash((self.p, self.m))
-
-    def __repr__(self):
-        return "[[%d,%d],[%d,%d]]" % self.m
+def transform(p: int, a: int, b: int, c: int, d: int):
+    """The element of PGL_2(F_p) of [[a, b], [c, d]], normalized."""
+    a, b, c, d = a % p, b % p, c % p, d % p
+    if (a * d - b * c) % p == 0:
+        raise GroupError("matrix is singular mod %d" % p)
+    return _normalized(p, a, b, c, d)
 
 
-def act(g: ProjTransform, point: ProjPoint) -> ProjPoint:
+def mul(p: int, g, h):
+    """The product g h."""
+    a, b, c, d = g
+    e, f, u, v = h
+    return _normalized(
+        p, (a * e + b * u) % p, (a * f + b * v) % p,
+        (c * e + d * u) % p, (c * f + d * v) % p,
+    )
+
+
+def act(p: int, g, x: int) -> int:
     """Column-vector action of PGL_2 on P^1."""
-    p = g.p
-    a, b, c, d = g.m
-    if point.is_infinity():
-        x, y = 1, 0
+    a, b, c, d = g
+    if x == p:
+        nx, ny = a, c
     else:
-        x, y = point.t, 1
-    nx, ny = (a * x + b * y) % p, (c * x + d * y) % p
+        nx, ny = (a * x + b) % p, (c * x + d) % p
     if ny == 0:
-        return ProjPoint.infinity(p)
-    return ProjPoint(p, nx * inverse_mod(ny, p))
+        return p
+    return nx * pow(ny, -1, p) % p
+
+
+def _trace_det(p: int, g):
+    a, b, c, d = g
+    return (a + d) % p, (a * d - b * c) % p
+
+
+def in_psl2(p: int, g) -> bool:
+    """Whether the class lies in PSL_2 (determinant a square mod scalars)."""
+    return pow(_trace_det(p, g)[1], (p - 1) // 2, p) == 1
+
+
+def projective_order(p: int, g) -> int:
+    h = g
+    n = 1
+    while h != IDENTITY:
+        h = mul(p, h, g)
+        n += 1
+        if n > p * (p + 1):
+            raise GroupError("order computation runaway")
+    return n
+
+
+def has_projective_order_2(p: int, g) -> bool:
+    return _trace_det(p, g)[0] == 0 and g != IDENTITY
+
+
+def has_projective_order_3(p: int, g) -> bool:
+    t, d = _trace_det(p, g)
+    return t * t % p == d and g != IDENTITY
+
+
+def is_unipotent(p: int, g) -> bool:
+    # nonscalar with a double eigenvalue; projective order p
+    t, d = _trace_det(p, g)
+    return t * t % p == 4 * d % p and g != IDENTITY
 
 
 class SubgroupTable:
@@ -170,7 +122,7 @@ class SubgroupTable:
         self.gens = tuple(gens or ())
         self.order = len(self.elements)
 
-    def __contains__(self, g: ProjTransform) -> bool:
+    def __contains__(self, g) -> bool:
         return g in self.element_set
 
     def __le__(self, other) -> bool:
@@ -180,28 +132,25 @@ class SubgroupTable:
         return iter(self.elements)
 
     def intersect_psl2(self) -> "SubgroupTable":
-        return SubgroupTable(self.p, [g for g in self.elements if g.in_psl2()])
+        p = self.p
+        return SubgroupTable(p, [g for g in self.elements if in_psl2(p, g)])
 
     def __repr__(self):
         return "SubgroupTable(p=%d, order=%d)" % (self.p, self.order)
 
 
-def generate_subgroup(gens, cap: int = SUBGROUP_CAP) -> SubgroupTable:
+def generate_subgroup(p: int, gens, cap: int = SUBGROUP_CAP) -> SubgroupTable:
     """Breadth-first closure of a nonempty generator list."""
     gens = list(gens)
     if not gens:
         raise GroupError("empty generator list")
-    p = gens[0].p
-    if any(g.p != p for g in gens):
-        raise GroupError("generators over different primes")
-    identity = ProjTransform.identity(p)
-    seen = {identity}
-    queue = [identity]
+    seen = {IDENTITY}
+    queue = [IDENTITY]
     while queue:
         nxt = []
         for x in queue:
             for g in gens:
-                y = x * g
+                y = mul(p, x, g)
                 if y not in seen:
                     seen.add(y)
                     if len(seen) > cap:
@@ -235,29 +184,30 @@ class Orbit:
 def orbits(H: SubgroupTable):
     """Orbit decomposition of P^1(F_p) under H.
 
-    Orbits are listed with the canonically smallest member first, and the
+    Orbits are listed with the smallest member first, and the
     orbit-stabilizer identity |orbit| * isotropy = |H| is asserted for
     every orbit before returning.
     """
     p = H.p
-    remaining = set(all_points(p))
+    gens = H.gens or H.elements
+    remaining = set(range(p + 1))
     out = []
-    for start in all_points(p):
+    for start in range(p + 1):
         if start not in remaining:
             continue
         orbit = {start}
         frontier = [start]
         while frontier:
             nxt = []
-            for pt in frontier:
-                for g in H.gens or H.elements:
-                    q = act(g, pt)
-                    if q not in orbit:
-                        orbit.add(q)
-                        nxt.append(q)
+            for x in frontier:
+                for g in gens:
+                    y = act(p, g, x)
+                    if y not in orbit:
+                        orbit.add(y)
+                        nxt.append(y)
             frontier = nxt
         rep = min(orbit)
-        stab = sum(1 for g in H.elements if act(g, rep) == rep)
+        stab = sum(1 for g in H.elements if act(p, g, rep) == rep)
         assert len(orbit) * stab == H.order, "orbit-stabilizer identity failed"
         out.append(Orbit(orbit, stab))
         remaining -= orbit
@@ -265,8 +215,9 @@ def orbits(H: SubgroupTable):
     return out
 
 
-def stabilizer(H: SubgroupTable, point: ProjPoint) -> SubgroupTable:
-    return SubgroupTable(H.p, [g for g in H.elements if act(g, point) == point])
+def stabilizer(H: SubgroupTable, x: int) -> SubgroupTable:
+    p = H.p
+    return SubgroupTable(p, [g for g in H.elements if act(p, g, x) == x])
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +234,13 @@ class PSL2Handle:
         self.p = p
         self.order = p * (p - 1) * (p + 1) // 2
 
-    def __contains__(self, g: ProjTransform) -> bool:
-        return g.p == self.p and g.in_psl2()
+    def __contains__(self, g) -> bool:
+        return in_psl2(self.p, g)
 
     def as_table(self, cap: int = SUBGROUP_CAP) -> SubgroupTable:
         p = self.p
-        gens = [ProjTransform(p, 1, 1, 0, 1), ProjTransform(p, 0, -1, 1, 0)]
-        table = generate_subgroup(gens, cap=cap)
+        gens = [transform(p, 1, 1, 0, 1), transform(p, 0, -1, 1, 0)]
+        table = generate_subgroup(p, gens, cap=cap)
         assert table.order == self.order
         return table
 
@@ -299,6 +250,7 @@ class PSL2Handle:
 
 def _coset_transversal(G: SubgroupTable, H: SubgroupTable):
     """Representatives and membership map for the right cosets H\\G."""
+    p = G.p
     coset_of = {}
     reps = []
     for g in G.elements:
@@ -307,11 +259,11 @@ def _coset_transversal(G: SubgroupTable, H: SubgroupTable):
         idx = len(reps)
         reps.append(g)
         for h in H.elements:
-            coset_of[h * g] = idx
+            coset_of[mul(p, h, g)] = idx
     return reps, coset_of
 
 
-def coset_cycle_counts(G, H: SubgroupTable, g: ProjTransform) -> int:
+def coset_cycle_counts(G, H: SubgroupTable, g) -> int:
     """Number of cycles of g acting on the right cosets H\\G.
 
     The count only depends on the cyclic group generated by g, never on
@@ -326,9 +278,10 @@ def coset_cycle_counts(G, H: SubgroupTable, g: ProjTransform) -> int:
         raise GroupError("H is not contained in G")
     if g not in G:
         raise GroupError("g is not an element of G")
+    p = G.p
     reps, coset_of = _coset_transversal(G, H)
     n = len(reps)
-    image = [coset_of[reps[i] * g] for i in range(n)]
+    image = [coset_of[mul(p, reps[i], g)] for i in range(n)]
     seen = [False] * n
     cycles = 0
     for i in range(n):
@@ -342,17 +295,21 @@ def coset_cycle_counts(G, H: SubgroupTable, g: ProjTransform) -> int:
     return cycles
 
 
+_ORDER_CLASS = {
+    "2": has_projective_order_2,
+    "3": has_projective_order_3,
+    "p": is_unipotent,
+}
+
+
 def _order_class_size_in(H: SubgroupTable, kind: str) -> int:
-    if kind == "2":
-        return sum(1 for h in H.elements if h.has_projective_order_2())
-    if kind == "3":
-        return sum(1 for h in H.elements if h.has_projective_order_3())
-    if kind == "p":
-        return sum(1 for h in H.elements if h.is_unipotent())
-    raise GroupError("unsupported order kind %r" % kind)
+    if kind not in _ORDER_CLASS:
+        raise GroupError("unsupported order kind %r" % kind)
+    test, p = _ORDER_CLASS[kind], H.p
+    return sum(1 for h in H.elements if test(p, h))
 
 
-def _cycle_count_psl2(G: PSL2Handle, H: SubgroupTable, g: ProjTransform) -> int:
+def _cycle_count_psl2(G: PSL2Handle, H: SubgroupTable, g) -> int:
     """Cycles of g on H\\PSL_2(F_p) for g of projective order 2, 3 or p.
 
     Uses the orbit-counting identity: the number of cycles of <g> equals
@@ -374,21 +331,21 @@ def _cycle_count_psl2(G: PSL2Handle, H: SubgroupTable, g: ProjTransform) -> int:
     n, rem = divmod(G.order, H.order)
     if rem:
         raise GroupError("|H| does not divide |PSL2|")
-    if g.has_projective_order_2():
+    if has_projective_order_2(p, g):
         cent = p - 1 if p % 4 == 1 else p + 1
         fixed = cent * _order_class_size_in(H, "2")
         assert fixed % H.order == 0
         total = n + fixed // H.order
         assert total % 2 == 0
         return total // 2
-    if g.has_projective_order_3():
+    if has_projective_order_3(p, g):
         cent = (p - 1) // 2 if p % 3 == 1 else (p + 1) // 2
         fixed = cent * _order_class_size_in(H, "3")
         assert fixed % H.order == 0
         total = n + 2 * (fixed // H.order)
         assert total % 3 == 0
         return total // 3
-    if g.is_unipotent():
+    if is_unipotent(p, g):
         # powers of g run through both unipotent classes (p-1)/2 times each
         unip = _order_class_size_in(H, "p")
         fixed_sum = p * (p - 1) // 2 * unip
@@ -422,11 +379,11 @@ def cartan_nonsplit(p: int, normalizer: bool = False) -> SubgroupTable:
     [[1, 0], [0, -1]].
     """
     d = first_nonsquare(p)
-    elems = [ProjTransform(p, 0, d, 1, 0)]
-    elems += [ProjTransform(p, 1, b * d, b, 1) for b in range(p)]
-    w = ProjTransform(p, 1, 0, 0, -1)
+    elems = [transform(p, 0, d, 1, 0)]
+    elems += [transform(p, 1, b * d, b, 1) for b in range(p)]
+    w = transform(p, 1, 0, 0, -1)
     if normalizer:
-        elems = elems + [g * w for g in elems]
+        elems = elems + [mul(p, g, w) for g in elems]
     table = SubgroupTable(p, elems)
     assert table.order == (2 * (p + 1) if normalizer else p + 1)
     return table
@@ -434,10 +391,10 @@ def cartan_nonsplit(p: int, normalizer: bool = False) -> SubgroupTable:
 
 def cartan_split(p: int, normalizer: bool = False) -> SubgroupTable:
     """Image in PGL_2(F_p) of a split Cartan subgroup (or its normalizer)."""
-    elems = [ProjTransform(p, a, 0, 0, 1) for a in range(1, p)]
-    w = ProjTransform(p, 0, 1, 1, 0)
+    elems = [transform(p, a, 0, 0, 1) for a in range(1, p)]
+    w = transform(p, 0, 1, 1, 0)
     if normalizer:
-        elems = elems + [g * w for g in elems]
+        elems = elems + [mul(p, g, w) for g in elems]
     table = SubgroupTable(p, elems)
     assert table.order == (2 * (p - 1) if normalizer else p - 1)
     return table
@@ -445,9 +402,7 @@ def cartan_split(p: int, normalizer: bool = False) -> SubgroupTable:
 
 def borel(p: int) -> SubgroupTable:
     """Image in PGL_2(F_p) of the upper-triangular Borel subgroup."""
-    elems = [
-        ProjTransform(p, a, b, 0, 1) for a in range(1, p) for b in range(p)
-    ]
+    elems = [transform(p, a, b, 0, 1) for a in range(1, p) for b in range(p)]
     table = SubgroupTable(p, elems)
     assert table.order == p * (p - 1)
     return table

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 from fibercurve.ffield import field_create, is_prime
-from fibercurve.projline import ProjPoint, orbits as orbit_decomposition
+from fibercurve.projline import orbits as orbit_decomposition
 from fibercurve.exceptional import (
     CongruenceError,
     check_congruence,

@@ -32,6 +32,29 @@ def test_drinfeld_orbit_pair_override(capsys):
     assert payload["genus"] == 3
 
 
+def test_parse_point_reads_infinity_and_reduces_residues():
+    for token in ("inf", "oo", "infinity"):
+        assert cli._parse_point(13, token) == 13
+    assert cli._parse_point(13, "13") == 0
+    assert cli._parse_point(13, "15") == 2
+    assert cli._parse_point(13, "-1") == 12
+    assert cli._parse_point(13, "12") == 12
+
+
+def test_drinfeld_orbit_pair_reduces_mod_p(capsys):
+    outputs = []
+    for pair in ("13,1", "0,1"):
+        code, out, err = run_cli(capsys, "drinfeld", "--group", "a4", "--prime", "13",
+                                 "--orbit-pair", pair, "--format", "json")
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_parser_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_drinfeld_family_closed_forms(capsys):
     code, out, _ = run_cli(capsys, "drinfeld", "--family", "ns+", "--prime", "17",
                            "--format", "text")
