@@ -7,7 +7,7 @@ families, together with the verification battery that desk-checks every
 computable claim.
 """
 
-from .ffield import FqElement, FqPoly, GF, field_create, inverse_mod, sqrt_in_field
+from .ffield import FqElement, GF, field_create, inverse_mod, sqrt_in_field
 from .projline import (
     SubgroupTable,
     act,
@@ -49,7 +49,6 @@ __all__ = [
     "ComponentDescriptor",
     "FiberGraph",
     "FqElement",
-    "FqPoly",
     "GF",
     "MetrizedGraph",
     "OrbitTable",

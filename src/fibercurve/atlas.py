@@ -10,7 +10,8 @@ Sanity is enforced from two directions.  The supersingular counts come
 from the classical closed form and are cross-checkable against a
 brute-force search over F_{p^2}.  Total genera come from a coset-action
 count (Riemann-Hurwitz over the j-line with ramification orders 2, 3
-and p), and the identity
+and p), checked against closed forms for the Cartan families, and the
+identity
 
     g(X) = sum of component genera + toric rank
 
@@ -29,7 +30,6 @@ from dataclasses import dataclass, field
 
 from .ffield import is_prime
 from .projline import (
-    PSL2Handle,
     SubgroupTable,
     borel,
     cartan_nonsplit,
@@ -582,34 +582,53 @@ def genus_oracle(H: SubgroupTable, p: int) -> int:
     Riemann-Hurwitz over the j-line: with H' = H intersect PSL_2 and
     n = [PSL_2 : H'], 2g - 2 = -2n + sum over e in {2, 3, p} of
     (n - cycles_e), where cycles_e counts the orbits of an order-e
-    element on the coset space.  The counts only depend on the cyclic
-    subgroup generated, which is checked by evaluating two independent
-    representatives of each order.
+    element on the coset space.  The counts depend on e alone, so one
+    representative of each order is used.  coset_cycle_counts rejects a
+    p that is not a prime > 3.  total_genus checks the result against
+    genus_closed_form wherever one exists.
     """
     if H.p != p:
         raise ValueError("prime mismatch")
-    G = PSL2Handle(p)
     Hp = H.intersect_psl2()
-    n, rem = divmod(G.order, Hp.order)
-    if rem:
-        raise ValueError("|H'| does not divide |PSL2|")
-    reps = {
-        2: (transform(p, 0, -1, 1, 0), transform(p, 1, 1, -2, -1)),
-        3: (transform(p, 0, -1, 1, -1), transform(p, -1, -1, 1, 0)),
-        p: (transform(p, 1, 1, 0, 1), transform(p, 1, first_nonsquare(p), 0, 1)),
-    }
-    rhs = -2 * n
-    for order, (g1, g2) in reps.items():
-        c1 = coset_cycle_counts(G, Hp, g1)
-        c2 = coset_cycle_counts(G, Hp, g2)
-        assert c1 == c2, "cycle count depends on the order-%d representative" % order
-        rhs += n - c1
+    reps = (transform(p, 0, -1, 1, 0), transform(p, 0, -1, 1, -1),
+            transform(p, 1, 1, 0, 1))
+    cycles = [coset_cycle_counts(Hp, g) for g in reps]
+    n = p * (p * p - 1) // 2 // Hp.order
+    rhs = n - sum(cycles)
     assert rhs % 2 == 0 and rhs >= -2
     return (rhs + 2) // 2
 
 
+def genus_closed_form(family: str, p: int) -> int:
+    """Closed forms for the total genera of the Cartan families and x0.
+
+    With e = (-1/p) and t = (-3/p):
+        ns+  (p^2 - 10p + 23 + 6e + 4t)/24  (Baran 2010)
+        s+   (p^2 - 8p + 11 - 4t)/24
+        s    1 + p(p+1)/12 - (1+e)/4 - (1+t)/3 - (p+1)/2
+        ns   1 + p(p-1)/12 - (1-e)/4 - (1-t)/3 - (p-1)/2
+        x0   genus_x0(p)
+    The s and ns forms are computed over the common denominator 12.
+    """
+    e = 1 if p % 4 == 1 else -1
+    t = 1 if p % 3 == 1 else -1
+    if family == "ns+":
+        return (p * p - 10 * p + 23 + 6 * e + 4 * t) // 24
+    if family == "s+":
+        return (p * p - 8 * p + 11 - 4 * t) // 24
+    if family == "s":
+        return (p * p - 5 * p - 1 - 3 * e - 4 * t) // 12
+    if family == "ns":
+        return (p * p - 7 * p + 11 + 3 * e + 4 * t) // 12
+    if family == "x0":
+        return genus_x0(p)
+    raise ValueError("no closed form for family %r" % family)
+
+
 def total_genus(family: str, p: int) -> int:
-    return genus_oracle(family_group_image(family, p), p)
+    genus = genus_oracle(family_group_image(family, p), p)
+    assert family in EXCEPTIONAL_KINDS or genus == genus_closed_form(family, p)
+    return genus
 
 
 # ---------------------------------------------------------------------------
@@ -684,11 +703,9 @@ def consistency_report(family: str, p: int) -> ConsistencyReport:
                  ok=(rem == 0 and derived >= 0))
     # cross-check in every other family whose fiber uses the same quotient
     for other in CARTAN_FAMILIES:
-        if other == family:
+        if other == family or _igusa_label(other, p) != label:
             continue
-        _, ototal, otoric, oknown, olabel, ocount = _identity_parts(other, p)
-        if olabel != label:
-            continue
+        _, ototal, otoric, oknown, _, ocount = _identity_parts(other, p)
         closes = ototal == otoric + oknown + ocount * derived
         report.entry(
             "identity closes in %s with g(%s) = %d" % (other, label, derived),

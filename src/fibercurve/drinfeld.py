@@ -124,15 +124,6 @@ class SuperellipticCurve:
             parts.append(base if m == 1 else "%s^%d" % (base, m))
         return "u^%d = %s" % (self.n, " ".join(parts))
 
-    def json_dict(self):
-        if self.factors is not None:
-            return {
-                "p": self.p,
-                "N": self.n,
-                "factors": [[c, m] for c, m in self.factors],
-            }
-        return {"p": self.p, "N": self.n, "form": self.form_label()}
-
     def __eq__(self, other):
         return (
             isinstance(other, SuperellipticCurve)

@@ -324,9 +324,6 @@ class FqElement:
     def inverse(self):
         return FqElement(self.field, self.field._inv(self.coords))
 
-    def frobenius(self):
-        return self ** self.field.p
-
     def __eq__(self, other):
         if isinstance(other, int):
             return self.coords == self.field(other).coords
@@ -519,129 +516,6 @@ def _poly_powmod_x_q(x, q, mod, p):
         base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
         n >>= 1
     return _poly_trim(result)
-
-
-class FqPoly:
-    """Dense univariate polynomial over a GF field, low degree first."""
-
-    __slots__ = ("field", "coeffs")
-
-    def __init__(self, field: GF, coeffs):
-        self.field = field
-        cs = [field(c) for c in coeffs] or [field.zero()]
-        while len(cs) > 1 and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_roots(cls, field: GF, roots_with_mult):
-        """Monic product of (x - r)^m factors."""
-        out = cls(field, [field.one()])
-        for r, m in roots_with_mult:
-            lin = cls(field, [-field(r), field.one()])
-            for _ in range(m):
-                out = out * lin
-        return out
-
-    def degree(self) -> int:
-        if len(self.coeffs) == 1 and self.coeffs[0].is_zero():
-            return -1
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return self.degree() < 0
-
-    def leading(self) -> FqElement:
-        return self.coeffs[-1]
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return FqPoly(self.field, [x + y for x, y in zip(a, b)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = self.field.zero()
-        a = list(self.coeffs) + [z] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [z] * (n - len(other.coeffs))
-        return FqPoly(self.field, [x - y for x, y in zip(a, b)])
-
-    def __mul__(self, other):
-        if isinstance(other, FqElement):
-            return FqPoly(self.field, [c * other for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return FqPoly(self.field, [])
-        z = self.field.zero()
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, x in enumerate(self.coeffs):
-            if x.is_zero():
-                continue
-            for j, y in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + x * y
-        return FqPoly(self.field, out)
-
-    def __pow__(self, n: int):
-        result = FqPoly(self.field, [self.field.one()])
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __call__(self, x) -> FqElement:
-        x = self.field(x)
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def divmod(self, other):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        inv_lead = other.leading().inverse()
-        rem = list(self.coeffs)
-        db = other.degree()
-        z = self.field.zero()
-        q = [z] * max(len(rem) - db, 1)
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c.is_zero():
-                continue
-            f = c * inv_lead
-            q[i - db] = f
-            for j in range(db + 1):
-                rem[i - db + j] = rem[i - db + j] - f * other.coeffs[j]
-        return FqPoly(self.field, q), FqPoly(self.field, rem)
-
-    def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if not a.is_zero():
-            a = a * a.leading().inverse()
-        return a
-
-    def roots(self):
-        """All roots in the base field, by enumeration (small fields)."""
-        out = []
-        for x in self.field.elements():
-            if self(x).is_zero():
-                out.append(x)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FqPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self):
-        return "FqPoly(%r)" % (list(self.coeffs),)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,10 @@ equality, hashing and order are those of the classes.  Neither carries
 its prime: every function takes p first.  The action on points is by
 column vectors, (x : y) -> (a x + b y : c x + d y).
 
-Cycle counts of an element on a coset space H\\G come in two flavours:
-an explicit breadth-first transversal when G is small enough to hold in
-memory, and a fixed-point count over powers of the element when G is
-the full PSL_2(F_p) (whose conjugacy data is classical).  The two are
-asserted equal on overlapping inputs in the test suite.
+Cycle counts of an element on the coset space H\\PSL_2(F_p) are
+fixed-point counts over the powers of the element, from the classical
+conjugacy data of PSL_2(F_p); no coset is ever listed.  The test suite
+checks them against an explicit coset transversal at small p.
 """
 
 from __future__ import annotations
@@ -225,135 +224,52 @@ def stabilizer(H: SubgroupTable, x: int) -> SubgroupTable:
 # ---------------------------------------------------------------------------
 
 
-class PSL2Handle:
-    """The full PSL_2(F_p), represented without materializing elements."""
+def coset_cycle_counts(H: SubgroupTable, g) -> int:
+    """Number of cycles of g on the right cosets H\\PSL_2(F_p), p = H.p.
 
-    def __init__(self, p: int):
-        if not is_prime(p) or p <= 3:
-            raise GroupError("p must be a prime > 3")
-        self.p = p
-        self.order = p * (p - 1) * (p + 1) // 2
-
-    def __contains__(self, g) -> bool:
-        return in_psl2(self.p, g)
-
-    def as_table(self, cap: int = SUBGROUP_CAP) -> SubgroupTable:
-        p = self.p
-        gens = [transform(p, 1, 1, 0, 1), transform(p, 0, -1, 1, 0)]
-        table = generate_subgroup(p, gens, cap=cap)
-        assert table.order == self.order
-        return table
-
-    def __repr__(self):
-        return "PSL2(%d)" % self.p
-
-
-def _coset_transversal(G: SubgroupTable, H: SubgroupTable):
-    """Representatives and membership map for the right cosets H\\G."""
-    p = G.p
-    coset_of = {}
-    reps = []
-    for g in G.elements:
-        if g in coset_of:
-            continue
-        idx = len(reps)
-        reps.append(g)
-        for h in H.elements:
-            coset_of[mul(p, h, g)] = idx
-    return reps, coset_of
-
-
-def coset_cycle_counts(G, H: SubgroupTable, g) -> int:
-    """Number of cycles of g acting on the right cosets H\\G.
-
-    The count only depends on the cyclic group generated by g, never on
-    the coset representatives.  For the lazy full-PSL_2 handle the count
-    is obtained by counting fixed cosets of each power of g, which only
-    requires the classical conjugacy data of PSL_2(F_p); g is restricted
-    to projective order 2, 3 or p there.
+    H must lie in PSL_2(F_p) and g must have projective order 2, 3 or p.
+    By the orbit-counting identity the number of cycles of <g> is the
+    average over the powers g^j of the number of fixed cosets, and a
+    coset Hx is fixed by t exactly when x t x^{-1} lies in H, so each
+    nontrivial power fixes |C(t)| |H meet class(t)| / |H| cosets, with
+    C(t) the centralizer of t in PSL_2.  PSL_2(F_p) has one class of
+    elements of order 2 and one of order 3; the p - 1 nontrivial powers
+    of a p-element run through both unipotent classes (p - 1)/2 times
+    each, and each class holds half of the unipotents of H.  g is used
+    only to choose the class: the count depends on its order alone.
+    H is scanned once, for containment in PSL_2 and for the class.
     """
-    if isinstance(G, PSL2Handle):
-        return _cycle_count_psl2(G, H, g)
-    if not H <= G:
-        raise GroupError("H is not contained in G")
-    if g not in G:
-        raise GroupError("g is not an element of G")
-    p = G.p
-    reps, coset_of = _coset_transversal(G, H)
-    n = len(reps)
-    image = [coset_of[mul(p, reps[i], g)] for i in range(n)]
-    seen = [False] * n
-    cycles = 0
-    for i in range(n):
-        if seen[i]:
-            continue
-        cycles += 1
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = image[j]
-    return cycles
-
-
-_ORDER_CLASS = {
-    "2": has_projective_order_2,
-    "3": has_projective_order_3,
-    "p": is_unipotent,
-}
-
-
-def _order_class_size_in(H: SubgroupTable, kind: str) -> int:
-    if kind not in _ORDER_CLASS:
-        raise GroupError("unsupported order kind %r" % kind)
-    test, p = _ORDER_CLASS[kind], H.p
-    return sum(1 for h in H.elements if test(p, h))
-
-
-def _cycle_count_psl2(G: PSL2Handle, H: SubgroupTable, g) -> int:
-    """Cycles of g on H\\PSL_2(F_p) for g of projective order 2, 3 or p.
-
-    Uses the orbit-counting identity: the number of cycles of <g> equals
-    the average over powers g^j of the number of fixed cosets, and a
-    coset Hx is fixed by t exactly when x t x^{-1} lies in H.  Counting
-    such x reduces to the size of the PSL_2 centralizer of t times the
-    number of H-elements in the class of t.  For orders 2 and 3 there is
-    a single class; the two unipotent classes together are hit equally
-    often by the powers of a p-element.
-    """
-    p = G.p
-    if H.p != p:
-        raise GroupError("prime mismatch")
-    for h in H.elements:
-        if h not in G:
-            raise GroupError("H is not contained in PSL2")
-    if g not in G:
+    p = H.p
+    if not is_prime(p) or p <= 3:
+        raise GroupError("p must be a prime > 3")
+    if not in_psl2(p, g):
         raise GroupError("g is not an element of PSL2")
-    n, rem = divmod(G.order, H.order)
+    n, rem = divmod(p * (p * p - 1) // 2, H.order)
     if rem:
         raise GroupError("|H| does not divide |PSL2|")
     if has_projective_order_2(p, g):
+        order, in_class = 2, has_projective_order_2
         cent = p - 1 if p % 4 == 1 else p + 1
-        fixed = cent * _order_class_size_in(H, "2")
-        assert fixed % H.order == 0
-        total = n + fixed // H.order
-        assert total % 2 == 0
-        return total // 2
-    if has_projective_order_3(p, g):
+    elif has_projective_order_3(p, g):
+        order, in_class = 3, has_projective_order_3
         cent = (p - 1) // 2 if p % 3 == 1 else (p + 1) // 2
-        fixed = cent * _order_class_size_in(H, "3")
-        assert fixed % H.order == 0
-        total = n + 2 * (fixed // H.order)
-        assert total % 3 == 0
-        return total // 3
-    if is_unipotent(p, g):
-        # powers of g run through both unipotent classes (p-1)/2 times each
-        unip = _order_class_size_in(H, "p")
-        fixed_sum = p * (p - 1) // 2 * unip
-        assert fixed_sum % H.order == 0
-        total = n + fixed_sum // H.order
-        assert total % p == 0
-        return total // p
-    raise GroupError("lazy path supports projective orders 2, 3 and p only")
+    elif is_unipotent(p, g):
+        order, in_class, cent = p, is_unipotent, p
+    else:
+        raise GroupError("only projective orders 2, 3 and p are supported")
+    in_h = 0
+    for h in H.elements:
+        if not in_psl2(p, h):
+            raise GroupError("H is not contained in PSL2")
+        if in_class(p, h):
+            in_h += 1
+    if order == p:
+        in_h //= 2
+    fixed, rem = divmod(cent * in_h, H.order)
+    assert rem == 0
+    total = n + (order - 1) * fixed
+    assert total % order == 0
+    return total // order
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from fibercurve import atlas
 from fibercurve.ffield import is_prime
+from fibercurve.projline import SubgroupTable
 from fibercurve.exceptional import CongruenceError, check_congruence
 from fibercurve.atlas import (
     CARTAN_FAMILIES,
@@ -13,6 +15,7 @@ from fibercurve.atlas import (
     consistency_report,
     exceptional_inventory,
     family_group_image,
+    genus_closed_form,
     genus_oracle,
     genus_x0,
     hasse_supersingular_data,
@@ -208,12 +211,30 @@ def test_genus_oracle_nsplus_closed_form():
     for p in range(5, 200):
         if is_prime(p) and p % 12 == 5:
             assert total_genus("ns+", p) == (p - 5) ** 2 // 24, p
+    # x0 builds the Borel group, of order p(p - 1): below 200 and at 397
+    primes = [p for p in range(5, 400) if is_prime(p)]
+    for family in CARTAN_FAMILIES + ("x0",):
+        for p in primes:
+            if family == "x0" and 200 < p < 397:
+                continue
+            H = family_group_image(family, p)
+            assert genus_oracle(H, p) == genus_closed_form(family, p), (family, p)
+
+
+def test_total_genus_rejects_a_wrong_oracle(monkeypatch):
+    real = atlas.genus_oracle
+    monkeypatch.setattr(atlas, "genus_oracle", lambda H, p: real(H, p) + 1)
+    for family in CARTAN_FAMILIES + ("x0",):
+        with pytest.raises(AssertionError):
+            total_genus(family, 13)
 
 
 def test_genus_oracle_requires_matching_prime():
     H = family_group_image("ns+", 13)
     with pytest.raises(ValueError):
         genus_oracle(H, 17)
+    with pytest.raises(ValueError, match="prime > 3"):
+        genus_oracle(SubgroupTable(9, [(1, 0, 0, 1)]), 9)
 
 
 def test_consistency_examples():

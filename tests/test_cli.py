@@ -2,9 +2,12 @@ import json
 import math
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import fibercurve
 from fibercurve import cli, neron
 from fibercurve.cli import main
 
@@ -293,3 +296,33 @@ def test_neron_nsplus_computes_the_group_once(capsys, monkeypatch, p):
                            "--format", "json")
     assert code == 0 and len(calls) == 1
     assert out == json.dumps(NSPLUS_NERON[p], indent=2, sort_keys=True) + "\n"
+
+
+def run_cli_process(*argv, optimize=False):
+    env = dict(os.environ)
+    env.pop("FIBERCURVE_CACHE", None)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fibercurve.__file__))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "fibercurve.cli", *argv],
+        env=env, capture_output=True, check=False,
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ("fiber", "--family", "ns+", "--prime", "13", "--format", "json"),
+    ("neron", "--family", "s", "--prime", "11"),
+    ("verify", "--suite", "paper", "--primes", "5..40"),
+], ids=["fiber", "neron", "verify"])
+def test_output_unchanged_under_python_O(argv):
+    # -O strips every assert; the checks must not carry the output
+    plain = run_cli_process(*argv)
+    optimized = run_cli_process(*argv, optimize=True)
+    assert plain.returncode == optimized.returncode == 0, optimized.stderr
+    assert plain.stdout == optimized.stdout
+    assert plain.stdout
+
+
+def test_every_exported_name_resolves():
+    for name in fibercurve.__all__:
+        assert getattr(fibercurve, name, None) is not None, name

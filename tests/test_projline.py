@@ -6,7 +6,7 @@ from fibercurve.ffield import is_prime
 from fibercurve.projline import (
     IDENTITY,
     GroupError,
-    PSL2Handle,
+    SubgroupTable,
     act,
     borel,
     cartan_nonsplit,
@@ -170,26 +170,71 @@ def test_orbit_multiset_invariant_under_conjugation():
             assert sorted(len(o) for o in orbits(conj)) == sizes
 
 
+def psl2_table(p):
+    """Every element of PSL_2(F_p), by closure of two generators."""
+    gens = [transform(p, 1, 1, 0, 1), transform(p, 0, -1, 1, 0)]
+    table = generate_subgroup(p, gens, cap=2 * 10 ** 5)
+    assert table.order == p * (p * p - 1) // 2
+    return table
+
+
+def explicit_cycle_count(G, H, g):
+    """Reference: cycles of g on the right cosets H\\G, from an explicit
+    transversal of G."""
+    assert H <= G and g in G
+    p = G.p
+    coset_of = {}
+    reps = []
+    for x in G.elements:
+        if x in coset_of:
+            continue
+        for h in H.elements:
+            coset_of[mul(p, h, x)] = len(reps)
+        reps.append(x)
+    image = [coset_of[mul(p, x, g)] for x in reps]
+    seen = [False] * len(reps)
+    cycles = 0
+    for i in range(len(reps)):
+        if seen[i]:
+            continue
+        cycles += 1
+        while not seen[i]:
+            seen[i] = True
+            i = image[i]
+    return cycles
+
+
 def test_coset_cycle_counts_identity_gives_index():
     p = 13
-    G = PSL2Handle(p).as_table()
+    G = psl2_table(p)
     H = cartan_nonsplit(p, normalizer=True).intersect_psl2()
-    # identity has projective order 1; use the explicit path
-    assert coset_cycle_counts(G, H, IDENTITY) == G.order // H.order
+    assert explicit_cycle_count(G, H, IDENTITY) == G.order // H.order
+    # the identity has projective order 1, outside the conjugacy-data count
+    with pytest.raises(GroupError):
+        coset_cycle_counts(H, IDENTITY)
 
 
 def test_coset_cycle_counts_requires_containment():
     p = 13
-    G = cartan_nonsplit(p, normalizer=False)
+    order2 = transform(p, 0, -1, 1, 0)
     H = cartan_split(p, normalizer=False)
-    with pytest.raises(GroupError):
-        coset_cycle_counts(G, H, G.elements[0])
+    assert not all(in_psl2(p, h) for h in H.elements)
+    with pytest.raises(GroupError, match="not contained"):
+        coset_cycle_counts(H, order2)
+    Hp = H.intersect_psl2()
+    with pytest.raises(GroupError, match="not an element"):
+        coset_cycle_counts(Hp, transform(p, 2, 0, 0, 1))
+    # five elements of PSL_2(F_13): 5 does not divide 1092
+    five = SubgroupTable(p, Hp.elements[:5])
+    with pytest.raises(GroupError, match="does not divide"):
+        coset_cycle_counts(five, order2)
+    with pytest.raises(GroupError, match="prime > 3"):
+        coset_cycle_counts(SubgroupTable(9, [IDENTITY]), transform(9, 1, 1, 0, 1))
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_lazy_psl2_counts_match_explicit_transversal(p):
-    lazy = PSL2Handle(p)
-    table = lazy.as_table(cap=2 * 10 ** 5)
+    table = psl2_table(p)
     subgroups = [
         cartan_nonsplit(p, normalizer=True).intersect_psl2(),
         cartan_split(p, normalizer=True).intersect_psl2(),
@@ -205,15 +250,14 @@ def test_lazy_psl2_counts_match_explicit_transversal(p):
     ]
     for H in subgroups:
         for g in elements:
-            assert coset_cycle_counts(table, H, g) == coset_cycle_counts(lazy, H, g)
+            assert explicit_cycle_count(table, H, g) == coset_cycle_counts(H, g)
 
 
 def test_lazy_counts_match_explicit_on_diverse_subgroups():
     from fibercurve.exceptional import build_exceptional
 
     for p in (7, 11, 13):
-        lazy = PSL2Handle(p)
-        table = lazy.as_table(cap=2 * 10 ** 5)
+        table = psl2_table(p)
         subgroups = [
             generate_subgroup(p, [transform(p, 0, -1, 1, 0)]),   # order 2
             generate_subgroup(p, [transform(p, 1, 1, 0, 1)]),    # order p
@@ -229,30 +273,49 @@ def test_lazy_counts_match_explicit_on_diverse_subgroups():
         for H in subgroups:
             assert all(in_psl2(p, h) for h in H.elements)
             for g in elements:
-                assert coset_cycle_counts(table, H, g) == \
-                    coset_cycle_counts(lazy, H, g), (p, H.order, g)
+                assert explicit_cycle_count(table, H, g) == \
+                    coset_cycle_counts(H, g), (p, H.order, g)
 
 
 def test_cycle_count_independent_of_representative():
-    p = 13
-    lazy = PSL2Handle(p)
-    H = cartan_nonsplit(p, normalizer=True).intersect_psl2()
-    pairs = [
-        (transform(p, 0, -1, 1, 0), transform(p, 1, 1, -2, -1)),
-        (transform(p, 0, -1, 1, -1), transform(p, -1, -1, 1, 0)),
-        (transform(p, 1, 1, 0, 1), transform(p, 1, 2, 0, 1)),
-    ]
-    for g1, g2 in pairs:
-        assert coset_cycle_counts(lazy, H, g1) == coset_cycle_counts(lazy, H, g2)
+    # the explicit transversal uses g itself, not only its order, so two
+    # representatives of one order can disagree there
+    from fibercurve.exceptional import build_exceptional
+
+    for p in (5, 7, 11, 13):
+        table = psl2_table(p)
+        subgroups = [
+            cartan_nonsplit(p, normalizer=False),
+            cartan_nonsplit(p, normalizer=True),
+            cartan_split(p, normalizer=False),
+            cartan_split(p, normalizer=True),
+            borel(p),
+            build_exceptional("a4", p),
+        ]
+        if p % 8 in (1, 7):
+            subgroups.append(build_exceptional("s4", p))
+        if p % 5 in (1, 4):
+            subgroups.append(build_exceptional("a5", p))
+        pairs = [
+            (transform(p, 0, -1, 1, 0), transform(p, 1, 1, -2, -1)),
+            (transform(p, 0, -1, 1, -1), transform(p, -1, -1, 1, 0)),
+            (transform(p, 1, 1, 0, 1), transform(p, 1, first_nonsquare(p), 0, 1)),
+        ]
+        for H in subgroups:
+            Hp = H.intersect_psl2()
+            for g1, g2 in pairs:
+                assert projective_order(p, g1) == projective_order(p, g2)
+                assert explicit_cycle_count(table, Hp, g1) == \
+                    explicit_cycle_count(table, Hp, g2), (p, Hp.order, g1, g2)
 
 
 def test_cycle_counts_feeding_the_genus_values():
     # order-2 element on the nonsplit-normalizer cosets at p = 13, and the
     # cusp count (order-p cycles) at p = 17
     H13 = cartan_nonsplit(13, normalizer=True).intersect_psl2()
-    assert coset_cycle_counts(PSL2Handle(13), H13, transform(13, 0, -1, 1, 0)) == 42
+    assert coset_cycle_counts(H13, transform(13, 0, -1, 1, 0)) == 42
     H17 = cartan_nonsplit(17, normalizer=True).intersect_psl2()
-    assert coset_cycle_counts(PSL2Handle(17), H17, transform(17, 1, 1, 0, 1)) == 8
+    assert coset_cycle_counts(H17, transform(17, 1, 1, 0, 1)) == 8
 
 
 def brute_cartan_nonsplit(p, normalizer):
