@@ -39,6 +39,7 @@ from .atlas import (
 from .neron import (
     AbelianInvariants,
     MetrizedGraph,
+    cartan_component_group,
     component_group,
 )
 
@@ -57,6 +58,7 @@ __all__ = [
     "SupersingularData",
     "act",
     "build_exceptional",
+    "cartan_component_group",
     "cartan_drinfeld",
     "component_group",
     "consistency_report",

@@ -672,16 +672,25 @@ def _identity_parts(family: str, p: int):
     return graph, total, toric, known, unknown_labels[0], len(unknown_labels)
 
 
-def consistency_report(family: str, p: int) -> ConsistencyReport:
+def consistency_report(family: str, p: int, parts=None) -> ConsistencyReport:
     """Solve g(X) = sum of component genera + toric rank for the unknown
     Igusa-quotient genus and cross-check it everywhere it reappears.
 
     Inconsistencies are reported (ok = False, ledger entries), never
-    adjusted.
+    adjusted.  `parts` maps a family to its `_identity_parts` at p and is
+    filled as they are built, so reports on several families at one
+    prime that share it build each family once.
     """
     if family not in CARTAN_FAMILIES:
         raise ValueError("consistency ledger applies to Cartan families only")
-    graph, total, toric, known, label, count = _identity_parts(family, p)
+    parts = {} if parts is None else parts
+
+    def identity(f):
+        if f not in parts:
+            parts[f] = _identity_parts(f, p)
+        return parts[f]
+
+    graph, total, toric, known, label, count = identity(family)
     residual = total - toric - known
     derived, rem = divmod(residual, count)
     report = ConsistencyReport(
@@ -705,7 +714,7 @@ def consistency_report(family: str, p: int) -> ConsistencyReport:
     for other in CARTAN_FAMILIES:
         if other == family or _igusa_label(other, p) != label:
             continue
-        _, ototal, otoric, oknown, _, ocount = _identity_parts(other, p)
+        _, ototal, otoric, oknown, _, ocount = identity(other)
         closes = ototal == otoric + oknown + ocount * derived
         report.entry(
             "identity closes in %s with g(%s) = %d" % (other, label, derived),

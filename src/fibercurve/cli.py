@@ -4,7 +4,9 @@ Subcommands: fiber, drinfeld, orbits, neron, verify.  Results are
 computed into JSON-serializable payloads, optionally cached one file per
 (subcommand, family, prime) with a schema version and a fingerprint of
 the arguments and of the package's source, and rendered as json, dot or
-text.  Exit codes: 0 success, 1 verification failure, 2 usage error.
+text.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+3 a failed internal cross-check (two independent computations of the
+same quantity disagree; one `error:` line on stderr names the check).
 """
 
 from __future__ import annotations
@@ -253,8 +255,7 @@ def neron_payload(family: str, p: int) -> dict:
     if check is not None:
         invariants = check.invariants
     else:
-        fiber = atlas.special_fiber(family, p)
-        invariants = neron.component_group(neron.fiber_metrized_graph(fiber))
+        invariants = neron.cartan_component_group(atlas.special_fiber(family, p))
     payload = {
         "family": family,
         "p": p,
@@ -308,8 +309,9 @@ def checks_for_prime(p: int) -> list:
         record("toric-rank-%s" % family, ok)
 
     if p < CONSISTENCY_MAX_P:
+        parts = {}  # each family's fiber and genus, built once at this prime
         for family in ("ns", "ns+", "s", "s+"):
-            report = atlas.consistency_report(family, p)
+            report = atlas.consistency_report(family, p, parts)
             record("consistency-%s" % family, report.ok)
 
     if p < SS_ORACLE_MAX_P:
@@ -502,6 +504,9 @@ def main(argv=None) -> int:
     except (UsageError, CongruenceError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except neron.InconsistencyError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

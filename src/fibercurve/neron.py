@@ -2,12 +2,22 @@
 
 An edge of width w in the dual graph stands for a chain of w - 1
 rational curves in the minimal regular model.  The component group is
-the critical group of that model's graph, read off the Smith normal
-form of a relation matrix built on the dual graph itself: one
+the critical group of that model's graph.
+
+A Cartan fiber's dual graph is the complete bipartite graph K_{s,m}
+between its horizontals and its verticals, and the edge (x, j) has
+width e_x w_j.  The length pairing on H_1 is then a Kronecker product
+A (x) B of two banana matrices of sizes s - 1 and m - 1, so the group is
+the sum of Z/(a_i b_k) over the Smith normal forms of A and B
+(`cartan_component_group`).  Any other graph goes through the general
+path, which is also the oracle for the Cartan one: the Smith normal
+form of a relation matrix built on the dual graph itself, with one
 generator per vertex but one and per edge, one relation per edge and
-per vertex but one.  Every call cross-checks the group order against
-the spanning-tree count of the regular model's graph, a weighted
-matrix-tree determinant of the dual graph.
+per vertex but one (`component_group`).
+
+Both paths check the group order against the spanning-tree count of
+the regular model's graph, a weighted matrix-tree determinant of the
+dual graph, on every call; a disagreement raises InconsistencyError.
 """
 
 from __future__ import annotations
@@ -20,6 +30,10 @@ from math import gcd, lcm, prod
 
 class GraphError(ValueError):
     pass
+
+
+class InconsistencyError(Exception):
+    """Two independent computations of the same quantity disagree."""
 
 
 @dataclass(frozen=True)
@@ -168,12 +182,18 @@ def smith_normal_form_diagonal(matrix) -> list:
         d //= g
         block = [row[:j] + row[j + 1:] for row in block[1:]]
     # the diagonal need not be a divisibility chain yet
-    rest = [x for x in diag if x > 1]
+    return _divisibility_chain(diag)
+
+
+def _divisibility_chain(values) -> list:
+    """The diagonal entries of the Smith normal form of diag(values):
+    as many, the same product, each dividing the next."""
+    rest = [x for x in values if x > 1]
     for i in range(len(rest)):
         for k in range(i + 1, len(rest)):
             g = gcd(rest[i], rest[k])
             rest[i], rest[k] = g, rest[i] // g * rest[k]
-    return [1] * (n - len(rest)) + rest
+    return [1] * (len(values) - len(rest)) + rest
 
 
 def _relation_matrix(graph: MetrizedGraph):
@@ -215,28 +235,70 @@ def spanning_tree_count(graph: MetrizedGraph) -> int:
                 if k < n:
                     lap[i][k] -= big // w
     trees, rem = divmod(prod(w for _, _, w in graph.edges) * _abs_det(lap), big ** n)
-    assert rem == 0
+    if rem:
+        raise InconsistencyError(
+            "spanning-tree count: the weighted matrix-tree determinant is "
+            "not divisible by lcm(widths)^(V-1)"
+        )
     return trees
 
 
-def component_group(graph: MetrizedGraph) -> AbelianInvariants:
-    """Invariant factors of the component group of the graph's model.
+def _checked_against_trees(diag, graph, where="") -> AbelianInvariants:
+    """The group with Smith diagonal `diag`, after checking its order
+    against the spanning-tree count of `graph`; the two come from
+    different matrices."""
+    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
+    trees = spanning_tree_count(graph)
+    if invariants.order() != trees:
+        raise InconsistencyError(
+            "component group: Smith normal form order %d disagrees with the "
+            "spanning-tree count %d%s" % (invariants.order(), trees, where)
+        )
+    return invariants
 
-    The product of the invariant factors is asserted equal to the
-    spanning-tree count of the subdivision on every call; the two come
-    from different matrices.
-    """
+
+def component_group(graph: MetrizedGraph) -> AbelianInvariants:
+    """Invariant factors of the component group of any graph's model,
+    from the Smith normal form of its relation matrix."""
     try:
         diag = smith_normal_form_diagonal(_relation_matrix(graph))
     except GraphError:  # det = tree count, 0 exactly when disconnected
         raise GraphError("graph must be connected") from None
-    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
-    trees = spanning_tree_count(graph)
-    assert invariants.order() == trees, (
-        "Smith normal form order %d disagrees with the spanning-tree "
-        "count %d" % (invariants.order(), trees)
-    )
-    return invariants
+    return _checked_against_trees(diag, graph)
+
+
+def cartan_component_group(fiber) -> AbelianInvariants:
+    """Invariant factors of the component group of a Cartan fiber's model.
+
+    Every horizontal x must meet every vertical j once, with width
+    e_x w_j.  The fundamental cycles of the spanning tree made of the
+    star at the first horizontal and the edges to the first vertical
+    pair as A (x) B, A = e_1 J + diag(e_2..e_s) and
+    B = w_1 J + diag(w_2..w_m), and SNF(A (x) B) = SNF(A) (x) SNF(B).
+    """
+    graph = fiber_metrized_graph(fiber)
+    horizontals = [h.name for h in fiber.horizontals()]
+    verticals = [v.name for v in fiber.verticals()]
+    es = [h.e for h in fiber.horizontals()]
+    width = {(a, b) if a in horizontals else (b, a): w for a, b, w, _ in fiber.edges}
+    if not horizontals or len(width) != len(fiber.edges) or set(width) != {
+        (x, j) for x in horizontals for j in verticals
+    }:
+        raise GraphError("not a Cartan dual graph: some horizontal does not "
+                         "meet every vertical exactly once")
+    ws = [width[(horizontals[0], j)] // es[0] for j in verticals]
+    if any(width[(x, j)] != e * w for x, e in zip(horizontals, es)
+           for j, w in zip(verticals, ws)):
+        raise GraphError("not a Cartan dual graph: a width is not e_x w_j")
+
+    def banana_snf(ls):
+        matrix = [[ls[0] + (i == k) * l for k in range(len(ls) - 1)]
+                  for i, l in enumerate(ls[1:])]
+        return smith_normal_form_diagonal(matrix) if matrix else []
+
+    diag = _divisibility_chain([a * b for a in banana_snf(es) for b in banana_snf(ws)])
+    where = " (family %s, p = %d)" % (fiber.family, fiber.p)
+    return _checked_against_trees(diag, graph, where)
 
 
 def banana_order(lengths) -> int:
@@ -290,7 +352,7 @@ def component_group_prediction(p: int) -> PredictionCheck:
     from .atlas import special_fiber
 
     fiber = special_fiber("ns+", p)
-    invariants = component_group(fiber_metrized_graph(fiber))
+    invariants = cartan_component_group(fiber)
     expected = expected_invariants_nsplus(p, fiber.supersingular.s)
     if p % 4 == 3:
         verdict = "trivial" if invariants.is_trivial() else "mismatch"

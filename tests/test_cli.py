@@ -205,6 +205,22 @@ def test_verify_jobs_clamped_to_primes_and_cores(capsys, monkeypatch):
     assert code == 0 and created == [2, 3]  # unknown core count: in-process
 
 
+def test_battery_builds_each_family_once_per_prime(monkeypatch):
+    # at p = 53 the ledgers of ns and s, and of ns+ and s+, cross-check
+    # each other
+    calls = []
+    real = cli.atlas._identity_parts
+
+    def counting(family, p):
+        calls.append((family, p))
+        return real(family, p)
+
+    monkeypatch.setattr(cli.atlas, "_identity_parts", counting)
+    results = cli.checks_for_prime(53)
+    assert sorted(calls) == [(f, 53) for f in ("ns", "ns+", "s", "s+")]
+    assert [r[2] for r in results if r[0].startswith("consistency-")] == [True] * 4
+
+
 def test_verify_jobs_leave_the_output_unchanged(capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so the pool really runs
     argv = ("verify", "--suite", "paper", "--primes", "5..32")
@@ -282,30 +298,48 @@ NSPLUS_NERON = {
 }
 
 
+def count_group_calls(monkeypatch):
+    """Record the calls to both component-group paths by name."""
+    calls = []
+    for name in ("cartan_component_group", "component_group"):
+        real = getattr(neron, name)
+
+        def counting(arg, name=name, real=real):
+            calls.append(name)
+            return real(arg)
+
+        monkeypatch.setattr(neron, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("p", sorted(NSPLUS_NERON))
 def test_neron_nsplus_computes_the_group_once(capsys, monkeypatch, p):
-    calls = []
-    real = neron.component_group
-
-    def counting(graph):
-        calls.append(graph)
-        return real(graph)
-
-    monkeypatch.setattr(neron, "component_group", counting)
+    calls = count_group_calls(monkeypatch)
     code, out, _ = run_cli(capsys, "neron", "--family", "ns+", "--prime", str(p),
                            "--format", "json")
-    assert code == 0 and len(calls) == 1
+    assert code == 0 and calls == ["cartan_component_group"]
     assert out == json.dumps(NSPLUS_NERON[p], indent=2, sort_keys=True) + "\n"
 
 
-def run_cli_process(*argv, optimize=False):
+@pytest.mark.parametrize("family", ["ns", "ns+", "s", "s+"])
+def test_neron_request_skips_the_relation_matrix(capsys, monkeypatch, family):
+    calls = count_group_calls(monkeypatch)
+    code, _, _ = run_cli(capsys, "neron", "--family", family, "--prime", "29")
+    assert code == 0 and calls == ["cartan_component_group"]
+
+
+def package_env():
     env = dict(os.environ)
     env.pop("FIBERCURVE_CACHE", None)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fibercurve.__file__))
+    return env
+
+
+def run_cli_process(*argv, optimize=False):
     flags = ["-O"] if optimize else []
     return subprocess.run(
         [sys.executable, *flags, "-m", "fibercurve.cli", *argv],
-        env=env, capture_output=True, check=False,
+        env=package_env(), capture_output=True, check=False,
     )
 
 
@@ -321,6 +355,23 @@ def test_output_unchanged_under_python_O(argv):
     assert plain.returncode == optimized.returncode == 0, optimized.stderr
     assert plain.stdout == optimized.stdout
     assert plain.stdout
+
+
+def test_failed_cross_check_exits_3_under_python_O():
+    # the order check must survive -O and end in one diagnostic line
+    script = (
+        "import sys\n"
+        "from fibercurve import cli, neron\n"
+        "real = neron.spanning_tree_count\n"
+        "neron.spanning_tree_count = lambda graph: real(graph) + 1\n"
+        "sys.exit(cli.main(['neron', '--family', 's', '--prime', '11']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=package_env(),
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: component group:")
+    assert "family s, p = 11" in lines[0] and "Traceback" not in proc.stderr
 
 
 def test_every_exported_name_resolves():

@@ -1,15 +1,18 @@
+import dataclasses
 import itertools
 import math
 import random
 
 import pytest
 
-from fibercurve.atlas import special_fiber
+from fibercurve.atlas import CARTAN_FAMILIES, special_fiber
+from fibercurve.ffield import is_prime
 from fibercurve.neron import (
     AbelianInvariants,
     GraphError,
     MetrizedGraph,
     banana_order,
+    cartan_component_group,
     component_group,
     expected_invariants_nsplus,
     fiber_metrized_graph,
@@ -246,3 +249,36 @@ def test_fiber_metrized_graph_rejects_partial_incidence():
     fiber = special_fiber("a4", 13)
     with pytest.raises(GraphError):
         fiber_metrized_graph(fiber)
+
+
+CARTAN_PAIRS = [(family, p) for p in range(5, 300) if is_prime(p)
+                for family in CARTAN_FAMILIES]
+
+
+@pytest.mark.parametrize("family,p", CARTAN_PAIRS)
+def test_cartan_component_group_matches_relation_matrix(family, p):
+    fiber = special_fiber(family, p)
+    graph = fiber_metrized_graph(fiber)
+    assert cartan_component_group(fiber) == component_group(graph)
+    # K_{s,m} with widths e_x w_j: the weighted matrix-tree count in
+    # closed form, from widths read off the graph without the new path
+    es = [h.e for h in fiber.horizontals()]
+    ws = [w // es[0] for a, _, w, _ in fiber.edges if a == fiber.horizontals()[0].name]
+    assert spanning_tree_count(graph) == (banana_order(es) ** (len(ws) - 1)
+                                          * banana_order(ws) ** (len(es) - 1))
+
+
+def test_cartan_component_group_rejects_a_width_that_is_not_a_product():
+    fiber = special_fiber("s", 29)
+    a, b, w, label = fiber.edges[-1]
+    bad = dataclasses.replace(fiber, edges=fiber.edges[:-1] + [(a, b, w + 1, label)])
+    assert cartan_component_group(fiber).order() > 1
+    with pytest.raises(GraphError):
+        cartan_component_group(bad)
+
+
+def test_cartan_component_group_rejects_a_missing_edge():
+    fiber = special_fiber("s+", 29)
+    bad = dataclasses.replace(fiber, edges=fiber.edges[1:])
+    with pytest.raises(GraphError):
+        cartan_component_group(bad)
