@@ -27,7 +27,7 @@ from .exceptional import (
     check_congruence,
     orbit_table,
 )
-from .ffield import is_prime
+from .ffield import InconsistencyError, is_prime
 from .projline import point_str
 
 SCHEMA_VERSION = 1
@@ -504,7 +504,7 @@ def main(argv=None) -> int:
     except (UsageError, CongruenceError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except neron.InconsistencyError as exc:
+    except InconsistencyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
 

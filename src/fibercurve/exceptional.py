@@ -50,8 +50,9 @@ ORBIT_PROFILE = {
     "a5": {"O2": (30, 2), "O3": (20, 3), "O5": (12, 5)},
 }
 
-# per congruence class: present exceptional orbits and the closed form
-# for the total orbit count N_p
+# per congruence class where the kind exists (see check_congruence):
+# present exceptional orbits and the closed form for the total orbit
+# count N_p
 A4_TABLE = {
     1: (("O2", "O3,1", "O3,2"), lambda p: (p + 23) // 12),
     5: (("O2",), lambda p: (p + 7) // 12),
@@ -61,12 +62,8 @@ A4_TABLE = {
 
 S4_TABLE = {
     1: (("O2", "O3", "O4"), lambda p: (p + 47) // 24),
-    5: (("O4",), lambda p: (p + 19) // 24),
     7: (("O3",), lambda p: (p + 17) // 24),
-    11: (("O2",), lambda p: (p + 13) // 24),
-    13: (("O3", "O4"), lambda p: (p + 35) // 24),
     17: (("O2", "O4"), lambda p: (p + 31) // 24),
-    19: (("O2", "O3"), lambda p: (p + 5) // 24),
     23: ((), lambda p: (p + 1) // 24),
 }
 

@@ -21,6 +21,14 @@ class FieldError(ValueError):
     pass
 
 
+class InconsistencyError(Exception):
+    """Two independent computations of the same quantity disagree.
+
+    Defined in this module, which imports no other, so that a check in
+    any layer can raise it; the command line maps it to exit code 3.
+    """
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

@@ -7,33 +7,43 @@ the critical group of that model's graph.
 A Cartan fiber's dual graph is the complete bipartite graph K_{s,m}
 between its horizontals and its verticals, and the edge (x, j) has
 width e_x w_j.  The length pairing on H_1 is then a Kronecker product
-A (x) B of two banana matrices of sizes s - 1 and m - 1, so the group is
-the sum of Z/(a_i b_k) over the Smith normal forms of A and B
-(`cartan_component_group`).  Any other graph goes through the general
-path, which is also the oracle for the Cartan one: the Smith normal
-form of a relation matrix built on the dual graph itself, with one
-generator per vertex but one and per edge, one relation per edge and
-per vertex but one (`component_group`).
+A (x) B of the banana matrices A = e_1 J + diag(e_2..e_s) and
+B = w_1 J + diag(w_2..w_m), so the group is the sum of Z/(a_i b_k) over
+their Smith normal forms (`cartan_component_group`).
 
-Both paths check the group order against the spanning-tree count of
-the regular model's graph, a weighted matrix-tree determinant of the
-dual graph, on every call; a disagreement raises InconsistencyError.
+coker(A) is cyclic of order banana_order(e).  The e list is generic
+first, with at most one 2 and one 3, so e_1 = 1 once s >= 3.  Then
+A = J + D with D = diag(d_i) = diag(e_2..e_s), and deleting row r and
+column c != r of A leaves a minor of +-(the product of the d_i with i
+not in {r, c}).  With r and c at the non-unit d_i (at any index where
+there are fewer than two), that minor is +-1, so the first s - 2
+invariant factors are 1 and the last is |det A| = banana_order(e).
+For s <= 2, A has at most one row.  Any other e list raises GraphError.
+Only B, of m - 1 <= 3 rows, goes through `smith_normal_form_diagonal`,
+and the group order is checked against the closed-form tree count
+banana(e)^(m-1) banana(w)^(s-1) of K_{s,m}.
+
+Any other graph goes through the general path, which is also the
+tests' oracle for the Cartan one: the Smith normal form of a relation
+matrix built on the dual graph itself, with one generator per vertex
+but one and per edge, one relation per edge and per vertex but one
+(`component_group`).  It checks the group order against the
+spanning-tree count of the regular model's graph, a weighted
+matrix-tree (Kirchhoff) determinant of the dual graph.  Either check
+raises InconsistencyError on a disagreement.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm, prod
+
+from .ffield import InconsistencyError
 
 
 class GraphError(ValueError):
     pass
-
-
-class InconsistencyError(Exception):
-    """Two independent computations of the same quantity disagree."""
 
 
 @dataclass(frozen=True)
@@ -243,20 +253,6 @@ def spanning_tree_count(graph: MetrizedGraph) -> int:
     return trees
 
 
-def _checked_against_trees(diag, graph, where="") -> AbelianInvariants:
-    """The group with Smith diagonal `diag`, after checking its order
-    against the spanning-tree count of `graph`; the two come from
-    different matrices."""
-    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
-    trees = spanning_tree_count(graph)
-    if invariants.order() != trees:
-        raise InconsistencyError(
-            "component group: Smith normal form order %d disagrees with the "
-            "spanning-tree count %d%s" % (invariants.order(), trees, where)
-        )
-    return invariants
-
-
 def component_group(graph: MetrizedGraph) -> AbelianInvariants:
     """Invariant factors of the component group of any graph's model,
     from the Smith normal form of its relation matrix."""
@@ -264,54 +260,57 @@ def component_group(graph: MetrizedGraph) -> AbelianInvariants:
         diag = smith_normal_form_diagonal(_relation_matrix(graph))
     except GraphError:  # det = tree count, 0 exactly when disconnected
         raise GraphError("graph must be connected") from None
-    return _checked_against_trees(diag, graph)
+    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
+    trees = spanning_tree_count(graph)
+    if invariants.order() != trees:
+        raise InconsistencyError(
+            "component group: Smith normal form order %d disagrees with the "
+            "spanning-tree count %d" % (invariants.order(), trees)
+        )
+    return invariants
 
 
 def cartan_component_group(fiber) -> AbelianInvariants:
     """Invariant factors of the component group of a Cartan fiber's model.
 
     Every horizontal x must meet every vertical j once, with width
-    e_x w_j.  The fundamental cycles of the spanning tree made of the
-    star at the first horizontal and the edges to the first vertical
-    pair as A (x) B, A = e_1 J + diag(e_2..e_s) and
-    B = w_1 J + diag(w_2..w_m), and SNF(A (x) B) = SNF(A) (x) SNF(B).
+    e_x w_j, where w_j is the vertical's `width`.  The group is the sum
+    of Z/(a_i b_k) over SNF(A) = (1, ..., 1, banana_order(e)) and SNF(B);
+    see the module docstring.
     """
-    graph = fiber_metrized_graph(fiber)
-    horizontals = [h.name for h in fiber.horizontals()]
-    verticals = [v.name for v in fiber.verticals()]
-    es = [h.e for h in fiber.horizontals()]
-    width = {(a, b) if a in horizontals else (b, a): w for a, b, w, _ in fiber.edges}
-    if not horizontals or len(width) != len(fiber.edges) or set(width) != {
-        (x, j) for x in horizontals for j in verticals
-    }:
-        raise GraphError("not a Cartan dual graph: some horizontal does not "
-                         "meet every vertical exactly once")
-    ws = [width[(horizontals[0], j)] // es[0] for j in verticals]
-    if any(width[(x, j)] != e * w for x, e in zip(horizontals, es)
-           for j, w in zip(verticals, ws)):
-        raise GraphError("not a Cartan dual graph: a width is not e_x w_j")
-
-    def banana_snf(ls):
-        matrix = [[ls[0] + (i == k) * l for k in range(len(ls) - 1)]
-                  for i, l in enumerate(ls[1:])]
-        return smith_normal_form_diagonal(matrix) if matrix else []
-
-    diag = _divisibility_chain([a * b for a in banana_snf(es) for b in banana_snf(ws)])
-    where = " (family %s, p = %d)" % (fiber.family, fiber.p)
-    return _checked_against_trees(diag, graph, where)
+    horizontals, verticals = fiber.horizontals(), fiber.verticals()
+    if not horizontals or not fiber.incidence_complete:
+        raise GraphError("not a Cartan dual graph: family %r" % fiber.family)
+    edges = [(a, b, w) for a, b, w, _ in fiber.edges]
+    if len(set(edges)) != len(edges) or set(edges) != {
+            (h.name, v.name, h.e * v.width) for h in horizontals for v in verticals}:
+        raise GraphError("not a Cartan dual graph: the edges are not one per "
+                         "horizontal x and vertical j, of width e_x w_j")
+    es = [h.e for h in horizontals]
+    ws = [v.width for v in verticals]
+    if len(es) > 2 and (es[0] != 1 or len(es) - es.count(1) > 2):
+        raise GraphError("no closed-form Smith normal form of A for e = %r" % (es,))
+    a = banana_order(es)
+    b_matrix = [[ws[0] + (i == k) * w for k in range(len(ws) - 1)]
+                for i, w in enumerate(ws[1:])]
+    snf_a = [1] * (len(es) - 2) + [a] if len(es) > 1 else []
+    snf_b = smith_normal_form_diagonal(b_matrix) if b_matrix else []
+    diag = _divisibility_chain([x * y for x in snf_a for y in snf_b])
+    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
+    trees = a ** (len(ws) - 1) * banana_order(ws) ** (len(es) - 1)
+    if invariants.order() != trees:
+        raise InconsistencyError(
+            "component group: Smith normal form order %d disagrees with the "
+            "closed-form spanning-tree count %d (family %s, p = %d)"
+            % (invariants.order(), trees, fiber.family, fiber.p)
+        )
+    return invariants
 
 
 def banana_order(lengths) -> int:
     """Order of the critical group of two vertices joined by paths of the
-    given lengths: (prod l_i) * (sum 1/l_i)."""
-    total = Fraction(0)
-    prod = 1
-    for l in lengths:
-        prod *= l
-        total += Fraction(1, l)
-    value = prod * total
-    assert value.denominator == 1
-    return int(value)
+    given lengths: the sum over i of the product of the others."""
+    return sum(prod(lengths[:i] + lengths[i + 1:]) for i in range(len(lengths)))
 
 
 def fiber_metrized_graph(fiber) -> MetrizedGraph:
@@ -344,7 +343,7 @@ def expected_invariants_nsplus(p: int, s: int):
         return AbelianInvariants(())
     if s <= 1:
         return None
-    n = Fraction(p - 1, 12).numerator
+    n = (p - 1) // gcd(p - 1, 12)
     return AbelianInvariants(tuple([8] * (s - 2) + [8 * n]))
 
 

@@ -13,7 +13,6 @@ from fibercurve.atlas import (
     LABEL_PM,
     brute_supersingular_data,
     consistency_report,
-    exceptional_inventory,
     family_group_image,
     genus_closed_form,
     genus_oracle,
@@ -150,15 +149,52 @@ def test_exceptional_fiber_inventories():
     assert widths == {LABEL_C4: 4, LABEL_C6: 6}
 
 
+def extra_verticals(kind, p):
+    """Vertical counts by quotient label beyond the generic Ig(p)/{+-1}."""
+    return {v.label: v.count for v in special_fiber(kind, p).verticals()
+            if v.label != LABEL_PM}
+
+
 def test_exceptional_inventory_tables_spot():
-    assert exceptional_inventory("a4", 13) == {LABEL_C4: 2, LABEL_C6: 4}
-    assert exceptional_inventory("a4", 103) == {LABEL_C6: 4}
-    assert exceptional_inventory("s4", 73) == {
+    assert extra_verticals("a4", 13) == {LABEL_C4: 2, LABEL_C6: 4}
+    assert extra_verticals("a4", 103) == {LABEL_C6: 4}
+    assert extra_verticals("s4", 73) == {
         LABEL_C4: 2, LABEL_C6: 2, "Ig(p)/C8": 2}
-    assert exceptional_inventory("a5", 59) == {}
-    assert exceptional_inventory("a5", 61) == {
+    assert extra_verticals("a5", 59) == {}
+    assert extra_verticals("a5", 61) == {
         LABEL_C4: 2, LABEL_C6: 2, "Ig(p)/C10": 2}
-    assert exceptional_inventory("a5", 41) == {LABEL_C4: 2, "Ig(p)/C10": 2}
+    assert extra_verticals("a5", 41) == {LABEL_C4: 2, "Ig(p)/C10": 2}
+
+
+# the vertical inventory of each exceptional kind by congruence class of p,
+# beyond the generic Ig(p)/{+-1} parts
+C8, C10 = "Ig(p)/C8", "Ig(p)/C10"
+EXCEPTIONAL_INVENTORY = {
+    ("a4", 12): {1: {LABEL_C4: 2, LABEL_C6: 4}, 5: {LABEL_C4: 2},
+                 7: {LABEL_C6: 4}, 11: {}},
+    ("s4", 24): {1: {LABEL_C4: 2, LABEL_C6: 2, C8: 2}, 7: {LABEL_C6: 2},
+                 17: {LABEL_C4: 2, C8: 2}, 23: {}},
+    ("a5", 60): {1: {LABEL_C4: 2, LABEL_C6: 2, C10: 2}, 11: {C10: 2},
+                 19: {LABEL_C6: 2}, 29: {LABEL_C4: 2}, 31: {LABEL_C6: 2, C10: 2},
+                 41: {LABEL_C4: 2, C10: 2}, 49: {LABEL_C4: 2, LABEL_C6: 2}, 59: {}},
+}
+
+
+def test_exceptional_inventory_every_congruence_class():
+    seen = set()
+    for (kind, modulus), table in EXCEPTIONAL_INVENTORY.items():
+        for p in range(5, 250):
+            if not is_prime(p):
+                continue
+            try:
+                check_congruence(kind, p)
+            except CongruenceError:
+                continue
+            assert extra_verticals(kind, p) == table[p % modulus], (kind, p)
+            seen.add((kind, p % modulus))
+    assert seen == {(kind, r) for (kind, _), table in EXCEPTIONAL_INVENTORY.items()
+                    for r in table}
+    assert len(seen) == 16
 
 
 def test_special_fiber_rejects_invalid_combinations():

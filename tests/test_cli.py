@@ -347,7 +347,8 @@ def run_cli_process(*argv, optimize=False):
     ("fiber", "--family", "ns+", "--prime", "13", "--format", "json"),
     ("neron", "--family", "s", "--prime", "11"),
     ("verify", "--suite", "paper", "--primes", "5..40"),
-], ids=["fiber", "neron", "verify"])
+    ("neron", "--family", "s+", "--prime", "1997"),
+], ids=["fiber", "neron", "verify", "neron-s+1997"])
 def test_output_unchanged_under_python_O(argv):
     # -O strips every assert; the checks must not carry the output
     plain = run_cli_process(*argv)
@@ -357,21 +358,56 @@ def test_output_unchanged_under_python_O(argv):
     assert plain.stdout
 
 
-def test_failed_cross_check_exits_3_under_python_O():
-    # the order check must survive -O and end in one diagnostic line
+def run_patched_under_python_O(module, name, argv):
+    """Run the CLI under -O with module.name returning one more than it does."""
     script = (
         "import sys\n"
-        "from fibercurve import cli, neron\n"
-        "real = neron.spanning_tree_count\n"
-        "neron.spanning_tree_count = lambda graph: real(graph) + 1\n"
-        "sys.exit(cli.main(['neron', '--family', 's', '--prime', '11']))\n"
+        "from fibercurve import cli, %s as module\n"
+        "real = module.%s\n"
+        "module.%s = lambda *args: real(*args) + 1\n"
+        "sys.exit(cli.main(%r))\n" % (module, name, name, list(argv))
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=package_env(),
+    return subprocess.run([sys.executable, "-O", "-c", script], env=package_env(),
                           capture_output=True, text=True, check=False)
+
+
+def test_failed_cross_check_exits_3_under_python_O():
+    # the order check must survive -O and end in one diagnostic line
+    proc = run_patched_under_python_O(
+        "neron", "banana_order", ["neron", "--family", "s", "--prime", "11"])
     assert proc.returncode == 3 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: component group:")
     assert "family s, p = 11" in lines[0] and "Traceback" not in proc.stderr
+
+
+def test_failed_toric_rank_check_exits_3_under_python_O():
+    proc = run_patched_under_python_O(
+        "atlas", "toric_rank_closed_form", ["fiber", "--family", "s", "--prime", "11"])
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: toric rank:")
+    assert "family s, p = 11" in lines[0] and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("family,p", [("s", 997), ("s+", 1997)])
+def test_neron_request_skips_kirchhoff_and_large_matrices(capsys, monkeypatch, family, p):
+    def refuse(*args):
+        raise AssertionError("a neron request took the general path")
+
+    sizes = []
+    real_snf = neron.smith_normal_form_diagonal
+
+    def sized_snf(matrix):
+        sizes.append(len(matrix))
+        return real_snf(matrix)
+
+    monkeypatch.setattr(neron, "spanning_tree_count", refuse)
+    monkeypatch.setattr(neron, "fiber_metrized_graph", refuse)
+    monkeypatch.setattr(neron, "smith_normal_form_diagonal", sized_snf)
+    code, out, _ = run_cli(capsys, "neron", "--family", family, "--prime", str(p))
+    assert code == 0 and out.startswith("component group (%s, p = %d):" % (family, p))
+    assert sizes and max(sizes) <= 3
 
 
 def test_every_exported_name_resolves():

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from fibercurve.atlas import CARTAN_FAMILIES, special_fiber
+from fibercurve.atlas import CARTAN_FAMILIES, special_fiber, supersingular_data
 from fibercurve.ffield import is_prime
 from fibercurve.neron import (
     AbelianInvariants,
@@ -281,4 +281,32 @@ def test_cartan_component_group_rejects_a_missing_edge():
     fiber = special_fiber("s+", 29)
     bad = dataclasses.replace(fiber, edges=fiber.edges[1:])
     with pytest.raises(GraphError):
+        cartan_component_group(bad)
+
+
+def test_banana_snf_is_cyclic_at_every_prime_below_1000():
+    # the claim behind cartan_component_group: SNF(A) = (1, ..., 1, banana(e))
+    for p in range(5, 1000):
+        if not is_prime(p):
+            continue
+        es = supersingular_data(p).e_values()
+        matrix = [[es[0] + (i == k) * e for k in range(len(es) - 1)]
+                  for i, e in enumerate(es[1:])]
+        if matrix:
+            assert smith_normal_form_diagonal(matrix) == (
+                [1] * (len(es) - 2) + [banana_order(es)]), p
+
+
+@pytest.mark.parametrize("es", [[2, 2, 2], [1, 2, 3, 2]])
+def test_cartan_component_group_rejects_an_uncovered_e_list(es):
+    # a K_{s,m} with widths e_x w_j, but an e list no supersingular
+    # locus has: the general path still takes it, the Cartan path declines
+    fiber = special_fiber("s", 29)
+    verticals = fiber.verticals()
+    horizontals = [dataclasses.replace(fiber.horizontals()[0], name="D%d" % i, e=e)
+                   for i, e in enumerate(es, start=1)]
+    edges = [(h.name, v.name, h.e * v.width, "ss") for h in horizontals for v in verticals]
+    bad = dataclasses.replace(fiber, vertices=verticals + horizontals, edges=edges)
+    assert component_group(fiber_metrized_graph(bad)).order() > 1
+    with pytest.raises(GraphError, match="no closed-form Smith normal form"):
         cartan_component_group(bad)
