@@ -27,6 +27,8 @@ no toric rank are emitted for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 
 from .ffield import InconsistencyError, is_prime
 from .projline import (
@@ -144,29 +146,38 @@ def brute_supersingular_data(p: int) -> SupersingularData:
     """Point-count oracle: try every j in F_{p^2}, count a curve with
     that j over F_{p^2}, and test whether the trace vanishes mod p.
 
-    The count is table-driven.  Two tables are built once with _Fp2's
-    arithmetic: roots[v0 p + v1], the number of y with y^2 = v, and for
-    every x the tuple (c0, c1, x0, x1) with c = x^3.  Then #E(F_{p^2})
-    for y^2 = x^3 + a x + b is 1 + the sum of roots[x^3 + a x + b] over
-    x, with a x + b expanded in coordinates (w^2 = d) and each
-    coordinate reduced once.
+    #E(F_{p^2}) for y^2 = x^3 + a x + b is 1 + the sum over x of the
+    number of square roots of x^3 + a x + b.  With x = x0 + x1 w
+    (w^2 = d), each coordinate of x^3 + a x + b is the sum of three
+    residues: one of x^3, one of a x0 and one of a x1 w + b.  The root
+    counts are therefore tabled over [0, 3p)^2 (index i 3p + k holds
+    the count at (i mod p, k mod p)), and no sum is reduced mod p.
+    For every row x1 the indices of x^3 over x0 are built once; for
+    every j the indices of a x0 over x0 form one list, and a x1 w + b
+    is one offset per row.  A row's contribution is then one C-level
+    sum over x0.  All of it is built with _Fp2's arithmetic, and every
+    j is counted over every x.
     """
     K = _Fp2(p)
-    q = p * p
+    q, m = p * p, 3 * p
     roots = [0] * q
     for y in K.elements():
         v = K.mul(y, y)
         roots[v[0] * p + v[1]] += 1
-    cubes = [K.mul(K.mul(x, x), x) + x for x in K.elements()]
+    table = [roots[i % p * p + k % p] for i in range(m) for k in range(m)]
+    cube_rows = []
+    for x1 in range(p):
+        cubes = (K.mul(K.mul((x0, x1), (x0, x1)), (x0, x1)) for x0 in range(p))
+        cube_rows.append([c0 * m + c1 for c0, c1 in cubes])
     ss = set()
     for j in K.elements():
         (a0, a1), (b0, b1) = _curve_with_j(K, j)
         da1 = K.d * a1
-        n = 1 + sum(  # 1 for the point at infinity
-            roots[(c0 + a0 * x0 + da1 * x1 + b0) % p * p
-                  + (c1 + a0 * x1 + a1 * x0 + b1) % p]
-            for c0, c1, x0, x1 in cubes
-        )
+        ax0 = [a0 * x0 % p * m + a1 * x0 % p for x0 in range(p)]
+        n = 1  # the point at infinity
+        for x1, cube_row in enumerate(cube_rows):
+            offset = (da1 * x1 + b0) % p * m + (a0 * x1 + b1) % p
+            n += sum(map(table.__getitem__, map(add, map(add, cube_row, ax0), repeat(offset))))
         if (q + 1 - n) % p == 0:
             ss.add(j)
     return SupersingularData(

@@ -16,9 +16,12 @@ generic component to its quotient models.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .ffield import (
     FieldError,
+    FqElement,
+    InconsistencyError,
     _poly_mul,
     element_of_order,
     field_create,
@@ -333,7 +336,10 @@ def admissible_twist(p: int):
     """An element a of F_{p^2} with a not in F_p but a^2 in F_p."""
     F2 = field_create(p, 2)
     a = sqrt_in_field(F2(first_nonsquare(p)))
-    assert a is not None and not a.in_prime_field()
+    if a is None or a.in_prime_field():
+        raise InconsistencyError(
+            "admissible twist: the square root of the first nonsquare is "
+            "missing or lies in the prime field (p = %d)" % p)
     return a
 
 
@@ -351,30 +357,46 @@ def count_points_fp2(p: int, a) -> int:
         raise ValueError("twist must live in F_{p^2}")
     if a.is_zero() or a.in_prime_field() or not (a * a).in_prime_field():
         raise ValueError("twist must satisfy a not in F_p, a^2 in F_p")
+    frob = _frobenius(F2, p)
     count = 0
     # z = 0: x^p y = x y^p on P^1, enumerate both charts
     for t in F2.elements():
-        if (t ** p - t).is_zero():  # (x : y) = (t : 1)
+        if frob(t) == t:  # (x : y) = (t : 1)
             count += 1
     count += 1  # (1 : 0) always satisfies x^p * 0 - x * 0 = 0
     # z = 1: for each x count y with x^p y - x y^p = a, an F_p-linear
     # equation in the coordinates of y
-    basis = []
-    for j in range(F2.k):
-        coords = [0] * F2.k
-        coords[j] = 1
-        basis.append(F2(tuple(coords)))
+    basis = _basis(F2)
+    basis_p = [frob(e) for e in basis]
+    rhs = list(a.coords)
     for x in F2.elements():
         if x.is_zero():
             continue  # 0 - 0 = a is impossible for a != 0
-        xp = x ** p
-        cols = [xp * e - x * e ** p for e in basis]
-        matrix = [[cols[j].coords[i] for j in range(F2.k)] for i in range(F2.k)]
-        rhs = [a.coords[i] for i in range(F2.k)]
+        xp = frob(x)
+        cols = [xp * e - x * ep for e, ep in zip(basis, basis_p)]
+        matrix = [[col.coords[i] for col in cols] for i in range(F2.k)]
         sol = solve_affine_mod_p(matrix, rhs, p)
         if sol is not None:
             count += p ** len(sol[1])
     return count
+
+
+def _basis(F):
+    """The coordinate basis 1, w, ..., w^(k-1) of F over F_p."""
+    return [F(tuple(int(i == j) for i in range(F.k))) for j in range(F.k)]
+
+
+def _frobenius(F, p):
+    """x -> x^p on F, applied as the F_p-linear map that sends each basis
+    vector to its p-th power: k^2 products per call instead of a
+    square-and-multiply chain of about 2 log2(p) field products."""
+    rows = list(zip(*[(e ** p).coords for e in _basis(F)]))
+
+    def frob(x):
+        coords = x.coords
+        return FqElement(F, tuple(sum(map(mul, row, coords)) % p for row in rows))
+
+    return frob
 
 
 # ---------------------------------------------------------------------------
@@ -414,27 +436,28 @@ def _sample_source_points(p: int, count: int, rng):
 
 
 def _sample_in_field(F, p, count, rng):
-    basis = []
-    for j in range(F.k):
-        coords = [0] * F.k
-        coords[j] = 1
-        basis.append(F(tuple(coords)))
+    frob = _frobenius(F, p)
+    basis = _basis(F)
     frob_matrix = [
-        [(e ** p - e).coords[i] for e in basis] for i in range(F.k)
+        [(frob(e) - e).coords[i] for e in basis] for i in range(F.k)
     ]
     pts = []
     for _ in range(40 * count):
         alpha = F.random_element(rng)
         if alpha.is_zero():
             continue
-        c = -(alpha ** (p + 1)).inverse()
+        alpha_p = frob(alpha)
+        c = -(alpha_p * alpha).inverse()
         sol = solve_affine_mod_p(frob_matrix, list(c.coords), p)
         if sol is None:
             continue
         s0 = F(tuple(sol[0]))
         shift = rng.randrange(p)
         beta = alpha * (s0 + shift)
-        assert alpha ** p * beta - alpha * beta ** p == F.one()
+        if alpha_p * beta - alpha * frob(beta) != F.one():
+            raise InconsistencyError(
+                "quotient-map sampler: a solution of s^p - s = c gives a point "
+                "off x^p y - x y^p = 1 in degree %d (p = %d)" % (F.k, p))
         pts.append((alpha, beta))
         if len(pts) == count:
             return pts
@@ -463,8 +486,13 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     alpha^p beta - alpha beta^p = 1 land on the intermediate and final
     quotient equations, and that the special-linear and root-of-unity
     actions preserve the source equation.  The points and the root of
-    unity are drawn once and shared; each family then replays the same
-    random actions from the generator state saved after the draw.
+    unity are drawn once.  Each point's source and action checks, which
+    no family changes, run once and draw the point's random actions
+    once; the ns chain then serves ns and ns+, and the s chain s and
+    s+.  A family's witness is the first point it rejects, and the
+    draws are those a family replaying the actions on its own would
+    make, so the outcome does not depend on the sharing.  x -> x^p is
+    the linear map of `_frobenius`.
     """
     import random
 
@@ -488,24 +516,33 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
         return checks
     rng = random.Random(seed)
     F, pts = _sample_source_points(p, samples, rng)
-    a = F.one()
     lam = element_of_order(F, p + 1, rng)
-    state = rng.getstate()
-    for family, check in checks.items():
-        rng.setstate(state)
-        for alpha, beta in pts:
-            if not _check_one_point(family, p, F, a, lam, alpha, beta, rng):
+    frob = _frobenius(F, p)
+    open_checks = dict(checks)
+    for alpha, beta in pts:
+        for family in _rejecting_families(p, F, frob, lam, alpha, beta, rng):
+            check = open_checks.pop(family, None)
+            if check is not None:
                 check.passed = False
                 check.witness = (alpha, beta)
-                break
+        if not open_checks:
+            break
     return checks
 
 
-def _check_one_point(family, p, F, a, lam, alpha, beta, rng):
-    source = lambda x, y: x ** p * y - x * y ** p - a
+def _rejecting_families(p, F, frob, lam, alpha, beta, rng):
+    """The Cartan families that the point (alpha, beta) fails: all four
+    when the point is off the source or one of its symmetries moves it
+    off, else those whose chain breaks.  Draws the point's random
+    special-linear and root-of-unity actions from rng."""
+    a = F.one()
+    half = F.one() / 2
 
-    if not source(alpha, beta).is_zero():
-        return False
+    def on_source(x, y):
+        return frob(x) * y - x * frob(y) == a
+
+    if not on_source(alpha, beta):
+        return CARTAN_FAMILIES
     # the special-linear action (x, y) -> (a x + c y, b x + d y) and the
     # (p+1)-st root of unity action x -> u^-1 x both preserve the source
     for _ in range(2):
@@ -518,45 +555,40 @@ def _check_one_point(family, p, F, a, lam, alpha, beta, rng):
                 gc = -inverse_mod(gb, p) % p
                 gd = rng.randrange(p)
                 break
-        a2, b2 = ga * alpha + gc * beta, gb * alpha + gd * beta
-        if not source(a2, b2).is_zero():
-            return False
-    root = lam ** rng.randrange(p + 1)
-    if not source(root.inverse() * alpha, root.inverse() * beta).is_zero():
-        return False
+        if not on_source(ga * alpha + gc * beta, gb * alpha + gd * beta):
+            return CARTAN_FAMILIES
+    root_inv = (lam ** rng.randrange(p + 1)).inverse()
+    if not on_source(root_inv * alpha, root_inv * beta):
+        return CARTAN_FAMILIES
 
-    if family in ("ns", "ns+"):
-        lam_p = lam ** p
-        atilde = lam * alpha + lam_p * beta
-        btilde = lam_p * alpha + lam * beta
-        N = lam ** (-2) - lam ** 2
-        if atilde ** (p + 1) - btilde ** (p + 1) != a * N:
-            return False
-        u1 = atilde ** (p + 1)
-        v1 = atilde * btilde
-        if not (u1 * u1 - v1 ** (p + 1) - a * N * u1).is_zero():
-            return False
-        half = F.one() / 2
-        U = u1 - a * N * half
-        V = v1
-        if U * U != V ** (p + 1) + (a * N * half) ** 2:
-            return False
-        if family == "ns+":
-            X, Y = V * V, U * V
-            if Y * Y != X * (X ** ((p + 1) // 2) + (a * N * half) ** 2):
-                return False
+    rejected = []
+    # the ns chain; ns+ continues it
+    lam_p = frob(lam)
+    atilde = lam * alpha + lam_p * beta
+    btilde = lam_p * alpha + lam * beta
+    aN = a * (lam ** (-2) - lam ** 2)
+    u1 = frob(atilde) * atilde
+    v1 = atilde * btilde
+    U = u1 - aN * half
+    V = v1
+    if (u1 - frob(btilde) * btilde != aN
+            or not (u1 * u1 - frob(v1) * v1 - aN * u1).is_zero()
+            or U * U != frob(V) * V + (aN * half) ** 2):
+        rejected += ["ns", "ns+"]
     else:
-        u = alpha ** (p - 1)
-        v = alpha * beta
-        if not (v ** p - u * u * v + a * u).is_zero():
-            return False
-        half = F.one() / 2
-        U = u * v - a * half
-        V = v
-        if U * U != V ** (p + 1) + (a * half) ** 2:
-            return False
-        if family == "s+":
-            X, Y = V * V, U * V
-            if Y * Y != X * (X ** ((p + 1) // 2) + (a * half) ** 2):
-                return False
-    return True
+        X, Y = V * V, U * V
+        if Y * Y != X * (X ** ((p + 1) // 2) + (aN * half) ** 2):
+            rejected.append("ns+")
+    # the s chain; s+ continues it
+    u = frob(alpha) / alpha
+    v = alpha * beta
+    U = u * v - a * half
+    V = v
+    if (not (frob(v) - u * u * v + a * u).is_zero()
+            or U * U != frob(V) * V + (a * half) ** 2):
+        rejected += ["s", "s+"]
+    else:
+        X, Y = V * V, U * V
+        if Y * Y != X * (X ** ((p + 1) // 2) + (a * half) ** 2):
+            rejected.append("s+")
+    return rejected

@@ -46,7 +46,7 @@ def test_supersingular_examples():
 
 
 def test_supersingular_brute_oracle_small():
-    for p in (5, 7, 11, 13, 17, 19, 23):
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         assert supersingular_data(p) == brute_supersingular_data(p)
 
 

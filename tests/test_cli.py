@@ -358,14 +358,16 @@ def test_output_unchanged_under_python_O(argv):
     assert plain.stdout
 
 
-def run_patched_under_python_O(module, name, argv):
-    """Run the CLI under -O with module.name returning one more than it does."""
+def run_patched_under_python_O(module, name, argv, result="real(*args) + 1"):
+    """Run the CLI under -O with module.name returning `result`, an
+    expression in the unpatched function `real` and its `args`; by
+    default one more than it does."""
     script = (
         "import sys\n"
         "from fibercurve import cli, %s as module\n"
         "real = module.%s\n"
-        "module.%s = lambda *args: real(*args) + 1\n"
-        "sys.exit(cli.main(%r))\n" % (module, name, name, list(argv))
+        "module.%s = lambda *args: %s\n"
+        "sys.exit(cli.main(%r))\n" % (module, name, name, result, list(argv))
     )
     return subprocess.run([sys.executable, "-O", "-c", script], env=package_env(),
                           capture_output=True, text=True, check=False)
@@ -388,6 +390,24 @@ def test_failed_toric_rank_check_exits_3_under_python_O():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: toric rank:")
     assert "family s, p = 11" in lines[0] and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name,result,check", [
+    # the particular solution of s^p - s = c moved off the solution set:
+    # shifting its top coordinate changes s^p - s
+    ("solve_affine_mod_p",
+     "(lambda sol: sol and (sol[0][:-1] + [sol[0][-1] + 1], sol[1]))(real(*args))",
+     "quotient-map sampler:"),
+    # a square root inside the prime field is no admissible twist
+    ("sqrt_in_field", "real(*args) * 0", "admissible twist:"),
+], ids=["sampler", "twist"])
+def test_failed_drinfeld_check_exits_3_under_python_O(name, result, check):
+    proc = run_patched_under_python_O(
+        "drinfeld", name, ["verify", "--suite", "paper", "--primes", "5..6"], result)
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + check)
+    assert "p = 5" in lines[0] and "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("family,p", [("s", 997), ("s+", 1997)])

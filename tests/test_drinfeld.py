@@ -4,7 +4,7 @@ import random
 import pytest
 
 from fibercurve import drinfeld
-from fibercurve.ffield import element_of_order, field_create, is_prime
+from fibercurve.ffield import element_of_order, field_create, inverse_mod, is_prime
 from fibercurve.exceptional import CongruenceError, check_congruence, orbit_table
 from fibercurve.drinfeld import (
     SuperellipticCurve,
@@ -291,6 +291,16 @@ def brute_count_p5():
     return count
 
 
+@pytest.mark.parametrize("p,k", [(5, 2), (13, 2), (5, 6), (31, 6)])
+def test_frobenius_map_is_the_p_th_power(p, k):
+    F = field_create(p, k)
+    frob = drinfeld._frobenius(F, p)
+    rng = random.Random(p * k)
+    elems = F.elements() if k == 2 else (F.random_element(rng) for _ in range(200))
+    for x in elems:
+        assert frob(x) == x ** p
+
+
 def test_count_points_fp2_matches_brute_force_at_5():
     assert count_points_fp2(5, admissible_twist(5)) == brute_count_p5() == 126
 
@@ -352,54 +362,129 @@ def test_quotient_maps_bounds():
         verify_quotient_maps(13, -1)
 
 
-def per_family_quotient_check(family, p, samples, seed=0):
+def check_one_point(family, p, F, a, lam, alpha, beta, rng):
+    """One family's whole check at one point, written out per family with
+    plain powers: the reference for the library's shared per-point check."""
+    source = lambda x, y: x ** p * y - x * y ** p - a
+
+    if not source(alpha, beta).is_zero():
+        return False
+    # the special-linear action (x, y) -> (a x + c y, b x + d y) and the
+    # (p+1)-st root of unity action x -> u^-1 x both preserve the source
+    for _ in range(2):
+        while True:
+            ga, gb, gc = rng.randrange(p), rng.randrange(p), rng.randrange(p)
+            if ga:
+                gd = (1 + gb * gc) * inverse_mod(ga, p) % p
+                break
+            if gb:
+                gc = -inverse_mod(gb, p) % p
+                gd = rng.randrange(p)
+                break
+        a2, b2 = ga * alpha + gc * beta, gb * alpha + gd * beta
+        if not source(a2, b2).is_zero():
+            return False
+    root = lam ** rng.randrange(p + 1)
+    if not source(root.inverse() * alpha, root.inverse() * beta).is_zero():
+        return False
+
+    if family in ("ns", "ns+"):
+        lam_p = lam ** p
+        atilde = lam * alpha + lam_p * beta
+        btilde = lam_p * alpha + lam * beta
+        N = lam ** (-2) - lam ** 2
+        if atilde ** (p + 1) - btilde ** (p + 1) != a * N:
+            return False
+        u1 = atilde ** (p + 1)
+        v1 = atilde * btilde
+        if not (u1 * u1 - v1 ** (p + 1) - a * N * u1).is_zero():
+            return False
+        half = F.one() / 2
+        U = u1 - a * N * half
+        V = v1
+        if U * U != V ** (p + 1) + (a * N * half) ** 2:
+            return False
+        if family == "ns+":
+            X, Y = V * V, U * V
+            if Y * Y != X * (X ** ((p + 1) // 2) + (a * N * half) ** 2):
+                return False
+    else:
+        u = alpha ** (p - 1)
+        v = alpha * beta
+        if not (v ** p - u * u * v + a * u).is_zero():
+            return False
+        half = F.one() / 2
+        U = u * v - a * half
+        V = v
+        if U * U != V ** (p + 1) + (a * half) ** 2:
+            return False
+        if family == "s+":
+            X, Y = V * V, U * V
+            if Y * Y != X * (X ** ((p + 1) // 2) + (a * half) ** 2):
+                return False
+    return True
+
+
+def per_family_quotient_check(family, p, samples, seed=0, check=check_one_point,
+                              calls=None):
     """One family's check the unshared way: its own generator, its own
-    sample and root of unity, then each point in turn."""
+    sample and root of unity, then each point in turn.  `calls` collects
+    the point, root of unity and generator state of every call."""
     rng = random.Random(seed)
     F, pts = drinfeld._sample_source_points(p, samples, rng)
     lam = element_of_order(F, p + 1, rng)
     for alpha, beta in pts:
-        if not drinfeld._check_one_point(family, p, F, F.one(), lam, alpha, beta, rng):
+        if calls is not None:
+            calls.append((lam, alpha, beta, rng.getstate()))
+        if not check(family, p, F, F.one(), lam, alpha, beta, rng):
             return False, (alpha, beta)
     return True, None
 
 
-@pytest.mark.parametrize("p", [5, 13, 31])
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
-    calls = []
-    check_one_point = drinfeld._check_one_point
+    shared = []
+    rejecting_families = drinfeld._rejecting_families
 
-    def recording(family, p, F, a, lam, alpha, beta, rng):
-        calls.append((family, lam, alpha, beta, rng.getstate()))
-        return check_one_point(family, p, F, a, lam, alpha, beta, rng)
+    def recording(p, F, frob, lam, alpha, beta, rng):
+        shared.append((lam, alpha, beta, rng.getstate()))
+        return rejecting_families(p, F, frob, lam, alpha, beta, rng)
 
-    monkeypatch.setattr(drinfeld, "_check_one_point", recording)
+    monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)
-    shared = list(calls)
-    del calls[:]
+    longest = 0
     for family in CARTAN:
-        expect = per_family_quotient_check(family, p, 8, seed)
+        calls = []
+        expect = per_family_quotient_check(family, p, 8, seed, calls=calls)
         assert (checks[family].passed, checks[family].witness) == expect, family
-    # same point, root of unity and generator state at every call
-    assert shared == calls
+        # same point, root of unity and generator state at every call
+        assert shared[:len(calls)] == calls, family
+        longest = max(longest, len(calls))
+    assert len(shared) == longest
 
 
 def test_shared_sample_reports_the_rejected_point(monkeypatch):
     p, seed = 13, 1
     _, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
     rejected = pts[3]
-    check_one_point = drinfeld._check_one_point
+    rejecting_families = drinfeld._rejecting_families
 
-    def reject_for_s(family, p, F, a, lam, alpha, beta, rng):
+    def reject_for_s(p, F, frob, lam, alpha, beta, rng):
+        families = list(rejecting_families(p, F, frob, lam, alpha, beta, rng))
+        if (alpha, beta) == rejected:
+            families.append("s")
+        return families
+
+    def reject_for_s_reference(family, p, F, a, lam, alpha, beta, rng):
         if family == "s" and (alpha, beta) == rejected:
             return False
         return check_one_point(family, p, F, a, lam, alpha, beta, rng)
 
-    monkeypatch.setattr(drinfeld, "_check_one_point", reject_for_s)
+    monkeypatch.setattr(drinfeld, "_rejecting_families", reject_for_s)
     checks = verify_quotient_maps(p, 8, seed=seed)
     assert not checks["s"].passed and checks["s"].witness == rejected
-    assert per_family_quotient_check("s", p, 8, seed) == (False, rejected)
+    assert per_family_quotient_check("s", p, 8, seed, reject_for_s_reference) == (False, rejected)
     for family in ("ns", "ns+", "s+"):
         assert checks[family].passed and checks[family].witness is None
 
