@@ -38,7 +38,6 @@ from .projline import (
     cartan_split,
     coset_cycle_counts,
     first_nonsquare,
-    transform,
 )
 from .exceptional import (
     KINDS as EXCEPTIONAL_KINDS,
@@ -270,12 +269,6 @@ class FiberGraph:
     incidence_complete: bool = True
     notes: list = field(default_factory=list)
 
-    def vertex(self, name: str) -> ComponentDescriptor:
-        for v in self.vertices:
-            if v.name == name:
-                return v
-        raise KeyError(name)
-
     def verticals(self):
         return [v for v in self.vertices if v.role.startswith("vertical")]
 
@@ -467,24 +460,28 @@ def _exceptional_fiber(kind: str, p: int) -> FiberGraph:
                       incidence_complete=False, notes=notes)
 
 
+# toric rank of each Cartan family by p mod 12: the rule as printed and
+# its value in p and s = g(X_0(p)) + 1
+TORIC_RANK_RULES = {
+    **{("ns", r): ("s - 1", lambda p, s: s - 1) for r in (1, 5, 7, 11)},
+    **{("s", r): ("3(s - 1)", lambda p, s: 3 * (s - 1)) for r in (1, 5, 7, 11)},
+    ("ns+", 1): ("(p-13)/12", lambda p, s: (p - 13) // 12),
+    ("ns+", 5): ("(p-5)/12", lambda p, s: (p - 5) // 12),
+    ("ns+", 7): ("0", lambda p, s: 0),
+    ("ns+", 11): ("0", lambda p, s: 0),
+    ("s+", 1): ("(p-13)/6", lambda p, s: (p - 13) // 6),
+    ("s+", 5): ("(p-5)/6", lambda p, s: (p - 5) // 6),
+    ("s+", 7): ("(p-7)/12", lambda p, s: (p - 7) // 12),
+    ("s+", 11): ("(p+1)/12", lambda p, s: (p + 1) // 12),
+}
+
+
 def toric_rank_closed_form(family: str, p: int) -> int:
     """Piecewise closed forms for the Cartan-family toric ranks."""
-    s = genus_x0(p) + 1
-    r = p % 12
-    if family == "ns":
-        return s - 1
-    if family == "s":
-        return 3 * (s - 1)
-    if family == "ns+":
-        if r == 1:
-            return (p - 13) // 12
-        if r == 5:
-            return (p - 5) // 12
-        return 0
-    if family == "s+":
-        return {1: (p - 13) // 6, 5: (p - 5) // 6, 7: (p - 7) // 12,
-                11: (p + 1) // 12}[r]
-    raise ValueError("no closed form for family %r" % family)
+    if (family, p % 12) not in TORIC_RANK_RULES:
+        raise ValueError("no closed form for family %r" % family)
+    _, value = TORIC_RANK_RULES[family, p % 12]
+    return value(p, genus_x0(p) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -512,23 +509,20 @@ def family_group_image(family: str, p: int) -> SubgroupTable:
 def genus_oracle(H: SubgroupTable, p: int) -> int:
     """Geometric genus of the coarse curve attached to H <= PGL_2(F_p).
 
-    Riemann-Hurwitz over the j-line: with H' = H intersect PSL_2 and
+    Riemann-Hurwitz over the j-line: with H' = H meet PSL_2 and
     n = [PSL_2 : H'], 2g - 2 = -2n + sum over e in {2, 3, p} of
-    (n - cycles_e), where cycles_e counts the orbits of an order-e
-    element on the coset space.  The counts depend on e alone, so one
-    representative of each order is used.  coset_cycle_counts rejects a
-    p that is not a prime > 3.  total_genus checks the result against
-    genus_closed_form wherever one exists.
+    (n - c_e) = n - c_2 - c_3 - c_p, where c_e counts the cycles of an
+    order-e element on the cosets.  One coset_cycle_counts call gives n
+    and the c_e, and rejects a p that is not a prime > 3.  total_genus
+    checks the result against genus_closed_form wherever one exists.
     """
     if H.p != p:
         raise ValueError("prime mismatch")
-    Hp = H.intersect_psl2()
-    reps = (transform(p, 0, -1, 1, 0), transform(p, 0, -1, 1, -1),
-            transform(p, 1, 1, 0, 1))
-    cycles = [coset_cycle_counts(Hp, g) for g in reps]
-    n = p * (p * p - 1) // 2 // Hp.order
-    rhs = n - sum(cycles)
-    assert rhs % 2 == 0 and rhs >= -2
+    counts = coset_cycle_counts(H)
+    rhs = counts[1] - counts[2] - counts[3] - counts[p]
+    if rhs % 2 or rhs < -2:
+        raise InconsistencyError(
+            "genus oracle: 2g - 2 = %d is odd or below -2 (p = %d)" % (rhs, p))
     return (rhs + 2) // 2
 
 
@@ -560,7 +554,12 @@ def genus_closed_form(family: str, p: int) -> int:
 
 def total_genus(family: str, p: int) -> int:
     genus = genus_oracle(family_group_image(family, p), p)
-    assert family in EXCEPTIONAL_KINDS or genus == genus_closed_form(family, p)
+    if family not in EXCEPTIONAL_KINDS:
+        closed = genus_closed_form(family, p)
+        if genus != closed:
+            raise InconsistencyError(
+                "total genus: the coset count gives %d, the closed form %d "
+                "(family %s, p = %d)" % (genus, closed, family, p))
     return genus
 
 

@@ -148,12 +148,7 @@ def fiber_text(payload: dict) -> str:
                 "edge %s -- %s width %d" % (edge["from"], edge["to"], edge["width"])
             )
         family = payload["family"]
-        rule = {
-            "ns": "s - 1",
-            "s": "3(s - 1)",
-            "ns+": {1: "(p-13)/12", 5: "(p-5)/12"}.get(p % 12, "0"),
-            "s+": {1: "(p-13)/6", 5: "(p-5)/6", 7: "(p-7)/12", 11: "(p+1)/12"}[p % 12],
-        }[family]
+        rule, _ = atlas.TORIC_RANK_RULES[family, p % 12]
         lines.append(
             "toric rank (family %s, p = %d mod 12: %s) = %d"
             % (family, p % 12, rule, payload["toric_rank"])

@@ -9,15 +9,17 @@ equality, hashing and order are those of the classes.  Neither carries
 its prime: every function takes p first.  The action on points is by
 column vectors, (x : y) -> (a x + b y : c x + d y).
 
-Cycle counts of an element on the coset space H\\PSL_2(F_p) are
-fixed-point counts over the powers of the element, from the classical
-conjugacy data of PSL_2(F_p); no coset is ever listed.  The test suite
+The cycle counts of the elements of orders 2, 3 and p on the coset
+space H'\\PSL_2(F_p), with H' the part of H in PSL_2, come from one pass
+over H: each element's trace and determinant place it in PSL_2 and in
+its class, and the classical conjugacy data of PSL_2(F_p) turn the class
+sizes into fixed-coset counts; no coset is ever listed.  The test suite
 checks them against an explicit coset transversal at small p.
 """
 
 from __future__ import annotations
 
-from .ffield import is_prime
+from .ffield import InconsistencyError, is_prime
 
 SUBGROUP_CAP = 10 ** 5
 
@@ -96,21 +98,6 @@ def projective_order(p: int, g) -> int:
     return n
 
 
-def has_projective_order_2(p: int, g) -> bool:
-    return _trace_det(p, g)[0] == 0 and g != IDENTITY
-
-
-def has_projective_order_3(p: int, g) -> bool:
-    t, d = _trace_det(p, g)
-    return t * t % p == d and g != IDENTITY
-
-
-def is_unipotent(p: int, g) -> bool:
-    # nonscalar with a double eigenvalue; projective order p
-    t, d = _trace_det(p, g)
-    return t * t % p == 4 * d % p and g != IDENTITY
-
-
 class SubgroupTable:
     """A finite subgroup of PGL_2(F_p), closed element list."""
 
@@ -129,10 +116,6 @@ class SubgroupTable:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def intersect_psl2(self) -> "SubgroupTable":
-        p = self.p
-        return SubgroupTable(p, [g for g in self.elements if in_psl2(p, g)])
 
     def __repr__(self):
         return "SubgroupTable(p=%d, order=%d)" % (self.p, self.order)
@@ -183,9 +166,9 @@ class Orbit:
 def orbits(H: SubgroupTable):
     """Orbit decomposition of P^1(F_p) under H.
 
-    Orbits are listed with the smallest member first, and the
-    orbit-stabilizer identity |orbit| * isotropy = |H| is asserted for
-    every orbit before returning.
+    Orbits are listed with the smallest member first.  The
+    orbit-stabilizer identity |orbit| * isotropy = |H| is checked for
+    every orbit, and the orbits' cover of the line, before returning.
     """
     p = H.p
     gens = H.gens or H.elements
@@ -207,10 +190,18 @@ def orbits(H: SubgroupTable):
             frontier = nxt
         rep = min(orbit)
         stab = sum(1 for g in H.elements if act(p, g, rep) == rep)
-        assert len(orbit) * stab == H.order, "orbit-stabilizer identity failed"
+        if len(orbit) * stab != H.order:
+            raise InconsistencyError(
+                "orbit-stabilizer: the orbit of %s has %d points and isotropy "
+                "%d, but the group has order %d (p = %d)"
+                % (point_str(p, rep), len(orbit), stab, H.order, p))
         out.append(Orbit(orbit, stab))
         remaining -= orbit
-    assert sum(len(o) for o in out) == p + 1
+    covered = sum(len(o) for o in out)
+    if covered != p + 1:
+        raise InconsistencyError(
+            "orbits: the orbits cover %d points of P^1, not %d (p = %d)"
+            % (covered, p + 1, p))
     return out
 
 
@@ -224,57 +215,75 @@ def stabilizer(H: SubgroupTable, x: int) -> SubgroupTable:
 # ---------------------------------------------------------------------------
 
 
-def coset_cycle_counts(H: SubgroupTable, g) -> int:
-    """Number of cycles of g on the right cosets H\\PSL_2(F_p), p = H.p.
+def coset_cycle_counts(H: SubgroupTable) -> dict:
+    """Cycle counts on the right cosets H'\\PSL_2(F_p), H' = H meet PSL_2.
 
-    H must lie in PSL_2(F_p) and g must have projective order 2, 3 or p.
-    By the orbit-counting identity the number of cycles of <g> is the
-    average over the powers g^j of the number of fixed cosets, and a
-    coset Hx is fixed by t exactly when x t x^{-1} lies in H, so each
-    nontrivial power fixes |C(t)| |H meet class(t)| / |H| cosets, with
-    C(t) the centralizer of t in PSL_2.  PSL_2(F_p) has one class of
-    elements of order 2 and one of order 3; the p - 1 nontrivial powers
-    of a p-element run through both unipotent classes (p - 1)/2 times
-    each, and each class holds half of the unipotents of H.  g is used
-    only to choose the class: the count depends on its order alone.
-    H is scanned once, for containment in PSL_2 and for the class.
+    Returns {1: n, 2: c_2, 3: c_3, p: c_p} with p = H.p, n = [PSL_2 : H']
+    and c_e the number of cycles of an element of order e on the n
+    cosets; the count depends on e alone.  One pass over H takes each
+    element's trace t and determinant d, keeps those with d a square
+    (H') and sorts them by class: t = 0 is order 2, t^2 = d order 3,
+    and t^2 = 4d, other than the identity, order p.  By the
+    orbit-counting identity c_e is the average over the powers g^j of
+    an order-e element g of the number of fixed cosets, and a coset H'x
+    is fixed by t exactly when x t x^{-1} lies in H', so each nontrivial
+    power fixes |C(t)| |H' meet class(t)| / |H'| cosets, with C(t) the
+    centralizer of t in PSL_2.  PSL_2(F_p) has one class of elements of
+    order 2 and one of order 3; the p - 1 nontrivial powers of a
+    p-element run through both unipotent classes (p - 1)/2 times each,
+    and each class holds half of the unipotents of H'.
     """
     p = H.p
     if not is_prime(p) or p <= 3:
         raise GroupError("p must be a prime > 3")
-    if not in_psl2(p, g):
-        raise GroupError("g is not an element of PSL2")
-    n, rem = divmod(p * (p * p - 1) // 2, H.order)
+    order = 0
+    in_class = {2: 0, 3: 0, p: 0}
+    for g in H.elements:
+        t, d = _trace_det(p, g)
+        if pow(d, (p - 1) // 2, p) != 1:
+            continue
+        order += 1
+        tt = t * t % p
+        if t == 0:
+            in_class[2] += 1
+        elif tt == d:
+            in_class[3] += 1
+        elif tt == 4 * d % p and g != IDENTITY:
+            in_class[p] += 1
+    n, rem = divmod(p * (p * p - 1) // 2, order)
     if rem:
-        raise GroupError("|H| does not divide |PSL2|")
-    if has_projective_order_2(p, g):
-        order, in_class = 2, has_projective_order_2
-        cent = p - 1 if p % 4 == 1 else p + 1
-    elif has_projective_order_3(p, g):
-        order, in_class = 3, has_projective_order_3
-        cent = (p - 1) // 2 if p % 3 == 1 else (p + 1) // 2
-    elif is_unipotent(p, g):
-        order, in_class, cent = p, is_unipotent, p
-    else:
-        raise GroupError("only projective orders 2, 3 and p are supported")
-    in_h = 0
-    for h in H.elements:
-        if not in_psl2(p, h):
-            raise GroupError("H is not contained in PSL2")
-        if in_class(p, h):
-            in_h += 1
-    if order == p:
-        in_h //= 2
-    fixed, rem = divmod(cent * in_h, H.order)
-    assert rem == 0
-    total = n + (order - 1) * fixed
-    assert total % order == 0
-    return total // order
+        raise GroupError("|H'| does not divide |PSL2|")
+    in_class[p] //= 2
+    centralizer = {2: p - 1 if p % 4 == 1 else p + 1,
+                   3: (p - 1) // 2 if p % 3 == 1 else (p + 1) // 2,
+                   p: p}
+    counts = {1: n}
+    for e, size in in_class.items():
+        fixed, rem = divmod(centralizer[e] * size, order)
+        if rem:
+            raise InconsistencyError(
+                "coset cycle counts: an order-%d element fixes %d/%d cosets, "
+                "not a whole number (p = %d)" % (e, centralizer[e] * size, order, p))
+        total = n + (e - 1) * fixed
+        if total % e:
+            raise InconsistencyError(
+                "coset cycle counts: an order-%d element has %d/%d cycles, "
+                "not a whole number (p = %d)" % (e, total, e, p))
+        counts[e] = total // e
+    return counts
 
 
 # ---------------------------------------------------------------------------
 # Cartan subgroups and their normalizers, as PGL_2 images
 # ---------------------------------------------------------------------------
+
+
+def _checked_order(table: SubgroupTable, order: int, family: str) -> SubgroupTable:
+    if table.order != order:
+        raise InconsistencyError(
+            "group order: the image has %d elements, not %d (family %s, p = %d)"
+            % (table.order, order, family, table.p))
+    return table
 
 
 def first_nonsquare(p: int) -> int:
@@ -300,9 +309,8 @@ def cartan_nonsplit(p: int, normalizer: bool = False) -> SubgroupTable:
     w = transform(p, 1, 0, 0, -1)
     if normalizer:
         elems = elems + [mul(p, g, w) for g in elems]
-    table = SubgroupTable(p, elems)
-    assert table.order == (2 * (p + 1) if normalizer else p + 1)
-    return table
+    return _checked_order(SubgroupTable(p, elems), 2 * (p + 1) if normalizer else p + 1,
+                          "ns+" if normalizer else "ns")
 
 
 def cartan_split(p: int, normalizer: bool = False) -> SubgroupTable:
@@ -311,14 +319,11 @@ def cartan_split(p: int, normalizer: bool = False) -> SubgroupTable:
     w = transform(p, 0, 1, 1, 0)
     if normalizer:
         elems = elems + [mul(p, g, w) for g in elems]
-    table = SubgroupTable(p, elems)
-    assert table.order == (2 * (p - 1) if normalizer else p - 1)
-    return table
+    return _checked_order(SubgroupTable(p, elems), 2 * (p - 1) if normalizer else p - 1,
+                          "s+" if normalizer else "s")
 
 
 def borel(p: int) -> SubgroupTable:
     """Image in PGL_2(F_p) of the upper-triangular Borel subgroup."""
     elems = [transform(p, a, b, 0, 1) for a in range(1, p) for b in range(p)]
-    table = SubgroupTable(p, elems)
-    assert table.order == p * (p - 1)
-    return table
+    return _checked_order(SubgroupTable(p, elems), p * (p - 1), "x0")

@@ -1,0 +1,21 @@
+"""A paper cross-check must survive python -O, so it raises
+InconsistencyError instead of asserting.  The asserts left under src/
+guard internal invariants only, and their number may only fall."""
+
+import ast
+import pathlib
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fibercurve"
+
+# atlas._identity_parts, drinfeld.cyclic_cover_genus, ffield.sqrt_in_field
+MAX_ASSERTS = 3
+
+
+def test_assert_count_does_not_grow():
+    found = [
+        "%s:%d" % (path.name, node.lineno)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(found) <= MAX_ASSERTS, found

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from fibercurve import atlas
-from fibercurve.ffield import is_prime
+from fibercurve.ffield import InconsistencyError, is_prime
 from fibercurve.projline import SubgroupTable
 from fibercurve.exceptional import CongruenceError, check_congruence
 from fibercurve.atlas import (
@@ -261,8 +261,18 @@ def test_total_genus_rejects_a_wrong_oracle(monkeypatch):
     real = atlas.genus_oracle
     monkeypatch.setattr(atlas, "genus_oracle", lambda H, p: real(H, p) + 1)
     for family in CARTAN_FAMILIES + ("x0",):
-        with pytest.raises(AssertionError):
+        with pytest.raises(InconsistencyError, match="total genus: .* p = 13"):
             total_genus(family, 13)
+
+
+def test_total_genus_counts_cycles_once(monkeypatch):
+    calls = []
+    real = atlas.coset_cycle_counts
+    monkeypatch.setattr(atlas, "coset_cycle_counts", lambda H: calls.append(H) or real(H))
+    for family in CARTAN_FAMILIES + ("x0", "a4", "s4", "a5"):
+        calls.clear()
+        total_genus(family, 71)
+        assert len(calls) == 1, family
 
 
 def test_genus_oracle_requires_matching_prime():

@@ -392,6 +392,26 @@ def test_failed_toric_rank_check_exits_3_under_python_O():
     assert "family s, p = 11" in lines[0] and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("module,name,argv,result,check", [
+    ("atlas", "genus_closed_form", ["fiber", "--family", "ns", "--prime", "13",
+                                    "--format", "json"],
+     "real(*args) + 1", "total genus:"),
+    # every orbit maps to infinity, so no finite branch value is left
+    ("drinfeld", "evaluate_projective", ["drinfeld", "--group", "a4", "--prime", "13"],
+     "args[0]", "branch values:"),
+    # a group table one element short of the group its generators make
+    ("exceptional", "build_exceptional", ["orbits", "--group", "a4", "--prime", "13"],
+     "(lambda H: module.SubgroupTable(H.p, H.elements[1:], H.gens))(real(*args))",
+     "orbit-stabilizer:"),
+], ids=["total-genus", "branch-values", "orbit-stabilizer"])
+def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
+    proc = run_patched_under_python_O(module, name, argv, result)
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: " + check)
+    assert "p = 13" in lines[0] and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("name,result,check", [
     # the particular solution of s^p - s = c moved off the solution set:
     # shifting its top coordinate changes s^p - s

@@ -307,6 +307,21 @@ def test_cartan_component_group_rejects_an_uncovered_e_list(es):
                    for i, e in enumerate(es, start=1)]
     edges = [(h.name, v.name, h.e * v.width, "ss") for h in horizontals for v in verticals]
     bad = dataclasses.replace(fiber, vertices=verticals + horizontals, edges=edges)
-    assert component_group(fiber_metrized_graph(bad)).order() > 1
+    general = component_group(fiber_metrized_graph(bad))
+    assert general.order() > 1
     with pytest.raises(GraphError, match="no closed-form Smith normal form"):
         cartan_component_group(bad)
+    # the Kronecker answer without the guard, SNF(A) taken as
+    # (1, ..., 1, banana(e)), has the right order whatever the e list, so
+    # the order check cannot catch a wrong SNF(A)
+    ws = [v.width for v in verticals]
+    b_matrix = [[ws[0] + (i == k) * w for k in range(len(ws) - 1)]
+                for i, w in enumerate(ws[1:])]
+    sizes = [x * y for x in [1] * (len(es) - 2) + [banana_order(es)]
+             for y in smith_normal_form_diagonal(b_matrix)]
+    diag = [[x * (i == k) for k in range(len(sizes))] for i, x in enumerate(sizes)]
+    unguarded = AbelianInvariants(tuple(d for d in smith_normal_form_diagonal(diag) if d > 1))
+    assert unguarded.order() == general.order()
+    if es == [2, 2, 2]:
+        assert general.factors == (4, 4, 12, 12, 1680, 5040)
+        assert unguarded.factors == (2, 2, 24, 24, 840, 10080)

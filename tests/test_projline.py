@@ -14,10 +14,7 @@ from fibercurve.projline import (
     coset_cycle_counts,
     first_nonsquare,
     generate_subgroup,
-    has_projective_order_2,
-    has_projective_order_3,
     in_psl2,
-    is_unipotent,
     mul,
     orbits,
     point_str,
@@ -178,6 +175,16 @@ def psl2_table(p):
     return table
 
 
+def psl2_part(H):
+    """H meet PSL_2, as a table of its own."""
+    return SubgroupTable(H.p, [g for g in H.elements if in_psl2(H.p, g)])
+
+
+def cycle_count(H, g):
+    """coset_cycle_counts(H) at the projective order of g."""
+    return coset_cycle_counts(H)[projective_order(H.p, g)]
+
+
 def explicit_cycle_count(G, H, g):
     """Reference: cycles of g on the right cosets H\\G, from an explicit
     transversal of G."""
@@ -207,38 +214,36 @@ def explicit_cycle_count(G, H, g):
 def test_coset_cycle_counts_identity_gives_index():
     p = 13
     G = psl2_table(p)
-    H = cartan_nonsplit(p, normalizer=True).intersect_psl2()
+    H = psl2_part(cartan_nonsplit(p, normalizer=True))
     assert explicit_cycle_count(G, H, IDENTITY) == G.order // H.order
-    # the identity has projective order 1, outside the conjugacy-data count
-    with pytest.raises(GroupError):
-        coset_cycle_counts(H, IDENTITY)
+    assert coset_cycle_counts(H)[1] == explicit_cycle_count(G, H, IDENTITY)
 
 
 def test_coset_cycle_counts_requires_containment():
     p = 13
-    order2 = transform(p, 0, -1, 1, 0)
-    H = cartan_split(p, normalizer=False)
-    assert not all(in_psl2(p, h) for h in H.elements)
-    with pytest.raises(GroupError, match="not contained"):
-        coset_cycle_counts(H, order2)
-    Hp = H.intersect_psl2()
-    with pytest.raises(GroupError, match="not an element"):
-        coset_cycle_counts(Hp, transform(p, 2, 0, 0, 1))
+    Hp = psl2_part(cartan_split(p, normalizer=False))
     # five elements of PSL_2(F_13): 5 does not divide 1092
     five = SubgroupTable(p, Hp.elements[:5])
     with pytest.raises(GroupError, match="does not divide"):
-        coset_cycle_counts(five, order2)
+        coset_cycle_counts(five)
     with pytest.raises(GroupError, match="prime > 3"):
-        coset_cycle_counts(SubgroupTable(9, [IDENTITY]), transform(9, 1, 1, 0, 1))
+        coset_cycle_counts(SubgroupTable(9, [IDENTITY]))
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 60) if is_prime(p)])
+def test_coset_cycle_counts_read_only_the_psl2_part(p):
+    for H in (cartan_nonsplit(p), cartan_nonsplit(p, normalizer=True),
+              cartan_split(p), cartan_split(p, normalizer=True), borel(p)):
+        assert coset_cycle_counts(H) == coset_cycle_counts(psl2_part(H)), (p, H.order)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_lazy_psl2_counts_match_explicit_transversal(p):
     table = psl2_table(p)
     subgroups = [
-        cartan_nonsplit(p, normalizer=True).intersect_psl2(),
-        cartan_split(p, normalizer=True).intersect_psl2(),
-        borel(p).intersect_psl2(),
+        psl2_part(cartan_nonsplit(p, normalizer=True)),
+        psl2_part(cartan_split(p, normalizer=True)),
+        psl2_part(borel(p)),
     ]
     elements = [
         transform(p, 0, -1, 1, 0),
@@ -250,7 +255,7 @@ def test_lazy_psl2_counts_match_explicit_transversal(p):
     ]
     for H in subgroups:
         for g in elements:
-            assert explicit_cycle_count(table, H, g) == coset_cycle_counts(H, g)
+            assert explicit_cycle_count(table, H, g) == cycle_count(H, g)
 
 
 def test_lazy_counts_match_explicit_on_diverse_subgroups():
@@ -274,7 +279,7 @@ def test_lazy_counts_match_explicit_on_diverse_subgroups():
             assert all(in_psl2(p, h) for h in H.elements)
             for g in elements:
                 assert explicit_cycle_count(table, H, g) == \
-                    coset_cycle_counts(H, g), (p, H.order, g)
+                    cycle_count(H, g), (p, H.order, g)
 
 
 def test_cycle_count_independent_of_representative():
@@ -302,7 +307,7 @@ def test_cycle_count_independent_of_representative():
             (transform(p, 1, 1, 0, 1), transform(p, 1, first_nonsquare(p), 0, 1)),
         ]
         for H in subgroups:
-            Hp = H.intersect_psl2()
+            Hp = psl2_part(H)
             for g1, g2 in pairs:
                 assert projective_order(p, g1) == projective_order(p, g2)
                 assert explicit_cycle_count(table, Hp, g1) == \
@@ -312,10 +317,10 @@ def test_cycle_count_independent_of_representative():
 def test_cycle_counts_feeding_the_genus_values():
     # order-2 element on the nonsplit-normalizer cosets at p = 13, and the
     # cusp count (order-p cycles) at p = 17
-    H13 = cartan_nonsplit(13, normalizer=True).intersect_psl2()
-    assert coset_cycle_counts(H13, transform(13, 0, -1, 1, 0)) == 42
-    H17 = cartan_nonsplit(17, normalizer=True).intersect_psl2()
-    assert coset_cycle_counts(H17, transform(17, 1, 1, 0, 1)) == 8
+    H13 = psl2_part(cartan_nonsplit(13, normalizer=True))
+    assert cycle_count(H13, transform(13, 0, -1, 1, 0)) == 42
+    H17 = psl2_part(cartan_nonsplit(17, normalizer=True))
+    assert cycle_count(H17, transform(17, 1, 1, 0, 1)) == 8
 
 
 def brute_cartan_nonsplit(p, normalizer):
@@ -351,8 +356,5 @@ def test_cartan_subgroup_orders():
 
 def test_projective_order_flags():
     p = 13
-    assert has_projective_order_2(p, transform(p, 0, -1, 1, 0))
-    assert has_projective_order_3(p, transform(p, 0, -1, 1, -1))
-    assert is_unipotent(p, transform(p, 1, 1, 0, 1))
     assert projective_order(p, transform(p, 1, 1, 0, 1)) == p
     assert projective_order(p, transform(p, 0, -1, 1, -1)) == 3
