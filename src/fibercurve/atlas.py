@@ -265,7 +265,7 @@ class FiberGraph:
     p: int
     supersingular: SupersingularData
     vertices: list
-    edges: list  # (from_name, to_name, width, ss_label)
+    edges: list  # (from_name, to_name, width)
     incidence_complete: bool = True
     notes: list = field(default_factory=list)
 
@@ -290,7 +290,7 @@ class FiberGraph:
                 i = parent[i]
             return i
 
-        for a, b, _, _ in self.edges:
+        for a, b, _ in self.edges:
             ra, rb = find(index[a]), find(index[b])
             if ra != rb:
                 parent[ra] = rb
@@ -298,7 +298,7 @@ class FiberGraph:
         return len(self.edges) - len(names) + components
 
     def widths(self):
-        return sorted(w for _, _, w, _ in self.edges)
+        return sorted(w for _, _, w in self.edges)
 
     def to_json_dict(self):
         vertical = [
@@ -325,7 +325,7 @@ class FiberGraph:
             "vertical": vertical,
             "horizontal": horizontal,
             "edges": [
-                {"from": a, "to": b, "width": w} for a, b, w, _ in self.edges
+                {"from": a, "to": b, "width": w} for a, b, w in self.edges
             ],
             "toric_rank": self.toric_rank(),
             "total_genus": total_genus(self.family, self.p),
@@ -339,7 +339,7 @@ class FiberGraph:
             if v.count != 1:
                 label += " x%d" % v.count
             lines.append('  "%s" [label="%s"];' % (v.name, label))
-        for a, b, w, _ in self.edges:
+        for a, b, w in self.edges:
             lines.append('  "%s" -- "%s" [label="%d"];' % (a, b, w))
         lines.append("}")
         return "\n".join(lines)
@@ -366,20 +366,6 @@ def special_fiber(family: str, p: int) -> FiberGraph:
     raise ValueError("unknown family %r" % family)
 
 
-def _horizontal_descriptor(family: str, p: int, idx: int, e: int) -> ComponentDescriptor:
-    curve = cartan_drinfeld(family, p, e)
-    genus = curve.genus()
-    return ComponentDescriptor(
-        name="D%d" % idx,
-        role="horizontal-drinfeld",
-        label="P^1" if curve.is_line() else "Drinfeld",
-        curve=curve,
-        genus=genus,
-        genus_provenance="known" if curve.is_line() else "equation",
-        e=e,
-    )
-
-
 def _cartan_fiber(family: str, p: int) -> FiberGraph:
     if not is_prime(p) or p <= 3:
         raise ValueError("p must be a prime > 3")
@@ -397,11 +383,20 @@ def _cartan_fiber(family: str, p: int) -> FiberGraph:
     vertices += [ComponentDescriptor(name, "vertical-igusa", label,
                                      width=QUOTIENT_WIDTH[label]) for name in igusa]
     igusa_first = vertices[len(rational):] + vertices[:len(rational)]
+    # a horizontal's curve depends on its automorphism order e alone, so
+    # each e's curve and genus are built once and shared
+    shared = {}
     edges = []
     for idx, e in enumerate(ss.e_values(), start=1):
-        horiz = _horizontal_descriptor(family, p, idx, e)
-        vertices.append(horiz)
-        edges += [(horiz.name, v.name, e * v.width, "ss%d" % idx) for v in igusa_first]
+        if e not in shared:
+            curve = cartan_drinfeld(family, p, e)
+            line = curve.is_line()
+            shared[e] = dict(label="P^1" if line else "Drinfeld", curve=curve,
+                             genus=curve.genus(),
+                             genus_provenance="known" if line else "equation", e=e)
+        name = "D%d" % idx
+        vertices.append(ComponentDescriptor(name, "horizontal-drinfeld", **shared[e]))
+        edges += [(name, v.name, e * v.width) for v in igusa_first]
     notes = []
     if family == "ns+" and p % 4 == 3:
         notes.append(

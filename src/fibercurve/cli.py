@@ -33,12 +33,10 @@ from .projline import point_str
 SCHEMA_VERSION = 1
 FAMILIES = ("ns", "ns+", "s", "s+") + EXCEPTIONAL_KINDS
 
-CONSISTENCY_MAX_P = 200
 SS_ORACLE_MAX_P = 100
 SS_BRUTE_MAX_P = 40
 MAXIMALITY_PRIMES = (5, 7, 11, 13)
 EQUATION_PRIMES = {13: "a4", 73: "s4", 103: "a4", 421: "a5"}
-QUOTIENT_MAP_MAX_P = 31
 QUOTIENT_MAP_SAMPLES = 8
 
 
@@ -303,11 +301,10 @@ def checks_for_prime(p: int) -> list:
         ok = graph.toric_rank() == atlas.toric_rank_closed_form(family, p)
         record("toric-rank-%s" % family, ok)
 
-    if p < CONSISTENCY_MAX_P:
-        parts = {}  # each family's fiber and genus, built once at this prime
-        for family in ("ns", "ns+", "s", "s+"):
-            report = atlas.consistency_report(family, p, parts)
-            record("consistency-%s" % family, report.ok)
+    parts = {}  # each family's fiber and genus, built once at this prime
+    for family in ("ns", "ns+", "s", "s+"):
+        report = atlas.consistency_report(family, p, parts)
+        record("consistency-%s" % family, report.ok)
 
     if p < SS_ORACLE_MAX_P:
         closed = atlas.supersingular_data(p)
@@ -338,7 +335,7 @@ def checks_for_prime(p: int) -> list:
         }[p]
         record("worked-equation-%s" % kind, curve.text() == expect, curve.text())
 
-    if p <= QUOTIENT_MAP_MAX_P:
+    if p <= drinfeld.SAMPLE_MAX_P:
         checks = drinfeld.verify_quotient_maps(p, QUOTIENT_MAP_SAMPLES)
         for family, chk in checks.items():
             record("quotient-maps-%s" % family, chk.passed)

@@ -15,7 +15,9 @@ generic component to its quotient models.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 
 from .ffield import (
@@ -46,7 +48,10 @@ class SuperellipticCurve:
     [0, p) and exponents 1 <= m < n.  Closed Cartan forms keep a marked
     shape instead ("v_power": U^2 = V^m + A, "x_times_power":
     Y^2 = X(X^m + A), "line": a projective line); the constant A is 1 in
-    emitted equations, which only aims at geometric models.
+    emitted equations, which only aims at geometric models.  Either way
+    the branch data is the multiplicity map {m: count} of
+    `branch_exponents`, whose size is the number of distinct exponents,
+    not the degree of f.
     """
 
     def __init__(self, p, n, factors=None, form=None, m=None):
@@ -90,14 +95,15 @@ class SuperellipticCurve:
         return self.form == "line"
 
     def branch_exponents(self):
-        """Multiplicities of the distinct finite branch roots of f."""
+        """{m: count}: how many distinct finite branch roots of f have
+        exponent m."""
         if self.factors is not None:
-            return [m for _, m in self.factors]
+            return Counter(m for _, m in self.factors)
         if self.form == "v_power":
-            return [1] * self.m  # V^m + A is squarefree (gcd(m, p) = 1)
+            return {1: self.m}  # V^m + A is squarefree (gcd(m, p) = 1)
         if self.form == "x_times_power":
-            return [1] * (self.m + 1)
-        return []
+            return {1: self.m + 1}
+        return {}
 
     def form_label(self):
         if self.form == "v_power":
@@ -143,27 +149,26 @@ def cyclic_cover_genus(curve: SuperellipticCurve) -> int:
 
     2g - 2 = -2n + sum over finite branch roots of (n - gcd(n, m_i))
     plus (n - gcd(n, sum m_i)) for the point at infinity; the last term
-    vanishes on its own when n divides the total degree.
+    vanishes on its own when n divides the total degree.  Both sums run
+    over the multiplicity map {m: count} of `branch_exponents`, one term
+    per distinct exponent, so a marked form U^2 = V^m + 1 costs O(1)
+    whatever m is.
     """
-    from math import gcd
-
     if curve.is_line():
         return 0
     n = curve.n
-    exps = curve.branch_exponents()
-    if not exps:
+    counts = curve.branch_exponents()
+    if not counts:
         raise ValueError("constant right-hand side does not define a cover")
-    d = gcd(n, 0)
-    for m in exps:
-        d = gcd(d, m)
-    if gcd(n, d) != 1:
+    if gcd(n, *counts) != 1:
         raise ValueError("cover u^%d = f is reducible" % n)
-    total = sum(exps)
-    rhs = -2 * n
-    for m in exps:
-        rhs += n - gcd(n, m)
+    total = sum(m * c for m, c in counts.items())
+    rhs = -2 * n + sum(c * (n - gcd(n, m)) for m, c in counts.items())
     rhs += n - gcd(n, total)
-    assert rhs % 2 == 0 and rhs >= -2
+    if rhs % 2 or rhs < -2:
+        raise InconsistencyError(
+            "cyclic cover genus: 2g - 2 = %d is odd or below -2 for "
+            "u^%d = f (p = %d)" % (rhs, n, curve.p))
     return (rhs + 2) // 2
 
 

@@ -281,7 +281,7 @@ def cartan_component_group(fiber) -> AbelianInvariants:
     horizontals, verticals = fiber.horizontals(), fiber.verticals()
     if not horizontals or not fiber.incidence_complete:
         raise GraphError("not a Cartan dual graph: family %r" % fiber.family)
-    edges = [(a, b, w) for a, b, w, _ in fiber.edges]
+    edges = fiber.edges
     if len(set(edges)) != len(edges) or set(edges) != {
             (h.name, v.name, h.e * v.width) for h in horizontals for v in verticals}:
         raise GraphError("not a Cartan dual graph: the edges are not one per "
@@ -320,10 +320,7 @@ def fiber_metrized_graph(fiber) -> MetrizedGraph:
             "no metrized graph: incidence for family %r is not fully "
             "specified" % fiber.family
         )
-    return MetrizedGraph.build(
-        [v.name for v in fiber.vertices],
-        [(a, b, w) for a, b, w, _ in fiber.edges],
-    )
+    return MetrizedGraph.build([v.name for v in fiber.vertices], fiber.edges)
 
 
 @dataclass

@@ -82,11 +82,6 @@ def _trace_det(p: int, g):
     return (a + d) % p, (a * d - b * c) % p
 
 
-def in_psl2(p: int, g) -> bool:
-    """Whether the class lies in PSL_2 (determinant a square mod scalars)."""
-    return pow(_trace_det(p, g)[1], (p - 1) // 2, p) == 1
-
-
 def projective_order(p: int, g) -> int:
     h = g
     n = 1
@@ -250,6 +245,8 @@ def coset_cycle_counts(H: SubgroupTable) -> dict:
             in_class[3] += 1
         elif tt == 4 * d % p and g != IDENTITY:
             in_class[p] += 1
+    if not order:
+        raise GroupError("H has no element in PSL_2")
     n, rem = divmod(p * (p * p - 1) // 2, order)
     if rem:
         raise GroupError("|H'| does not divide |PSL2|")

@@ -122,9 +122,29 @@ def test_nsplus_path_length_is_8e_when_p_is_1_mod_4():
     for p in (13, 17, 29, 37):
         g = special_fiber("ns+", p)
         for h in g.horizontals():
-            incident = [w for a, b, w, _ in g.edges if a == h.name or b == h.name]
+            incident = [w for a, b, w in g.edges if a == h.name or b == h.name]
             assert len(incident) == 2
             assert sum(incident) == 8 * h.e
+
+
+@pytest.mark.parametrize("p", [997, 1009, 1019])
+@pytest.mark.parametrize("family", CARTAN_FAMILIES)
+def test_cartan_fiber_builds_one_curve_per_automorphism_order(monkeypatch, family, p):
+    calls = []
+    real = atlas.cartan_drinfeld
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(atlas, "cartan_drinfeld", counting)
+    g = special_fiber(family, p)
+    es = g.supersingular.e_values()
+    assert len(g.horizontals()) == len(es) > 80
+    assert len(calls) <= len(set(es))
+    for h in g.horizontals():
+        curve = real(family, p, h.e)
+        assert (h.curve, h.genus) == (curve, curve.genus())
 
 
 def test_toric_rank_closed_forms_sweep():

@@ -221,6 +221,12 @@ def test_battery_builds_each_family_once_per_prime(monkeypatch):
     assert [r[2] for r in results if r[0].startswith("consistency-")] == [True] * 4
 
 
+def test_battery_runs_the_consistency_identities_above_200():
+    rows = [(r[0], r[2]) for r in cli.checks_for_prime(211)
+            if r[0].startswith("consistency-")]
+    assert rows == [("consistency-%s" % f, True) for f in ("ns", "ns+", "s", "s+")]
+
+
 def test_verify_jobs_leave_the_output_unchanged(capsys, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so the pool really runs
     argv = ("verify", "--suite", "paper", "--primes", "5..32")
@@ -403,7 +409,12 @@ def test_failed_toric_rank_check_exits_3_under_python_O():
     ("exceptional", "build_exceptional", ["orbits", "--group", "a4", "--prime", "13"],
      "(lambda H: module.SubgroupTable(H.p, H.elements[1:], H.gens))(real(*args))",
      "orbit-stabilizer:"),
-], ids=["total-genus", "branch-values", "orbit-stabilizer"])
+    # one branch root of exponent 2 makes 2g - 2 = -4 for u^2 = f; the
+    # count-0 exponent 1 gets it past the reducibility check
+    ("drinfeld", "cartan_drinfeld", ["drinfeld", "--family", "ns", "--prime", "13"],
+     "(lambda c: setattr(c, 'branch_exponents', lambda: {1: 0, 2: 1}) or c)"
+     "(real(*args))", "cyclic cover genus:"),
+], ids=["total-genus", "branch-values", "orbit-stabilizer", "cover-genus"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""

@@ -255,6 +255,65 @@ def test_genus_random_against_reference():
         assert curve.genus() == rh_genus_reference(n, exps)
 
 
+def expanded_exponents(curve):
+    """The exponent of every finite branch root, one entry per root, read
+    off the curve's definition rather than its multiplicity map."""
+    if curve.is_line():
+        return []
+    if curve.factors is not None:
+        return [m for _, m in curve.factors]
+    return [1] * (curve.m + (curve.form == "x_times_power"))
+
+
+def assert_genus_matches_reference(curve):
+    exps = expanded_exponents(curve)
+    counts = curve.branch_exponents()
+    assert sum(counts.values()) == len(exps)
+    assert sorted(counts) == sorted(set(exps))
+    assert curve.genus() == rh_genus_reference(curve.n, exps)
+
+
+@pytest.mark.parametrize("family", drinfeld.CARTAN_FAMILIES)
+def test_cartan_genus_matches_reference_below_1000(family):
+    for p in range(5, 1000):
+        if not is_prime(p):
+            continue
+        for e in (1, 2, 3):
+            try:
+                curve = cartan_drinfeld(family, p, e)
+            except CongruenceError:
+                continue
+            assert_genus_matches_reference(curve)
+
+
+@pytest.mark.parametrize("kind", ["a4", "s4", "a5"])
+def test_exceptional_genus_matches_reference_below_500(kind):
+    for p in range(5, 500):
+        if not is_prime(p):
+            continue
+        try:
+            check_congruence(kind, p)
+        except CongruenceError:
+            continue
+        table = orbit_table(kind, p)
+        if table.total >= 2:
+            assert_genus_matches_reference(exceptional_drinfeld(kind, p, table=table))
+
+
+def test_marked_form_genus_up_to_a_million():
+    ms = list(range(1, 400)) + [4097, 65536, 65537, 999999, 10 ** 6]
+    for m in ms:
+        even = SuperellipticCurve.even_power_form(1000003, m)
+        odd = SuperellipticCurve.odd_power_form(1000003, m)
+        assert even.branch_exponents() == {1: m}
+        assert odd.branch_exponents() == {1: m + 1}
+        assert even.genus() == (m - 1) // 2
+        assert odd.genus() == m // 2
+    for m in (1, 2, 3, 400, 999999, 10 ** 6):
+        assert_genus_matches_reference(SuperellipticCurve.even_power_form(1000003, m))
+        assert_genus_matches_reference(SuperellipticCurve.odd_power_form(1000003, m))
+
+
 def test_serialization_forms():
     curve = SuperellipticCurve.from_factors(13, 7, [(1, 5), (0, 5)])
     assert curve.text() == "u^7 = t^5 (t-1)^5"

@@ -263,15 +263,15 @@ def test_cartan_component_group_matches_relation_matrix(family, p):
     # K_{s,m} with widths e_x w_j: the weighted matrix-tree count in
     # closed form, from widths read off the graph without the new path
     es = [h.e for h in fiber.horizontals()]
-    ws = [w // es[0] for a, _, w, _ in fiber.edges if a == fiber.horizontals()[0].name]
+    ws = [w // es[0] for a, _, w in fiber.edges if a == fiber.horizontals()[0].name]
     assert spanning_tree_count(graph) == (banana_order(es) ** (len(ws) - 1)
                                           * banana_order(ws) ** (len(es) - 1))
 
 
 def test_cartan_component_group_rejects_a_width_that_is_not_a_product():
     fiber = special_fiber("s", 29)
-    a, b, w, label = fiber.edges[-1]
-    bad = dataclasses.replace(fiber, edges=fiber.edges[:-1] + [(a, b, w + 1, label)])
+    a, b, w = fiber.edges[-1]
+    bad = dataclasses.replace(fiber, edges=fiber.edges[:-1] + [(a, b, w + 1)])
     assert cartan_component_group(fiber).order() > 1
     with pytest.raises(GraphError):
         cartan_component_group(bad)
@@ -305,7 +305,7 @@ def test_cartan_component_group_rejects_an_uncovered_e_list(es):
     verticals = fiber.verticals()
     horizontals = [dataclasses.replace(fiber.horizontals()[0], name="D%d" % i, e=e)
                    for i, e in enumerate(es, start=1)]
-    edges = [(h.name, v.name, h.e * v.width, "ss") for h in horizontals for v in verticals]
+    edges = [(h.name, v.name, h.e * v.width) for h in horizontals for v in verticals]
     bad = dataclasses.replace(fiber, vertices=verticals + horizontals, edges=edges)
     general = component_group(fiber_metrized_graph(bad))
     assert general.order() > 1

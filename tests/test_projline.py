@@ -14,13 +14,18 @@ from fibercurve.projline import (
     coset_cycle_counts,
     first_nonsquare,
     generate_subgroup,
-    in_psl2,
     mul,
     orbits,
     point_str,
     projective_order,
     transform,
 )
+
+
+def in_psl2(p, g):
+    """Whether the class lies in PSL_2 (determinant a square mod scalars)."""
+    a, b, c, d = g
+    return pow((a * d - b * c) % p, (p - 1) // 2, p) == 1
 
 
 def rand_transform(p, rng):
@@ -226,6 +231,9 @@ def test_coset_cycle_counts_requires_containment():
     five = SubgroupTable(p, Hp.elements[:5])
     with pytest.raises(GroupError, match="does not divide"):
         coset_cycle_counts(five)
+    # 2 is not a square mod 13, so H' is empty
+    with pytest.raises(GroupError, match="no element in PSL_2"):
+        coset_cycle_counts(SubgroupTable(p, [transform(p, 2, 0, 0, 1)]))
     with pytest.raises(GroupError, match="prime > 3"):
         coset_cycle_counts(SubgroupTable(9, [IDENTITY]))
 
