@@ -83,6 +83,13 @@ class SupersingularData:
     j0_supersingular: bool
     j1728_supersingular: bool
 
+    @classmethod
+    def of_j_invariants(cls, p, js):
+        """The data of the set js of supersingular j, as pairs (j0, j1)
+        of coordinates in F_{p^2}."""
+        return cls(p=p, s=len(js), j0_supersingular=(0, 0) in js,
+                   j1728_supersingular=(1728 % p, 0) in js)
+
     def e_values(self):
         """Automorphism order e per supersingular point: generic first."""
         out = [1] * (self.s - self.j0_supersingular - self.j1728_supersingular)
@@ -135,14 +142,24 @@ class _Fp2:
         ninv = pow(nrm, p - 2, p)
         return (a[0] * ninv % p, -a[1] * ninv % p)
 
+    def conj(self, a):
+        # a^p = x - y w, since w^p = d^((p-1)/2) w = -w
+        return (a[0], -a[1] % self.p)
+
     def elements(self):
         for x in range(self.p):
             for y in range(self.p):
                 yield (x, y)
 
+    def conj_representatives(self):
+        """One element of each pair {a, a^p}: the one with y <= (p-1)/2."""
+        for x in range(self.p):
+            for y in range((self.p + 1) // 2):
+                yield (x, y)
+
 
 def brute_supersingular_data(p: int) -> SupersingularData:
-    """Point-count oracle: try every j in F_{p^2}, count a curve with
+    """Point-count oracle: for every j in F_{p^2}, count a curve with
     that j over F_{p^2}, and test whether the trace vanishes mod p.
 
     #E(F_{p^2}) for y^2 = x^3 + a x + b is 1 + the sum over x of the
@@ -154,9 +171,21 @@ def brute_supersingular_data(p: int) -> SupersingularData:
     For every row x1 the indices of x^3 over x0 are built once; for
     every j the indices of a x0 over x0 form one list, and a x1 w + b
     is one offset per row.  A row's contribution is then one C-level
-    sum over x0.  All of it is built with _Fp2's arithmetic, and every
-    j is counted over every x.
+    sum over x0.  All of it is built with _Fp2's arithmetic.
+
+    Only one j of each Frobenius pair j = (j0, j1), j^p = (j0, -j1) is
+    counted, the one with j1 <= (p-1)/2, over every x.  Frobenius is a
+    ring automorphism of F_{p^2} that fixes F_p, and _curve_with_j has
+    coefficients in F_p, so the curve for j^p is the conjugate of the
+    curve for j; conjugation maps the F_{p^2}-points of one bijectively
+    onto the other's, so both have the same count, and j and j^p are
+    supersingular together.
     """
+    return SupersingularData.of_j_invariants(p, _brute_supersingular_js(p))
+
+
+def _brute_supersingular_js(p: int) -> set:
+    """The supersingular j that brute_supersingular_data counts."""
     K = _Fp2(p)
     q, m = p * p, 3 * p
     roots = [0] * q
@@ -169,7 +198,7 @@ def brute_supersingular_data(p: int) -> SupersingularData:
         cubes = (K.mul(K.mul((x0, x1), (x0, x1)), (x0, x1)) for x0 in range(p))
         cube_rows.append([c0 * m + c1 for c0, c1 in cubes])
     ss = set()
-    for j in K.elements():
+    for j in K.conj_representatives():
         (a0, a1), (b0, b1) = _curve_with_j(K, j)
         da1 = K.d * a1
         ax0 = [a0 * x0 % p * m + a1 * x0 % p for x0 in range(p)]
@@ -178,13 +207,8 @@ def brute_supersingular_data(p: int) -> SupersingularData:
             offset = (da1 * x1 + b0) % p * m + (a0 * x1 + b1) % p
             n += sum(map(table.__getitem__, map(add, map(add, cube_row, ax0), repeat(offset))))
         if (q + 1 - n) % p == 0:
-            ss.add(j)
-    return SupersingularData(
-        p=p,
-        s=len(ss),
-        j0_supersingular=(0, 0) in ss,
-        j1728_supersingular=(1728 % p, 0) in ss,
-    )
+            ss.update((j, K.conj(j)))
+    return ss
 
 
 def _curve_with_j(K, j):
@@ -202,7 +226,18 @@ def _curve_with_j(K, j):
 def hasse_supersingular_data(p: int) -> SupersingularData:
     """Second oracle: roots over F_{p^2} of the degree-(p-1)/2 polynomial
     sum C(m, i)^2 L^i (m = (p-1)/2), whose roots are exactly the
-    supersingular Legendre parameters; each root is mapped to its j."""
+    supersingular Legendre parameters; each root is mapped to its j.
+
+    Only one L of each Frobenius pair (l0, l1), (l0, -l1) is evaluated,
+    the one with l1 <= (p-1)/2: the polynomial has coefficients in F_p,
+    so H(L^p) = H(L)^p, and L is a root exactly when L^p is.  Each root
+    adds the j of L and of L^p.
+    """
+    return SupersingularData.of_j_invariants(p, _hasse_supersingular_js(p))
+
+
+def _hasse_supersingular_js(p: int) -> set:
+    """The supersingular j that hasse_supersingular_data counts."""
     K = _Fp2(p)
     m = (p - 1) // 2
     coeffs = [1] * (m + 1)
@@ -212,7 +247,7 @@ def hasse_supersingular_data(p: int) -> SupersingularData:
         coeffs[i] = c * c % p
     coeffs.reverse()
     ss = set()
-    for lam in K.elements():
+    for lam in K.conj_representatives():
         if lam in ((0, 0), (1, 0)):
             continue
         # Horner in coordinates: (u + v w) <- (u + v w)(l0 + l1 w) + c
@@ -222,13 +257,8 @@ def hasse_supersingular_data(p: int) -> SupersingularData:
         for c in coeffs:
             u, v = (u * l0 + v * dl1 + c) % p, (u * l1 + v * l0) % p
         if u == 0 and v == 0:
-            ss.add(_legendre_j(K, lam))
-    return SupersingularData(
-        p=p,
-        s=len(ss),
-        j0_supersingular=(0, 0) in ss,
-        j1728_supersingular=(1728 % p, 0) in ss,
-    )
+            ss.update((_legendre_j(K, lam), _legendre_j(K, K.conj(lam))))
+    return ss
 
 
 def _legendre_j(K, lam):
@@ -594,8 +624,11 @@ def _identity_parts(family: str, p: int):
             unknown_labels.append(v.label)
         else:
             known += v.genus
-    labels = set(unknown_labels)
-    assert len(labels) == 1, "one unknown quotient genus expected"
+    labels = sorted(set(unknown_labels))
+    if len(labels) != 1:
+        raise InconsistencyError(
+            "consistency identity: unknown quotient genera %s, one expected "
+            "(family %s, p = %d)" % (labels, family, p))
     return graph, total, toric, known, unknown_labels[0], len(unknown_labels)
 
 

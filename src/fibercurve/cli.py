@@ -296,14 +296,15 @@ def checks_for_prime(p: int) -> list:
         except VerificationError as exc:
             record("orbit-table-%s" % kind, False, str(exc))
 
-    for family in ("ns", "ns+", "s", "s+"):
-        graph = atlas.special_fiber(family, p)
-        ok = graph.toric_rank() == atlas.toric_rank_closed_form(family, p)
+    # each family's fiber and genus, built once at this prime and read
+    # by the toric-rank rows and the ns+ prediction too
+    families = ("ns", "ns+", "s", "s+")
+    parts = {}
+    reports = [atlas.consistency_report(family, p, parts) for family in families]
+    for family in families:
+        ok = parts[family][0].toric_rank() == atlas.toric_rank_closed_form(family, p)
         record("toric-rank-%s" % family, ok)
-
-    parts = {}  # each family's fiber and genus, built once at this prime
-    for family in ("ns", "ns+", "s", "s+"):
-        report = atlas.consistency_report(family, p, parts)
+    for family, report in zip(families, reports):
         record("consistency-%s" % family, report.ok)
 
     if p < SS_ORACLE_MAX_P:
@@ -340,7 +341,7 @@ def checks_for_prime(p: int) -> list:
         for family, chk in checks.items():
             record("quotient-maps-%s" % family, chk.passed)
 
-    chk = neron.component_group_prediction(p)
+    chk = neron.component_group_prediction(p, fiber=parts["ns+"][0])
     accepted = ("match", "vacuous-trivial") if p % 4 == 1 else ("trivial",)
     record("neron-prediction", chk.verdict in accepted, chk.verdict)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 from operator import mul
 
@@ -412,12 +413,24 @@ def _sample_source_points(p: int, count: int, rng):
     """Points (alpha, beta) with alpha^p beta - alpha beta^p = 1.
 
     For a fixed nonzero alpha the equation in beta reduces to the
-    additive equation s^p - s = c with s = beta/alpha, solvable by
-    F_p-linear algebra; the extension degree 2k is raised until fibers
-    with solutions appear.  The search starts at F_{p^6} (k = 3): over
-    F_{p^2} the curve has no points, since Frobenius negates
-    x^p y - x y^p, which therefore never equals 1; over F_{p^4} only
-    1/(p^2 + 1) of the alpha have a fiber with solutions.
+    additive equation s^p - s = c with s = beta/alpha and
+    c = -1/alpha^(p+1), solvable by F_p-linear algebra; the extension
+    degree 2k is raised until fibers with solutions appear.  The search
+    starts at F_{p^6} (k = 3): over F_{p^2} the curve has no points,
+    since Frobenius negates x^p y - x y^p, which therefore never equals
+    1; over F_{p^4} only 1/(p^2 + 1) of the alpha have a fiber with
+    solutions.
+
+    s -> s^p - s is F_p-linear with kernel F_p, and its image is the
+    kernel of the trace (additive Hilbert 90), so s^p - s = c is
+    solvable exactly when Tr(c) = 0: about one alpha in p.  c is
+    computed by Itoh-Tsujii, x^-1 = x^(r-1)/N(x) with x = alpha^(p+1),
+    r = (p^n - 1)/(p - 1) on F_{p^n} and x^(r-1) the product of the
+    n - 1 nontrivial Frobenius images of x, and N(x) = x^r in F_p.  So
+    Tr(c) = 0 exactly when Tr(x^(r-1)) = 0, which a precomputed trace
+    row tests before any inverse or solve; only the alpha that pass pay
+    for them.  A draw that passes the trace test and has no solution
+    raises InconsistencyError.
     """
     for k in range(3, SAMPLE_MAX_DEGREE + 1):
         F = field_create(p, 2 * k)
@@ -427,22 +440,41 @@ def _sample_source_points(p: int, count: int, rng):
     raise FieldError("no sample points found up to degree %d" % (2 * SAMPLE_MAX_DEGREE))
 
 
+def _conjugates(frob, x):
+    """x^p, x^(p^2), ..., x^(p^(n-1)), the nontrivial Frobenius images of
+    x in F_{p^n}; `frob` is the `_frobenius` map of that field."""
+    out = []
+    for _ in range(x.field.k - 1):
+        x = frob(x)
+        out.append(x)
+    return out
+
+
 def _sample_in_field(F, p, count, rng):
     frob = _frobenius(F, p)
     basis = _basis(F)
     frob_matrix = [
         [(frob(e) - e).coords[i] for e in basis] for i in range(F.k)
     ]
+    # Tr(e) = e + e^p + ... lies in F_p: the coordinates of the F_p-linear trace
+    trace_row = [sum(_conjugates(frob, e), e).coords[0] for e in basis]
     pts = []
     for _ in range(40 * count):
         alpha = F.random_element(rng)
         if alpha.is_zero():
             continue
         alpha_p = frob(alpha)
-        c = -(alpha_p * alpha).inverse()
-        sol = solve_affine_mod_p(frob_matrix, list(c.coords), p)
+        x = alpha_p * alpha
+        x_r1 = reduce(mul, _conjugates(frob, x))  # x^(r-1)
+        if sum(map(mul, trace_row, x_r1.coords)) % p:
+            continue  # Tr(c) != 0: s^p - s = c has no solution
+        # c = -x^-1 = -x^(r-1)/N(x), with N(x) = x x^(r-1) in F_p
+        scale = -inverse_mod((x * x_r1).coords[0], p)
+        sol = solve_affine_mod_p(frob_matrix, [v * scale % p for v in x_r1.coords], p)
         if sol is None:
-            continue
+            raise InconsistencyError(
+                "quotient-map sampler: trace test passed a c with no solution "
+                "of s^p - s = c in degree %d (p = %d)" % (F.k, p))
         s0 = F(tuple(sol[0]))
         shift = rng.randrange(p)
         beta = alpha * (s0 + shift)

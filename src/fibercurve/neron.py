@@ -344,10 +344,15 @@ def expected_invariants_nsplus(p: int, s: int):
     return AbelianInvariants(tuple([8] * (s - 2) + [8 * n]))
 
 
-def component_group_prediction(p: int) -> PredictionCheck:
-    from .atlas import special_fiber
+def component_group_prediction(p: int, fiber=None) -> PredictionCheck:
+    """The ns+ component group at p against its predicted invariants;
+    `fiber` is the ns+ fiber at p when the caller has already built it."""
+    if fiber is None:
+        from .atlas import special_fiber
 
-    fiber = special_fiber("ns+", p)
+        fiber = special_fiber("ns+", p)
+    elif (fiber.family, fiber.p) != ("ns+", p):
+        raise ValueError("expected the ns+ fiber at p = %d" % p)
     invariants = cartan_component_group(fiber)
     expected = expected_invariants_nsplus(p, fiber.supersingular.s)
     if p % 4 == 3:

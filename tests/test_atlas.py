@@ -61,6 +61,84 @@ def test_two_oracles_agree_with_each_other():
         assert brute_supersingular_data(p) == hasse_supersingular_data(p)
 
 
+# The oracles count one j (or Legendre parameter) of each Frobenius pair.
+# The references below enumerate all of F_{p^2}, as the oracles did
+# before, and return the supersingular j themselves.
+
+
+def brute_supersingular_js(p):
+    """Every j in F_{p^2} whose curve has trace 0 mod p over F_{p^2}."""
+    K = atlas._Fp2(p)
+    q, m = p * p, 3 * p
+    roots = [0] * q
+    for y in K.elements():
+        v = K.mul(y, y)
+        roots[v[0] * p + v[1]] += 1
+    table = [roots[i % p * p + k % p] for i in range(m) for k in range(m)]
+    cube_rows = []
+    for x1 in range(p):
+        cubes = (K.mul(K.mul((x0, x1), (x0, x1)), (x0, x1)) for x0 in range(p))
+        cube_rows.append([c0 * m + c1 for c0, c1 in cubes])
+    ss = set()
+    for j in K.elements():
+        (a0, a1), (b0, b1) = atlas._curve_with_j(K, j)
+        da1 = K.d * a1
+        ax0 = [a0 * x0 % p * m + a1 * x0 % p for x0 in range(p)]
+        n = 1
+        for x1, cube_row in enumerate(cube_rows):
+            offset = (da1 * x1 + b0) % p * m + (a0 * x1 + b1) % p
+            n += sum(table[c + a + offset] for c, a in zip(cube_row, ax0))
+        if (q + 1 - n) % p == 0:
+            ss.add(j)
+    return ss
+
+
+def hasse_supersingular_js(p):
+    """The j of every root in F_{p^2} of sum C(m, i)^2 L^i, m = (p-1)/2."""
+    K = atlas._Fp2(p)
+    m = (p - 1) // 2
+    coeffs = [1] * (m + 1)
+    c = 1
+    for i in range(1, m + 1):
+        c = c * (m - i + 1) % p * pow(i, p - 2, p) % p
+        coeffs[i] = c * c % p
+    coeffs.reverse()
+    ss = set()
+    for lam in K.elements():
+        if lam in ((0, 0), (1, 0)):
+            continue
+        l0, l1 = lam
+        dl1 = K.d * l1
+        u = v = 0
+        for c in coeffs:
+            u, v = (u * l0 + v * dl1 + c) % p, (u * l1 + v * l0) % p
+        if u == 0 and v == 0:
+            ss.add(atlas._legendre_j(K, lam))
+    return ss
+
+
+def conjugates(p, js):
+    return {(j0, -j1 % p) for j0, j1 in js}
+
+
+def test_halved_brute_oracle_matches_full_enumeration():
+    for p in range(5, 40):
+        if is_prime(p):
+            js = atlas._brute_supersingular_js(p)
+            assert js == brute_supersingular_js(p) == conjugates(p, js), p
+            assert brute_supersingular_data(p) == atlas.SupersingularData(
+                p, len(js), (0, 0) in js, (1728 % p, 0) in js), p
+
+
+def test_halved_hasse_oracle_matches_full_enumeration():
+    for p in range(5, 100):
+        if is_prime(p):
+            js = atlas._hasse_supersingular_js(p)
+            assert js == hasse_supersingular_js(p) == conjugates(p, js), p
+            assert hasse_supersingular_data(p) == atlas.SupersingularData(
+                p, len(js), (0, 0) in js, (1728 % p, 0) in js), p
+
+
 # ---------------------------------------------------------------------------
 # fibers
 # ---------------------------------------------------------------------------

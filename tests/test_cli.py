@@ -221,6 +221,31 @@ def test_battery_builds_each_family_once_per_prime(monkeypatch):
     assert [r[2] for r in results if r[0].startswith("consistency-")] == [True] * 4
 
 
+def test_battery_builds_each_cartan_fiber_once_per_prime(monkeypatch):
+    # the toric-rank rows and the ns+ prediction reuse the fibers the
+    # consistency reports build
+    calls = []
+    real = cli.atlas._cartan_fiber
+
+    def counting(family, p):
+        calls.append((family, p))
+        return real(family, p)
+
+    monkeypatch.setattr(cli.atlas, "_cartan_fiber", counting)
+    results = cli.checks_for_prime(1999)
+    assert sorted(calls) == [(f, 1999) for f in ("ns", "ns+", "s", "s+")]
+    names = {r[0]: r[2] for r in results}
+    assert all(names["toric-rank-%s" % f] for f in ("ns", "ns+", "s", "s+"))
+    assert names["neron-prediction"]
+
+
+def test_prediction_rejects_another_fiber():
+    with pytest.raises(ValueError, match="ns\\+ fiber at p = 13"):
+        neron.component_group_prediction(13, fiber=cli.atlas.special_fiber("s+", 13))
+    with pytest.raises(ValueError):
+        neron.component_group_prediction(17, fiber=cli.atlas.special_fiber("ns+", 13))
+
+
 def test_battery_runs_the_consistency_identities_above_200():
     rows = [(r[0], r[2]) for r in cli.checks_for_prime(211)
             if r[0].startswith("consistency-")]
@@ -414,7 +439,13 @@ def test_failed_toric_rank_check_exits_3_under_python_O():
     ("drinfeld", "cartan_drinfeld", ["drinfeld", "--family", "ns", "--prime", "13"],
      "(lambda c: setattr(c, 'branch_exponents', lambda: {1: 0, 2: 1}) or c)"
      "(real(*args))", "cyclic cover genus:"),
-], ids=["total-genus", "branch-values", "orbit-stabilizer", "cover-genus"])
+    # a second unknown quotient label would leave the identity with two
+    # unknowns; under -O an assert would have solved for the first
+    ("atlas", "_cartan_fiber", ["verify", "--suite", "paper", "--primes", "13..14"],
+     "(lambda g: setattr(g.verticals()[-1], 'label', 'X') or g)(real(*args))",
+     "consistency identity:"),
+], ids=["total-genus", "branch-values", "orbit-stabilizer", "cover-genus",
+        "identity-unknowns"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""
@@ -431,7 +462,9 @@ def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, c
      "quotient-map sampler:"),
     # a square root inside the prime field is no admissible twist
     ("sqrt_in_field", "real(*args) * 0", "admissible twist:"),
-], ids=["sampler", "twist"])
+    # no solution for a c of trace 0 contradicts additive Hilbert 90
+    ("solve_affine_mod_p", "None", "quotient-map sampler: trace test"),
+], ids=["sampler", "twist", "trace-test"])
 def test_failed_drinfeld_check_exits_3_under_python_O(name, result, check):
     proc = run_patched_under_python_O(
         "drinfeld", name, ["verify", "--suite", "paper", "--primes", "5..6"], result)

@@ -1,10 +1,19 @@
 import math
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
 
 from fibercurve import drinfeld
-from fibercurve.ffield import element_of_order, field_create, inverse_mod, is_prime
+from fibercurve.ffield import (
+    GF,
+    element_of_order,
+    field_create,
+    inverse_mod,
+    is_prime,
+    solve_affine_mod_p,
+)
 from fibercurve.exceptional import CongruenceError, check_congruence, orbit_table
 from fibercurve.drinfeld import (
     SuperellipticCurve,
@@ -566,3 +575,59 @@ def test_sampled_points_lie_on_the_curve(seed):
         assert F.p == p and F.k >= 6 and len(pts) == 8
         for alpha, beta in pts:
             assert alpha ** p * beta - alpha * beta ** p == F.one()
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_itoh_tsujii_inverse(p):
+    # x^-1 = x^(r-1)/N(x), x^(r-1) the product of the nontrivial conjugates
+    F = field_create(p, 6)
+    frob = drinfeld._frobenius(F, p)
+    rng = random.Random(p)
+    for _ in range(50):
+        x = F.random_element(rng)
+        if x.is_zero():
+            continue
+        x_r1 = reduce(mul, drinfeld._conjugates(frob, x))
+        norm = x * x_r1
+        assert norm.in_prime_field() and not norm.is_zero()
+        assert x_r1 * inverse_mod(norm.lift(), p) == x.inverse()
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trace_test_accepts_exactly_the_solvable_draws(p, seed, monkeypatch):
+    # every draw of alpha and every solve, in order: a draw is accepted
+    # when a solve follows it before the next draw
+    events = []
+    draw, solve = GF.random_element, drinfeld.solve_affine_mod_p
+
+    def recording_draw(F, rng):
+        alpha = draw(F, rng)
+        events.append(("draw", alpha))
+        return alpha
+
+    def recording_solve(matrix, rhs, q):
+        events.append(("solve", list(rhs)))
+        return solve(matrix, rhs, q)
+
+    monkeypatch.setattr(GF, "random_element", recording_draw)
+    monkeypatch.setattr(drinfeld, "solve_affine_mod_p", recording_solve)
+    drinfeld._sample_source_points(p, 8, random.Random(seed))
+    events.append(("draw", None))
+    matrices = {}  # the matrix of s -> s^p - s per field, built from x ** p
+    verdicts = []
+    for (kind, alpha), (after, rhs) in zip(events, events[1:]):
+        if kind != "draw" or alpha.is_zero():
+            continue
+        F = alpha.field
+        if F not in matrices:
+            basis = [F(tuple(int(i == j) for i in range(F.k))) for j in range(F.k)]
+            matrices[F] = [[(e ** p - e).coords[i] for e in basis] for i in range(F.k)]
+        c = -(alpha ** (p + 1)).inverse()
+        solvable = solve_affine_mod_p(matrices[F], list(c.coords), p) is not None
+        assert (after == "solve") == solvable
+        if solvable:
+            assert rhs == list(c.coords)
+        verdicts.append(solvable)
+    assert verdicts.count(True) >= 8 and verdicts.count(False) > 0
+
