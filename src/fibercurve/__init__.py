@@ -36,12 +36,7 @@ from .atlas import (
     special_fiber,
     supersingular_data,
 )
-from .neron import (
-    AbelianInvariants,
-    MetrizedGraph,
-    cartan_component_group,
-    component_group,
-)
+from .neron import AbelianInvariants, component_group
 
 __version__ = "0.1.0"
 
@@ -51,14 +46,12 @@ __all__ = [
     "FiberGraph",
     "FqElement",
     "GF",
-    "MetrizedGraph",
     "OrbitTable",
     "SubgroupTable",
     "SuperellipticCurve",
     "SupersingularData",
     "act",
     "build_exceptional",
-    "cartan_component_group",
     "cartan_drinfeld",
     "component_group",
     "consistency_report",

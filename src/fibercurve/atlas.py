@@ -44,9 +44,12 @@ from .exceptional import (
     build_exceptional,
     orbit_table,
 )
-from .drinfeld import SuperellipticCurve, cartan_drinfeld, exceptional_drinfeld
-
-CARTAN_FAMILIES = ("ns", "ns+", "s", "s+")
+from .drinfeld import (
+    CARTAN_FAMILIES,
+    SuperellipticCurve,
+    cartan_drinfeld,
+    exceptional_drinfeld,
+)
 
 LABEL_PM = "Ig(p)/{+-1}"
 LABEL_C4 = "Ig(p)/C4"

@@ -31,7 +31,7 @@ from .ffield import InconsistencyError, is_prime
 from .projline import point_str
 
 SCHEMA_VERSION = 1
-FAMILIES = ("ns", "ns+", "s", "s+") + EXCEPTIONAL_KINDS
+FAMILIES = atlas.CARTAN_FAMILIES + EXCEPTIONAL_KINDS
 
 SS_ORACLE_MAX_P = 100
 SS_BRUTE_MAX_P = 40
@@ -248,7 +248,7 @@ def neron_payload(family: str, p: int) -> dict:
     if check is not None:
         invariants = check.invariants
     else:
-        invariants = neron.cartan_component_group(atlas.special_fiber(family, p))
+        invariants = neron.component_group(atlas.special_fiber(family, p))
     payload = {
         "family": family,
         "p": p,
@@ -298,7 +298,7 @@ def checks_for_prime(p: int) -> list:
 
     # each family's fiber and genus, built once at this prime and read
     # by the toric-rank rows and the ns+ prediction too
-    families = ("ns", "ns+", "s", "s+")
+    families = atlas.CARTAN_FAMILIES
     parts = {}
     reports = [atlas.consistency_report(family, p, parts) for family in families]
     for family in families:
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dr = sub.add_parser("drinfeld", help="horizontal-component equations")
     sel = dr.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--family", choices=("ns", "ns+", "s", "s+"))
+    sel.add_argument("--family", choices=atlas.CARTAN_FAMILIES)
     sel.add_argument("--group", choices=EXCEPTIONAL_KINDS)
     dr.add_argument("--prime", required=True, type=int)
     dr.add_argument("--orbit-pair", default=None,

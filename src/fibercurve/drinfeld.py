@@ -106,15 +106,6 @@ class SuperellipticCurve:
             return {1: self.m + 1}
         return {}
 
-    def form_label(self):
-        if self.form == "v_power":
-            return "U^2 = V^%d + A" % self.m
-        if self.form == "x_times_power":
-            return "Y^2 = X(X^%d + A)" % self.m
-        if self.form == "line":
-            return "P^1"
-        return self.text()
-
     def genus(self):
         return cyclic_cover_genus(self)
 
@@ -307,20 +298,6 @@ def default_orbit_pair(kind: str, p: int, table):
         if cand is not o1:
             return o1, cand
     raise ValueError("P^1(F_%d) is a single orbit, no pair available" % p)
-
-
-def phi_constant_on_orbits(kind: str, p: int, orbit1=None, orbit2=None) -> bool:
-    """Exhaustively check that phi takes one value per orbit."""
-    table = orbit_table(kind, p)
-    if orbit1 is None or orbit2 is None:
-        orbit1, orbit2 = default_orbit_pair(kind, p, table)
-    num, den = quotient_map(p, orbit1, orbit2, orbit1.isotropy_order,
-                            orbit2.isotropy_order)
-    for orbit in table.orbits:
-        values = {evaluate_projective(p, num, den, x) for x in orbit.points}
-        if len(values) != 1:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -270,15 +270,14 @@ def _closed_form(kind: str, p: int):
     return A5_TABLE[p % 60]
 
 
-def orbit_table(kind: str, p: int, group: SubgroupTable = None) -> OrbitTable:
+def orbit_table(kind: str, p: int) -> OrbitTable:
     """Orbits of P^1(F_p) under the exceptional group, verified.
 
     The computed orbit count and the multiset of exceptional (size,
     isotropy) pairs must match the closed-form table for the congruence
     class of p; a mismatch raises VerificationError.
     """
-    if group is None:
-        group = build_exceptional(kind, p)
+    group = build_exceptional(kind, p)
     orbs = orbits(group)
     expected_names, np_formula = _closed_form(kind, p)
     expected_np = np_formula(p)

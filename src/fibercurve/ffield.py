@@ -127,10 +127,10 @@ class GF:
         # Rabin test: x^(p^k) = x mod f, and x^(p^(k/l)) - x coprime to f
         # for every prime l dividing k.
         x = (0, 1)
-        if _poly_powmod_x_q(x, p ** k, coeffs, p) != x:
+        if _poly_powmod_x_q(p ** k, coeffs, p) != x:
             return False
         for ell in _prime_divisors(k):
-            g = _poly_sub(_poly_powmod_x_q(x, p ** (k // ell), coeffs, p), x, p)
+            g = _poly_sub(_poly_powmod_x_q(p ** (k // ell), coeffs, p), x, p)
             if _poly_deg(_poly_gcd(g, coeffs, p)) > 0:
                 return False
         return True
@@ -511,18 +511,15 @@ def _poly_gcd(a, b, p):
     return a
 
 
-def _poly_powmod_x_q(x, q, mod, p):
+def _poly_powmod_x_q(q, mod, p):
     # x^q reduced mod the monic polynomial `mod`, binary exponentiation
-    result = (0, 1)
-    result = _poly_divmod(result, mod, p)[1]
-    base = result
+    base = _poly_divmod((0, 1), mod, p)[1]
     result = (1,)
-    n = q
-    while n:
-        if n & 1:
+    while q:
+        if q & 1:
             result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
         base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
-        n >>= 1
+        q >>= 1
     return _poly_trim(result)
 
 

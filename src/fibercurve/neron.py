@@ -1,4 +1,4 @@
-"""Component groups of Neron models from metrized dual graphs.
+"""Component groups of Neron models of Cartan fibers.
 
 An edge of width w in the dual graph stands for a chain of w - 1
 rational curves in the minimal regular model.  The component group is
@@ -9,7 +9,7 @@ between its horizontals and its verticals, and the edge (x, j) has
 width e_x w_j.  The length pairing on H_1 is then a Kronecker product
 A (x) B of the banana matrices A = e_1 J + diag(e_2..e_s) and
 B = w_1 J + diag(w_2..w_m), so the group is the sum of Z/(a_i b_k) over
-their Smith normal forms (`cartan_component_group`).
+their Smith normal forms (`component_group`).
 
 coker(A) is cyclic of order banana_order(e).  The e list is generic
 first, with at most one 2 and one 3, so e_1 = 1 once s >= 3.  Then
@@ -21,52 +21,23 @@ invariant factors are 1 and the last is |det A| = banana_order(e).
 For s <= 2, A has at most one row.  Any other e list raises GraphError.
 Only B, of m - 1 <= 3 rows, goes through `smith_normal_form_diagonal`,
 and the group order is checked against the closed-form tree count
-banana(e)^(m-1) banana(w)^(s-1) of K_{s,m}.
-
-Any other graph goes through the general path, which is also the
-tests' oracle for the Cartan one: the Smith normal form of a relation
-matrix built on the dual graph itself, with one generator per vertex
-but one and per edge, one relation per edge and per vertex but one
-(`component_group`).  It checks the group order against the
-spanning-tree count of the regular model's graph, a weighted
-matrix-tree (Kirchhoff) determinant of the dual graph.  Either check
-raises InconsistencyError on a disagreement.
+banana(e)^(m-1) banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`);
+a disagreement raises InconsistencyError.  The tests keep the general
+path, the Smith normal form of a relation matrix on any dual graph
+checked against a Kirchhoff determinant, as this one's oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .ffield import InconsistencyError
 
 
 class GraphError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class MetrizedGraph:
-    vertices: tuple
-    edges: tuple  # (u, v, length)
-
-    @classmethod
-    def build(cls, vertices, edges):
-        vertices = tuple(vertices)
-        seen = set(vertices)
-        if len(seen) != len(vertices):
-            raise GraphError("duplicate vertex names")
-        norm = []
-        for u, v, length in edges:
-            if u not in seen or v not in seen:
-                raise GraphError("edge endpoint not a vertex")
-            if u == v:
-                raise GraphError("loops are not allowed")
-            if length < 1:
-                raise GraphError("edge lengths must be >= 1")
-            norm.append((u, v, int(length)))
-        return cls(vertices, tuple(norm))
 
 
 @dataclass(frozen=True)
@@ -206,71 +177,7 @@ def _divisibility_chain(values) -> list:
     return [1] * (len(values) - len(rest)) + rest
 
 
-def _relation_matrix(graph: MetrizedGraph):
-    """Relations of the component group on the unsubdivided graph.
-
-    Generators x_v per vertex but the last and t_e per edge u -> v of
-    width w; relations x_v - x_u - w t_e per edge and, per vertex but the
-    last, the signed sum of its t_e (the inner vertices of each chain of
-    the regular model, eliminated).
-    """
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    nv = len(graph.vertices) - 1
-    size = nv + len(graph.edges)
-    rows = [[0] * size for _ in range(size)]
-    for k, (u, v, w) in enumerate(graph.edges):
-        rows[k][nv + k] = -w
-        for end, sign in ((v, 1), (u, -1)):
-            if index[end] < nv:
-                rows[k][index[end]] = sign
-                rows[len(graph.edges) + index[end]][nv + k] = sign
-    return rows
-
-
-def spanning_tree_count(graph: MetrizedGraph) -> int:
-    """Spanning trees of the graph with each edge of width w subdivided.
-
-    A tree of the subdivision omits one unit edge on each path it does
-    not use, so the count is (prod w) / L^(V-1) times the weighted
-    matrix-tree determinant with conductance L / w, L = lcm of widths.
-    """
-    index = {v: i for i, v in enumerate(graph.vertices)}
-    n = len(graph.vertices) - 1
-    big = lcm(*(w for _, _, w in graph.edges))
-    lap = [[0] * n for _ in range(n)]
-    for u, v, w in graph.edges:
-        for i, k in ((index[u], index[v]), (index[v], index[u])):
-            if i < n:
-                lap[i][i] += big // w
-                if k < n:
-                    lap[i][k] -= big // w
-    trees, rem = divmod(prod(w for _, _, w in graph.edges) * _abs_det(lap), big ** n)
-    if rem:
-        raise InconsistencyError(
-            "spanning-tree count: the weighted matrix-tree determinant is "
-            "not divisible by lcm(widths)^(V-1)"
-        )
-    return trees
-
-
-def component_group(graph: MetrizedGraph) -> AbelianInvariants:
-    """Invariant factors of the component group of any graph's model,
-    from the Smith normal form of its relation matrix."""
-    try:
-        diag = smith_normal_form_diagonal(_relation_matrix(graph))
-    except GraphError:  # det = tree count, 0 exactly when disconnected
-        raise GraphError("graph must be connected") from None
-    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
-    trees = spanning_tree_count(graph)
-    if invariants.order() != trees:
-        raise InconsistencyError(
-            "component group: Smith normal form order %d disagrees with the "
-            "spanning-tree count %d" % (invariants.order(), trees)
-        )
-    return invariants
-
-
-def cartan_component_group(fiber) -> AbelianInvariants:
+def component_group(fiber) -> AbelianInvariants:
     """Invariant factors of the component group of a Cartan fiber's model.
 
     Every horizontal x must meet every vertical j once, with width
@@ -290,14 +197,13 @@ def cartan_component_group(fiber) -> AbelianInvariants:
     ws = [v.width for v in verticals]
     if len(es) > 2 and (es[0] != 1 or len(es) - es.count(1) > 2):
         raise GraphError("no closed-form Smith normal form of A for e = %r" % (es,))
-    a = banana_order(es)
     b_matrix = [[ws[0] + (i == k) * w for k in range(len(ws) - 1)]
                 for i, w in enumerate(ws[1:])]
-    snf_a = [1] * (len(es) - 2) + [a] if len(es) > 1 else []
+    snf_a = [1] * (len(es) - 2) + [banana_order(es)] if len(es) > 1 else []
     snf_b = smith_normal_form_diagonal(b_matrix) if b_matrix else []
     diag = _divisibility_chain([x * y for x in snf_a for y in snf_b])
     invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
-    trees = a ** (len(ws) - 1) * banana_order(ws) ** (len(es) - 1)
+    trees = spanning_tree_count(es, ws)
     if invariants.order() != trees:
         raise InconsistencyError(
             "component group: Smith normal form order %d disagrees with the "
@@ -307,20 +213,17 @@ def cartan_component_group(fiber) -> AbelianInvariants:
     return invariants
 
 
+def spanning_tree_count(es, ws) -> int:
+    """Spanning trees of K_{s,m} with the edge (x, j) subdivided into
+    e_x w_j unit edges: banana(e)^(m-1) banana(w)^(s-1)."""
+    return banana_order(es) ** (len(ws) - 1) * banana_order(ws) ** (len(es) - 1)
+
+
 def banana_order(lengths) -> int:
     """Order of the critical group of two vertices joined by paths of the
     given lengths: the sum over i of the product of the others."""
-    return sum(prod(lengths[:i] + lengths[i + 1:]) for i in range(len(lengths)))
-
-
-def fiber_metrized_graph(fiber) -> MetrizedGraph:
-    """MetrizedGraph view of a Cartan-family FiberGraph."""
-    if not fiber.incidence_complete:
-        raise GraphError(
-            "no metrized graph: incidence for family %r is not fully "
-            "specified" % fiber.family
-        )
-    return MetrizedGraph.build([v.name for v in fiber.vertices], fiber.edges)
+    whole = prod(lengths)
+    return sum(whole // length for length in lengths)
 
 
 @dataclass
@@ -353,7 +256,7 @@ def component_group_prediction(p: int, fiber=None) -> PredictionCheck:
         fiber = special_fiber("ns+", p)
     elif (fiber.family, fiber.p) != ("ns+", p):
         raise ValueError("expected the ns+ fiber at p = %d" % p)
-    invariants = cartan_component_group(fiber)
+    invariants = component_group(fiber)
     expected = expected_invariants_nsplus(p, fiber.supersingular.s)
     if p % 4 == 3:
         verdict = "trivial" if invariants.is_trivial() else "mismatch"

