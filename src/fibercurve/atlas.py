@@ -231,10 +231,12 @@ def hasse_supersingular_data(p: int) -> SupersingularData:
     sum C(m, i)^2 L^i (m = (p-1)/2), whose roots are exactly the
     supersingular Legendre parameters; each root is mapped to its j.
 
-    Only one L of each Frobenius pair (l0, l1), (l0, -l1) is evaluated,
-    the one with l1 <= (p-1)/2: the polynomial has coefficients in F_p,
-    so H(L^p) = H(L)^p, and L is a root exactly when L^p is.  Each root
-    adds the j of L and of L^p.
+    H is evaluated once per class of L under the S3 action
+    L -> 1 - L, 1/L and under Frobenius L -> L^p: H's roots are the
+    supersingular L, and supersingularity depends on j alone, which is
+    constant on each S3-orbit and taken to its conjugate by Frobenius
+    (H has coefficients in F_p).  A class of roots adds the j of L and
+    of L^p.
     """
     return SupersingularData.of_j_invariants(p, _hasse_supersingular_js(p))
 
@@ -249,10 +251,18 @@ def _hasse_supersingular_js(p: int) -> set:
         c = c * (m - i + 1) % p * pow(i, p - 2, p) % p
         coeffs[i] = c * c % p
     coeffs.reverse()
+    one = (1, 0)
+    seen = {(0, 0), one}
     ss = set()
     for lam in K.conj_representatives():
-        if lam in ((0, 0), (1, 0)):
+        if lam in seen:
             continue
+        # the S3-orbit: L, 1 - L, 1/L, 1/(1 - L), 1 - 1/L, 1 - 1/(1 - L)
+        mu = K.add(one, K.scale(-1, lam))
+        orbit = [lam, mu, K.inv(lam), K.inv(mu)]
+        orbit += [K.add(one, K.scale(-1, x)) for x in orbit[2:]]
+        seen.update(orbit)
+        seen.update(map(K.conj, orbit))
         # Horner in coordinates: (u + v w) <- (u + v w)(l0 + l1 w) + c
         l0, l1 = lam
         dl1 = K.d * l1

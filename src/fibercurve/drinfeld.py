@@ -400,14 +400,14 @@ def _sample_source_points(p: int, count: int, rng):
 
     s -> s^p - s is F_p-linear with kernel F_p, and its image is the
     kernel of the trace (additive Hilbert 90), so s^p - s = c is
-    solvable exactly when Tr(c) = 0: about one alpha in p.  c is
-    computed by Itoh-Tsujii, x^-1 = x^(r-1)/N(x) with x = alpha^(p+1),
-    r = (p^n - 1)/(p - 1) on F_{p^n} and x^(r-1) the product of the
-    n - 1 nontrivial Frobenius images of x, and N(x) = x^r in F_p.  So
-    Tr(c) = 0 exactly when Tr(x^(r-1)) = 0, which a precomputed trace
-    row tests before any inverse or solve; only the alpha that pass pay
-    for them.  A draw that passes the trace test and has no solution
-    raises InconsistencyError.
+    solvable exactly when Tr(c) = 0: about one alpha in p.  With
+    a_i = alpha^(p^i) on F_{p^n}, the norm N(alpha) = a_0 a_1 ... a_(n-1)
+    lies in F_p, and alpha^-(p+1) = (a_2 ... a_(n-1))/N(alpha) (the
+    Itoh-Tsujii inverse).  So Tr(c) = 0 exactly when
+    Tr(a_2 ... a_(n-1)) = 0, which a precomputed trace row tests before
+    any norm, inverse or solve; only the alpha that pass pay for them.
+    A draw that passes the trace test and has no solution raises
+    InconsistencyError.
     """
     for k in range(3, SAMPLE_MAX_DEGREE + 1):
         F = field_create(p, 2 * k)
@@ -440,14 +440,13 @@ def _sample_in_field(F, p, count, rng):
         alpha = F.random_element(rng)
         if alpha.is_zero():
             continue
-        alpha_p = frob(alpha)
-        x = alpha_p * alpha
-        x_r1 = reduce(mul, _conjugates(frob, x))  # x^(r-1)
-        if sum(map(mul, trace_row, x_r1.coords)) % p:
+        alpha_p, *rest = _conjugates(frob, alpha)
+        prod = reduce(mul, rest)  # a_2 ... a_(n-1)
+        if sum(map(mul, trace_row, prod.coords)) % p:
             continue  # Tr(c) != 0: s^p - s = c has no solution
-        # c = -x^-1 = -x^(r-1)/N(x), with N(x) = x x^(r-1) in F_p
-        scale = -inverse_mod((x * x_r1).coords[0], p)
-        sol = solve_affine_mod_p(frob_matrix, [v * scale % p for v in x_r1.coords], p)
+        # c = -prod/N(alpha), with N(alpha) = alpha a_1 prod in F_p
+        scale = -inverse_mod((alpha * alpha_p * prod).coords[0], p)
+        sol = solve_affine_mod_p(frob_matrix, [v * scale % p for v in prod.coords], p)
         if sol is None:
             raise InconsistencyError(
                 "quotient-map sampler: trace test passed a c with no solution "
@@ -502,9 +501,13 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     F, pts = _sample_source_points(p, samples, rng)
     lam = element_of_order(F, p + 1, rng)
     frob = _frobenius(F, p)
+    # the chains' constants, shared by every point
+    half = F.one() / 2
+    aN = lam ** (-2) - lam ** 2
+    consts = (F.one(), half, frob(lam), aN, (aN * half) ** 2, half * half)
     open_checks = dict(checks)
     for alpha, beta in pts:
-        for family in _rejecting_families(p, F, frob, lam, alpha, beta, rng):
+        for family in _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
             check = open_checks.pop(family, None)
             if check is not None:
                 check.passed = False
@@ -514,13 +517,14 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     return checks
 
 
-def _rejecting_families(p, F, frob, lam, alpha, beta, rng):
+def _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
     """The Cartan families that the point (alpha, beta) fails: all four
     when the point is off the source or one of its symmetries moves it
     off, else those whose chain breaks.  Draws the point's random
-    special-linear and root-of-unity actions from rng."""
-    a = F.one()
-    half = F.one() / 2
+    special-linear and root-of-unity actions from rng.  `consts` holds
+    the chains' constants: a = 1, 1/2, lam^p, aN = lam^-2 - lam^2,
+    (aN/2)^2 and (1/2)^2."""
+    a, half, lam_p, aN, aN_half_sq, half_sq = consts
 
     def on_source(x, y):
         return frob(x) * y - x * frob(y) == a
@@ -547,32 +551,30 @@ def _rejecting_families(p, F, frob, lam, alpha, beta, rng):
 
     rejected = []
     # the ns chain; ns+ continues it
-    lam_p = frob(lam)
     atilde = lam * alpha + lam_p * beta
     btilde = lam_p * alpha + lam * beta
-    aN = a * (lam ** (-2) - lam ** 2)
     u1 = frob(atilde) * atilde
     v1 = atilde * btilde
     U = u1 - aN * half
     V = v1
     if (u1 - frob(btilde) * btilde != aN
             or not (u1 * u1 - frob(v1) * v1 - aN * u1).is_zero()
-            or U * U != frob(V) * V + (aN * half) ** 2):
+            or U * U != frob(V) * V + aN_half_sq):
         rejected += ["ns", "ns+"]
     else:
         X, Y = V * V, U * V
-        if Y * Y != X * (X ** ((p + 1) // 2) + (aN * half) ** 2):
+        if Y * Y != X * (X ** ((p + 1) // 2) + aN_half_sq):
             rejected.append("ns+")
     # the s chain; s+ continues it
     u = frob(alpha) / alpha
     v = alpha * beta
-    U = u * v - a * half
+    U = u * v - half
     V = v
-    if (not (frob(v) - u * u * v + a * u).is_zero()
-            or U * U != frob(V) * V + (a * half) ** 2):
+    if (not (frob(v) - u * u * v + u).is_zero()
+            or U * U != frob(V) * V + half_sq):
         rejected += ["s", "s+"]
     else:
         X, Y = V * V, U * V
-        if Y * Y != X * (X ** ((p + 1) // 2) + (a * half) ** 2):
+        if Y * Y != X * (X ** ((p + 1) // 2) + half_sq):
             rejected.append("s+")
     return rejected

@@ -6,11 +6,18 @@ coefficient order), so that every value computed downstream is
 byte-reproducible across runs.  Elements are coordinate vectors over
 the prime field, low degree first, and the canonical order on elements
 is the lexicographic order on those vectors.
+
+A product in F_{p^k}, k > 1, is one integer product (Kronecker
+substitution): each operand's coordinates are packed into 64-bit slots
+of one int, the int product's slots hold the coefficients of the
+polynomial product unreduced, and each of the k - 1 high slots is
+folded back, mod p, onto a precomputed packed row x^(k+i) mod f.
 """
 
 from __future__ import annotations
 
 import itertools
+import struct
 
 MAX_CHAR = 1 << 20          # largest accepted characteristic
 MAX_ORDER = 10 ** 18        # largest constructible field order
@@ -82,6 +89,12 @@ class GF:
     The polynomial is monic of degree k; its lower coefficients are the
     first tuple (c_0, ..., c_{k-1}) in lexicographic order making
     x^k + c_{k-1} x^{k-1} + ... + c_0 irreducible mod p.
+
+    `_mul` packs coordinates into 64-bit slots, and no slot carries into
+    the next: a low slot ends below k p^2 from the product plus
+    (k - 1) p^2 from the folded rows, so every slot stays below
+    (2k - 1) p^2 < 2^64, since p < MAX_CHAR = 2^20 and p^k <= MAX_ORDER
+    keeps k <= 25.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -99,6 +112,12 @@ class GF:
         self.modulus = self._find_modulus()
         self._zero = FqElement(self, (0,) * k)
         self._one = FqElement(self, (1,) + (0,) * (k - 1))
+        if k > 1:
+            self._pack = struct.Struct("<%dQ" % k)
+            self._unpack_product = struct.Struct("<%dQ" % (2 * k)).unpack
+            self._low_mask = (1 << 64 * k) - 1
+            self._rows = [int.from_bytes(self._pack.pack(*row), "little")
+                          for row in self._reduction_rows()]
 
     # -- construction -------------------------------------------------
 
@@ -113,6 +132,16 @@ class GF:
             if self._is_irreducible(coeffs):
                 return coeffs
         raise FieldError("no irreducible polynomial found")  # unreachable
+
+    def _reduction_rows(self):
+        # x^(k+i) mod f for i < k - 1, from x^k = -(c_0 + ... + c_{k-1} x^(k-1))
+        p, k = self.p, self.k
+        top = [-c % p for c in self.modulus[:k]]
+        row, rows = top, []
+        for _ in range(k - 1):
+            rows.append(row)
+            row = [((row[j - 1] if j else 0) + row[-1] * top[j]) % p for j in range(k)]
+        return rows
 
     def _is_irreducible(self, coeffs) -> bool:
         p, k = self.p, self.k
@@ -183,23 +212,14 @@ class GF:
         p, k = self.p, self.k
         if k == 1:
             return (a[0] * b[0] % p,)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    prod[i + j] += x * y
-        return self._reduce(prod)
-
-    def _reduce(self, prod):
-        p, k = self.p, self.k
-        mod = self.modulus
-        for i in range(len(prod) - 1, k - 1, -1):
-            c = prod[i] % p
-            if c:
-                for j in range(k):
-                    prod[i - k + j] -= c * mod[j]
-            prod[i] = 0
-        return tuple(c % p for c in prod[:k])
+        # one int product of the packed operands: slot i holds the
+        # unreduced coefficient of x^i, and x^(k+i) = row i mod f
+        pack = self._pack
+        prod = int.from_bytes(pack.pack(*a), "little") * int.from_bytes(pack.pack(*b), "little")
+        low = prod & self._low_mask
+        for h, row in zip(self._unpack_product(prod.to_bytes(16 * k, "little"))[k:], self._rows):
+            low += h % p * row
+        return tuple(c % p for c in pack.unpack(low.to_bytes(8 * k, "little")))
 
     def _pow(self, a, n: int):
         if n < 0:
@@ -373,7 +393,10 @@ def sqrt_in_field(a: FqElement):
     r = _tonelli_shanks(a)
     s = -r
     root = r if r.index() <= s.index() else s
-    assert root * root == a
+    if root * root != a:
+        raise InconsistencyError(
+            "square root: the computed root of a square does not square "
+            "back to it in %r (p = %d)" % (field, field.p))
     return root
 
 

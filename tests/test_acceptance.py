@@ -12,9 +12,7 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from fibercurve.ffield import field_create, is_prime
+from fibercurve.ffield import is_prime
 from fibercurve.projline import orbits as orbit_decomposition
 from fibercurve.exceptional import (
     CongruenceError,
@@ -24,7 +22,6 @@ from fibercurve.exceptional import (
 )
 from fibercurve.drinfeld import (
     admissible_twist,
-    cartan_drinfeld,
     count_points_fp2,
     exceptional_drinfeld,
     verify_quotient_maps,

@@ -1,14 +1,13 @@
 """A paper cross-check must survive python -O, so it raises
-InconsistencyError instead of asserting.  The asserts left under src/
-guard internal invariants only, and their number may only fall."""
+InconsistencyError instead of asserting; so does every internal
+invariant under src/, and no assert may come back."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fibercurve"
 
-# ffield.sqrt_in_field
-MAX_ASSERTS = 1
+MAX_ASSERTS = 0
 
 
 def test_assert_count_does_not_grow():

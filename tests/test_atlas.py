@@ -139,6 +139,24 @@ def test_halved_hasse_oracle_matches_full_enumeration():
                 p, len(js), (0, 0) in js, (1728 % p, 0) in js), p
 
 
+def test_legendre_j_is_constant_on_s3_orbits():
+    # the Hasse oracle evaluates H once per S3-orbit of L, which is sound
+    # because j takes one value on each orbit
+    for p in range(5, 100):
+        if is_prime(p):
+            K = atlas._Fp2(p)
+            one = (1, 0)
+            for lam in K.elements():
+                if lam in ((0, 0), one):
+                    continue
+                mu = K.add(one, K.scale(-1, lam))  # 1 - L
+                inv_lam, inv_mu = K.inv(lam), K.inv(mu)
+                images = [mu, inv_lam, inv_mu,
+                          K.add(one, K.scale(-1, inv_lam)), K.add(one, K.scale(-1, inv_mu))]
+                j = atlas._legendre_j(K, lam)
+                assert all(atlas._legendre_j(K, x) == j for x in images), (p, lam)
+
+
 # ---------------------------------------------------------------------------
 # fibers
 # ---------------------------------------------------------------------------

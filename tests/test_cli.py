@@ -423,6 +423,17 @@ def test_failed_toric_rank_check_exits_3_under_python_O():
     assert "family s, p = 11" in lines[0] and "Traceback" not in proc.stderr
 
 
+def test_wrong_square_root_exits_3_under_python_O():
+    # sqrt_in_field squares its root back, so a wrong root, or a wrong
+    # packed F_{p^k} product, ends in one diagnostic line under -O
+    proc = run_patched_under_python_O(
+        "ffield", "_tonelli_shanks", ["verify", "--suite", "paper", "--primes", "5..6"])
+    assert proc.returncode == 3 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: square root:")
+    assert "p = 5" in lines[0] and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("module,name,argv,result,check", [
     ("atlas", "genus_closed_form", ["fiber", "--family", "ns", "--prime", "13",
                                     "--format", "json"],

@@ -516,9 +516,9 @@ def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
     shared = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(p, F, frob, lam, alpha, beta, rng):
+    def recording(p, frob, lam, consts, alpha, beta, rng):
         shared.append((lam, alpha, beta, rng.getstate()))
-        return rejecting_families(p, F, frob, lam, alpha, beta, rng)
+        return rejecting_families(p, frob, lam, consts, alpha, beta, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)
@@ -539,8 +539,8 @@ def test_shared_sample_reports_the_rejected_point(monkeypatch):
     rejected = pts[3]
     rejecting_families = drinfeld._rejecting_families
 
-    def reject_for_s(p, F, frob, lam, alpha, beta, rng):
-        families = list(rejecting_families(p, F, frob, lam, alpha, beta, rng))
+    def reject_for_s(p, frob, lam, consts, alpha, beta, rng):
+        families = list(rejecting_families(p, frob, lam, consts, alpha, beta, rng))
         if (alpha, beta) == rejected:
             families.append("s")
         return families

@@ -162,3 +162,46 @@ def test_solve_affine_mod_p_against_brute_force():
             particular, kernel = sol
             assert particular in brute
             assert len(brute) == p ** len(kernel)
+
+
+def schoolbook_mul(F, a, b):
+    """a b in F_{p^k} by the coefficient convolution, then top-down
+    reduction by the defining polynomial one coefficient at a time."""
+    p, k, mod = F.p, F.k, F.modulus
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for i in range(2 * k - 2, k - 1, -1):
+        c = prod[i] % p
+        for j in range(k):
+            prod[i - k + j] -= c * mod[j]
+    return tuple(c % p for c in prod[:k])
+
+
+def schoolbook_pow(F, a, n):
+    result = F.one().coords
+    for bit in bin(n)[2:]:
+        result = schoolbook_mul(F, result, result)
+        if bit == "1":
+            result = schoolbook_mul(F, result, a)
+    return result
+
+
+# the largest accepted characteristic, 1048573 < 2^20, at k = 2 puts the
+# packed product's slots nearest their bound (2k - 1) p^2 < 2^64
+@pytest.mark.parametrize("p,k", [(5, 2), (5, 6), (7, 10), (31, 6), (31, 8), (101, 4),
+                                 (1048573, 2), (999979, 3), (5, 25)])
+def test_packed_product_matches_schoolbook(p, k):
+    F = field_create(p, k)
+    rng = random.Random(p * k)
+    top = (p - 1,) * k
+    operands = [top, F.one().coords] + [F.random_element(rng).coords for _ in range(40)]
+    for a in operands:
+        assert F._mul(a, top) == schoolbook_mul(F, a, top)
+        b = F.random_element(rng).coords
+        assert F._mul(a, b) == schoolbook_mul(F, a, b)
+        n = rng.randrange(1, F.order)
+        assert F._pow(a, n) == schoolbook_pow(F, a, n)
+        if any(a):
+            assert schoolbook_mul(F, a, F._inv(a)) == F.one().coords
