@@ -116,8 +116,11 @@ class GF:
             self._pack = struct.Struct("<%dQ" % k)
             self._unpack_product = struct.Struct("<%dQ" % (2 * k)).unpack
             self._low_mask = (1 << 64 * k) - 1
-            self._rows = [int.from_bytes(self._pack.pack(*row), "little")
-                          for row in self._reduction_rows()]
+            # x^(k+i) mod f for i < k - 1, packed like an operand
+            rems = [_poly_divmod((0,) * (k + i) + (1,), self.modulus, p)[1]
+                    for i in range(k - 1)]
+            self._rows = [int.from_bytes(self._pack.pack(*r, *(0,) * (k - len(r))), "little")
+                          for r in rems]
 
     # -- construction -------------------------------------------------
 
@@ -132,16 +135,6 @@ class GF:
             if self._is_irreducible(coeffs):
                 return coeffs
         raise FieldError("no irreducible polynomial found")  # unreachable
-
-    def _reduction_rows(self):
-        # x^(k+i) mod f for i < k - 1, from x^k = -(c_0 + ... + c_{k-1} x^(k-1))
-        p, k = self.p, self.k
-        top = [-c % p for c in self.modulus[:k]]
-        row, rows = top, []
-        for _ in range(k - 1):
-            rows.append(row)
-            row = [((row[j - 1] if j else 0) + row[-1] * top[j]) % p for j in range(k)]
-        return rows
 
     def _is_irreducible(self, coeffs) -> bool:
         p, k = self.p, self.k
@@ -215,9 +208,11 @@ class GF:
         # one int product of the packed operands: slot i holds the
         # unreduced coefficient of x^i, and x^(k+i) = row i mod f
         pack = self._pack
-        prod = int.from_bytes(pack.pack(*a), "little") * int.from_bytes(pack.pack(*b), "little")
+        prod = (int.from_bytes(pack.pack(*a), "little")
+                * int.from_bytes(pack.pack(*b), "little"))
+        high = self._unpack_product(prod.to_bytes(16 * k, "little"))[k:]
         low = prod & self._low_mask
-        for h, row in zip(self._unpack_product(prod.to_bytes(16 * k, "little"))[k:], self._rows):
+        for h, row in zip(high, self._rows):
             low += h % p * row
         return tuple(c % p for c in pack.unpack(low.to_bytes(8 * k, "little")))
 
