@@ -7,11 +7,13 @@ parts, horizontal components with their equations, crossing widths, and
 the toric rank of the Jacobian's reduction.
 
 Sanity is enforced from two directions.  The supersingular counts come
-from the classical closed form and are cross-checkable against a
-brute-force search over F_{p^2}.  Total genera come from a coset-action
-count (Riemann-Hurwitz over the j-line with ramification orders 2, 3
-and p), checked against closed forms for the Cartan families, and the
-identity
+from the classical closed form and are cross-checkable against a walk
+on the supersingular 2-isogeny graph over F_{p^2}
+(`isogeny_supersingular_data`), which a point-count oracle and a
+Hasse-polynomial oracle check in turn in the tests.  Total genera come
+from a coset-action count (Riemann-Hurwitz over the j-line with
+ramification orders 2, 3 and p), checked against closed forms for the
+Cartan families, and the identity
 
     g(X) = sum of component genera + toric rank
 
@@ -116,15 +118,24 @@ def supersingular_data(p: int) -> SupersingularData:
 
 
 class _Fp2:
-    """Minimal F_{p^2} arithmetic on pairs, for the brute-force oracles.
+    """Minimal F_{p^2} arithmetic on pairs (x, y) = x + y w, w^2 = d, for
+    the supersingular oracles: the isogeny walk, and the point-count and
+    Hasse oracles that the tests check it against.
 
-    Deliberately independent of the ffield module so the oracle and the
+    Deliberately independent of the ffield module so the oracles and the
     production arithmetic cannot share a bug.
     """
 
     def __init__(self, p):
         self.p = p
         self.d = first_nonsquare(p)
+        # p^2 - 1 = 2^e m with m odd, and c = z^m for a nonsquare z, for
+        # sqrt; x + w is a nonsquare for (p + 1)/2 of the x in F_p
+        self.e, self.m = 0, p * p - 1
+        while self.m % 2 == 0:
+            self.e, self.m = self.e + 1, self.m // 2
+        z = next((x, 1) for x in range(p) if not self.is_square((x, 1)))
+        self.c = self.pow(z, self.m)
 
     def mul(self, a, b):
         p, d = self.p, self.d
@@ -138,12 +149,48 @@ class _Fp2:
         p = self.p
         return (c * a[0] % p, c * a[1] % p)
 
+    def norm(self, a):
+        # a^(p+1) = (x + y w)(x - y w)
+        return (a[0] * a[0] - self.d * a[1] * a[1]) % self.p
+
     def inv(self, a):
         # (x + y w)^-1 = (x - y w) / (x^2 - d y^2)
-        p, d = self.p, self.d
-        nrm = (a[0] * a[0] - d * a[1] * a[1]) % p
-        ninv = pow(nrm, p - 2, p)
-        return (a[0] * ninv % p, -a[1] * ninv % p)
+        ninv = pow(self.norm(a), self.p - 2, self.p)
+        return (a[0] * ninv % self.p, -a[1] * ninv % self.p)
+
+    def pow(self, a, n):
+        out = (1, 0)
+        while n:
+            if n & 1:
+                out = self.mul(out, a)
+            a, n = self.mul(a, a), n >> 1
+        return out
+
+    def is_square(self, a):
+        # a^((p^2-1)/2) = N(a)^((p-1)/2)
+        return pow(self.norm(a), (self.p - 1) // 2, self.p) != self.p - 1
+
+    def sqrt(self, a):
+        """A square root of a, or None when a is not a square: Tonelli-Shanks
+        in the cyclic group F_{p^2}^* of order 2^e m."""
+        if not self.is_square(a):
+            return None
+        if a == (0, 0):
+            return a
+        one, e, c = (1, 0), self.e, self.c
+        r = self.pow(a, (self.m - 1) // 2)
+        root = self.mul(r, a)
+        t = self.mul(r, root)  # a^m
+        while t != one:
+            # the least i with t^(2^i) = 1; then c^(2^(e-i-1)) fixes the root
+            i, u = 1, self.mul(t, t)
+            while u != one:
+                i, u = i + 1, self.mul(u, u)
+            for _ in range(e - i - 1):
+                c = self.mul(c, c)
+            root, c = self.mul(root, c), self.mul(c, c)
+            t, e = self.mul(t, c), i
+        return root
 
     def conj(self, a):
         # a^p = x - y w, since w^p = d^((p-1)/2) w = -w
@@ -159,6 +206,88 @@ class _Fp2:
         for x in range(self.p):
             for y in range((self.p + 1) // 2):
                 yield (x, y)
+
+
+# Phi_2(X, Y) = X^3 + Y^3 - X^2 Y^2 + 1488 (X^2 Y + X Y^2) - 162000 (X^2 + Y^2)
+#   + 40773375 X Y + 8748000000 (X + Y) - 157464000000000, as the
+# coefficients of Y^2, Y and 1 (Y^3's is 1), each by rising powers of X
+PHI2 = ((-162000, 1488, -1),
+        (8748000000, 40773375, 1488),
+        (-157464000000000, 8748000000, -162000, 1))
+
+# (modulus, residues of p, start j, a known root of Phi_2(j, Y))
+WALK_STARTS = ((3, (2,), 0, 54000),
+               (4, (3,), 1728, 1728),
+               (8, (5, 7), 8000, 8000),
+               (7, (3, 5, 6), -3375, -3375))
+
+
+def isogeny_supersingular_data(p: int) -> SupersingularData:
+    """Isogeny-walk oracle: the supersingular j found by a walk on the
+    2-isogeny graph over F_{p^2} (Mestre, "La methode des graphes", 1986).
+
+    Every supersingular j lies in F_{p^2}, a curve 2-isogenous to a
+    supersingular one is supersingular, and the supersingular 2-isogeny
+    graph is connected, so a walk from one supersingular j along the
+    roots of Phi_2(j, Y) visits exactly the s supersingular j.  The walk
+    starts where a supersingular j and one of its neighbours are known:
+    j = 0 for p = 2 mod 3, with Phi_2(0, Y) = (Y - 54000)^3, or a CM j
+    with an endomorphism of degree 2, hence a loop, which is
+    supersingular exactly where p is inert in its CM field: 1728 (Z[i],
+    p = 3 mod 4), 8000 (Z[sqrt -2], p = 5, 7 mod 8) and -3375
+    (Z[(1 + sqrt -7)/2], p = 3, 5, 6 mod 7).  At a vertex j reached from
+    r, Phi_2(j, Y)/(Y - r) is a quadratic whose roots are j's other
+    neighbours.  r needs no visit of its own: it is the vertex the walk
+    came from, the start itself for a loop, or, from j = 0, the
+    quadratic's double root 54000.  A prime with none of these starts
+    (193, 337, 457 and 673 below 1000) raises ValueError.
+    """
+    return SupersingularData.of_j_invariants(p, _isogeny_supersingular_js(p))
+
+
+def _isogeny_supersingular_js(p: int) -> set:
+    """The supersingular j that isogeny_supersingular_data visits."""
+    if not is_prime(p) or p <= 3:
+        raise ValueError("p must be a prime > 3")
+    start = next(((j, r) for m, residues, j, r in WALK_STARTS if p % m in residues), None)
+    if start is None:
+        raise ValueError("no known supersingular start for the 2-isogeny walk "
+                         "at p = %d" % p)
+    K = _Fp2(p)
+    j, r = ((x % p, 0) for x in start)
+    rows = [[(c % p, 0) for c in row] for row in PHI2]
+    seen, todo = {j}, [(j, r)]
+    while todo:
+        j, r = todo.pop()
+        c2, c1, c0 = (_horner(K, row, j) for row in rows)
+        # synthetic division by Y - r: Y^2 + b Y + c, remainder c0 + r c
+        b = K.add(c2, r)
+        c = K.add(c1, K.mul(r, b))
+        root = K.sqrt(K.add(K.mul(b, b), K.scale(-4, c)))
+        if K.add(c0, K.mul(r, c)) != (0, 0) or root is None:
+            raise InconsistencyError(
+                "isogeny walk: %s is not a root of Phi_2(%s, Y), or its other "
+                "roots are not in F_{p^2} (p = %d)" % (r, j, p))
+        half = (p + 1) // 2
+        for y in (K.scale(half, K.add(root, K.scale(-1, b))),
+                  K.scale(-half, K.add(root, b))):
+            if y not in seen:
+                seen.add(y)
+                todo.append((y, j))
+    return seen
+
+
+def _horner(K, coeffs, x):
+    # the polynomial with the given coefficients, by rising powers, at x
+    out = (0, 0)
+    for c in reversed(coeffs):
+        out = K.add(K.mul(out, x), c)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the walk's oracles: point counts and the Hasse polynomial
+# ---------------------------------------------------------------------------
 
 
 def brute_supersingular_data(p: int) -> SupersingularData:

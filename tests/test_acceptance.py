@@ -31,6 +31,7 @@ from fibercurve.atlas import (
     consistency_report,
     genus_x0,
     hasse_supersingular_data,
+    isogeny_supersingular_data,
     special_fiber,
     supersingular_data,
     total_genus,
@@ -231,7 +232,7 @@ def test_acceptance_08_supersingular_oracles():
             closed = supersingular_data(p)
             oracle = (brute_supersingular_data(p) if p < 40
                       else hasse_supersingular_data(p))
-            assert closed == oracle, p
+            assert closed == oracle == isogeny_supersingular_data(p), p
 
 
 # -- 9: property suites --------------------------------------------------------

@@ -18,6 +18,7 @@ from fibercurve.atlas import (
     genus_oracle,
     genus_x0,
     hasse_supersingular_data,
+    isogeny_supersingular_data,
     special_fiber,
     supersingular_data,
     toric_rank_closed_form,
@@ -155,6 +156,61 @@ def test_legendre_j_is_constant_on_s3_orbits():
                           K.add(one, K.scale(-1, inv_lam)), K.add(one, K.scale(-1, inv_mu))]
                 j = atlas._legendre_j(K, lam)
                 assert all(atlas._legendre_j(K, x) == j for x in images), (p, lam)
+
+
+def test_fp2_sqrt_squares_back_exactly_on_the_squares():
+    for p in (5, 7, 13, 17, 31):
+        K = atlas._Fp2(p)
+        squares = {K.mul(x, x) for x in K.elements()}
+        for a in K.elements():
+            root = K.sqrt(a)
+            if a in squares:
+                assert K.mul(root, root) == a, (p, a)
+            else:
+                assert root is None, (p, a)
+
+
+def walk_has_start(p):
+    # j = 0 for p = 2 mod 3, or a loop at 1728, 8000 or -3375 where p is
+    # inert in Q(i), Q(sqrt -2) or Q(sqrt -7)
+    return p % 3 == 2 or p % 4 == 3 or p % 8 in (5, 7) or p % 7 in (3, 5, 6)
+
+
+def test_isogeny_walk_visits_the_oracles_j_sets():
+    # every p < 100 has a start, so the walk runs at each of them
+    for p in range(5, 100):
+        if is_prime(p):
+            js = atlas._isogeny_supersingular_js(p)
+            if p < 40:
+                assert js == atlas._brute_supersingular_js(p), p
+            assert js == atlas._hasse_supersingular_js(p), p
+
+
+def test_isogeny_walk_matches_the_closed_form_below_2000():
+    walked = 0
+    for p in range(5, 2000):
+        if is_prime(p) and walk_has_start(p):
+            assert isogeny_supersingular_data(p) == supersingular_data(p), p
+            walked += 1
+    assert walked == 290
+
+
+def test_isogeny_walk_names_the_primes_without_a_start():
+    no_start = [p for p in range(5, 1000) if is_prime(p) and not walk_has_start(p)]
+    assert no_start == [193, 337, 457, 673]
+    for p in no_start:
+        with pytest.raises(ValueError, match="p = %d$" % p):
+            isogeny_supersingular_data(p)
+    with pytest.raises(ValueError):
+        isogeny_supersingular_data(91)
+
+
+def test_isogeny_walk_rejects_a_start_that_is_not_a_neighbour(monkeypatch):
+    # 1 is not a root of Phi_2(1728, Y) mod 7, so the division by Y - 1
+    # leaves a remainder
+    monkeypatch.setattr(atlas, "WALK_STARTS", ((4, (3,), 1728, 1),))
+    with pytest.raises(InconsistencyError, match="isogeny walk: .*p = 7"):
+        isogeny_supersingular_data(7)
 
 
 # ---------------------------------------------------------------------------

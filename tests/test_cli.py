@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ import pytest
 import fibercurve
 from fibercurve import cli, neron
 from fibercurve.cli import main
+from fibercurve.ffield import is_prime
 
 
 def run_cli(capsys, *argv):
@@ -237,6 +239,72 @@ def test_battery_builds_each_cartan_fiber_once_per_prime(monkeypatch):
     names = {r[0]: r[2] for r in results}
     assert all(names["toric-rank-%s" % f] for f in ("ns", "ns+", "s", "s+"))
     assert names["neron-prediction"]
+
+
+def test_battery_checks_supersingular_data_with_the_walk_once_per_prime(monkeypatch):
+    walked, old = [], []
+    real = cli.atlas.isogeny_supersingular_data
+
+    def counting(p):
+        walked.append(p)
+        return real(p)
+
+    monkeypatch.setattr(cli.atlas, "isogeny_supersingular_data", counting)
+    for name in ("brute_supersingular_data", "hasse_supersingular_data"):
+        monkeypatch.setattr(cli.atlas, name, lambda p, name=name: old.append((name, p)))
+    primes = [p for p in range(5, cli.SS_ORACLE_MAX_P + 12) if is_prime(p)]
+    for p in primes:
+        rows = [r for r in cli.checks_for_prime(p) if r[0] == "supersingular-oracle"]
+        assert rows == ([("supersingular-oracle", p, True, "")]
+                        if p < cli.SS_ORACLE_MAX_P else []), p
+    assert cli.SS_ORACLE_MAX_P == 100
+    assert walked == [p for p in primes if p < 100]
+    assert old == []
+
+
+def test_wrong_walk_fails_the_supersingular_row(monkeypatch, capsys):
+    real = cli.atlas.isogeny_supersingular_data
+
+    def wrong(p):
+        data = real(p)
+        return dataclasses.replace(data, s=data.s + 1)
+
+    monkeypatch.setattr(cli.atlas, "isogeny_supersingular_data", wrong)
+    rows = [r for r in cli.checks_for_prime(23) if r[0] == "supersingular-oracle"]
+    assert rows == [("supersingular-oracle", 23, False, "")]
+    code, out, _ = run_cli(capsys, "verify", "--suite", "paper", "--primes", "23..24")
+    assert code == 1
+    assert "FAILURE supersingular-oracle at p=23" in out
+    assert "failures: 1" in out
+
+
+@pytest.fixture
+def restore_int_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    yield
+    if limit is not None:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("family,p", [("s", 6287), ("s+", 10501)])
+def test_neron_orders_past_4300_digits_render(family, p, capsys, restore_int_digit_limit):
+    # the first prime of each family whose group order has more than
+    # 4300 digits, Python's default limit for int-to-str conversion
+    code, out, err = run_cli(capsys, "neron", "--family", family, "--prime", str(p),
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # for the test's own parsing
+    order = json.loads(out)["order"]
+    fiber = cli.atlas.special_fiber(family, p)
+    es = [h.e for h in fiber.horizontals()]
+    ws = [v.width for v in fiber.verticals()]
+    assert order == neron.spanning_tree_count(es, ws)
+    assert len(str(order)) > 4300
+    code, out, err = run_cli(capsys, "neron", "--family", family, "--prime", str(p),
+                             "--format", "text")
+    assert (code, err) == (0, "")
+    assert str(order) in out
 
 
 def test_prediction_rejects_another_fiber():

@@ -1,10 +1,13 @@
+import ast
 import dataclasses
+import inspect
 import itertools
 import math
 import random
 
 import pytest
 
+from fibercurve import neron
 from fibercurve.atlas import CARTAN_FAMILIES, special_fiber, supersingular_data
 from fibercurve.ffield import is_prime
 from fibercurve.neron import (
@@ -311,16 +314,23 @@ def test_banana_snf_is_cyclic_at_every_prime_below_1000():
                 [1] * (len(es) - 2) + [banana_order(es)]), p
 
 
-@pytest.mark.parametrize("es", [[2, 2, 2], [1, 2, 3, 2]])
-def test_cartan_component_group_rejects_an_uncovered_e_list(es):
-    # a K_{s,m} with widths e_x w_j, but an e list no supersingular
-    # locus has: the general path still takes it, the Cartan path declines
+def fiber_with_e_list(es):
+    """The s fiber at 29 with one horizontal per e in es: a K_{s,m} with
+    widths e_x w_j."""
     fiber = special_fiber("s", 29)
     verticals = fiber.verticals()
     horizontals = [dataclasses.replace(fiber.horizontals()[0], name="D%d" % i, e=e)
                    for i, e in enumerate(es, start=1)]
     edges = [(h.name, v.name, h.e * v.width) for h in horizontals for v in verticals]
-    bad = dataclasses.replace(fiber, vertices=verticals + horizontals, edges=edges)
+    return dataclasses.replace(fiber, vertices=verticals + horizontals, edges=edges)
+
+
+@pytest.mark.parametrize("es", [[2, 2, 2], [1, 2, 3, 2]])
+def test_cartan_component_group_rejects_an_uncovered_e_list(es):
+    # a K_{s,m} with widths e_x w_j, but an e list no supersingular
+    # locus has: the general path still takes it, the Cartan path declines
+    bad = fiber_with_e_list(es)
+    verticals = bad.verticals()
     general = oracle.component_group(oracle.fiber_metrized_graph(bad))
     assert general.order() > 1
     with pytest.raises(GraphError, match="no closed-form Smith normal form"):
@@ -339,3 +349,28 @@ def test_cartan_component_group_rejects_an_uncovered_e_list(es):
     if es == [2, 2, 2]:
         assert general.factors == (4, 4, 12, 12, 1680, 5040)
         assert unguarded.factors == (2, 2, 24, 24, 840, 10080)
+
+
+def test_the_oracle_catches_component_group_without_its_e_list_guard():
+    # mutant: component_group compiled from its source with the e-list
+    # guard's `if` deleted
+    tree = ast.parse(inspect.getsource(neron.component_group))
+    body = tree.body[0].body
+    guards = [node for node in body if isinstance(node, ast.If)
+              and "no closed-form Smith normal form" in ast.unparse(node)]
+    assert len(guards) == 1
+    body.remove(guards[0])
+    namespace = dict(vars(neron))
+    exec(compile(tree, neron.__file__, "exec"), namespace)
+    mutant = namespace["component_group"]
+    for p in (29, 31, 37):
+        fiber = special_fiber("s", p)
+        assert mutant(fiber) == component_group(fiber), p
+    # e = [2, 2, 2]: coker(A) = Z/2 x Z/6, not cyclic, yet the mutant's
+    # order check passes; only the oracle's group tells them apart
+    bad = fiber_with_e_list([2, 2, 2])
+    general = oracle.component_group(oracle.fiber_metrized_graph(bad))
+    wrong = mutant(bad)
+    assert wrong.order() == general.order()
+    assert wrong.factors == (2, 2, 24, 24, 840, 10080)
+    assert general.factors == (4, 4, 12, 12, 1680, 5040)
