@@ -6,7 +6,9 @@ computed into JSON-serializable payloads, optionally cached one file per
 the arguments and of the package's source, and rendered as json, dot or
 text.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 a failed internal cross-check (two independent computations of the
-same quantity disagree; one `error:` line on stderr names the check).
+same quantity disagree; one `error:` line on stderr names the check),
+4 any other ValueError raised below the command line, such as a
+FieldError, GraphError or GroupError (one `error:` line).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import atlas, drinfeld, neron
 from .exceptional import (
     KINDS as EXCEPTIONAL_KINDS,
     CongruenceError,
+    UsageError,
     VerificationError,
     check_congruence,
     orbit_table,
@@ -37,10 +40,6 @@ SS_ORACLE_MAX_P = 100
 MAXIMALITY_PRIMES = (5, 7, 11, 13)
 EQUATION_PRIMES = {13: "a4", 73: "s4", 103: "a4", 421: "a5"}
 QUOTIENT_MAP_SAMPLES = 8
-
-
-class UsageError(Exception):
-    pass
 
 
 def _require_prime(p: int) -> int:
@@ -193,7 +192,11 @@ def _parse_point(p, token):
     infinity for p, else an integer reduced mod p."""
     if token in ("inf", "oo", "infinity"):
         return p
-    return int(token) % p
+    try:
+        return int(token) % p
+    except ValueError:
+        raise UsageError("--orbit-pair representative %r is not an integer or inf"
+                         % token) from None
 
 
 def drinfeld_text(payload: dict) -> str:
@@ -491,12 +494,15 @@ def main(argv=None) -> int:
                 raise UsageError("--primes bounds must be integers")
             return run_verify(lo, hi, max(args.jobs, 1))
         raise UsageError("unknown command %r" % args.command)
-    except (UsageError, CongruenceError, ValueError) as exc:
+    except UsageError as exc:  # CongruenceError included
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except InconsistencyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

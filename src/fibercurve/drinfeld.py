@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from operator import mul
 
@@ -33,7 +32,7 @@ from .ffield import (
     sqrt_in_field,
 )
 from .projline import first_nonsquare, point_str
-from .exceptional import CongruenceError, orbit_table
+from .exceptional import CongruenceError, UsageError, orbit_table
 
 POINT_COUNT_MAX_P = 31
 SAMPLE_MAX_P = 31
@@ -263,7 +262,7 @@ def exceptional_drinfeld(kind: str, p: int, orbit1=None, orbit2=None,
     if orbit1 is None or orbit2 is None:
         orbit1, orbit2 = default_orbit_pair(kind, p, table)
     if orbit1 is orbit2 or set(orbit1.points) == set(orbit2.points):
-        raise ValueError("the two orbits must be distinct")
+        raise UsageError("the two orbits must be distinct")
     n = (p + 1) // 2
     num, den = quotient_map(p, orbit1, orbit2, orbit1.isotropy_order,
                             orbit2.isotropy_order)
@@ -297,7 +296,7 @@ def default_orbit_pair(kind: str, p: int, table):
         cand = table.orbit_of(t)
         if cand is not o1:
             return o1, cand
-    raise ValueError("P^1(F_%d) is a single orbit, no pair available" % p)
+    raise UsageError("P^1(F_%d) is a single orbit, no pair available" % p)
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +360,20 @@ def _basis(F):
 
 def _frobenius(F, p):
     """x -> x^p on F, applied as the F_p-linear map that sends each basis
-    vector to its p-th power: k^2 products per call instead of a
-    square-and-multiply chain of about 2 log2(p) field products."""
-    rows = list(zip(*[(e ** p).coords for e in _basis(F)]))
+    vector to its p-th power.  The images are packed into 64-bit slots
+    like `GF._mul`'s operands, so a call is k int products and one
+    unpack; no slot carries, since each stays below k p^2 < 2^64."""
+    pack = F._pack
+    xp = _basis(F)[1] ** p
+    images, image = [], F.one()
+    for _ in range(F.k):  # e_j^p = (x^p)^j
+        images.append(int.from_bytes(pack.pack(*image.coords), "little"))
+        image *= xp
+    size = 8 * F.k
 
     def frob(x):
-        coords = x.coords
-        return FqElement(F, tuple(sum(map(mul, row, coords)) % p for row in rows))
+        packed = sum(map(mul, x.coords, images)).to_bytes(size, "little")
+        return FqElement(F, tuple(c % p for c in pack.unpack(packed)))
 
     return frob
 
@@ -400,13 +406,15 @@ def _sample_source_points(p: int, count: int, rng):
 
     s -> s^p - s is F_p-linear with kernel F_p, and its image is the
     kernel of the trace (additive Hilbert 90), so s^p - s = c is
-    solvable exactly when Tr(c) = 0: about one alpha in p.  With
-    a_i = alpha^(p^i) on F_{p^n}, the norm N(alpha) = a_0 a_1 ... a_(n-1)
-    lies in F_p, and alpha^-(p+1) = (a_2 ... a_(n-1))/N(alpha) (the
-    Itoh-Tsujii inverse).  So Tr(c) = 0 exactly when
-    Tr(a_2 ... a_(n-1)) = 0, which a precomputed trace row tests before
-    any norm, inverse or solve; only the alpha that pass pay for them.
-    A draw that passes the trace test and has no solution raises
+    solvable exactly when Tr(c) = 0: about one alpha in p.  The sampler
+    draws w = 1/alpha, uniform on F^* exactly when alpha is, so that
+    c = -w w^p.  With w = sum w_i e_i over the basis e_i of F, w^p is
+    sum w_j e_j^p, and Tr(w w^p) = sum_(i,j) w_i w_j Tr(e_i e_j^p): the
+    quadratic form w^T Q w, with Q computed once per field.  A draw is
+    tested with k^2 integer products and no field arithmetic; only the
+    w that pass pay for w^p, the inverse alpha and the solve.  Each
+    degree gets 4 p count draws, about four times the expected need.  A
+    draw that passes the trace test and has no solution raises
     InconsistencyError.
     """
     for k in range(3, SAMPLE_MAX_DEGREE + 1):
@@ -417,14 +425,13 @@ def _sample_source_points(p: int, count: int, rng):
     raise FieldError("no sample points found up to degree %d" % (2 * SAMPLE_MAX_DEGREE))
 
 
-def _conjugates(frob, x):
-    """x^p, x^(p^2), ..., x^(p^(n-1)), the nontrivial Frobenius images of
-    x in F_{p^n}; `frob` is the `_frobenius` map of that field."""
-    out = []
-    for _ in range(x.field.k - 1):
-        x = frob(x)
-        out.append(x)
-    return out
+def _trace_form(F, frob):
+    """The matrix Q of w -> Tr(w^(p+1)), Q[i][j] = Tr(e_i e_j^p); the
+    trace Tr(x) of the F_p-linear map y -> x y is linear in x."""
+    basis = _basis(F)
+    traces = [sum((e * f).coords[i] for i, f in enumerate(basis)) for e in basis]
+    basis_p = [frob(e) for e in basis]
+    return [[sum(map(mul, traces, (e * f).coords)) % F.p for f in basis_p] for e in basis]
 
 
 def _sample_in_field(F, p, count, rng):
@@ -433,28 +440,25 @@ def _sample_in_field(F, p, count, rng):
     frob_matrix = [
         [(frob(e) - e).coords[i] for e in basis] for i in range(F.k)
     ]
-    # Tr(e) = e + e^p + ... lies in F_p: the coordinates of the F_p-linear trace
-    trace_row = [sum(_conjugates(frob, e), e).coords[0] for e in basis]
+    form = _trace_form(F, frob)
     pts = []
-    for _ in range(40 * count):
-        alpha = F.random_element(rng)
-        if alpha.is_zero():
+    for _ in range(4 * p * count):
+        w = F.random_element(rng)
+        if w.is_zero():
             continue
-        alpha_p, *rest = _conjugates(frob, alpha)
-        prod = reduce(mul, rest)  # a_2 ... a_(n-1)
-        if sum(map(mul, trace_row, prod.coords)) % p:
+        coords = w.coords
+        if sum(wi * sum(map(mul, row, coords)) for wi, row in zip(coords, form)) % p:
             continue  # Tr(c) != 0: s^p - s = c has no solution
-        # c = -prod/N(alpha), with N(alpha) = alpha a_1 prod in F_p
-        scale = -inverse_mod((alpha * alpha_p * prod).coords[0], p)
-        sol = solve_affine_mod_p(frob_matrix, [v * scale % p for v in prod.coords], p)
+        c = -(w * frob(w))
+        sol = solve_affine_mod_p(frob_matrix, list(c.coords), p)
         if sol is None:
             raise InconsistencyError(
                 "quotient-map sampler: trace test passed a c with no solution "
                 "of s^p - s = c in degree %d (p = %d)" % (F.k, p))
-        s0 = F(tuple(sol[0]))
+        alpha = w.inverse()
         shift = rng.randrange(p)
-        beta = alpha * (s0 + shift)
-        if alpha_p * beta - alpha * frob(beta) != F.one():
+        beta = alpha * (F(tuple(sol[0])) + shift)
+        if frob(alpha) * beta - alpha * frob(beta) != F.one():
             raise InconsistencyError(
                 "quotient-map sampler: a solution of s^p - s = c gives a point "
                 "off x^p y - x y^p = 1 in degree %d (p = %d)" % (F.k, p))
@@ -502,8 +506,8 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     lam = element_of_order(F, p + 1, rng)
     frob = _frobenius(F, p)
     # the chains' constants, shared by every point
-    half = F.one() / 2
-    aN = lam ** (-2) - lam ** 2
+    half = F((p + 1) // 2)
+    aN = lam ** (p - 1) - lam ** 2  # lam^-2 = lam^(p-1), as lam^(p+1) = 1
     consts = (F.one(), half, frob(lam), aN, (aN * half) ** 2, half * half)
     open_checks = dict(checks)
     for alpha, beta in pts:
@@ -545,7 +549,8 @@ def _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
                 break
         if not on_source(ga * alpha + gc * beta, gb * alpha + gd * beta):
             return CARTAN_FAMILIES
-    root_inv = (lam ** rng.randrange(p + 1)).inverse()
+    # lam has order p + 1, so lam^-r = lam^((-r) mod (p + 1))
+    root_inv = lam ** (-rng.randrange(p + 1) % (p + 1))
     if not on_source(root_inv * alpha, root_inv * beta):
         return CARTAN_FAMILIES
 
@@ -566,7 +571,7 @@ def _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
         if Y * Y != X * (X ** ((p + 1) // 2) + aN_half_sq):
             rejected.append("ns+")
     # the s chain; s+ continues it
-    u = frob(alpha) / alpha
+    u = alpha ** (p - 1)  # alpha^p / alpha, without an inversion
     v = alpha * beta
     U = u * v - half
     V = v

@@ -89,7 +89,12 @@ PINNED_S4_ROOTS = {73: (41, 27)}
 A5_EXPLICIT = {421: ((211, 316, 196, 100), (100, 306, 70, 210))}
 
 
-class CongruenceError(ValueError):
+class UsageError(ValueError):
+    """A request names an argument, or a combination of arguments, that
+    the program does not accept; the command line maps it to exit code 2."""
+
+
+class CongruenceError(UsageError):
     """The requested kind does not exist at this prime."""
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import struct
+from operator import mul
 
 MAX_CHAR = 1 << 20          # largest accepted characteristic
 MAX_ORDER = 10 ** 18        # largest constructible field order
@@ -88,7 +89,13 @@ class GF:
 
     The polynomial is monic of degree k; its lower coefficients are the
     first tuple (c_0, ..., c_{k-1}) in lexicographic order making
-    x^k + c_{k-1} x^{k-1} + ... + c_0 irreducible mod p.
+    x^k + c_{k-1} x^{k-1} + ... + c_0 irreducible mod p.  A candidate f
+    with a root in F_p is rejected; for k > 3 the survivors take Rabin's
+    test, x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) = 1 for each
+    prime l | k.  g -> g^p is F_p-linear mod f, with the matrix B whose
+    column i is x^(ip) mod f (Berlekamp's matrix), so the powers x^(p^j)
+    are B^j x: one square-and-multiply for x^p, k - 1 products for B's
+    columns and k matrix-vector steps.
 
     `_mul` packs coordinates into 64-bit slots, and no slot carries into
     the next: a low slot ends below k p^2 from the product plus
@@ -146,16 +153,19 @@ class GF:
                 return False
         if k <= 3:
             return True  # degree 2 or 3 with no roots is irreducible
-        # Rabin test: x^(p^k) = x mod f, and x^(p^(k/l)) - x coprime to f
-        # for every prime l dividing k.
-        x = (0, 1)
-        if _poly_powmod_x_q(p ** k, coeffs, p) != x:
+        xp = _poly_powmod_x_q(p, coeffs, p)
+        cols = [(1,)]
+        for _ in range(k - 1):
+            cols.append(_poly_divmod(_poly_mul(cols[-1], xp, p), coeffs, p)[1])
+        rows = list(zip(*(c + (0,) * (k - len(c)) for c in cols)))
+        x = (0, 1) + (0,) * (k - 2)
+        powers = [x]  # x^(p^j) for j = 0, ..., k
+        for _ in range(k):
+            powers.append(tuple(sum(map(mul, row, powers[-1])) % p for row in rows))
+        if powers[k] != x:
             return False
-        for ell in _prime_divisors(k):
-            g = _poly_sub(_poly_powmod_x_q(p ** (k // ell), coeffs, p), x, p)
-            if _poly_deg(_poly_gcd(g, coeffs, p)) > 0:
-                return False
-        return True
+        return all(_poly_deg(_poly_gcd(_poly_sub(powers[k // ell], x, p), coeffs, p)) == 0
+                   for ell in _prime_divisors(k))
 
     # -- element creation ---------------------------------------------
 

@@ -117,6 +117,39 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_benchmark_style_invalid_requests_exit_2(capsys):
+    # the request shapes the benchmark sends to the primality and
+    # congruence gates, and the orbit-pair arguments that name no pair
+    requests = []
+    for family in ("ns", "ns+", "s", "s+"):
+        requests += [("neron", "--family", family, n) for n in (1, 9, 91, 221, 323)]
+        requests += [("drinfeld", "--family", family, n) for n in (25, 49, 77, 143, 1001)]
+    requests += [("orbits", "--group", "a5", p) for p in range(7, 500)
+                 if is_prime(p) and p % 5 in (2, 3)]
+    requests += [("fiber", "--family", "s4", p) for p in range(5, 500)
+                 if is_prime(p) and p % 8 in (3, 5)]
+    requests += [("drinfeld", "--group", "a4", 5), ("drinfeld", "--group", "a5", 59)]
+    for cmd, flag, sel, n in requests:
+        code, out, err = run_cli(capsys, cmd, flag, sel, "--prime", str(n), "--format", "json")
+        assert (code, out) == (2, ""), (cmd, sel, n)
+        assert err.startswith("error: ") and err.count("\n") == 1
+    for pair in ("1,1", "x,1"):
+        code, out, _ = run_cli(capsys, "drinfeld", "--group", "a4", "--prime", "13",
+                               "--orbit-pair", pair)
+        assert (code, out) == (2, ""), pair
+
+
+@pytest.mark.parametrize("error", [ValueError("internal"), neron.GraphError("internal"),
+                                   fibercurve.ffield.FieldError("internal")])
+def test_internal_value_error_exits_4(capsys, monkeypatch, error):
+    def raising(*args):
+        raise error
+
+    monkeypatch.setattr(cli.atlas, "special_fiber", raising)
+    code, out, err = run_cli(capsys, "fiber", "--family", "ns", "--prime", "13")
+    assert (code, out, err) == (4, "", "error: internal\n")
+
+
 def test_argparse_usage_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["fiber", "--family", "bogus", "--prime", "13"])

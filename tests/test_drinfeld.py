@@ -578,6 +578,16 @@ def test_sampled_points_lie_on_the_curve(seed):
             assert alpha ** p * beta - alpha * beta ** p == F.one()
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_degree_six_draw_budget_suffices(seed):
+    # 4 p draws per point leave no prime <= 31 short of points in F_{p^6}
+    for p in (p for p in range(5, 32) if is_prime(p)):
+        F, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
+        assert (F.p, F.k, len(pts)) == (p, 6, 8)
+        for alpha, beta in pts:
+            assert alpha ** p * beta - alpha * beta ** p == F.one()
+
+
 @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
 def test_itoh_tsujii_inverse(p):
     # x^-1 = x^(r-1)/N(x), x^(r-1) the product of the nontrivial conjugates
@@ -588,7 +598,10 @@ def test_itoh_tsujii_inverse(p):
         x = F.random_element(rng)
         if x.is_zero():
             continue
-        x_r1 = reduce(mul, drinfeld._conjugates(frob, x))
+        conjugates = [x]  # x, x^p, ..., x^(p^5)
+        for _ in range(F.k - 1):
+            conjugates.append(frob(conjugates[-1]))
+        x_r1 = reduce(mul, conjugates[1:])
         norm = x * x_r1
         assert norm.in_prime_field() and not norm.is_zero()
         assert x_r1 * inverse_mod(norm.lift(), p) == x.inverse()
@@ -597,15 +610,15 @@ def test_itoh_tsujii_inverse(p):
 @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_trace_test_accepts_exactly_the_solvable_draws(p, seed, monkeypatch):
-    # every draw of alpha and every solve, in order: a draw is accepted
-    # when a solve follows it before the next draw
+    # every draw of w = 1/alpha and every solve, in order: a draw is
+    # accepted when a solve follows it before the next draw
     events = []
     draw, solve = GF.random_element, drinfeld.solve_affine_mod_p
 
     def recording_draw(F, rng):
-        alpha = draw(F, rng)
-        events.append(("draw", alpha))
-        return alpha
+        w = draw(F, rng)
+        events.append(("draw", w))
+        return w
 
     def recording_solve(matrix, rhs, q):
         events.append(("solve", list(rhs)))
@@ -617,14 +630,14 @@ def test_trace_test_accepts_exactly_the_solvable_draws(p, seed, monkeypatch):
     events.append(("draw", None))
     matrices = {}  # the matrix of s -> s^p - s per field, built from x ** p
     verdicts = []
-    for (kind, alpha), (after, rhs) in zip(events, events[1:]):
-        if kind != "draw" or alpha.is_zero():
+    for (kind, w), (after, rhs) in zip(events, events[1:]):
+        if kind != "draw" or w.is_zero():
             continue
-        F = alpha.field
+        F = w.field
         if F not in matrices:
             basis = [F(tuple(int(i == j) for i in range(F.k))) for j in range(F.k)]
             matrices[F] = [[(e ** p - e).coords[i] for e in basis] for i in range(F.k)]
-        c = -(alpha ** (p + 1)).inverse()
+        c = -(w ** (p + 1))  # -1/alpha^(p+1)
         solvable = solve_affine_mod_p(matrices[F], list(c.coords), p) is not None
         assert (after == "solve") == solvable
         if solvable:
@@ -632,3 +645,64 @@ def test_trace_test_accepts_exactly_the_solvable_draws(p, seed, monkeypatch):
         verdicts.append(solvable)
     assert verdicts.count(True) >= 8 and verdicts.count(False) > 0
 
+
+@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+def test_trace_form_equals_trace(p):
+    F = field_create(p, 6)
+    form = drinfeld._trace_form(F, drinfeld._frobenius(F, p))
+    rng = random.Random(p)
+    for _ in range(100):
+        w = F.random_element(rng)
+        power = w ** (p + 1)
+        trace = sum((power ** p ** i for i in range(F.k)), F.zero())
+        assert trace.in_prime_field()
+        quadratic = sum(wi * form[i][j] * wj for i, wi in enumerate(w.coords)
+                        for j, wj in enumerate(w.coords))
+        assert quadratic % p == trace.lift()
+
+
+@pytest.mark.parametrize("p", [5, 13, 31])
+def test_rejected_draw_does_no_field_arithmetic(p, monkeypatch):
+    # events in order; a draw's segment runs to the next draw or field
+    events = []
+    draw, mul_, inv = GF.random_element, GF._mul, GF._inv
+    frobenius, create = drinfeld._frobenius, drinfeld.field_create
+    solve = drinfeld.solve_affine_mod_p
+
+    def recording_draw(F, rng):
+        events.append("draw")
+        return draw(F, rng)
+
+    def counting_frobenius(F, q):
+        frob = frobenius(F, q)
+
+        def counted(x):
+            events.append("frob")
+            return frob(x)
+
+        return counted
+
+    def record(name, fn):
+        def wrapped(*args):
+            events.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(GF, "random_element", recording_draw)
+    monkeypatch.setattr(GF, "_mul", record("mul", mul_))
+    monkeypatch.setattr(GF, "_inv", record("inv", inv))
+    monkeypatch.setattr(drinfeld, "_frobenius", counting_frobenius)
+    monkeypatch.setattr(drinfeld, "field_create", record("field", create))
+    monkeypatch.setattr(drinfeld, "solve_affine_mod_p", record("solve", solve))
+    drinfeld._sample_source_points(p, 8, random.Random(p))
+    segments, rejected = [], 0
+    for event in events:
+        if event in ("draw", "field"):
+            segments.append([event])
+        elif segments:
+            segments[-1].append(event)
+    for segment in segments:
+        if segment[0] == "draw" and "solve" not in segment:
+            assert segment == ["draw"]
+            rejected += 1
+    assert rejected > 0 and events.count("solve") == 8

@@ -1,12 +1,20 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from fibercurve.ffield import (
+    GF,
     FieldError,
+    _poly_deg,
+    _poly_gcd,
+    _poly_powmod_x_q,
+    _poly_sub,
+    _prime_divisors,
     field_create,
     inverse_mod,
+    is_prime,
     solve_affine_mod_p,
     sqrt_in_field,
 )
@@ -205,3 +213,55 @@ def test_packed_product_matches_schoolbook(p, k):
         assert F._pow(a, n) == schoolbook_pow(F, a, n)
         if any(a):
             assert schoolbook_mul(F, a, F._inv(a)) == F.one().coords
+
+
+def mobius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_irreducible_count_is_gauss_count(p, k):
+    F = GF(p, k)
+    accepted = sum(F._is_irreducible(tuple(low) + (1,))
+                   for low in itertools.product(range(p), repeat=k))
+    gauss = sum(mobius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    assert accepted == gauss
+
+
+def powmod_rabin_is_irreducible(coeffs, p):
+    """The earlier test: no root in F_p, then (degree > 3) Rabin's
+    conditions with each x^(p^j) mod f by square-and-multiply."""
+    k = len(coeffs) - 1
+    if any(sum(c * u ** i for i, c in enumerate(coeffs)) % p == 0 for u in range(p)):
+        return False
+    if k <= 3:
+        return True
+    x = (0, 1)
+    if _poly_powmod_x_q(p ** k, coeffs, p) != x:
+        return False
+    return all(_poly_deg(_poly_gcd(_poly_sub(_poly_powmod_x_q(p ** (k // ell), coeffs, p), x, p),
+                                   coeffs, p)) == 0
+               for ell in _prime_divisors(k))
+
+
+def powmod_rabin_modulus(p, k):
+    for high_first in itertools.product(range(p), repeat=k):
+        coeffs = tuple(reversed(high_first)) + (1,)
+        if powmod_rabin_is_irreducible(coeffs, p):
+            return coeffs
+
+
+def test_modulus_matches_the_powmod_rabin_scan():
+    for p in (p for p in range(5, 100) if is_prime(p)):
+        for k in range(2, 9):
+            if p ** k <= 10 ** 18:
+                assert GF(p, k).modulus == powmod_rabin_modulus(p, k), (p, k)
