@@ -89,13 +89,12 @@ class GF:
 
     The polynomial is monic of degree k; its lower coefficients are the
     first tuple (c_0, ..., c_{k-1}) in lexicographic order making
-    x^k + c_{k-1} x^{k-1} + ... + c_0 irreducible mod p.  A candidate f
-    with a root in F_p is rejected; for k > 3 the survivors take Rabin's
-    test, x^(p^k) = x mod f and gcd(x^(p^(k/l)) - x, f) = 1 for each
-    prime l | k.  g -> g^p is F_p-linear mod f, with the matrix B whose
-    column i is x^(ip) mod f (Berlekamp's matrix), so the powers x^(p^j)
-    are B^j x: one square-and-multiply for x^p, k - 1 products for B's
-    columns and k matrix-vector steps.
+    x^k + c_{k-1} x^{k-1} + ... + c_0 irreducible mod p: f has no root
+    in F_p and, for k > 3, passes Rabin's test, x^(p^k) = x mod f and
+    gcd(x^(p^(k/l)) - x, f) = 1 for each prime l | k.  g -> g^p is
+    F_p-linear mod f, with Berlekamp's matrix B (column i is x^(ip) mod
+    f), so x^(p^j) = B^j x: one powering for x^p, then k - 1 products
+    for B and k matrix-vector steps.
 
     `_mul` packs coordinates into 64-bit slots, and no slot carries into
     the next: a low slot ends below k p^2 from the product plus
