@@ -30,7 +30,7 @@ from .exceptional import (
     check_congruence,
     orbit_table,
 )
-from .ffield import InconsistencyError, is_prime
+from .ffield import MAX_CHAR, InconsistencyError, is_prime
 from .projline import point_str
 
 SCHEMA_VERSION = 1
@@ -45,6 +45,8 @@ QUOTIENT_MAP_SAMPLES = 8
 def _require_prime(p: int) -> int:
     if not is_prime(p) or p <= 3:
         raise UsageError("%d is not a prime > 3" % p)
+    if p >= MAX_CHAR:
+        raise UsageError("p = %d is not below the accepted bound 2^20 = %d" % (p, MAX_CHAR))
     return p
 
 
@@ -346,7 +348,7 @@ def checks_for_prime(p: int) -> list:
 
 
 def run_verify(lo: int, hi: int, jobs: int) -> int:
-    primes = [p for p in range(max(lo, 5), hi) if is_prime(p)]
+    primes = [_require_prime(p) for p in range(max(lo, 5), hi) if is_prime(p)]
     results = []
     # the pool starts all its workers at once, so never ask for more than
     # there are primes or cores

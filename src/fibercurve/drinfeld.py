@@ -329,53 +329,27 @@ def count_points_fp2(p: int, a) -> int:
         raise ValueError("twist must live in F_{p^2}")
     if a.is_zero() or a.in_prime_field() or not (a * a).in_prime_field():
         raise ValueError("twist must satisfy a not in F_p, a^2 in F_p")
-    frob = _frobenius(F2, p)
     count = 0
     # z = 0: x^p y = x y^p on P^1, enumerate both charts
     for t in F2.elements():
-        if frob(t) == t:  # (x : y) = (t : 1)
+        if t.frobenius() == t:  # (x : y) = (t : 1)
             count += 1
     count += 1  # (1 : 0) always satisfies x^p * 0 - x * 0 = 0
     # z = 1: for each x count y with x^p y - x y^p = a, an F_p-linear
     # equation in the coordinates of y
-    basis = _basis(F2)
-    basis_p = [frob(e) for e in basis]
+    basis = F2.basis()
+    basis_p = [F2(col) for col in F2.frobenius_columns()]
     rhs = list(a.coords)
     for x in F2.elements():
         if x.is_zero():
             continue  # 0 - 0 = a is impossible for a != 0
-        xp = frob(x)
+        xp = x.frobenius()
         cols = [xp * e - x * ep for e, ep in zip(basis, basis_p)]
         matrix = [[col.coords[i] for col in cols] for i in range(F2.k)]
         sol = solve_affine_mod_p(matrix, rhs, p)
         if sol is not None:
             count += p ** len(sol[1])
     return count
-
-
-def _basis(F):
-    """The coordinate basis 1, w, ..., w^(k-1) of F over F_p."""
-    return [F(tuple(int(i == j) for i in range(F.k))) for j in range(F.k)]
-
-
-def _frobenius(F, p):
-    """x -> x^p on F, applied as the F_p-linear map that sends each basis
-    vector to its p-th power.  The images are packed into 64-bit slots
-    like `GF._mul`'s operands, so a call is k int products and one
-    unpack; no slot carries, since each stays below k p^2 < 2^64."""
-    pack = F._pack
-    xp = _basis(F)[1] ** p
-    images, image = [], F.one()
-    for _ in range(F.k):  # e_j^p = (x^p)^j
-        images.append(int.from_bytes(pack.pack(*image.coords), "little"))
-        image *= xp
-    size = 8 * F.k
-
-    def frob(x):
-        packed = sum(map(mul, x.coords, images)).to_bytes(size, "little")
-        return FqElement(F, tuple(c % p for c in pack.unpack(packed)))
-
-    return frob
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +399,20 @@ def _sample_source_points(p: int, count: int, rng):
     raise FieldError("no sample points found up to degree %d" % (2 * SAMPLE_MAX_DEGREE))
 
 
-def _trace_form(F, frob):
+def _trace_form(F):
     """The matrix Q of w -> Tr(w^(p+1)), Q[i][j] = Tr(e_i e_j^p); the
     trace Tr(x) of the F_p-linear map y -> x y is linear in x."""
-    basis = _basis(F)
+    basis = F.basis()
     traces = [sum((e * f).coords[i] for i, f in enumerate(basis)) for e in basis]
-    basis_p = [frob(e) for e in basis]
+    basis_p = [F(col) for col in F.frobenius_columns()]
     return [[sum(map(mul, traces, (e * f).coords)) % F.p for f in basis_p] for e in basis]
 
 
 def _sample_in_field(F, p, count, rng):
-    frob = _frobenius(F, p)
-    basis = _basis(F)
-    frob_matrix = [
-        [(frob(e) - e).coords[i] for e in basis] for i in range(F.k)
-    ]
-    form = _trace_form(F, frob)
+    # the matrix of s -> s^p - s: Frobenius's columns less the identity
+    cols = F.frobenius_columns()
+    frob_matrix = [[(c[i] - (i == j)) % p for j, c in enumerate(cols)] for i in range(F.k)]
+    form = _trace_form(F)
     pts = []
     for _ in range(4 * p * count):
         w = F.random_element(rng)
@@ -449,7 +421,7 @@ def _sample_in_field(F, p, count, rng):
         coords = w.coords
         if sum(wi * sum(map(mul, row, coords)) for wi, row in zip(coords, form)) % p:
             continue  # Tr(c) != 0: s^p - s = c has no solution
-        c = -(w * frob(w))
+        c = -(w * w.frobenius())
         sol = solve_affine_mod_p(frob_matrix, list(c.coords), p)
         if sol is None:
             raise InconsistencyError(
@@ -458,7 +430,7 @@ def _sample_in_field(F, p, count, rng):
         alpha = w.inverse()
         shift = rng.randrange(p)
         beta = alpha * (F(tuple(sol[0])) + shift)
-        if frob(alpha) * beta - alpha * frob(beta) != F.one():
+        if alpha.frobenius() * beta - alpha * beta.frobenius() != F.one():
             raise InconsistencyError(
                 "quotient-map sampler: a solution of s^p - s = c gives a point "
                 "off x^p y - x y^p = 1 in degree %d (p = %d)" % (F.k, p))
@@ -482,7 +454,7 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     s+.  A family's witness is the first point it rejects, and the
     draws are those a family replaying the actions on its own would
     make, so the outcome does not depend on the sharing.  x -> x^p is
-    the linear map of `_frobenius`.
+    the field's linear map, `FqElement.frobenius`.
     """
     import random
 
@@ -504,14 +476,14 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     rng = random.Random(seed)
     F, pts = _sample_source_points(p, samples, rng)
     lam = element_of_order(F, p + 1, rng)
-    frob = _frobenius(F, p)
     # the chains' constants, shared by every point
     half = F((p + 1) // 2)
     aN = lam ** (p - 1) - lam ** 2  # lam^-2 = lam^(p-1), as lam^(p+1) = 1
-    consts = (F.one(), half, frob(lam), aN, (aN * half) ** 2, half * half)
+    consts = (F.one(), half, lam.frobenius(), aN, (aN * half) ** 2, half * half)
     open_checks = dict(checks)
     for alpha, beta in pts:
-        for family in _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
+        for family in _rejecting_families(p, FqElement.frobenius, lam, consts,
+                                          alpha, beta, rng):
             check = open_checks.pop(family, None)
             if check is not None:
                 check.passed = False

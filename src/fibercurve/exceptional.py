@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ffield import field_create, inverse_mod, is_prime, sqrt_in_field
+from .ffield import InconsistencyError, field_create, inverse_mod, is_prime, sqrt_in_field
 from .projline import (
     GroupError,
     Orbit,
@@ -98,8 +98,11 @@ class CongruenceError(UsageError):
     """The requested kind does not exist at this prime."""
 
 
-class VerificationError(AssertionError):
-    """A computed table disagrees with its closed form."""
+class VerificationError(InconsistencyError):
+    """An orbit table disagrees with its closed form (exit 3, or a failed battery row)."""
+
+    def __init__(self, kind: str, p: int, what: str):
+        super().__init__("orbit table: %s (kind %s, p = %d)" % (what, kind, p))
 
 
 def check_congruence(kind: str, p: int) -> None:
@@ -199,7 +202,7 @@ def _scan_generators(kind: str, p: int) -> SubgroupTable:
             T = transform(p, *tm)
             group = generate_subgroup(p, [S, T], cap=4 * target)
             if group.order == target:
-                return SubgroupTable(p, group.elements, (S, T))
+                return group
     raise GroupError("no generator pair found for %s at p=%d" % (kind, p))
 
 
@@ -235,7 +238,7 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
                 "explicit generators gave order %d, expected %d"
                 % (group.order, target)
             )
-        return SubgroupTable(p, group.elements, gens)
+        return group
     return _scan_generators(kind, p)
 
 
@@ -287,10 +290,8 @@ def orbit_table(kind: str, p: int) -> OrbitTable:
     expected_names, np_formula = _closed_form(kind, p)
     expected_np = np_formula(p)
     if len(orbs) != expected_np:
-        raise VerificationError(
-            "%s at p=%d: computed %d orbits, closed form gives %d"
-            % (kind, p, len(orbs), expected_np)
-        )
+        raise VerificationError(kind, p, "%d orbits computed, the closed form gives %d"
+                                % (len(orbs), expected_np))
     exceptional = {}
     profile = ORBIT_PROFILE[kind]
     pending = sorted(
@@ -302,33 +303,31 @@ def orbit_table(kind: str, p: int) -> OrbitTable:
         key=lambda item: (item[0][1], item[1]),
     )
     if len(pending) != len(expected_profile):
-        raise VerificationError(
-            "%s at p=%d: %d exceptional orbits computed, table lists %d"
-            % (kind, p, len(pending), len(expected_profile))
-        )
+        raise VerificationError(kind, p, "%d exceptional orbits computed, the table has %d"
+                                % (len(pending), len(expected_profile)))
     for o, ((size, iso), name) in zip(pending, expected_profile):
         if (len(o), o.isotropy_order) != (size, iso):
             raise VerificationError(
-                "%s at p=%d: orbit (size %d, isotropy %d) does not match "
-                "table entry %s = (size %d, isotropy %d)"
-                % (kind, p, len(o), o.isotropy_order, name, size, iso)
-            )
+                kind, p, "an orbit of size %d and isotropy %d is not the table's %s = "
+                "(size %d, isotropy %d)" % (len(o), o.isotropy_order, name, size, iso))
         exceptional[name] = o
     for o in orbs:
         if o.isotropy_order == 1 and len(o) != group.order:
             raise VerificationError(
-                "%s at p=%d: free orbit of size %d != group order %d"
-                % (kind, p, len(o), group.order)
-            )
-    _check_cyclic_isotropy(group, exceptional)
+                kind, p, "a free orbit has size %d, not the group order %d"
+                % (len(o), group.order))
+    _check_cyclic_isotropy(kind, group, exceptional)
     return OrbitTable(kind, p, orbs, len(orbs), exceptional)
 
 
-def _check_cyclic_isotropy(group: SubgroupTable, exceptional: dict) -> None:
+def _check_cyclic_isotropy(kind: str, group: SubgroupTable, exceptional: dict) -> None:
     p = group.p
     for name, orbit in exceptional.items():
         stab = stabilizer(group, orbit.representative)
         if stab.order != orbit.isotropy_order:
-            raise VerificationError("stabilizer order mismatch on %s" % name)
+            raise VerificationError(
+                kind, p, "the stabilizer of %s has order %d, not %d"
+                % (name, stab.order, orbit.isotropy_order))
         if not any(projective_order(p, g) == stab.order for g in stab.elements):
-            raise VerificationError("isotropy group of %s is not cyclic" % name)
+            raise VerificationError(kind, p, "the isotropy group of %s is not cyclic"
+                                    % name)

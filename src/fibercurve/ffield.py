@@ -94,13 +94,14 @@ class GF:
     gcd(x^(p^(k/l)) - x, f) = 1 for each prime l | k.  g -> g^p is
     F_p-linear mod f, with Berlekamp's matrix B (column i is x^(ip) mod
     f), so x^(p^j) = B^j x: one powering for x^p, then k - 1 products
-    for B and k matrix-vector steps.
+    for B and k matrix-vector steps.  The field keeps its modulus's B,
+    packed one column per int, as its Frobenius map.
 
     `_mul` packs coordinates into 64-bit slots, and no slot carries into
     the next: a low slot ends below k p^2 from the product plus
     (k - 1) p^2 from the folded rows, so every slot stays below
     (2k - 1) p^2 < 2^64, since p < MAX_CHAR = 2^20 and p^k <= MAX_ORDER
-    keeps k <= 25.
+    keeps k <= 25.  A Frobenius image's slots stay below k p^2.
     """
 
     def __init__(self, p: int, k: int = 1):
@@ -122,11 +123,13 @@ class GF:
             self._pack = struct.Struct("<%dQ" % k)
             self._unpack_product = struct.Struct("<%dQ" % (2 * k)).unpack
             self._low_mask = (1 << 64 * k) - 1
-            # x^(k+i) mod f for i < k - 1, packed like an operand
+            # x^(k+i) mod f for i < k - 1, then Berlekamp's columns
+            # x^(jp) mod f = (x^j)^p for j < k, each packed like an operand
             rems = [_poly_divmod((0,) * (k + i) + (1,), self.modulus, p)[1]
                     for i in range(k - 1)]
-            self._rows = [int.from_bytes(self._pack.pack(*r, *(0,) * (k - len(r))), "little")
-                          for r in rems]
+            packed = [int.from_bytes(self._pack.pack(*r, *(0,) * (k - len(r))), "little")
+                      for r in rems + _berlekamp_columns(self.modulus, p, k)]
+            self._rows, self._frob_cols = packed[:k - 1], packed[k - 1:]
 
     # -- construction -------------------------------------------------
 
@@ -152,11 +155,7 @@ class GF:
                 return False
         if k <= 3:
             return True  # degree 2 or 3 with no roots is irreducible
-        xp = _poly_powmod_x_q(p, coeffs, p)
-        cols = [(1,)]
-        for _ in range(k - 1):
-            cols.append(_poly_divmod(_poly_mul(cols[-1], xp, p), coeffs, p)[1])
-        rows = list(zip(*(c + (0,) * (k - len(c)) for c in cols)))
+        rows = list(zip(*_berlekamp_columns(coeffs, p, k)))
         x = (0, 1) + (0,) * (k - 2)
         powers = [x]  # x^(p^j) for j = 0, ..., k
         for _ in range(k):
@@ -193,6 +192,10 @@ class GF:
         for coords in itertools.product(range(self.p), repeat=self.k):
             yield FqElement(self, coords)
 
+    def basis(self):
+        """The coordinate basis 1, x, ..., x^(k-1) over F_p."""
+        return [self(tuple(int(i == j) for i in range(self.k))) for j in range(self.k)]
+
     def random_element(self, rng) -> "FqElement":
         return FqElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
 
@@ -224,6 +227,17 @@ class GF:
         for h, row in zip(high, self._rows):
             low += h % p * row
         return tuple(c % p for c in pack.unpack(low.to_bytes(8 * k, "little")))
+
+    def _frobenius(self, a):
+        # a^p = sum of a_j (x^j)^p: k int products on the packed columns
+        if self.k == 1:
+            return a
+        packed = sum(map(mul, a, self._frob_cols)).to_bytes(8 * self.k, "little")
+        return tuple(c % self.p for c in self._pack.unpack(packed))
+
+    def frobenius_columns(self):
+        """The matrix of x -> x^p: column j is the coordinates of (x^j)^p."""
+        return tuple(self._frobenius(e.coords) for e in self.basis())
 
     def _pow(self, a, n: int):
         if n < 0:
@@ -355,6 +369,9 @@ class FqElement:
 
     def inverse(self):
         return FqElement(self.field, self.field._inv(self.coords))
+
+    def frobenius(self):  # self ** p, by the field's linear map
+        return FqElement(self.field, self.field._frobenius(self.coords))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -536,6 +553,14 @@ def _poly_gcd(a, b, p):
         c = inverse_mod(a[-1], p)
         a = tuple(x * c % p for x in a)
     return a
+
+
+def _berlekamp_columns(mod, p, k):
+    # x^(jp) mod the monic degree-k `mod` for j < k, each as k coefficients
+    xp, cols = _poly_powmod_x_q(p, mod, p), [(1,)]
+    for _ in range(k - 1):
+        cols.append(_poly_divmod(_poly_mul(cols[-1], xp, p), mod, p)[1])
+    return [c + (0,) * (k - len(c)) for c in cols]
 
 
 def _poly_powmod_x_q(q, mod, p):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .ffield import InconsistencyError
 
@@ -177,13 +177,21 @@ def _divisibility_chain(values) -> list:
     return [1] * (len(values) - len(rest)) + rest
 
 
+def _insert_factor(chain, x) -> list:
+    """The Smith form of diag(chain, x), chain a divisibility chain d_i:
+    d'_i = lcm(d_(i-1), gcd(d_i, x)) with d_0 = 1 and d_(n+1) = 0, which
+    places x's exponent among the sorted exponents at each prime."""
+    return [lcm(prev, gcd(d, x)) for prev, d in zip([1] + chain, chain + [0])]
+
+
 def component_group(fiber) -> AbelianInvariants:
     """Invariant factors of the component group of a Cartan fiber's model.
 
     Every horizontal x must meet every vertical j once, with width
     e_x w_j, where w_j is the vertical's `width`.  The group is the sum
     of Z/(a_i b_k) over SNF(A) = (1, ..., 1, banana_order(e)) and SNF(B);
-    see the module docstring.
+    see the module docstring.  SNF(B) repeated s - 2 times is already a
+    chain, so each a b_k is inserted into it in time linear in s.
     """
     horizontals, verticals = fiber.horizontals(), fiber.verticals()
     if not horizontals or not fiber.incidence_complete:
@@ -199,9 +207,11 @@ def component_group(fiber) -> AbelianInvariants:
         raise GraphError("no closed-form Smith normal form of A for e = %r" % (es,))
     b_matrix = [[ws[0] + (i == k) * w for k in range(len(ws) - 1)]
                 for i, w in enumerate(ws[1:])]
-    snf_a = [1] * (len(es) - 2) + [banana_order(es)] if len(es) > 1 else []
     snf_b = smith_normal_form_diagonal(b_matrix) if b_matrix else []
-    diag = _divisibility_chain([x * y for x in snf_a for y in snf_b])
+    diag = [b for b in snf_b for _ in range(len(es) - 2)]
+    if len(es) > 1:
+        for b in snf_b:
+            diag = _insert_factor(diag, banana_order(es) * b)
     invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
     trees = spanning_tree_count(es, ws)
     if invariants.order() != trees:

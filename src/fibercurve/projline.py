@@ -94,34 +94,25 @@ def projective_order(p: int, g) -> int:
 
 
 class SubgroupTable:
-    """A finite subgroup of PGL_2(F_p), closed element list."""
+    """A finite subgroup of PGL_2(F_p): its elements once each, in the
+    order listed (a repeat is dropped, so `order` counts classes)."""
 
     def __init__(self, p: int, elements, gens=None):
         self.p = p
-        self.elements = tuple(sorted(set(elements)))
-        self.element_set = frozenset(self.elements)
+        self.elements = tuple(dict.fromkeys(elements))
         self.gens = tuple(gens or ())
         self.order = len(self.elements)
-
-    def __contains__(self, g) -> bool:
-        return g in self.element_set
-
-    def __le__(self, other) -> bool:
-        return self.element_set <= other.element_set
-
-    def __iter__(self):
-        return iter(self.elements)
 
     def __repr__(self):
         return "SubgroupTable(p=%d, order=%d)" % (self.p, self.order)
 
 
 def generate_subgroup(p: int, gens, cap: int = SUBGROUP_CAP) -> SubgroupTable:
-    """Breadth-first closure of a nonempty generator list."""
+    """Breadth-first closure of a nonempty generator list, in reach order."""
     gens = list(gens)
     if not gens:
         raise GroupError("empty generator list")
-    seen = {IDENTITY}
+    seen = {IDENTITY: None}  # a dict keeps the order of insertion
     queue = [IDENTITY]
     while queue:
         nxt = []
@@ -129,7 +120,7 @@ def generate_subgroup(p: int, gens, cap: int = SUBGROUP_CAP) -> SubgroupTable:
             for g in gens:
                 y = mul(p, x, g)
                 if y not in seen:
-                    seen.add(y)
+                    seen[y] = None
                     if len(seen) > cap:
                         raise GroupError("subgroup closure exceeds cap %d" % cap)
                     nxt.append(y)

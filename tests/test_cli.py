@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import fibercurve
-from fibercurve import cli, neron
+from fibercurve import cli, exceptional, neron
 from fibercurve.cli import main
 from fibercurve.ffield import is_prime
 
@@ -148,6 +148,37 @@ def test_internal_value_error_exits_4(capsys, monkeypatch, error):
     monkeypatch.setattr(cli.atlas, "special_fiber", raising)
     code, out, err = run_cli(capsys, "fiber", "--family", "ns", "--prime", "13")
     assert (code, out, err) == (4, "", "error: internal\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fiber", "--family", "ns+", "--prime", "1048583"),
+    ("drinfeld", "--family", "ns", "--prime", "1048583"),
+    ("drinfeld", "--group", "a4", "--prime", "1048583"),
+    ("orbits", "--group", "s4", "--prime", "1048583"),
+    ("neron", "--family", "s", "--prime", "1048583"),
+    ("verify", "--suite", "paper", "--primes", "1048573..1048584"),
+], ids=["fiber", "drinfeld-family", "drinfeld-group", "orbits", "neron", "verify"])
+def test_prime_at_or_above_2_to_the_20_exits_2(capsys, argv):
+    # 1048583 is the first prime above 2^20 = MAX_CHAR
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: p = 1048583 is not below the accepted bound 2^20 = 1048576\n"
+
+
+def test_largest_prime_below_2_to_the_20_is_accepted(capsys):
+    assert cli._require_prime(1048573) == 1048573
+    code, out, _ = run_cli(capsys, "drinfeld", "--family", "ns", "--prime", "1048573")
+    assert code == 0 and out.startswith("e=1: U^2 = V^1048574 + 1")
+
+
+def test_wrong_orbit_table_fails_its_battery_row(monkeypatch):
+    real = exceptional._closed_form
+    monkeypatch.setattr(exceptional, "_closed_form",
+                        lambda kind, p: (real(kind, p)[0], lambda q: 0))
+    # 37 has only a4, and no worked equation that would rebuild its table
+    rows = [r for r in cli.checks_for_prime(37) if r[0].startswith("orbit-table")]
+    assert rows == [("orbit-table-a4", 37, False, "orbit table: 5 orbits computed, "
+                     "the closed form gives 0 (kind a4, p = 37)")]
 
 
 def test_argparse_usage_exit_2():
@@ -556,8 +587,16 @@ def test_wrong_square_root_exits_3_under_python_O():
     ("atlas", "_cartan_fiber", ["verify", "--suite", "paper", "--primes", "13..14"],
      "(lambda g: setattr(g.verticals()[-1], 'label', 'X') or g)(real(*args))",
      "consistency identity:"),
+    # a closed form that expects one orbit more than the group has
+    ("exceptional", "_closed_form", ["orbits", "--group", "a4", "--prime", "13"],
+     "(lambda names, count: (names, lambda p: count(p) + 1))(*real(*args))",
+     "orbit table:"),
+    # a product that returns its right factor repeats classes in the
+    # normalizer's list, and deduplication leaves it short
+    ("projline", "mul", ["fiber", "--family", "ns+", "--prime", "13"], "args[1]",
+     "group order:"),
 ], ids=["total-genus", "branch-values", "orbit-stabilizer", "cover-genus",
-        "identity-unknowns"])
+        "identity-unknowns", "orbit-table", "group-order"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""

@@ -363,11 +363,12 @@ def brute_count_p5():
 @pytest.mark.parametrize("p,k", [(5, 2), (13, 2), (5, 6), (31, 6)])
 def test_frobenius_map_is_the_p_th_power(p, k):
     F = field_create(p, k)
-    frob = drinfeld._frobenius(F, p)
     rng = random.Random(p * k)
     elems = F.elements() if k == 2 else (F.random_element(rng) for _ in range(200))
     for x in elems:
-        assert frob(x) == x ** p
+        assert x.frobenius() == x ** p
+    basis = [F(tuple(int(i == j) for i in range(k))) for j in range(k)]
+    assert F.frobenius_columns() == tuple((e ** p).coords for e in basis)
 
 
 def test_count_points_fp2_matches_brute_force_at_5():
@@ -592,7 +593,6 @@ def test_degree_six_draw_budget_suffices(seed):
 def test_itoh_tsujii_inverse(p):
     # x^-1 = x^(r-1)/N(x), x^(r-1) the product of the nontrivial conjugates
     F = field_create(p, 6)
-    frob = drinfeld._frobenius(F, p)
     rng = random.Random(p)
     for _ in range(50):
         x = F.random_element(rng)
@@ -600,7 +600,7 @@ def test_itoh_tsujii_inverse(p):
             continue
         conjugates = [x]  # x, x^p, ..., x^(p^5)
         for _ in range(F.k - 1):
-            conjugates.append(frob(conjugates[-1]))
+            conjugates.append(conjugates[-1].frobenius())
         x_r1 = reduce(mul, conjugates[1:])
         norm = x * x_r1
         assert norm.in_prime_field() and not norm.is_zero()
@@ -649,7 +649,7 @@ def test_trace_test_accepts_exactly_the_solvable_draws(p, seed, monkeypatch):
 @pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
 def test_trace_form_equals_trace(p):
     F = field_create(p, 6)
-    form = drinfeld._trace_form(F, drinfeld._frobenius(F, p))
+    form = drinfeld._trace_form(F)
     rng = random.Random(p)
     for _ in range(100):
         w = F.random_element(rng)
@@ -666,21 +666,12 @@ def test_rejected_draw_does_no_field_arithmetic(p, monkeypatch):
     # events in order; a draw's segment runs to the next draw or field
     events = []
     draw, mul_, inv = GF.random_element, GF._mul, GF._inv
-    frobenius, create = drinfeld._frobenius, drinfeld.field_create
+    frobenius, create = GF._frobenius, drinfeld.field_create
     solve = drinfeld.solve_affine_mod_p
 
     def recording_draw(F, rng):
         events.append("draw")
         return draw(F, rng)
-
-    def counting_frobenius(F, q):
-        frob = frobenius(F, q)
-
-        def counted(x):
-            events.append("frob")
-            return frob(x)
-
-        return counted
 
     def record(name, fn):
         def wrapped(*args):
@@ -691,7 +682,7 @@ def test_rejected_draw_does_no_field_arithmetic(p, monkeypatch):
     monkeypatch.setattr(GF, "random_element", recording_draw)
     monkeypatch.setattr(GF, "_mul", record("mul", mul_))
     monkeypatch.setattr(GF, "_inv", record("inv", inv))
-    monkeypatch.setattr(drinfeld, "_frobenius", counting_frobenius)
+    monkeypatch.setattr(GF, "_frobenius", record("frob", frobenius))
     monkeypatch.setattr(drinfeld, "field_create", record("field", create))
     monkeypatch.setattr(drinfeld, "solve_affine_mod_p", record("solve", solve))
     drinfeld._sample_source_points(p, 8, random.Random(p))

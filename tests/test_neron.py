@@ -161,6 +161,33 @@ def test_smith_normal_form_divisibility_chain_random():
             prev = d
 
 
+def test_inserted_factors_equal_the_pairwise_chain_on_random_multisets():
+    rng = random.Random(47)
+    for _ in range(500):
+        values = [rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 12, 30)) * rng.randrange(1, 6)
+                  for _ in range(rng.randrange(0, 9))]
+        extra = [rng.randrange(1, 400) for _ in range(rng.randrange(1, 4))]
+        chain = neron._divisibility_chain(values)
+        for x in extra:
+            chain = neron._insert_factor(chain, x)
+        assert chain == neron._divisibility_chain(values + extra)
+
+
+@pytest.mark.parametrize("family", CARTAN_FAMILIES)
+def test_inserted_products_equal_the_pairwise_chain_below_500(family):
+    # the product step as it was: every a_i b_k, chained pairwise
+    for p in (p for p in range(5, 500) if is_prime(p)):
+        fiber = special_fiber(family, p)
+        es = [h.e for h in fiber.horizontals()]
+        ws = [v.width for v in fiber.verticals()]
+        b_matrix = [[ws[0] + (i == k) * w for k in range(len(ws) - 1)]
+                    for i, w in enumerate(ws[1:])]
+        snf_a = [1] * (len(es) - 2) + [banana_order(es)] if len(es) > 1 else []
+        snf_b = smith_normal_form_diagonal(b_matrix) if b_matrix else []
+        pairwise = neron._divisibility_chain([a * b for a in snf_a for b in snf_b])
+        assert component_group(fiber).factors == tuple(d for d in pairwise if d > 1), p
+
+
 def test_smith_normal_form_against_determinantal_divisors():
     # d_1 ... d_k is the gcd of all k x k minors
     rng = random.Random(41)
