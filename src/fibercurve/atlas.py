@@ -17,8 +17,8 @@ Cartan families, and the identity
 
     g(X) = sum of component genera + toric rank
 
-is solved for the one unknown Igusa-quotient genus and cross-checked
-across families.
+is solved for the one unknown Igusa-quotient genus and checked against
+its Riemann-Hurwitz closed form (`igusa_genus`).
 
 Exceptional families expose component counts, quotient types and local
 widths only: the sources state which parts exist and how wide their
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from math import gcd
 from operator import add
 
 from .ffield import InconsistencyError, is_prime
@@ -517,12 +518,6 @@ class FiberGraph:
         return "\n".join(lines)
 
 
-def _igusa_label(family: str, p: int) -> str:
-    if family in ("ns+", "s+") and p % 4 == 1:
-        return LABEL_C4
-    return LABEL_PM
-
-
 def special_fiber(family: str, p: int) -> FiberGraph:
     """The special-fiber inventory for a family at p.
 
@@ -542,10 +537,10 @@ def _cartan_fiber(family: str, p: int) -> FiberGraph:
     if not is_prime(p) or p <= 3:
         raise ValueError("p must be a prime > 3")
     ss = supersingular_data(p)
-    label = _igusa_label(family, p)
-    if label == LABEL_C4:
-        igusa = ("IgA", "IgB")
+    if family in ("ns+", "s+") and p % 4 == 1:
+        label, igusa = LABEL_C4, ("IgA", "IgB")
     else:
+        label = LABEL_PM
         igusa = ("Ig",) if family in ("ns+", "s+") else ("Ig1", "Igd")
     rational = {"s": ("R1", "R2"), "s+": ("R",)}.get(family, ())
     # rational verticals first; w is the crossing width with e = 1
@@ -730,6 +725,30 @@ def total_genus(family: str, p: int) -> int:
     return genus
 
 
+def igusa_genus(p: int, k: int) -> int:
+    """Genus of the Igusa quotient Ig(p)/C_{2k}, for 2k | p - 1.
+
+    Ig(p)/C_{2k} -> X(1) is cyclic of degree n = (p - 1)/(2k), with group
+    F_p^*/C_{2k} acting on generators of ker(V: E^(p) -> E) (Igusa 1968;
+    Katz-Mazur 1985, ch. 12).  By Riemann-Hurwitz: it is totally ramified
+    over the s supersingular j, where ker V is trivial; over an ordinary
+    j = 1728 (p = 1 mod 4) or 0 (p = 1 mod 3), the inertia Aut(E)/{+-1} of
+    order h = 2 or 3 acts faithfully on ker V and has order h/gcd(h, k)
+    modulo C_{2k}; the cusp splits completely, since on the Tate curve
+    ker V is the Cartier dual of ker F = mu_p, the constant Z/p; nothing
+    else ramifies, as ker V is etale over the ordinary locus.
+    """
+    if k < 1 or (p - 1) % (2 * k):
+        raise ValueError("Ig(p)/C_%d needs %d | p - 1 (p = %d)" % (2 * k, 2 * k, p))
+    n = (p - 1) // (2 * k)
+    rhs = -2 * n + supersingular_data(p).s * (n - 1)
+    if p % 4 == 1:
+        rhs += n - n * gcd(2, k) // 2
+    if p % 3 == 1:
+        rhs += n - n * gcd(3, k) // 3
+    return rhs // 2 + 1
+
+
 # ---------------------------------------------------------------------------
 # genus-consistency ledger
 # ---------------------------------------------------------------------------
@@ -739,12 +758,13 @@ def total_genus(family: str, p: int) -> int:
 class ConsistencyReport:
     family: str
     p: int
+    graph: FiberGraph
     total_genus: int
     toric_rank: int
     unknown_label: str
     unknown_count: int
     derived_genus: int
-    ok: bool
+    ok: bool = True
     ledger: list = field(default_factory=list)
 
     def entry(self, quantity, value, provenance, ok=True):
@@ -755,56 +775,32 @@ class ConsistencyReport:
             self.ok = False
 
 
-def _identity_parts(family: str, p: int):
+def consistency_report(family: str, p: int) -> ConsistencyReport:
+    """Solve g(X) = sum of component genera + toric rank for the unknown
+    Igusa-quotient genus and check it against igusa_genus.
+
+    Every Cartan family whose fiber uses the same quotient at p is
+    checked against the same closed form, so once each derived genus
+    equals it the identity closes in all of them.  Inconsistencies are
+    reported (ok = False, ledger entries), never adjusted.
+    """
+    if family not in CARTAN_FAMILIES:
+        raise ValueError("consistency ledger applies to Cartan families only")
     graph = _cartan_fiber(family, p)
     total = total_genus(family, p)
     toric = graph.toric_rank()
-    known = 0
-    unknown_labels = []
-    for v in graph.vertices:
-        if v.genus is None:
-            unknown_labels.append(v.label)
-        else:
-            known += v.genus
-    labels = sorted(set(unknown_labels))
+    unknown = [v for v in graph.vertices if v.genus is None]
+    labels = sorted({v.label for v in unknown})
     if len(labels) != 1:
         raise InconsistencyError(
             "consistency identity: unknown quotient genera %s, one expected "
             "(family %s, p = %d)" % (labels, family, p))
-    return graph, total, toric, known, unknown_labels[0], len(unknown_labels)
-
-
-def consistency_report(family: str, p: int, parts=None) -> ConsistencyReport:
-    """Solve g(X) = sum of component genera + toric rank for the unknown
-    Igusa-quotient genus and cross-check it everywhere it reappears.
-
-    Inconsistencies are reported (ok = False, ledger entries), never
-    adjusted.  `parts` maps a family to its `_identity_parts` at p and is
-    filled as they are built, so reports on several families at one
-    prime that share it build each family once.
-    """
-    if family not in CARTAN_FAMILIES:
-        raise ValueError("consistency ledger applies to Cartan families only")
-    parts = {} if parts is None else parts
-
-    def identity(f):
-        if f not in parts:
-            parts[f] = _identity_parts(f, p)
-        return parts[f]
-
-    graph, total, toric, known, label, count = identity(family)
-    residual = total - toric - known
-    derived, rem = divmod(residual, count)
-    report = ConsistencyReport(
-        family=family,
-        p=p,
-        total_genus=total,
-        toric_rank=toric,
-        unknown_label=label,
-        unknown_count=count,
-        derived_genus=derived,
-        ok=True,
-    )
+    label = labels[0]
+    known = sum(v.genus for v in graph.vertices if v.genus is not None)
+    derived, rem = divmod(total - toric - known, len(unknown))
+    report = ConsistencyReport(family=family, p=p, graph=graph, total_genus=total,
+                               toric_rank=toric, unknown_label=label,
+                               unknown_count=len(unknown), derived_genus=derived)
     report.entry("g(X_%s)" % family, total, "oracle")
     report.entry("toric rank", toric, "graph")
     for v in graph.horizontals():
@@ -812,24 +808,7 @@ def consistency_report(family: str, p: int, parts=None) -> ConsistencyReport:
                      v.genus, v.genus_provenance)
     report.entry("g(%s)" % label, derived, "derived-by-consistency",
                  ok=(rem == 0 and derived >= 0))
-    # cross-check in every other family whose fiber uses the same quotient
-    for other in CARTAN_FAMILIES:
-        if other == family or _igusa_label(other, p) != label:
-            continue
-        _, ototal, otoric, oknown, _, ocount = identity(other)
-        closes = ototal == otoric + oknown + ocount * derived
-        report.entry(
-            "identity closes in %s with g(%s) = %d" % (other, label, derived),
-            ototal,
-            "cross-check",
-            ok=closes,
-        )
-    if label == LABEL_C4 and p % 12 == 5:
-        closed = (p - 5) * (p - 17) // 96
-        report.entry(
-            "closed form (p-5)(p-17)/96 for g(%s)" % LABEL_C4,
-            closed,
-            "closed-form",
-            ok=(closed == derived),
-        )
+    closed = igusa_genus(p, QUOTIENT_WIDTH[label] // 2)
+    report.entry("Riemann-Hurwitz closed form for g(%s)" % label, closed,
+                 "closed-form", ok=(closed == derived))
     return report

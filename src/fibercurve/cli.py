@@ -38,7 +38,14 @@ FAMILIES = atlas.CARTAN_FAMILIES + EXCEPTIONAL_KINDS
 
 SS_ORACLE_MAX_P = 100
 MAXIMALITY_PRIMES = (5, 7, 11, 13)
-EQUATION_PRIMES = {13: "a4", 73: "s4", 103: "a4", 421: "a5"}
+# prime -> (kind, the worked equation of its horizontal component)
+WORKED_EQUATIONS = {
+    13: ("a4", "u^7 = t^5 (t-1)^5"),
+    73: ("s4", "u^37 = t^19 (t-14)^25 (t-48)^28 (t-58)"),
+    103: ("a4", "u^52 = t^35 (t-3) (t-10) (t-22) (t-39) (t-64) (t-89) (t-100) (t-102)"),
+    421: ("a5", "u^211 = t (t-23)^106 (t-47) (t-144)^141 (t-161) (t-228) (t-292) "
+                "(t-317)^169"),
+}
 QUOTIENT_MAP_SAMPLES = 8
 
 
@@ -81,7 +88,8 @@ def _cache_path(cache_dir, subcommand, selector, p):
 
 
 def cached_payload(cache_dir, subcommand, selector, p, args, compute):
-    """Fetch or compute a payload; stale schema or fingerprint recomputes."""
+    """Fetch or compute a payload; stale schema or fingerprint recomputes.
+    A cache that cannot be written gets one `warning:` line on stderr."""
     if cache_dir is None:
         return compute()
     path = _cache_path(cache_dir, subcommand, selector, p)
@@ -94,19 +102,23 @@ def cached_payload(cache_dir, subcommand, selector, p, args, compute):
     except (OSError, ValueError):
         pass
     payload = compute()
-    os.makedirs(cache_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(
-                {"schema_version": SCHEMA_VERSION, "fingerprint": fp, "payload": payload},
-                fh,
-                sort_keys=True,
-            )
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.makedirs(cache_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(
+                    {"schema_version": SCHEMA_VERSION, "fingerprint": fp, "payload": payload},
+                    fh,
+                    sort_keys=True,
+                )
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        # the answer is computed; an unusable cache only costs the next run
+        print("warning: the cache entry was not written: %s" % exc, file=sys.stderr)
     return payload
 
 
@@ -289,26 +301,28 @@ def checks_for_prime(p: int) -> list:
     def record(name, ok, detail=""):
         out.append((name, p, bool(ok), detail))
 
+    # each kind's orbit table, or the error of its failed check
+    tables = {}
     for kind in EXCEPTIONAL_KINDS:
         try:
             check_congruence(kind, p)
         except CongruenceError:
             continue
         try:
-            orbit_table(kind, p)
+            tables[kind] = orbit_table(kind, p)
             record("orbit-table-%s" % kind, True)
         except VerificationError as exc:
+            tables[kind] = exc
             record("orbit-table-%s" % kind, False, str(exc))
 
-    # each family's fiber and genus, built once at this prime and read
-    # by the toric-rank rows and the ns+ prediction too
-    families = atlas.CARTAN_FAMILIES
-    parts = {}
-    reports = [atlas.consistency_report(family, p, parts) for family in families]
-    for family in families:
-        ok = parts[family][0].toric_rank() == atlas.toric_rank_closed_form(family, p)
-        record("toric-rank-%s" % family, ok)
-    for family, report in zip(families, reports):
+    # each family's fiber and genus, built once at this prime by its
+    # report and read by the toric-rank rows and the ns+ prediction too
+    reports = {family: atlas.consistency_report(family, p)
+               for family in atlas.CARTAN_FAMILIES}
+    for family, report in reports.items():
+        record("toric-rank-%s" % family,
+               report.toric_rank == atlas.toric_rank_closed_form(family, p))
+    for family, report in reports.items():
         record("consistency-%s" % family, report.ok)
 
     if p < SS_ORACLE_MAX_P:
@@ -324,23 +338,21 @@ def checks_for_prime(p: int) -> list:
             "count=%d" % count,
         )
 
-    if p in EQUATION_PRIMES:
-        kind = EQUATION_PRIMES[p]
-        curve = drinfeld.exceptional_drinfeld(kind, p)
-        expect = {
-            13: "u^7 = t^5 (t-1)^5",
-            103: "u^52 = t^35 (t-3) (t-10) (t-22) (t-39) (t-64) (t-89) (t-100) (t-102)",
-            73: "u^37 = t^19 (t-14)^25 (t-48)^28 (t-58)",
-            421: "u^211 = t (t-23)^106 (t-47) (t-144)^141 (t-161) (t-228) (t-292) (t-317)^169",
-        }[p]
-        record("worked-equation-%s" % kind, curve.text() == expect, curve.text())
+    if p in WORKED_EQUATIONS:
+        kind, expect = WORKED_EQUATIONS[p]
+        table = tables[kind]
+        if isinstance(table, VerificationError):
+            record("worked-equation-%s" % kind, False, str(table))
+        else:
+            text = drinfeld.exceptional_drinfeld(kind, p, table=table).text()
+            record("worked-equation-%s" % kind, text == expect, text)
 
     if p <= drinfeld.SAMPLE_MAX_P:
         checks = drinfeld.verify_quotient_maps(p, QUOTIENT_MAP_SAMPLES)
         for family, chk in checks.items():
             record("quotient-maps-%s" % family, chk.passed)
 
-    chk = neron.component_group_prediction(p, fiber=parts["ns+"][0])
+    chk = neron.component_group_prediction(p, fiber=reports["ns+"].graph)
     accepted = ("match", "vacuous-trivial") if p % 4 == 1 else ("trivial",)
     record("neron-prediction", chk.verdict in accepted, chk.verdict)
 

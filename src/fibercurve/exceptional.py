@@ -311,23 +311,16 @@ def orbit_table(kind: str, p: int) -> OrbitTable:
                 kind, p, "an orbit of size %d and isotropy %d is not the table's %s = "
                 "(size %d, isotropy %d)" % (len(o), o.isotropy_order, name, size, iso))
         exceptional[name] = o
-    for o in orbs:
-        if o.isotropy_order == 1 and len(o) != group.order:
-            raise VerificationError(
-                kind, p, "a free orbit has size %d, not the group order %d"
-                % (len(o), group.order))
     _check_cyclic_isotropy(kind, group, exceptional)
     return OrbitTable(kind, p, orbs, len(orbs), exceptional)
 
 
 def _check_cyclic_isotropy(kind: str, group: SubgroupTable, exceptional: dict) -> None:
     p = group.p
+    # orbits() counted each isotropy order at its representative, and
+    # checked the orbit-stabilizer identity, so only cyclicity is left
     for name, orbit in exceptional.items():
         stab = stabilizer(group, orbit.representative)
-        if stab.order != orbit.isotropy_order:
-            raise VerificationError(
-                kind, p, "the stabilizer of %s has order %d, not %d"
-                % (name, stab.order, orbit.isotropy_order))
         if not any(projective_order(p, g) == stab.order for g in stab.elements):
             raise VerificationError(kind, p, "the isotropy group of %s is not cyclic"
                                     % name)

@@ -47,10 +47,9 @@ class AbelianInvariants:
     factors: tuple
 
     def order(self) -> int:
-        out = 1
-        for d in self.factors:
-            out *= d
-        return out
+        # one power per distinct factor: a product of the factors one by
+        # one is quadratic in the digits of the order
+        return prod(d ** self.factors.count(d) for d in set(self.factors))
 
     def is_trivial(self) -> bool:
         return not self.factors

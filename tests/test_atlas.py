@@ -11,6 +11,7 @@ from fibercurve.atlas import (
     LABEL_C4,
     LABEL_C6,
     LABEL_PM,
+    QUOTIENT_WIDTH,
     brute_supersingular_data,
     consistency_report,
     family_group_image,
@@ -18,6 +19,7 @@ from fibercurve.atlas import (
     genus_oracle,
     genus_x0,
     hasse_supersingular_data,
+    igusa_genus,
     isogeny_supersingular_data,
     special_fiber,
     supersingular_data,
@@ -476,7 +478,34 @@ def test_consistency_ledger_provenance_tags():
     assert "oracle" in tags
     assert "derived-by-consistency" in tags
     assert "closed-form" in tags
-    assert "cross-check" in tags
+
+
+def test_derived_quotient_genus_is_the_closed_form_below_2000():
+    # every Cartan (family, p): 1204 reports, about 4.5 s
+    for p in range(5, 2000):
+        if not is_prime(p):
+            continue
+        for family in CARTAN_FAMILIES:
+            r = consistency_report(family, p)
+            k = QUOTIENT_WIDTH[r.unknown_label] // 2
+            assert r.derived_genus == igusa_genus(p, k), (family, p)
+            closed = [e for e in r.ledger if e["provenance"] == "closed-form"]
+            assert [(e["value"], e["ok"]) for e in closed] == [(r.derived_genus, True)]
+
+
+def test_igusa_genus_known_values():
+    # Ig(p)/C4 at p = 5 mod 12 has the genus (p - 5)(p - 17)/96
+    for p in (5, 17, 29, 41, 53, 89, 101, 113, 137, 149, 173, 197):
+        assert igusa_genus(p, 2) == (p - 5) * (p - 17) // 96, p
+    # Ig(p)/{+-1} -> X(1) has degree 2 at p = 5: one supersingular j,
+    # totally ramified, and an ordinary 1728 with index 2: genus 0
+    assert igusa_genus(5, 1) == 0
+
+
+@pytest.mark.parametrize("p,k", [(11, 2), (13, 4), (7, 0), (9, 1)])
+def test_igusa_genus_rejects_a_quotient_that_does_not_exist(p, k):
+    with pytest.raises(ValueError):
+        igusa_genus(p, k)
 
 
 def test_consistency_rejects_exceptional_families():

@@ -181,6 +181,16 @@ def test_wrong_orbit_table_fails_its_battery_row(monkeypatch):
                      "the closed form gives 0 (kind a4, p = 37)")]
 
 
+def test_wrong_orbit_table_fails_the_worked_equation_row(monkeypatch):
+    # at 13 the worked equation reads the a4 table of the orbit-table row
+    real = exceptional._closed_form
+    monkeypatch.setattr(exceptional, "_closed_form",
+                        lambda kind, p: (real(kind, p)[0], lambda q: real(kind, q)[1](q) + 1))
+    rows = {r[0]: r[2:] for r in cli.checks_for_prime(13)}
+    message = "orbit table: 3 orbits computed, the closed form gives 4 (kind a4, p = 13)"
+    assert rows["orbit-table-a4"] == rows["worked-equation-a4"] == (False, message)
+
+
 def test_argparse_usage_exit_2():
     with pytest.raises(SystemExit) as info:
         main(["fiber", "--family", "bogus", "--prime", "13"])
@@ -218,6 +228,32 @@ def test_cache_env_var(tmp_path, capsys, monkeypatch):
                          "--format", "json")
     assert code == 0
     assert any(f.name.startswith("orbits_a4_13") for f in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("through_env", [False, True], ids=["option", "env"])
+def test_unusable_cache_warns_and_prints_the_answer(tmp_path, capsys, monkeypatch,
+                                                     through_env):
+    argv = ["fiber", "--family", "ns", "--prime", "13"]
+    _, expected, _ = run_cli(capsys, *argv)
+    (tmp_path / "F").write_text("")
+    cache = str(tmp_path / "F" / "sub")
+    if through_env:
+        monkeypatch.setenv("FIBERCURVE_CACHE", cache)
+    else:
+        argv += ["--cache", cache]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+    assert err.startswith("warning: ") and len(err.splitlines()) == 1
+
+
+def test_failed_cache_write_removes_its_temp_file(tmp_path, capsys):
+    # a directory where the entry goes makes the final rename fail
+    (tmp_path / "fiber_ns_13.json").mkdir()
+    code, out, err = run_cli(capsys, "fiber", "--family", "ns", "--prime", "13",
+                             "--cache", str(tmp_path))
+    assert code == 0 and out.startswith("special fiber: family ns, p = 13")
+    assert err.startswith("warning: ") and len(err.splitlines()) == 1
+    assert [f.name for f in tmp_path.iterdir()] == ["fiber_ns_13.json"]
 
 
 def test_verify_small_range_passes(capsys):
@@ -272,16 +308,16 @@ def test_verify_jobs_clamped_to_primes_and_cores(capsys, monkeypatch):
 
 
 def test_battery_builds_each_family_once_per_prime(monkeypatch):
-    # at p = 53 the ledgers of ns and s, and of ns+ and s+, cross-check
-    # each other
+    # at p = 53 the ledgers of ns and s, and of ns+ and s+, share a
+    # quotient label
     calls = []
-    real = cli.atlas._identity_parts
+    real = cli.atlas.total_genus
 
     def counting(family, p):
         calls.append((family, p))
         return real(family, p)
 
-    monkeypatch.setattr(cli.atlas, "_identity_parts", counting)
+    monkeypatch.setattr(cli.atlas, "total_genus", counting)
     results = cli.checks_for_prime(53)
     assert sorted(calls) == [(f, 53) for f in ("ns", "ns+", "s", "s+")]
     assert [r[2] for r in results if r[0].startswith("consistency-")] == [True] * 4
@@ -603,6 +639,15 @@ def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, c
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + check)
     assert "p = 13" in lines[0] and "Traceback" not in proc.stderr
+
+
+def test_wrong_quotient_closed_form_fails_the_consistency_rows_under_python_O():
+    proc = run_patched_under_python_O(
+        "atlas", "igusa_genus", ["verify", "--suite", "paper", "--primes", "5..20"])
+    assert proc.returncode == 1 and proc.stderr == ""
+    failures = [line for line in proc.stdout.splitlines() if "FAILURE" in line]
+    assert failures and all(line.startswith("  FAILURE consistency-") for line in failures)
+    assert len(failures) == 4 * 6  # four families at the six primes 5..19
 
 
 @pytest.mark.parametrize("name,result,check", [
