@@ -601,7 +601,7 @@ def _exceptional_fiber(kind: str, p: int) -> FiberGraph:
                 )
             )
     if table.total >= 2:
-        curve = exceptional_drinfeld(kind, p, table=table)
+        curve = exceptional_drinfeld(table)
         vertices.append(
             ComponentDescriptor(
                 name="D",

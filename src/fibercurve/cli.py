@@ -181,7 +181,7 @@ def drinfeld_payload(family, group, p, orbit_pair) -> dict:
             o2 = table.orbit_of(_parse_point(p, orbit_pair[1]))
         else:
             o1 = o2 = None
-        curve = drinfeld.exceptional_drinfeld(group, p, o1, o2, table=table)
+        curve = drinfeld.exceptional_drinfeld(table, o1, o2)
         return {
             "group": group,
             "p": p,
@@ -259,12 +259,10 @@ def orbits_text(payload: dict) -> str:
 
 
 def neron_payload(family: str, p: int) -> dict:
+    fiber = atlas.special_fiber(family, p)
     # the ns+ prediction computes the component group it checks
-    check = neron.component_group_prediction(p) if family == "ns+" else None
-    if check is not None:
-        invariants = check.invariants
-    else:
-        invariants = neron.component_group(atlas.special_fiber(family, p))
+    check = neron.component_group_prediction(fiber) if family == "ns+" else None
+    invariants = check.invariants if check is not None else neron.component_group(fiber)
     payload = {
         "family": family,
         "p": p,
@@ -344,7 +342,7 @@ def checks_for_prime(p: int) -> list:
         if isinstance(table, VerificationError):
             record("worked-equation-%s" % kind, False, str(table))
         else:
-            text = drinfeld.exceptional_drinfeld(kind, p, table=table).text()
+            text = drinfeld.exceptional_drinfeld(table).text()
             record("worked-equation-%s" % kind, text == expect, text)
 
     if p <= drinfeld.SAMPLE_MAX_P:
@@ -352,7 +350,7 @@ def checks_for_prime(p: int) -> list:
         for family, chk in checks.items():
             record("quotient-maps-%s" % family, chk.passed)
 
-    chk = neron.component_group_prediction(p, fiber=reports["ns+"].graph)
+    chk = neron.component_group_prediction(reports["ns+"].graph)
     accepted = ("match", "vacuous-trivial") if p % 4 == 1 else ("trivial",)
     record("neron-prediction", chk.verdict in accepted, chk.verdict)
 
@@ -421,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--group", choices=EXCEPTIONAL_KINDS)
     dr.add_argument("--prime", required=True, type=int)
     dr.add_argument("--orbit-pair", default=None,
-                    help="R1,R2 orbit representatives (integers or inf)")
+                    help="R1,R2 orbit representatives (integers or inf), with --group")
     dr.add_argument("--format", default="text", choices=("json", "text"))
     dr.add_argument("--cache", default=None)
 
@@ -470,6 +468,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "drinfeld":
             p = _require_prime(args.prime)
+            if args.orbit_pair is not None and args.group is None:
+                raise UsageError("--orbit-pair applies to --group only")
             pair = tuple(args.orbit_pair.split(",")) if args.orbit_pair else None
             if pair is not None and len(pair) != 2:
                 raise UsageError("--orbit-pair expects two representatives R1,R2")

@@ -5,7 +5,8 @@ x^p y - x y^p = z^(p+1).  Quotients by Cartan subgroups have closed
 hyperelliptic forms; quotients by exceptional subgroups are synthesized
 as cyclic covers u^((p+1)/2) = prod (t - c)^m of the t-line, where the
 branch data comes from a quotient map of P^1 realized by an explicit
-rational function phi built from two group orbits.
+rational function phi built from two group orbits, evaluated point by
+point.
 
 The module also carries the fiberwise point count over F_{p^2} of the
 twisted form x^p y - x y^p = a z^(p+1) (used for the maximality check)
@@ -17,14 +18,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 from operator import mul
 
 from .ffield import (
     FieldError,
     FqElement,
     InconsistencyError,
-    _poly_mul,
     element_of_order,
     field_create,
     inverse_mod,
@@ -32,7 +32,7 @@ from .ffield import (
     sqrt_in_field,
 )
 from .projline import first_nonsquare, point_str
-from .exceptional import CongruenceError, UsageError, orbit_table
+from .exceptional import CongruenceError, UsageError
 
 POINT_COUNT_MAX_P = 31
 SAMPLE_MAX_P = 31
@@ -197,58 +197,37 @@ def cartan_drinfeld(family: str, p: int, e: int = 1) -> SuperellipticCurve:
 # ---------------------------------------------------------------------------
 
 
-def quotient_map(p: int, orbit1, orbit2, h1: int, h2: int):
-    """The rational function phi realizing P^1 -> P^1 / H.
+def evaluate_projective(p: int, orbit1, orbit2, x: int) -> int:
+    """phi(x) in P^1(F_p) for the rational function realizing P^1 -> P^1 / H,
 
-    phi(t) = prod_{P in O1, P != inf} (t - P)^h1
-           / prod_{P in O2, P != inf} (t - P)^h2,
-    with h_i the isotropy orders.  Factors at infinity are omitted; the
-    numerator and denominator stay monic so phi carries no scaling
-    freedom.  Both come back as coefficient tuples mod p, low degree
-    first.
+      phi(t) = prod_{P in O1, P != inf} (t - P)^h1
+             / prod_{P in O2, P != inf} (t - P)^h2,
+
+    with h_i the isotropy orders, evaluated at the point x; p encodes
+    the value infinity.  Factors at infinity are omitted, so numerator
+    and denominator are monic and phi(inf) compares their degrees.
     """
-    return _orbit_polynomial(p, orbit1, h1), _orbit_polynomial(p, orbit2, h2)
-
-
-def _orbit_polynomial(p: int, orbit, h: int):
-    base = (1,)
-    for x in orbit.points:
-        if x != p:
-            base = _poly_mul(base, (-x % p, 1), p)
-    poly = (1,)
-    for _ in range(h):
-        poly = _poly_mul(poly, base, p)
-    return poly
-
-
-def _horner(poly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def evaluate_projective(p: int, num, den, x: int) -> int:
-    """phi(x) in P^1(F_p), with p encoding the value infinity."""
+    h1, h2 = orbit1.isotropy_order, orbit2.isotropy_order
     if x == p:
-        dn, dd = len(num) - 1, len(den) - 1
-        if dn > dd:
-            return p
-        if dn < dd:
-            return 0
-        return num[-1] * inverse_mod(den[-1], p) % p
-    nv = _horner(num, x, p)
-    dv = _horner(den, x, p)
+        dn = h1 * (len(orbit1) - (p in orbit1))
+        dd = h2 * (len(orbit2) - (p in orbit2))
+        if dn == dd:
+            return 1  # both monic
+        return p if dn > dd else 0
+    nv = pow(prod(x - P for P in orbit1.points if P != p), h1, p)
+    dv = pow(prod(x - P for P in orbit2.points if P != p), h2, p)
     if dv == 0:
         if nv == 0:
-            raise ArithmeticError("phi indeterminate at %s" % point_str(p, x))
+            raise InconsistencyError(
+                "branch values: phi is indeterminate at %s, a point of both "
+                "orbits (p = %d)" % (point_str(p, x), p))
         return p
     return nv * inverse_mod(dv, p) % p
 
 
-def exceptional_drinfeld(kind: str, p: int, orbit1=None, orbit2=None,
-                         table=None) -> SuperellipticCurve:
-    """Horizontal-component equation for an exceptional family.
+def exceptional_drinfeld(table, orbit1=None, orbit2=None) -> SuperellipticCurve:
+    """Horizontal-component equation for an exceptional family, from
+    its orbit table.
 
     Branch values are the images under phi of one representative per
     orbit (the value infinity is omitted); the exponent at the image of
@@ -257,26 +236,24 @@ def exceptional_drinfeld(kind: str, p: int, orbit1=None, orbit2=None,
     worked example at p = 13 is pinned to (orbit of 1, orbit of 3), the
     pair its published table was computed with.
     """
-    if table is None:
-        table = orbit_table(kind, p)
+    kind, p = table.kind, table.p
     if orbit1 is None or orbit2 is None:
-        orbit1, orbit2 = default_orbit_pair(kind, p, table)
+        orbit1, orbit2 = default_orbit_pair(table)
     if orbit1 is orbit2 or set(orbit1.points) == set(orbit2.points):
         raise UsageError("the two orbits must be distinct")
     n = (p + 1) // 2
-    num, den = quotient_map(p, orbit1, orbit2, orbit1.isotropy_order,
-                            orbit2.isotropy_order)
     factors = []
     seen = set()
     for orbit in table.orbits:
-        value = evaluate_projective(p, num, den, orbit.representative)
-        exponent = inverse_mod(orbit.isotropy_order, n)
+        value = evaluate_projective(p, orbit1, orbit2, orbit.representative)
         if value == p:
             continue
         if value in seen:
-            raise ArithmeticError("distinct orbits share the branch value %d" % value)
+            raise InconsistencyError(
+                "branch values: distinct orbits share the branch value %d "
+                "(kind %s, p = %d)" % (value, kind, p))
         seen.add(value)
-        factors.append((value, exponent))
+        factors.append((value, inverse_mod(orbit.isotropy_order, n)))
     # every orbit contributes one branch value, counting a possible infinity
     if len(factors) not in (table.total, table.total - 1):
         raise InconsistencyError(
@@ -285,8 +262,9 @@ def exceptional_drinfeld(kind: str, p: int, orbit1=None, orbit2=None,
     return SuperellipticCurve.from_factors(p, n, factors)
 
 
-def default_orbit_pair(kind: str, p: int, table):
-    if kind == "a4" and p == 13:
+def default_orbit_pair(table):
+    p = table.p
+    if table.kind == "a4" and p == 13:
         return table.orbit_of(1), table.orbit_of(3)
     o0 = table.orbit_of(0)
     o1 = table.orbit_of(1)

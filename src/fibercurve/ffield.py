@@ -448,13 +448,18 @@ def _tonelli_shanks(a: FqElement):
 
 
 def _first_nonresidue(field: GF) -> FqElement:
-    q = field.order
-    # scan in canonical order; small fields only reach this path
-    for coords in itertools.product(range(field.p), repeat=field.k):
-        if not any(coords):
-            continue
-        cand = FqElement(field, coords)
-        if cand ** ((q - 1) // 2) != field.one():
+    """A quadratic nonresidue: the first x + c, c = 0, 1, ..., that is one,
+    else the first in canonical order.  The canonical order starts with
+    the multiples y x of the generator, which in F_{p^2} all share one
+    quadratic character; the norm of x + c is (-1)^k f(-c), a
+    nonresidue of F_p for about half the c."""
+    p, k = field.p, field.k
+    shifts = () if k == 1 else (FqElement(field, (c, 1) + (0,) * (k - 2)) for c in range(p))
+    canonical = (FqElement(field, coords)
+                 for coords in itertools.product(range(p), repeat=k) if any(coords))
+    half = (field.order - 1) // 2
+    for cand in itertools.chain(shifts, canonical):
+        if cand ** half != field.one():
             return cand
     raise FieldError("no quadratic nonresidue found")  # unreachable for q > 1
 

@@ -1,16 +1,14 @@
 """Test-side views of Drinfeld data, built on the package's public functions."""
 
-from fibercurve.drinfeld import default_orbit_pair, evaluate_projective, quotient_map
+from fibercurve.drinfeld import default_orbit_pair, evaluate_projective
 from fibercurve.exceptional import orbit_table
 
 
 def phi_constant_on_orbits(kind: str, p: int) -> bool:
     """Exhaustively check that phi takes one value per orbit."""
     table = orbit_table(kind, p)
-    orbit1, orbit2 = default_orbit_pair(kind, p, table)
-    num, den = quotient_map(p, orbit1, orbit2, orbit1.isotropy_order,
-                            orbit2.isotropy_order)
-    return all(len({evaluate_projective(p, num, den, x) for x in orbit.points}) == 1
+    orbit1, orbit2 = default_orbit_pair(table)
+    return all(len({evaluate_projective(p, orbit1, orbit2, x) for x in orbit.points}) == 1
                for orbit in table.orbits)
 
 

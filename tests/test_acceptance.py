@@ -95,7 +95,7 @@ def test_acceptance_01_worked_equations():
     with Criterion(1, "worked equations", 5):
         for (kind, p), text in WORKED_EQUATIONS.items():
             table = orbit_table(kind, p)
-            curve = exceptional_drinfeld(kind, p, table=table)
+            curve = exceptional_drinfeld(table)
             assert curve.text() == text, (kind, p, curve.text())
             assert dict(curve.factors) == WORKED_FACTORS[(kind, p)]
             # unconditional invariants: exponent * isotropy = 1 mod (p+1)/2
@@ -220,7 +220,7 @@ def test_acceptance_07_component_groups():
             fiber = special_fiber("ns+", p)
             invariants = component_group(fiber_metrized_graph(fiber))
             assert invariants.is_trivial(), p
-        assert component_group_prediction(13).verdict == "vacuous-trivial"
+        assert component_group_prediction(special_fiber("ns+", 13)).verdict == "vacuous-trivial"
 
 
 # -- 8: supersingular oracle agreement ----------------------------------------

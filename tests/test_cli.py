@@ -133,10 +133,11 @@ def test_benchmark_style_invalid_requests_exit_2(capsys):
         code, out, err = run_cli(capsys, cmd, flag, sel, "--prime", str(n), "--format", "json")
         assert (code, out) == (2, ""), (cmd, sel, n)
         assert err.startswith("error: ") and err.count("\n") == 1
-    for pair in ("1,1", "x,1"):
-        code, out, _ = run_cli(capsys, "drinfeld", "--group", "a4", "--prime", "13",
+    for sel, pair in ((("--group", "a4"), "1,1"), (("--group", "a4"), "x,1"),
+                      (("--family", "ns"), "foo,bar"), (("--family", "ns"), "0,1")):
+        code, out, _ = run_cli(capsys, "drinfeld", *sel, "--prime", "13",
                                "--orbit-pair", pair)
-        assert (code, out) == (2, ""), pair
+        assert (code, out) == (2, ""), (sel, pair)
 
 
 @pytest.mark.parametrize("error", [ValueError("internal"), neron.GraphError("internal"),
@@ -409,9 +410,7 @@ def test_neron_orders_past_4300_digits_render(family, p, capsys, restore_int_dig
 
 def test_prediction_rejects_another_fiber():
     with pytest.raises(ValueError, match="ns\\+ fiber at p = 13"):
-        neron.component_group_prediction(13, fiber=cli.atlas.special_fiber("s+", 13))
-    with pytest.raises(ValueError):
-        neron.component_group_prediction(17, fiber=cli.atlas.special_fiber("ns+", 13))
+        neron.component_group_prediction(cli.atlas.special_fiber("s+", 13))
 
 
 def test_battery_runs_the_consistency_identities_above_200():
@@ -609,6 +608,9 @@ def test_wrong_square_root_exits_3_under_python_O():
     # every orbit maps to infinity, so no finite branch value is left
     ("drinfeld", "evaluate_projective", ["drinfeld", "--group", "a4", "--prime", "13"],
      "args[0]", "branch values:"),
+    # every orbit maps to 0, so two distinct orbits share a branch value
+    ("drinfeld", "evaluate_projective", ["drinfeld", "--group", "a4", "--prime", "13"],
+     "0", "branch values: distinct orbits share"),
     # a group table one element short of the group its generators make
     ("exceptional", "build_exceptional", ["orbits", "--group", "a4", "--prime", "13"],
      "(lambda H: module.SubgroupTable(H.p, H.elements[1:], H.gens))(real(*args))",
@@ -631,8 +633,8 @@ def test_wrong_square_root_exits_3_under_python_O():
     # normalizer's list, and deduplication leaves it short
     ("projline", "mul", ["fiber", "--family", "ns+", "--prime", "13"], "args[1]",
      "group order:"),
-], ids=["total-genus", "branch-values", "orbit-stabilizer", "cover-genus",
-        "identity-unknowns", "orbit-table", "group-order"])
+], ids=["total-genus", "branch-values", "shared-branch-value", "orbit-stabilizer",
+        "cover-genus", "identity-unknowns", "orbit-table", "group-order"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""

@@ -67,14 +67,14 @@ def rh_genus_reference(n, exponents):
 def test_worked_equations_byte_exact(key):
     kind, p = key
     text, factors = WORKED[key]
-    curve = exceptional_drinfeld(kind, p)
+    curve = exceptional_drinfeld(orbit_table(kind, p))
     assert curve.text() == text
     assert dict(curve.factors) == factors
     assert curve.n == (p + 1) // 2
 
 
 def test_worked_equation_a4_13_genus():
-    curve = exceptional_drinfeld("a4", 13)
+    curve = exceptional_drinfeld(orbit_table("a4", 13))
     assert curve.genus() == 3
     assert rh_genus_reference(7, [5, 5]) == 3
 
@@ -83,7 +83,19 @@ def test_exceptional_requires_distinct_orbits():
     table = orbit_table("a4", 13)
     orb = table.orbit_of(1)
     with pytest.raises(ValueError):
-        exceptional_drinfeld("a4", 13, orb, orb, table=table)
+        exceptional_drinfeld(table, orb, orb)
+
+
+def test_phi_is_indeterminate_at_a_point_of_both_orbits():
+    from fibercurve.drinfeld import evaluate_projective
+    from fibercurve.ffield import InconsistencyError
+    from fibercurve.projline import Orbit
+
+    o1, o2 = Orbit((0, 1), 1), Orbit((1, 2), 1)
+    with pytest.raises(InconsistencyError, match="branch values: .* at 1, .*p = 13"):
+        evaluate_projective(13, o1, o2, 1)
+    # elsewhere phi(t) = t (t - 1) / ((t - 1) (t - 2)), monic over monic
+    assert [evaluate_projective(13, o1, o2, x) for x in (0, 2, 3, 13)] == [0, 13, 3, 1]
 
 
 def test_branch_count_and_exponent_inverse_invariants():
@@ -92,7 +104,7 @@ def test_branch_count_and_exponent_inverse_invariants():
         table = orbit_table(kind, p)
         if table.total < 2:
             continue
-        curve = exceptional_drinfeld(kind, p, table=table)
+        curve = exceptional_drinfeld(table)
         n = (p + 1) // 2
         # branch values, with a possible value at infinity, biject with orbits
         assert len(curve.factors) in (table.total, table.total - 1)
@@ -117,7 +129,7 @@ def test_orbit_pair_choice_preserves_genus_and_exponent_multiset():
             for o2 in table.orbits:
                 if o1 is o2:
                     continue
-                curve = exceptional_drinfeld(kind, p, o1, o2, table=table)
+                curve = exceptional_drinfeld(table, o1, o2)
                 full_exps = sorted(
                     pow(o.isotropy_order, -1, n) for o in table.orbits
                 )
@@ -128,10 +140,9 @@ def test_orbit_pair_choice_preserves_genus_and_exponent_multiset():
 
 
 def orbit_images(kind, p, table, o1, o2):
-    from fibercurve.drinfeld import evaluate_projective, quotient_map
+    from fibercurve.drinfeld import evaluate_projective
 
-    num, den = quotient_map(p, o1, o2, o1.isotropy_order, o2.isotropy_order)
-    return [evaluate_projective(p, num, den, o.representative) for o in table.orbits]
+    return [evaluate_projective(p, o1, o2, o.representative) for o in table.orbits]
 
 
 def mobius_through(p, triples):
@@ -183,10 +194,10 @@ def test_phi_constant_on_orbits_exhaustive():
 
 def test_default_orbit_pair_follows_published_choices():
     table = orbit_table("a4", 13)
-    o1, o2 = default_orbit_pair("a4", 13, table)
+    o1, o2 = default_orbit_pair(table)
     assert 1 in o1 and 3 in o2
     table = orbit_table("s4", 73)
-    o1, o2 = default_orbit_pair("s4", 73, table)
+    o1, o2 = default_orbit_pair(table)
     assert 0 in o1 and 1 in o2
 
 
@@ -307,7 +318,7 @@ def test_exceptional_genus_matches_reference_below_500(kind):
             continue
         table = orbit_table(kind, p)
         if table.total >= 2:
-            assert_genus_matches_reference(exceptional_drinfeld(kind, p, table=table))
+            assert_genus_matches_reference(exceptional_drinfeld(table))
 
 
 def test_marked_form_genus_up_to_a_million():

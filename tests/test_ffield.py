@@ -7,6 +7,7 @@ import pytest
 from fibercurve.ffield import (
     GF,
     FieldError,
+    _first_nonresidue,
     _poly_deg,
     _poly_gcd,
     _poly_powmod_x_q,
@@ -146,6 +147,26 @@ def test_sqrt_returns_smaller_root():
         r = sqrt_in_field(F(a))
         if r is not None and not r.is_zero():
             assert r.index() < (-r).index()
+
+
+def test_nonresidue_of_fp2_is_a_small_shift_of_the_generator():
+    # the canonical scan starts with the p - 1 multiples of x, which share
+    # one quadratic character; x + c finds a nonresidue within 11 shifts
+    for p in range(5, 2000):
+        if is_prime(p):
+            F = field_create(p, 2)
+            n = _first_nonresidue(F)
+            assert n.coords[1] == 1 and n.coords[0] <= 10, p
+            assert n ** ((F.order - 1) // 2) == F(-1), p
+
+
+def test_sqrt_in_fp2_at_p_1999_returns_the_smaller_root():
+    F = field_create(1999, 2)
+    rng = random.Random(0)
+    for _ in range(20):
+        y = F.random_element(rng)
+        r = sqrt_in_field(y * y)
+        assert r in (y, -y) and r.index() <= (-r).index()
 
 
 def test_solve_affine_mod_p_against_brute_force():

@@ -254,7 +254,7 @@ def test_nsplus_29_component_group():
 
 @pytest.mark.parametrize("p", [17, 29, 37, 41, 53, 101, 137])
 def test_prediction_match_for_1_mod_4(p):
-    chk = component_group_prediction(p)
+    chk = component_group_prediction(special_fiber("ns+", p))
     assert chk.verdict == "match"
     from fractions import Fraction
 
@@ -277,13 +277,13 @@ def test_component_group_matches_subdivided_laplacian(family, p):
 
 @pytest.mark.parametrize("p", [19, 23, 31, 43])
 def test_prediction_trivial_for_3_mod_4(p):
-    chk = component_group_prediction(p)
+    chk = component_group_prediction(special_fiber("ns+", p))
     assert chk.verdict == "trivial"
     assert chk.invariants.is_trivial()
 
 
 def test_prediction_vacuous_when_single_supersingular_point():
-    chk = component_group_prediction(13)
+    chk = component_group_prediction(special_fiber("ns+", 13))
     assert chk.verdict == "vacuous-trivial"
     assert chk.invariants.is_trivial()
 
