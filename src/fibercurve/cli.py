@@ -470,7 +470,7 @@ def main(argv=None) -> int:
             p = _require_prime(args.prime)
             if args.orbit_pair is not None and args.group is None:
                 raise UsageError("--orbit-pair applies to --group only")
-            pair = tuple(args.orbit_pair.split(",")) if args.orbit_pair else None
+            pair = None if args.orbit_pair is None else tuple(args.orbit_pair.split(","))
             if pair is not None and len(pair) != 2:
                 raise UsageError("--orbit-pair expects two representatives R1,R2")
             selector = args.group or args.family

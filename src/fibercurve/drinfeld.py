@@ -23,7 +23,6 @@ from operator import mul
 
 from .ffield import (
     FieldError,
-    FqElement,
     InconsistencyError,
     element_of_order,
     field_create,
@@ -460,8 +459,7 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     consts = (F.one(), half, lam.frobenius(), aN, (aN * half) ** 2, half * half)
     open_checks = dict(checks)
     for alpha, beta in pts:
-        for family in _rejecting_families(p, FqElement.frobenius, lam, consts,
-                                          alpha, beta, rng):
+        for family in _rejecting_families(p, lam, consts, alpha, beta, rng):
             check = open_checks.pop(family, None)
             if check is not None:
                 check.passed = False
@@ -471,7 +469,7 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     return checks
 
 
-def _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
+def _rejecting_families(p, lam, consts, alpha, beta, rng):
     """The Cartan families that the point (alpha, beta) fails: all four
     when the point is off the source or one of its symmetries moves it
     off, else those whose chain breaks.  Draws the point's random
@@ -481,7 +479,7 @@ def _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
     a, half, lam_p, aN, aN_half_sq, half_sq = consts
 
     def on_source(x, y):
-        return frob(x) * y - x * frob(y) == a
+        return x.frobenius() * y - x * y.frobenius() == a
 
     if not on_source(alpha, beta):
         return CARTAN_FAMILIES
@@ -508,13 +506,13 @@ def _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
     # the ns chain; ns+ continues it
     atilde = lam * alpha + lam_p * beta
     btilde = lam_p * alpha + lam * beta
-    u1 = frob(atilde) * atilde
+    u1 = atilde.frobenius() * atilde
     v1 = atilde * btilde
     U = u1 - aN * half
     V = v1
-    if (u1 - frob(btilde) * btilde != aN
-            or not (u1 * u1 - frob(v1) * v1 - aN * u1).is_zero()
-            or U * U != frob(V) * V + aN_half_sq):
+    if (u1 - btilde.frobenius() * btilde != aN
+            or not (u1 * u1 - v1.frobenius() * v1 - aN * u1).is_zero()
+            or U * U != V.frobenius() * V + aN_half_sq):
         rejected += ["ns", "ns+"]
     else:
         X, Y = V * V, U * V
@@ -525,8 +523,8 @@ def _rejecting_families(p, frob, lam, consts, alpha, beta, rng):
     v = alpha * beta
     U = u * v - half
     V = v
-    if (not (frob(v) - u * u * v + u).is_zero()
-            or U * U != frob(V) * V + half_sq):
+    if (not (v.frobenius() - u * u * v + u).is_zero()
+            or U * U != V.frobenius() * V + half_sq):
         rejected += ["s", "s+"]
     else:
         X, Y = V * V, U * V

@@ -35,7 +35,6 @@ from .projline import (
     generate_subgroup,
     orbits,
     projective_order,
-    stabilizer,
     transform,
 )
 
@@ -311,16 +310,15 @@ def orbit_table(kind: str, p: int) -> OrbitTable:
                 kind, p, "an orbit of size %d and isotropy %d is not the table's %s = "
                 "(size %d, isotropy %d)" % (len(o), o.isotropy_order, name, size, iso))
         exceptional[name] = o
-    _check_cyclic_isotropy(kind, group, exceptional)
+    _check_cyclic_isotropy(kind, p, exceptional)
     return OrbitTable(kind, p, orbs, len(orbs), exceptional)
 
 
-def _check_cyclic_isotropy(kind: str, group: SubgroupTable, exceptional: dict) -> None:
-    p = group.p
-    # orbits() counted each isotropy order at its representative, and
-    # checked the orbit-stabilizer identity, so only cyclicity is left
+def _check_cyclic_isotropy(kind: str, p: int, exceptional: dict) -> None:
+    # orbits() kept each orbit's stabilizer and checked the
+    # orbit-stabilizer identity, so only cyclicity is left
     for name, orbit in exceptional.items():
-        stab = stabilizer(group, orbit.representative)
-        if not any(projective_order(p, g) == stab.order for g in stab.elements):
+        stab = orbit.stabilizer
+        if not any(projective_order(p, g) == len(stab) for g in stab):
             raise VerificationError(kind, p, "the isotropy group of %s is not cyclic"
                                     % name)

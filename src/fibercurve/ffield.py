@@ -69,19 +69,10 @@ def inverse_mod(a: int, m: int) -> int:
     """
     if m < 2:
         raise ValueError("modulus must be >= 2")
-    a %= m
-    g, x = _ext_gcd(a, m)
-    if g != 1:
-        raise ValueError("%d is not invertible mod %d" % (a, m))
-    return x % m
-
-
-def _ext_gcd(a: int, b: int):
-    x0, x1 = 1, 0
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-    return a, x0
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise ValueError("%d is not invertible mod %d" % (a % m, m)) from None
 
 
 class GF:

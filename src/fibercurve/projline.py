@@ -129,14 +129,15 @@ def generate_subgroup(p: int, gens, cap: int = SUBGROUP_CAP) -> SubgroupTable:
 
 
 class Orbit:
-    """An H-orbit on P^1(F_p) with its isotropy order."""
+    """An H-orbit on P^1(F_p) with the stabilizer of its least point."""
 
-    __slots__ = ("points", "isotropy_order", "representative")
+    __slots__ = ("points", "stabilizer", "isotropy_order", "representative")
 
-    def __init__(self, points, isotropy_order):
+    def __init__(self, points, stabilizer):
         pts = tuple(sorted(points))
         self.points = pts
-        self.isotropy_order = isotropy_order
+        self.stabilizer = tuple(stabilizer)
+        self.isotropy_order = len(self.stabilizer)
         self.representative = pts[0]
 
     def __len__(self):
@@ -152,35 +153,26 @@ class Orbit:
 def orbits(H: SubgroupTable):
     """Orbit decomposition of P^1(F_p) under H.
 
-    Orbits are listed with the smallest member first.  The
+    Each orbit is the image of its least point x under the whole of H,
+    and the elements that fix x are its stabilizer, so one pass of H
+    gives both.  Orbits are listed with the smallest member first.  The
     orbit-stabilizer identity |orbit| * isotropy = |H| is checked for
     every orbit, and the orbits' cover of the line, before returning.
     """
     p = H.p
-    gens = H.gens or H.elements
     remaining = set(range(p + 1))
     out = []
-    for start in range(p + 1):
-        if start not in remaining:
+    for x in range(p + 1):
+        if x not in remaining:
             continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = act(p, g, x)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        rep = min(orbit)
-        stab = sum(1 for g in H.elements if act(p, g, rep) == rep)
-        if len(orbit) * stab != H.order:
+        images = [act(p, g, x) for g in H.elements]
+        orbit = set(images)
+        stab = [g for g, y in zip(H.elements, images) if y == x]
+        if len(orbit) * len(stab) != H.order:
             raise InconsistencyError(
                 "orbit-stabilizer: the orbit of %s has %d points and isotropy "
                 "%d, but the group has order %d (p = %d)"
-                % (point_str(p, rep), len(orbit), stab, H.order, p))
+                % (point_str(p, x), len(orbit), len(stab), H.order, p))
         out.append(Orbit(orbit, stab))
         remaining -= orbit
     covered = sum(len(o) for o in out)
@@ -189,11 +181,6 @@ def orbits(H: SubgroupTable):
             "orbits: the orbits cover %d points of P^1, not %d (p = %d)"
             % (covered, p + 1, p))
     return out
-
-
-def stabilizer(H: SubgroupTable, x: int) -> SubgroupTable:
-    p = H.p
-    return SubgroupTable(p, [g for g in H.elements if act(p, g, x) == x])
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,7 @@ def test_benchmark_style_invalid_requests_exit_2(capsys):
         assert (code, out) == (2, ""), (cmd, sel, n)
         assert err.startswith("error: ") and err.count("\n") == 1
     for sel, pair in ((("--group", "a4"), "1,1"), (("--group", "a4"), "x,1"),
+                      (("--group", "a4"), ""),
                       (("--family", "ns"), "foo,bar"), (("--family", "ns"), "0,1")):
         code, out, _ = run_cli(capsys, "drinfeld", *sel, "--prime", "13",
                                "--orbit-pair", pair)
@@ -615,6 +616,11 @@ def test_wrong_square_root_exits_3_under_python_O():
     ("exceptional", "build_exceptional", ["orbits", "--group", "a4", "--prime", "13"],
      "(lambda H: module.SubgroupTable(H.p, H.elements[1:], H.gens))(real(*args))",
      "orbit-stabilizer:"),
+    # a group table with one element that is not in the group
+    ("exceptional", "build_exceptional", ["orbits", "--group", "a4", "--prime", "13"],
+     "(lambda H: module.SubgroupTable(H.p, H.elements + (module.transform(13, 1, 1, 0, 1),),"
+     " H.gens))(real(*args))",
+     "orbit-stabilizer:"),
     # one branch root of exponent 2 makes 2g - 2 = -4 for u^2 = f; the
     # count-0 exponent 1 gets it past the reducibility check
     ("drinfeld", "cartan_drinfeld", ["drinfeld", "--family", "ns", "--prime", "13"],
@@ -634,7 +640,7 @@ def test_wrong_square_root_exits_3_under_python_O():
     ("projline", "mul", ["fiber", "--family", "ns+", "--prime", "13"], "args[1]",
      "group order:"),
 ], ids=["total-genus", "branch-values", "shared-branch-value", "orbit-stabilizer",
-        "cover-genus", "identity-unknowns", "orbit-table", "group-order"])
+        "orbit-stabilizer-non-member", "cover-genus", "identity-unknowns", "orbit-table", "group-order"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""

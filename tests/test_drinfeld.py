@@ -89,9 +89,9 @@ def test_exceptional_requires_distinct_orbits():
 def test_phi_is_indeterminate_at_a_point_of_both_orbits():
     from fibercurve.drinfeld import evaluate_projective
     from fibercurve.ffield import InconsistencyError
-    from fibercurve.projline import Orbit
+    from fibercurve.projline import IDENTITY, Orbit
 
-    o1, o2 = Orbit((0, 1), 1), Orbit((1, 2), 1)
+    o1, o2 = Orbit((0, 1), [IDENTITY]), Orbit((1, 2), [IDENTITY])
     with pytest.raises(InconsistencyError, match="branch values: .* at 1, .*p = 13"):
         evaluate_projective(13, o1, o2, 1)
     # elsewhere phi(t) = t (t - 1) / ((t - 1) (t - 2)), monic over monic
@@ -528,9 +528,9 @@ def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
     shared = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(p, frob, lam, consts, alpha, beta, rng):
+    def recording(p, lam, consts, alpha, beta, rng):
         shared.append((lam, alpha, beta, rng.getstate()))
-        return rejecting_families(p, frob, lam, consts, alpha, beta, rng)
+        return rejecting_families(p, lam, consts, alpha, beta, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)
@@ -551,8 +551,8 @@ def test_shared_sample_reports_the_rejected_point(monkeypatch):
     rejected = pts[3]
     rejecting_families = drinfeld._rejecting_families
 
-    def reject_for_s(p, frob, lam, consts, alpha, beta, rng):
-        families = list(rejecting_families(p, frob, lam, consts, alpha, beta, rng))
+    def reject_for_s(p, lam, consts, alpha, beta, rng):
+        families = list(rejecting_families(p, lam, consts, alpha, beta, rng))
         if (alpha, beta) == rejected:
             families.append("s")
         return families

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+from fibercurve import projline
+from fibercurve.exceptional import build_exceptional
 from fibercurve.ffield import is_prime
 from fibercurve.projline import (
     IDENTITY,
@@ -170,6 +172,24 @@ def test_orbit_multiset_invariant_under_conjugation():
             )
             assert conj.order == G.order
             assert sorted(len(o) for o in orbits(conj)) == sizes
+
+
+@pytest.mark.parametrize("kind,p,calls", [
+    ("a4", 13, 36), ("s4", 73, 120), ("a5", 421, 540), ("ns+", 13, 28),
+])
+def test_orbits_act_once_per_element_and_orbit(monkeypatch, kind, p, calls):
+    # one image of the orbit's least point under each element gives the
+    # orbit and its stabilizer: |H| act calls per orbit, no more
+    H = cartan_nonsplit(p, normalizer=True) if kind == "ns+" else build_exceptional(kind, p)
+    count = [0]
+
+    def counted(*args):
+        count[0] += 1
+        return act(*args)
+
+    monkeypatch.setattr(projline, "act", counted)
+    orbs = orbits(H)
+    assert count[0] == len(orbs) * H.order == calls
 
 
 def psl2_table(p):
