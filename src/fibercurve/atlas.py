@@ -441,6 +441,7 @@ class FiberGraph:
     edges: list  # (from_name, to_name, width)
     incidence_complete: bool = True
     notes: list = field(default_factory=list)
+    group: SubgroupTable = None  # the family's group image, if the builder made it
 
     def verticals(self):
         return [v for v in self.vertices if v.role.startswith("vertical")]
@@ -501,7 +502,7 @@ class FiberGraph:
                 {"from": a, "to": b, "width": w} for a, b, w in self.edges
             ],
             "toric_rank": self.toric_rank(),
-            "total_genus": total_genus(self.family, self.p),
+            "total_genus": total_genus(self.family, self.p, self.group),
         }
 
     def to_dot(self) -> str:
@@ -619,7 +620,7 @@ def _exceptional_fiber(kind: str, p: int) -> FiberGraph:
         "edges or toric rank are emitted" % ss.s
     ]
     return FiberGraph(kind, p, ss, vertices, edges=[],
-                      incidence_complete=False, notes=notes)
+                      incidence_complete=False, notes=notes, group=table.group)
 
 
 # toric rank of each Cartan family by p mod 12: the rule as printed and
@@ -714,8 +715,10 @@ def genus_closed_form(family: str, p: int) -> int:
     raise ValueError("no closed form for family %r" % family)
 
 
-def total_genus(family: str, p: int) -> int:
-    genus = genus_oracle(family_group_image(family, p), p)
+def total_genus(family: str, p: int, group: SubgroupTable = None) -> int:
+    """The genus oracle on the family's group image, or on `group` when
+    the caller has already built that image."""
+    genus = genus_oracle(group or family_group_image(family, p), p)
     if family not in EXCEPTIONAL_KINDS:
         closed = genus_closed_form(family, p)
         if genus != closed:

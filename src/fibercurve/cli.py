@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: fiber, drinfeld, orbits, neron, verify.  Results are
-computed into JSON-serializable payloads, optionally cached one file per
-(subcommand, family, prime) with a schema version and a fingerprint of
-the arguments and of the package's source, and rendered as json, dot or
-text.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+computed into JSON-serializable payloads and rendered as json, dot or
+text.  A cache stores the printed json or text output one file per
+(subcommand, family, prime), with a schema version and a fingerprint of
+the arguments (the format included) and of the package's source, so a
+hit prints the stored text and computes and renders nothing.  Exit codes: 0 success, 1 verification failure, 2 usage error,
 3 a failed internal cross-check (two independent computations of the
 same quantity disagree; one `error:` line on stderr names the check),
 4 any other ValueError raised below the command line, such as a
@@ -33,7 +34,7 @@ from .exceptional import (
 from .ffield import MAX_CHAR, InconsistencyError, is_prime
 from .projline import point_str
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 FAMILIES = atlas.CARTAN_FAMILIES + EXCEPTIONAL_KINDS
 
 SS_ORACLE_MAX_P = 100
@@ -88,8 +89,10 @@ def _cache_path(cache_dir, subcommand, selector, p):
 
 
 def cached_payload(cache_dir, subcommand, selector, p, args, compute):
-    """Fetch or compute a payload; stale schema or fingerprint recomputes.
-    A cache that cannot be written gets one `warning:` line on stderr."""
+    """Fetch or compute a request's printed output.  An entry that is not
+    an object with this schema, this fingerprint and a string output is
+    recomputed and overwritten.  A cache that cannot be written gets one
+    `warning:` line on stderr."""
     if cache_dir is None:
         return compute()
     path = _cache_path(cache_dir, subcommand, selector, p)
@@ -97,18 +100,19 @@ def cached_payload(cache_dir, subcommand, selector, p, args, compute):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entry = json.load(fh)
-        if entry.get("schema_version") == SCHEMA_VERSION and entry.get("fingerprint") == fp:
-            return entry["payload"]
+        if (isinstance(entry, dict) and entry.get("schema_version") == SCHEMA_VERSION
+                and entry.get("fingerprint") == fp and isinstance(entry.get("output"), str)):
+            return entry["output"]
     except (OSError, ValueError):
         pass
-    payload = compute()
+    output = compute()
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(
-                    {"schema_version": SCHEMA_VERSION, "fingerprint": fp, "payload": payload},
+                    {"schema_version": SCHEMA_VERSION, "fingerprint": fp, "output": output},
                     fh,
                     sort_keys=True,
                 )
@@ -119,7 +123,7 @@ def cached_payload(cache_dir, subcommand, selector, p, args, compute):
     except OSError as exc:
         # the answer is computed; an unusable cache only costs the next run
         print("warning: the cache entry was not written: %s" % exc, file=sys.stderr)
-    return payload
+    return output
 
 
 # ---------------------------------------------------------------------------
@@ -455,49 +459,6 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     cache_dir = getattr(args, "cache", None) or os.environ.get("FIBERCURVE_CACHE")
     try:
-        if args.command == "fiber":
-            p = _require_prime(args.prime)
-            if args.format == "dot":
-                print(fiber_dot(args.family, p))
-                return 0
-            payload = cached_payload(
-                cache_dir, "fiber", args.family, p,
-                {"family": args.family, "p": p}, lambda: fiber_payload(args.family, p),
-            )
-            print(_emit_json(payload) if args.format == "json" else fiber_text(payload))
-            return 0
-        if args.command == "drinfeld":
-            p = _require_prime(args.prime)
-            if args.orbit_pair is not None and args.group is None:
-                raise UsageError("--orbit-pair applies to --group only")
-            pair = None if args.orbit_pair is None else tuple(args.orbit_pair.split(","))
-            if pair is not None and len(pair) != 2:
-                raise UsageError("--orbit-pair expects two representatives R1,R2")
-            selector = args.group or args.family
-            key = {"family": args.family, "group": args.group, "p": p,
-                   "orbit_pair": list(pair) if pair else None}
-            payload = cached_payload(
-                cache_dir, "drinfeld", selector, p, key,
-                lambda: drinfeld_payload(args.family, args.group, p, pair),
-            )
-            print(_emit_json(payload) if args.format == "json" else drinfeld_text(payload))
-            return 0
-        if args.command == "orbits":
-            p = _require_prime(args.prime)
-            payload = cached_payload(
-                cache_dir, "orbits", args.group, p,
-                {"group": args.group, "p": p}, lambda: orbits_payload(args.group, p),
-            )
-            print(_emit_json(payload) if args.format == "json" else orbits_text(payload))
-            return 0
-        if args.command == "neron":
-            p = _require_prime(args.prime)
-            payload = cached_payload(
-                cache_dir, "neron", args.family, p,
-                {"family": args.family, "p": p}, lambda: neron_payload(args.family, p),
-            )
-            print(_emit_json(payload) if args.format == "json" else neron_text(payload))
-            return 0
         if args.command == "verify":
             lo, sep, hi = args.primes.partition("..")
             if not sep:
@@ -507,7 +468,31 @@ def main(argv=None) -> int:
             except ValueError:
                 raise UsageError("--primes bounds must be integers")
             return run_verify(lo, hi, max(args.jobs, 1))
-        raise UsageError("unknown command %r" % args.command)
+        p = _require_prime(args.prime)
+        if args.command == "fiber":
+            if args.format == "dot":
+                print(fiber_dot(args.family, p))
+                return 0
+            build, text = (lambda: fiber_payload(args.family, p)), fiber_text
+        elif args.command == "drinfeld":
+            if args.orbit_pair is not None and args.group is None:
+                raise UsageError("--orbit-pair applies to --group only")
+            pair = None if args.orbit_pair is None else tuple(args.orbit_pair.split(","))
+            if pair is not None and len(pair) != 2:
+                raise UsageError("--orbit-pair expects two representatives R1,R2")
+            build = lambda: drinfeld_payload(args.family, args.group, p, pair)  # noqa: E731
+            text = drinfeld_text
+        elif args.command == "orbits":
+            build, text = (lambda: orbits_payload(args.group, p)), orbits_text
+        else:
+            build, text = (lambda: neron_payload(args.family, p)), neron_text
+        render = _emit_json if args.format == "json" else text
+        selector = getattr(args, "group", None) or args.family
+        # an entry holds printed output, so its key is every argument but
+        # the cache directory, --format included
+        print(cached_payload(cache_dir, args.command, selector, p,
+                             {**vars(args), "cache": None}, lambda: render(build())))
+        return 0
     except UsageError as exc:  # CongruenceError included
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -258,6 +258,7 @@ class OrbitTable:
     orbits: list
     total: int
     exceptional: dict = field(default_factory=dict)
+    group: SubgroupTable = None
 
     def orbit_of(self, point) -> Orbit:
         for o in self.orbits:
@@ -311,7 +312,7 @@ def orbit_table(kind: str, p: int) -> OrbitTable:
                 "(size %d, isotropy %d)" % (len(o), o.isotropy_order, name, size, iso))
         exceptional[name] = o
     _check_cyclic_isotropy(kind, p, exceptional)
-    return OrbitTable(kind, p, orbs, len(orbs), exceptional)
+    return OrbitTable(kind, p, orbs, len(orbs), exceptional, group)
 
 
 def _check_cyclic_isotropy(kind: str, p: int, exceptional: dict) -> None:

@@ -528,17 +528,21 @@ def _poly_divmod(a, b, p):
     db = _poly_deg(b)
     if db < 0:
         raise ZeroDivisionError("polynomial division by zero")
+    if len(a) <= db:
+        return (0,), _poly_trim(a)
     inv_lead = inverse_mod(b[db], p)
     rem = list(a)
-    q = [0] * max(len(a) - db, 1)
+    q = [0] * (len(a) - db)
+    # rem is reduced mod p only where it is read: at each leading
+    # coefficient, and once on the remainder
     for i in range(len(rem) - 1, db - 1, -1):
         c = rem[i] % p
         if c:
             factor = c * inv_lead % p
             q[i - db] = factor
             for j in range(db + 1):
-                rem[i - db + j] = (rem[i - db + j] - factor * b[j]) % p
-    return _poly_trim(q), _poly_trim(rem)
+                rem[i - db + j] -= factor * b[j]
+    return _poly_trim(q), _poly_trim([x % p for x in rem[:max(db, 1)]])
 
 
 def _poly_gcd(a, b, p):

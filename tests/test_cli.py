@@ -218,10 +218,65 @@ def test_cache_stale_fingerprint_recomputed(tmp_path, capsys):
     path = next(tmp_path.iterdir())
     entry = json.loads(path.read_text())
     entry["fingerprint"] = "stale"
-    entry["payload"] = {"tampered": True}
+    entry["output"] = "tampered"
     path.write_text(json.dumps(entry))
     code, out2, _ = run_cli(capsys, *args)
     assert code == 0 and out2 == out  # recomputed, not reinterpreted
+
+
+CACHED_REQUESTS = {
+    "fiber": ("fiber", "--family", "ns+", "--prime", "17"),
+    "drinfeld": ("drinfeld", "--group", "a4", "--prime", "13"),
+    "orbits": ("orbits", "--group", "a4", "--prime", "13"),
+    "neron": ("neron", "--family", "ns+", "--prime", "29"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command", sorted(CACHED_REQUESTS))
+def test_cache_hit_prints_the_cold_bytes_and_computes_nothing(tmp_path, capsys, monkeypatch,
+                                                               command, fmt):
+    argv = CACHED_REQUESTS[command] + ("--format", fmt)
+    _, uncached, _ = run_cli(capsys, *argv)
+    calls = []
+    for name in ("%s_payload" % command, "%s_text" % command, "_emit_json"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name,
+                            lambda *a, real=real, name=name: calls.append(name) or real(*a))
+    argv += ("--cache", str(tmp_path))
+    _, cold, _ = run_cli(capsys, *argv)
+    cold_calls = list(calls)
+    code, warm, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert cold == warm == uncached
+    assert "%s_payload" % command in cold_calls and calls == cold_calls  # the hit calls none
+
+
+@pytest.mark.parametrize("entry", ["[1, 2]", '"x"', "null", "truncated", "output-not-str"])
+def test_malformed_cache_entry_recomputed_and_overwritten(tmp_path, capsys, entry):
+    args = ["fiber", "--family", "ns", "--prime", "13", "--format", "json",
+            "--cache", str(tmp_path)]
+    _, out, _ = run_cli(capsys, *args)
+    path = tmp_path / "fiber_ns_13.json"
+    good = path.read_text()
+    if entry == "truncated":
+        entry = good[:len(good) // 2]
+    elif entry == "output-not-str":
+        entry = json.dumps(dict(json.loads(good), output=[out]))
+    path.write_text(entry)
+    code, again, err = run_cli(capsys, *args)
+    assert (code, again, err) == (0, out, "")
+    assert path.read_text() == good
+
+
+def test_cache_entry_of_one_format_never_printed_for_the_other(tmp_path, capsys):
+    argv = ("orbits", "--group", "a4", "--prime", "13")
+    expected = {fmt: run_cli(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "text")}
+    assert expected["json"] != expected["text"]
+    # both formats share one file, so each request overwrites the other's entry
+    for fmt in ("json", "text", "json", "text", "text"):
+        code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--cache", str(tmp_path))
+        assert (code, out) == (0, expected[fmt])
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -323,6 +378,24 @@ def test_battery_builds_each_family_once_per_prime(monkeypatch):
     results = cli.checks_for_prime(53)
     assert sorted(calls) == [(f, 53) for f in ("ns", "ns+", "s", "s+")]
     assert [r[2] for r in results if r[0].startswith("consistency-")] == [True] * 4
+
+
+@pytest.mark.parametrize("kind, p", [("a4", 13), ("s4", 73)])
+def test_exceptional_fiber_builds_its_group_once(capsys, monkeypatch, kind, p):
+    calls = []
+    real = exceptional.build_exceptional
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (exceptional, cli.atlas):
+        monkeypatch.setattr(module, "build_exceptional", counting)
+    for fmt in ("json", "text"):
+        code, _, _ = run_cli(capsys, "fiber", "--family", kind, "--prime", str(p),
+                             "--format", fmt)
+        assert code == 0
+    assert calls == [(kind, p)] * 2
 
 
 def test_battery_builds_each_cartan_fiber_once_per_prime(monkeypatch):

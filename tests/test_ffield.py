@@ -9,7 +9,9 @@ from fibercurve.ffield import (
     FieldError,
     _first_nonresidue,
     _poly_deg,
+    _poly_divmod,
     _poly_gcd,
+    _poly_mul,
     _poly_powmod_x_q,
     _poly_sub,
     _prime_divisors,
@@ -246,6 +248,21 @@ def mobius(n):
             out = -out
         d += 1
     return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p", [5, 7, 31, 1048573])
+def test_poly_divmod_is_the_reduced_euclidean_division(p):
+    # q b + r = a, deg r < deg b, coefficients in [0, p) and no zero
+    # leading term pin the answer down, however the loop reduces on the way
+    rng = random.Random(p)
+    for _ in range(400):
+        a = tuple(rng.randrange(p) for _ in range(rng.randrange(1, 14)))
+        b = tuple(rng.randrange(p) for _ in range(rng.randrange(8))) + (rng.randrange(1, p),)
+        q, r = _poly_divmod(a, b, p)
+        for c in (q, r):
+            assert all(0 <= x < p for x in c) and (len(c) == 1 or c[-1]), (a, b)
+        assert _poly_deg(r) < len(b) - 1
+        assert _poly_sub(_poly_sub(a, r, p), _poly_mul(q, b, p), p) == (0,)
 
 
 @pytest.mark.parametrize("p", [5, 7])
