@@ -3,9 +3,10 @@
 Subcommands: fiber, drinfeld, orbits, neron, verify.  Results are
 computed into JSON-serializable payloads and rendered as json, dot or
 text.  A cache stores the printed json or text output one file per
-(subcommand, family, prime), with a schema version and a fingerprint of
-the arguments (the format included) and of the package's source, so a
-hit prints the stored text and computes and renders nothing.  Exit codes: 0 success, 1 verification failure, 2 usage error,
+request (its arguments, the format included), with a schema version and
+a fingerprint of the arguments and of the package's source, so a hit
+prints the stored text and computes and renders nothing.  Exit codes:
+0 success, 1 verification failure, 2 usage error,
 3 a failed internal cross-check (two independent computations of the
 same quantity disagree; one `error:` line on stderr names the check),
 4 any other ValueError raised below the command line, such as a
@@ -83,8 +84,11 @@ def _fingerprint(args: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _cache_path(cache_dir, subcommand, selector, p):
-    name = "%s_%s_%d.json" % (subcommand, selector.replace("+", "plus"), p)
+def _cache_path(cache_dir, subcommand, selector, p, args):
+    """One file per request: the name carries a digest of the arguments,
+    not of the source, so a newer version of the code overwrites it."""
+    key = hashlib.sha256(json.dumps(args, sort_keys=True).encode()).hexdigest()[:12]
+    name = "%s_%s_%d_%s.json" % (subcommand, selector.replace("+", "plus"), p, key)
     return os.path.join(cache_dir, name)
 
 
@@ -95,7 +99,7 @@ def cached_payload(cache_dir, subcommand, selector, p, args, compute):
     `warning:` line on stderr."""
     if cache_dir is None:
         return compute()
-    path = _cache_path(cache_dir, subcommand, selector, p)
+    path = _cache_path(cache_dir, subcommand, selector, p, args)
     fp = _fingerprint(args)
     try:
         with open(path, "r", encoding="utf-8") as fh:

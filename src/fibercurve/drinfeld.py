@@ -344,7 +344,8 @@ class QuotientMapCheck:
 
 
 def _sample_source_points(p: int, count: int, rng):
-    """Points (alpha, beta) with alpha^p beta - alpha beta^p = 1.
+    """Points (alpha, beta) with alpha^p beta - alpha beta^p = 1, each as
+    the triple (alpha, beta, 1/alpha).
 
     For a fixed nonzero alpha the equation in beta reduces to the
     additive equation s^p - s = c with s = beta/alpha and
@@ -411,7 +412,7 @@ def _sample_in_field(F, p, count, rng):
             raise InconsistencyError(
                 "quotient-map sampler: a solution of s^p - s = c gives a point "
                 "off x^p y - x y^p = 1 in degree %d (p = %d)" % (F.k, p))
-        pts.append((alpha, beta))
+        pts.append((alpha, beta, w))
         if len(pts) == count:
             return pts
     return None
@@ -458,8 +459,8 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     aN = lam ** (p - 1) - lam ** 2  # lam^-2 = lam^(p-1), as lam^(p+1) = 1
     consts = (F.one(), half, lam.frobenius(), aN, (aN * half) ** 2, half * half)
     open_checks = dict(checks)
-    for alpha, beta in pts:
-        for family in _rejecting_families(p, lam, consts, alpha, beta, rng):
+    for alpha, beta, w in pts:
+        for family in _rejecting_families(p, lam, consts, alpha, beta, w, rng):
             check = open_checks.pop(family, None)
             if check is not None:
                 check.passed = False
@@ -469,13 +470,13 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     return checks
 
 
-def _rejecting_families(p, lam, consts, alpha, beta, rng):
+def _rejecting_families(p, lam, consts, alpha, beta, w, rng):
     """The Cartan families that the point (alpha, beta) fails: all four
     when the point is off the source or one of its symmetries moves it
-    off, else those whose chain breaks.  Draws the point's random
-    special-linear and root-of-unity actions from rng.  `consts` holds
-    the chains' constants: a = 1, 1/2, lam^p, aN = lam^-2 - lam^2,
-    (aN/2)^2 and (1/2)^2."""
+    off, else those whose chain breaks.  w is 1/alpha, which the sampler
+    drew.  Draws the point's random special-linear and root-of-unity
+    actions from rng.  `consts` holds the chains' constants: a = 1, 1/2,
+    lam^p, aN = lam^-2 - lam^2, (aN/2)^2 and (1/2)^2."""
     a, half, lam_p, aN, aN_half_sq, half_sq = consts
 
     def on_source(x, y):
@@ -519,7 +520,7 @@ def _rejecting_families(p, lam, consts, alpha, beta, rng):
         if Y * Y != X * (X ** ((p + 1) // 2) + aN_half_sq):
             rejected.append("ns+")
     # the s chain; s+ continues it
-    u = alpha ** (p - 1)  # alpha^p / alpha, without an inversion
+    u = alpha.frobenius() * w  # alpha^p / alpha
     v = alpha * beta
     U = u * v - half
     V = v

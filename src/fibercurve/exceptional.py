@@ -18,9 +18,10 @@ the group order is verified in all cases.  The scan enumerates only the
 matrices whose trace is admissible, in the same lexicographic order, so
 it finds the same first pair as a walk over all of SL_2(F_p).
 
-Orbit decompositions of P^1(F_p) are cross-checked against closed-form
-tables: the total orbit count N_p and the presence pattern of the
-exceptional orbits depend only on p modulo 12, 24 or 60.
+Orbit decompositions of P^1(F_p) are cross-checked against one rule
+(`rational_orbits`): the exceptional orbit of isotropy h lies on
+P^1(F_p) exactly when 2h | p - 1, and every other orbit is free, which
+fixes the total orbit count N_p.
 """
 
 from __future__ import annotations
@@ -47,34 +48,6 @@ ORBIT_PROFILE = {
     "a4": {"O2": (6, 2), "O3,1": (4, 3), "O3,2": (4, 3)},
     "s4": {"O2": (12, 2), "O3": (8, 3), "O4": (6, 4)},
     "a5": {"O2": (30, 2), "O3": (20, 3), "O5": (12, 5)},
-}
-
-# per congruence class where the kind exists (see check_congruence):
-# present exceptional orbits and the closed form for the total orbit
-# count N_p
-A4_TABLE = {
-    1: (("O2", "O3,1", "O3,2"), lambda p: (p + 23) // 12),
-    5: (("O2",), lambda p: (p + 7) // 12),
-    7: (("O3,1", "O3,2"), lambda p: (p + 17) // 12),
-    11: ((), lambda p: (p + 1) // 12),
-}
-
-S4_TABLE = {
-    1: (("O2", "O3", "O4"), lambda p: (p + 47) // 24),
-    7: (("O3",), lambda p: (p + 17) // 24),
-    17: (("O2", "O4"), lambda p: (p + 31) // 24),
-    23: ((), lambda p: (p + 1) // 24),
-}
-
-A5_TABLE = {
-    1: (("O2", "O3", "O5"), lambda p: (p + 119) // 60),
-    11: (("O5",), lambda p: (p + 49) // 60),
-    19: (("O3",), lambda p: (p + 41) // 60),
-    29: (("O2",), lambda p: (p + 31) // 60),
-    31: (("O3", "O5"), lambda p: (p + 89) // 60),
-    41: (("O2", "O5"), lambda p: (p + 79) // 60),
-    49: (("O2", "O3"), lambda p: (p + 71) // 60),
-    59: ((), lambda p: (p + 1) // 60),
 }
 
 # Root choices for the explicit octahedral generators are pinned per
@@ -270,47 +243,42 @@ class OrbitTable:
         return {name: name in self.exceptional for name in ORBIT_PROFILE[self.kind]}
 
 
-def _closed_form(kind: str, p: int):
-    if kind == "a4":
-        return A4_TABLE[p % 12]
-    if kind == "s4":
-        return S4_TABLE[p % 24]
-    return A5_TABLE[p % 60]
+def rational_orbits(kind: str, p: int) -> list:
+    """The exceptional orbits on P^1(F_p), as ORBIT_PROFILE's (name, size,
+    isotropy h) sorted by (h, name): those with 2h | p - 1.
+
+    A point stabilizer of H is cyclic of order h, prime to p, so it sits
+    in a split torus of PSL_2(F_p), of order (p - 1)/2; conversely an
+    element of order h | (p - 1)/2 is split and fixes two points of
+    P^1(F_p).  So the orbit of isotropy h is there exactly when 2h | p - 1.
+    """
+    return sorted(((name, size, h) for name, (size, h) in ORBIT_PROFILE[kind].items()
+                   if (p - 1) % (2 * h) == 0), key=lambda o: (o[2], o[0]))
 
 
 def orbit_table(kind: str, p: int) -> OrbitTable:
     """Orbits of P^1(F_p) under the exceptional group, verified.
 
-    The computed orbit count and the multiset of exceptional (size,
-    isotropy) pairs must match the closed-form table for the congruence
-    class of p; a mismatch raises VerificationError.
+    The computed orbit count and the exceptional (size, isotropy) pairs
+    must match `rational_orbits`, whose other orbits are free; a mismatch
+    raises VerificationError.
     """
     group = build_exceptional(kind, p)
     orbs = orbits(group)
-    expected_names, np_formula = _closed_form(kind, p)
-    expected_np = np_formula(p)
+    expected = rational_orbits(kind, p)
+    profile = [(size, h) for _, size, h in expected]
+    free_points = p + 1 - sum(size for size, _ in profile)
+    expected_np = len(profile) + free_points // PROJECTIVE_ORDER[kind]
     if len(orbs) != expected_np:
         raise VerificationError(kind, p, "%d orbits computed, the closed form gives %d"
                                 % (len(orbs), expected_np))
-    exceptional = {}
-    profile = ORBIT_PROFILE[kind]
-    pending = sorted(
-        (o for o in orbs if o.isotropy_order > 1),
-        key=lambda o: (o.isotropy_order, o.representative),
-    )
-    expected_profile = sorted(
-        ((profile[name], name) for name in expected_names),
-        key=lambda item: (item[0][1], item[1]),
-    )
-    if len(pending) != len(expected_profile):
-        raise VerificationError(kind, p, "%d exceptional orbits computed, the table has %d"
-                                % (len(pending), len(expected_profile)))
-    for o, ((size, iso), name) in zip(pending, expected_profile):
-        if (len(o), o.isotropy_order) != (size, iso):
-            raise VerificationError(
-                kind, p, "an orbit of size %d and isotropy %d is not the table's %s = "
-                "(size %d, isotropy %d)" % (len(o), o.isotropy_order, name, size, iso))
-        exceptional[name] = o
+    pending = sorted((o for o in orbs if o.isotropy_order > 1),
+                     key=lambda o: (o.isotropy_order, o.representative))
+    found = [(len(o), o.isotropy_order) for o in pending]
+    if found != profile:
+        raise VerificationError(kind, p, "exceptional orbits (size, isotropy) %s computed, "
+                                "the rule 2h | p - 1 gives %s" % (found, profile))
+    exceptional = {name: o for (name, _, _), o in zip(expected, pending)}
     _check_cyclic_isotropy(kind, p, exceptional)
     return OrbitTable(kind, p, orbs, len(orbs), exceptional, group)
 

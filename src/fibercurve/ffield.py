@@ -4,8 +4,8 @@ Fields are created with a deterministically chosen defining polynomial
 (the first monic irreducible of the requested degree in lexicographic
 coefficient order), so that every value computed downstream is
 byte-reproducible across runs.  Elements are coordinate vectors over
-the prime field, low degree first, and the canonical order on elements
-is the lexicographic order on those vectors.
+the prime field, low degree first, and the canonical order on elements,
+`FqElement.index()`, is the lexicographic order on those vectors.
 
 A product in F_{p^k}, k > 1, is one integer product (Kronecker
 substitution): each operand's coordinates are packed into 64-bit slots
@@ -326,12 +326,6 @@ class FqElement:
             return NotImplemented
         return FqElement(self.field, self.field._sub(self.coords, c))
 
-    def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field._sub(c, self.coords))
-
     def __neg__(self):
         return FqElement(self.field, self.field._neg(self.coords))
 
@@ -342,18 +336,6 @@ class FqElement:
         return FqElement(self.field, self.field._mul(self.coords, c))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field._mul(self.coords, self.field._inv(c)))
-
-    def __rtruediv__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field._mul(c, self.field._inv(self.coords)))
 
     def __pow__(self, n: int):
         return FqElement(self.field, self.field._pow(self.coords, n))
@@ -372,9 +354,6 @@ class FqElement:
             and self.field == other.field
             and self.coords == other.coords
         )
-
-    def __lt__(self, other):
-        return self.coords < self._coerce(other)
 
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.coords))

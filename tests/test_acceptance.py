@@ -19,6 +19,7 @@ from fibercurve.exceptional import (
     check_congruence,
     build_exceptional,
     orbit_table,
+    rational_orbits,
 )
 from fibercurve.drinfeld import (
     admissible_twist,
@@ -142,6 +143,28 @@ def test_acceptance_02_orbit_tables_below_500():
                 assert table.total == np_formula(p), (kind, p)
                 present = {name for name, flag in table.flags().items() if flag}
                 assert present == expected_orbits, (kind, p)
+
+
+def test_rational_orbits_give_the_restated_rows_below_20000():
+    # the rule 2h | p - 1 against the rows, arithmetic only: its orbits,
+    # and N_p as those orbits plus free ones of |H| points each (the rows'
+    # modulus is |H| too)
+    checked = 0
+    for p in primes_below(20000):
+        for kind, rows, order in (("a4", A4_ROWS, 12), ("s4", S4_ROWS, 24),
+                                  ("a5", A5_ROWS, 60)):
+            try:
+                check_congruence(kind, p)
+            except CongruenceError:
+                continue
+            expected_orbits, np_formula = rows[p % order]
+            rule = rational_orbits(kind, p)
+            free_points, rest = divmod(p + 1 - sum(size for _, size, _ in rule), order)
+            assert rest == 0, (kind, p)
+            assert len(rule) + free_points == np_formula(p), (kind, p)
+            assert {name for name, _, _ in rule} == expected_orbits, (kind, p)
+            checked += 1
+    assert checked == 4503
 
 
 # -- 3: maximality point counts ---------------------------------------------

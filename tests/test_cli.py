@@ -173,24 +173,51 @@ def test_largest_prime_below_2_to_the_20_is_accepted(capsys):
     assert code == 0 and out.startswith("e=1: U^2 = V^1048574 + 1")
 
 
+# the rule with its first orbit dropped, or with a4's O2 added where
+# 4 does not divide p - 1
+def drop_an_orbit(real):
+    return lambda kind, p: real(kind, p)[1:]
+
+
+def add_o2(real):
+    return lambda kind, p: [("O2", 6, 2)] + real(kind, p)
+
+
+ADDED_O2_MESSAGE = ("orbit table: exceptional orbits (size, isotropy) [(4, 3), (4, 3)] "
+                    "computed, the rule 2h | p - 1 gives [(6, 2), (4, 3), (4, 3)] "
+                    "(kind a4, p = %d)")
+
+
+def patch_rule(monkeypatch, mutation):
+    monkeypatch.setattr(exceptional, "rational_orbits", mutation(exceptional.rational_orbits))
+
+
 def test_wrong_orbit_table_fails_its_battery_row(monkeypatch):
-    real = exceptional._closed_form
-    monkeypatch.setattr(exceptional, "_closed_form",
-                        lambda kind, p: (real(kind, p)[0], lambda q: 0))
+    patch_rule(monkeypatch, drop_an_orbit)
     # 37 has only a4, and no worked equation that would rebuild its table
     rows = [r for r in cli.checks_for_prime(37) if r[0].startswith("orbit-table")]
     assert rows == [("orbit-table-a4", 37, False, "orbit table: 5 orbits computed, "
-                     "the closed form gives 0 (kind a4, p = 37)")]
+                     "the closed form gives 4 (kind a4, p = 37)")]
 
 
 def test_wrong_orbit_table_fails_the_worked_equation_row(monkeypatch):
     # at 13 the worked equation reads the a4 table of the orbit-table row
-    real = exceptional._closed_form
-    monkeypatch.setattr(exceptional, "_closed_form",
-                        lambda kind, p: (real(kind, p)[0], lambda q: real(kind, q)[1](q) + 1))
+    patch_rule(monkeypatch, drop_an_orbit)
     rows = {r[0]: r[2:] for r in cli.checks_for_prime(13)}
-    message = "orbit table: 3 orbits computed, the closed form gives 4 (kind a4, p = 13)"
+    message = "orbit table: 3 orbits computed, the closed form gives 2 (kind a4, p = 13)"
     assert rows["orbit-table-a4"] == rows["worked-equation-a4"] == (False, message)
+
+
+def test_rule_with_an_absent_orbit_fails_the_orbit_table_and_worked_equation_rows(
+        monkeypatch):
+    # at 43 and 103 = 7 mod 12 the orbit count still matches, so the
+    # profile check fails; 43 has only a4, and 103 a worked a4 equation
+    patch_rule(monkeypatch, add_o2)
+    rows = [r for r in cli.checks_for_prime(43) if r[0].startswith("orbit-table")]
+    assert rows == [("orbit-table-a4", 43, False, ADDED_O2_MESSAGE % 43)]
+    rows = {r[0]: r[2:] for r in cli.checks_for_prime(103)}
+    assert (rows["orbit-table-a4"] == rows["worked-equation-a4"]
+            == (False, ADDED_O2_MESSAGE % 103))
 
 
 def test_argparse_usage_exit_2():
@@ -257,7 +284,7 @@ def test_malformed_cache_entry_recomputed_and_overwritten(tmp_path, capsys, entr
     args = ["fiber", "--family", "ns", "--prime", "13", "--format", "json",
             "--cache", str(tmp_path)]
     _, out, _ = run_cli(capsys, *args)
-    path = tmp_path / "fiber_ns_13.json"
+    (path,) = tmp_path.iterdir()
     good = path.read_text()
     if entry == "truncated":
         entry = good[:len(good) // 2]
@@ -269,14 +296,38 @@ def test_malformed_cache_entry_recomputed_and_overwritten(tmp_path, capsys, entr
     assert path.read_text() == good
 
 
-def test_cache_entry_of_one_format_never_printed_for_the_other(tmp_path, capsys):
+def counting(monkeypatch, name):
+    """Calls of cli.name, recorded as they happen."""
+    calls = []
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def test_cache_entry_of_one_format_never_printed_for_the_other(tmp_path, capsys,
+                                                               monkeypatch):
     argv = ("orbits", "--group", "a4", "--prime", "13")
     expected = {fmt: run_cli(capsys, *argv, "--format", fmt)[1] for fmt in ("json", "text")}
     assert expected["json"] != expected["text"]
-    # both formats share one file, so each request overwrites the other's entry
+    computed = counting(monkeypatch, "orbits_payload")
+    # each format has its own file, so only the first request of each computes
     for fmt in ("json", "text", "json", "text", "text"):
         code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--cache", str(tmp_path))
         assert (code, out) == (0, expected[fmt])
+    assert len(computed) == 2 and len(list(tmp_path.iterdir())) == 2
+
+
+def test_each_orbit_pair_has_its_own_cache_entry(tmp_path, capsys, monkeypatch):
+    argv = ("drinfeld", "--group", "a4", "--prime", "13", "--format", "json")
+    expected = {pair: run_cli(capsys, *argv, "--orbit-pair", pair)[1]
+                for pair in ("0,1", "1,3")}
+    assert expected["0,1"] != expected["1,3"]
+    computed = counting(monkeypatch, "drinfeld_payload")
+    for pair in ("0,1", "1,3", "0,1", "1,3"):
+        code, out, _ = run_cli(capsys, *argv, "--orbit-pair", pair, "--cache", str(tmp_path))
+        assert (code, out) == (0, expected[pair])
+    assert [call[3] for call in computed] == [("0", "1"), ("1", "3")]  # repeats hit
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_cache_env_var(tmp_path, capsys, monkeypatch):
@@ -304,13 +355,17 @@ def test_unusable_cache_warns_and_prints_the_answer(tmp_path, capsys, monkeypatc
 
 
 def test_failed_cache_write_removes_its_temp_file(tmp_path, capsys):
+    argv = ("fiber", "--family", "ns", "--prime", "13", "--cache", str(tmp_path))
+    run_cli(capsys, *argv)
+    (entry,) = tmp_path.iterdir()
+    assert entry.name.startswith("fiber_ns_13_")
     # a directory where the entry goes makes the final rename fail
-    (tmp_path / "fiber_ns_13.json").mkdir()
-    code, out, err = run_cli(capsys, "fiber", "--family", "ns", "--prime", "13",
-                             "--cache", str(tmp_path))
+    entry.unlink()
+    entry.mkdir()
+    code, out, err = run_cli(capsys, *argv)
     assert code == 0 and out.startswith("special fiber: family ns, p = 13")
     assert err.startswith("warning: ") and len(err.splitlines()) == 1
-    assert [f.name for f in tmp_path.iterdir()] == ["fiber_ns_13.json"]
+    assert list(tmp_path.iterdir()) == [entry] and entry.is_dir()
 
 
 def test_verify_small_range_passes(capsys):
@@ -704,10 +759,9 @@ def test_wrong_square_root_exits_3_under_python_O():
     ("atlas", "_cartan_fiber", ["verify", "--suite", "paper", "--primes", "13..14"],
      "(lambda g: setattr(g.verticals()[-1], 'label', 'X') or g)(real(*args))",
      "consistency identity:"),
-    # a closed form that expects one orbit more than the group has
-    ("exceptional", "_closed_form", ["orbits", "--group", "a4", "--prime", "13"],
-     "(lambda names, count: (names, lambda p: count(p) + 1))(*real(*args))",
-     "orbit table:"),
+    # a rule that drops one of the orbits the group has
+    ("exceptional", "rational_orbits", ["orbits", "--group", "a4", "--prime", "13"],
+     "real(*args)[1:]", "orbit table:"),
     # a product that returns its right factor repeats classes in the
     # normalizer's list, and deduplication leaves it short
     ("projline", "mul", ["fiber", "--family", "ns+", "--prime", "13"], "args[1]",
@@ -720,6 +774,15 @@ def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, c
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + check)
     assert "p = 13" in lines[0] and "Traceback" not in proc.stderr
+
+
+def test_orbit_rule_with_an_absent_orbit_exits_3_under_python_O():
+    # at 43 = 7 mod 12 the count still matches, so the profile check raises
+    proc = run_patched_under_python_O("exceptional", "rational_orbits",
+                                      ["orbits", "--group", "a4", "--prime", "43"],
+                                      "[('O2', 6, 2)] + real(*args)")
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: %s\n" % ADDED_O2_MESSAGE % 43
 
 
 def test_wrong_quotient_closed_form_fails_the_consistency_rows_under_python_O():

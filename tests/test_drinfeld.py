@@ -480,7 +480,7 @@ def check_one_point(family, p, F, a, lam, alpha, beta, rng):
         v1 = atilde * btilde
         if not (u1 * u1 - v1 ** (p + 1) - a * N * u1).is_zero():
             return False
-        half = F.one() / 2
+        half = F(2).inverse()
         U = u1 - a * N * half
         V = v1
         if U * U != V ** (p + 1) + (a * N * half) ** 2:
@@ -494,7 +494,7 @@ def check_one_point(family, p, F, a, lam, alpha, beta, rng):
         v = alpha * beta
         if not (v ** p - u * u * v + a * u).is_zero():
             return False
-        half = F.one() / 2
+        half = F(2).inverse()
         U = u * v - a * half
         V = v
         if U * U != V ** (p + 1) + (a * half) ** 2:
@@ -514,7 +514,7 @@ def per_family_quotient_check(family, p, samples, seed=0, check=check_one_point,
     rng = random.Random(seed)
     F, pts = drinfeld._sample_source_points(p, samples, rng)
     lam = element_of_order(F, p + 1, rng)
-    for alpha, beta in pts:
+    for alpha, beta, _ in pts:
         if calls is not None:
             calls.append((lam, alpha, beta, rng.getstate()))
         if not check(family, p, F, F.one(), lam, alpha, beta, rng):
@@ -528,9 +528,9 @@ def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
     shared = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(p, lam, consts, alpha, beta, rng):
+    def recording(p, lam, consts, alpha, beta, w, rng):
         shared.append((lam, alpha, beta, rng.getstate()))
-        return rejecting_families(p, lam, consts, alpha, beta, rng)
+        return rejecting_families(p, lam, consts, alpha, beta, w, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)
@@ -548,11 +548,11 @@ def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
 def test_shared_sample_reports_the_rejected_point(monkeypatch):
     p, seed = 13, 1
     _, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
-    rejected = pts[3]
+    rejected = pts[3][:2]
     rejecting_families = drinfeld._rejecting_families
 
-    def reject_for_s(p, lam, consts, alpha, beta, rng):
-        families = list(rejecting_families(p, lam, consts, alpha, beta, rng))
+    def reject_for_s(p, lam, consts, alpha, beta, w, rng):
+        families = list(rejecting_families(p, lam, consts, alpha, beta, w, rng))
         if (alpha, beta) == rejected:
             families.append("s")
         return families
@@ -586,8 +586,9 @@ def test_sampled_points_lie_on_the_curve(seed):
     for p in (p for p in range(5, 32) if is_prime(p)):
         F, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
         assert F.p == p and F.k >= 6 and len(pts) == 8
-        for alpha, beta in pts:
+        for alpha, beta, w in pts:
             assert alpha ** p * beta - alpha * beta ** p == F.one()
+            assert alpha * w == F.one()
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -596,7 +597,7 @@ def test_degree_six_draw_budget_suffices(seed):
     for p in (p for p in range(5, 32) if is_prime(p)):
         F, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
         assert (F.p, F.k, len(pts)) == (p, 6, 8)
-        for alpha, beta in pts:
+        for alpha, beta, _ in pts:
             assert alpha ** p * beta - alpha * beta ** p == F.one()
 
 
