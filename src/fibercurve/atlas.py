@@ -450,26 +450,13 @@ class FiberGraph:
         return [v for v in self.vertices if v.role == "horizontal-drinfeld"]
 
     def toric_rank(self):
-        """First Betti number E - V + C of the dual graph; None when the
-        incidence is not fully specified."""
+        """First Betti number E - V + 1 of the dual graph; None when the
+        incidence is not fully specified.  The special fiber of a proper
+        model of a geometrically connected curve is connected (Zariski's
+        connectedness theorem), so the graph has one component."""
         if not self.incidence_complete:
             return None
-        names = [v.name for v in self.vertices]
-        index = {n: i for i, n in enumerate(names)}
-        parent = list(range(len(names)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for a, b, _ in self.edges:
-            ra, rb = find(index[a]), find(index[b])
-            if ra != rb:
-                parent[ra] = rb
-        components = len({find(i) for i in range(len(names))})
-        return len(self.edges) - len(names) + components
+        return len(self.edges) - len(self.vertices) + 1
 
     def widths(self):
         return sorted(w for _, _, w in self.edges)
@@ -601,7 +588,7 @@ def _exceptional_fiber(kind: str, p: int) -> FiberGraph:
                     width=QUOTIENT_WIDTH[label],
                 )
             )
-    if table.total >= 2:
+    if len(table.orbits) >= 2:
         curve = exceptional_drinfeld(table)
         vertices.append(
             ComponentDescriptor(
@@ -669,8 +656,9 @@ def family_group_image(family: str, p: int) -> SubgroupTable:
     raise ValueError("unknown family %r" % family)
 
 
-def genus_oracle(H: SubgroupTable, p: int) -> int:
-    """Geometric genus of the coarse curve attached to H <= PGL_2(F_p).
+def genus_oracle(H: SubgroupTable) -> int:
+    """Geometric genus of the coarse curve attached to H <= PGL_2(F_p),
+    with p = H.p.
 
     Riemann-Hurwitz over the j-line: with H' = H meet PSL_2 and
     n = [PSL_2 : H'], 2g - 2 = -2n + sum over e in {2, 3, p} of
@@ -679,8 +667,7 @@ def genus_oracle(H: SubgroupTable, p: int) -> int:
     and the c_e, and rejects a p that is not a prime > 3.  total_genus
     checks the result against genus_closed_form wherever one exists.
     """
-    if H.p != p:
-        raise ValueError("prime mismatch")
+    p = H.p
     counts = coset_cycle_counts(H)
     rhs = counts[1] - counts[2] - counts[3] - counts[p]
     if rhs % 2 or rhs < -2:
@@ -718,7 +705,7 @@ def genus_closed_form(family: str, p: int) -> int:
 def total_genus(family: str, p: int, group: SubgroupTable = None) -> int:
     """The genus oracle on the family's group image, or on `group` when
     the caller has already built that image."""
-    genus = genus_oracle(group or family_group_image(family, p), p)
+    genus = genus_oracle(group or family_group_image(family, p))
     if family not in EXCEPTIONAL_KINDS:
         closed = genus_closed_form(family, p)
         if genus != closed:
@@ -753,29 +740,18 @@ def igusa_genus(p: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# genus-consistency ledger
+# genus consistency
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class ConsistencyReport:
-    family: str
-    p: int
     graph: FiberGraph
     total_genus: int
     toric_rank: int
     unknown_label: str
-    unknown_count: int
     derived_genus: int
-    ok: bool = True
-    ledger: list = field(default_factory=list)
-
-    def entry(self, quantity, value, provenance, ok=True):
-        self.ledger.append(
-            {"quantity": quantity, "value": value, "provenance": provenance, "ok": ok}
-        )
-        if not ok:
-            self.ok = False
+    ok: bool
 
 
 def consistency_report(family: str, p: int) -> ConsistencyReport:
@@ -785,10 +761,11 @@ def consistency_report(family: str, p: int) -> ConsistencyReport:
     Every Cartan family whose fiber uses the same quotient at p is
     checked against the same closed form, so once each derived genus
     equals it the identity closes in all of them.  Inconsistencies are
-    reported (ok = False, ledger entries), never adjusted.
+    reported (ok = False), never adjusted: ok holds when the solved genus
+    is a whole number, at least 0, and equal to the closed form.
     """
     if family not in CARTAN_FAMILIES:
-        raise ValueError("consistency ledger applies to Cartan families only")
+        raise ValueError("the consistency identity applies to Cartan families only")
     graph = _cartan_fiber(family, p)
     total = total_genus(family, p)
     toric = graph.toric_rank()
@@ -801,17 +778,6 @@ def consistency_report(family: str, p: int) -> ConsistencyReport:
     label = labels[0]
     known = sum(v.genus for v in graph.vertices if v.genus is not None)
     derived, rem = divmod(total - toric - known, len(unknown))
-    report = ConsistencyReport(family=family, p=p, graph=graph, total_genus=total,
-                               toric_rank=toric, unknown_label=label,
-                               unknown_count=len(unknown), derived_genus=derived)
-    report.entry("g(X_%s)" % family, total, "oracle")
-    report.entry("toric rank", toric, "graph")
-    for v in graph.horizontals():
-        report.entry("g(%s)" % (v.curve.text() if v.curve else v.label),
-                     v.genus, v.genus_provenance)
-    report.entry("g(%s)" % label, derived, "derived-by-consistency",
-                 ok=(rem == 0 and derived >= 0))
-    closed = igusa_genus(p, QUOTIENT_WIDTH[label] // 2)
-    report.entry("Riemann-Hurwitz closed form for g(%s)" % label, closed,
-                 "closed-form", ok=(closed == derived))
-    return report
+    ok = rem == 0 and 0 <= derived == igusa_genus(p, QUOTIENT_WIDTH[label] // 2)
+    return ConsistencyReport(graph=graph, total_genus=total, toric_rank=toric,
+                             unknown_label=label, derived_genus=derived, ok=ok)

@@ -52,10 +52,12 @@ QUOTIENT_MAP_SAMPLES = 8
 
 
 def _require_prime(p: int) -> int:
-    if not is_prime(p) or p <= 3:
-        raise UsageError("%d is not a prime > 3" % p)
+    # the bound first: testing a huge p for primality costs time that
+    # grows with its size
     if p >= MAX_CHAR:
         raise UsageError("p = %d is not below the accepted bound 2^20 = %d" % (p, MAX_CHAR))
+    if not is_prime(p) or p <= 3:
+        raise UsageError("%d is not a prime > 3" % p)
     return p
 
 
@@ -197,7 +199,7 @@ def drinfeld_payload(family, group, p, orbit_pair) -> dict:
             "factors": [[c, m] for c, m in curve.factors],
             "equation": curve.text(),
             "genus": curve.genus(),
-            "orbit_count": table.total,
+            "orbit_count": len(table.orbits),
         }
     equations = []
     ss = atlas.supersingular_data(p)
@@ -235,7 +237,7 @@ def orbits_payload(group: str, p: int) -> dict:
     return {
         "group": group,
         "p": p,
-        "N_p": table.total,
+        "N_p": len(table.orbits),
         "orbits": [
             {
                 "representative": point_str(p, o.representative),
@@ -366,7 +368,12 @@ def checks_for_prime(p: int) -> list:
 
 
 def run_verify(lo: int, hi: int, jobs: int) -> int:
-    primes = [_require_prime(p) for p in range(max(lo, 5), hi) if is_prime(p)]
+    # HI bounds every number of the half-open range, so a range past the
+    # bound is rejected before any number in it is tested
+    if hi > MAX_CHAR:
+        raise UsageError("--primes HI = %d is above the accepted bound 2^20 = %d"
+                         % (hi, MAX_CHAR))
+    primes = [p for p in range(max(lo, 5), hi) if is_prime(p)]
     results = []
     # the pool starts all its workers at once, so never ask for more than
     # there are primes or cores

@@ -71,10 +71,6 @@ class SuperellipticCurve:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def from_factors(cls, p, n, factors):
-        return cls(p, n, factors=tuple(factors))
-
-    @classmethod
     def even_power_form(cls, p, m):
         """U^2 = V^m + A."""
         return cls(p, 2, form="v_power", m=m)
@@ -105,7 +101,31 @@ class SuperellipticCurve:
         return {}
 
     def genus(self):
-        return cyclic_cover_genus(self)
+        """Genus of the cyclic cover u^n = f(t) by Riemann-Hurwitz.
+
+        2g - 2 = -2n + sum over finite branch roots of (n - gcd(n, m_i))
+        plus (n - gcd(n, sum m_i)) for the point at infinity; the last term
+        vanishes on its own when n divides the total degree.  Both sums run
+        over the multiplicity map {m: count} of `branch_exponents`, one term
+        per distinct exponent, so a marked form U^2 = V^m + 1 costs O(1)
+        whatever m is.
+        """
+        if self.is_line():
+            return 0
+        n = self.n
+        counts = self.branch_exponents()
+        if not counts:
+            raise ValueError("constant right-hand side does not define a cover")
+        if gcd(n, *counts) != 1:
+            raise ValueError("cover u^%d = f is reducible" % n)
+        total = sum(m * c for m, c in counts.items())
+        rhs = -2 * n + sum(c * (n - gcd(n, m)) for m, c in counts.items())
+        rhs += n - gcd(n, total)
+        if rhs % 2 or rhs < -2:
+            raise InconsistencyError(
+                "cyclic cover genus: 2g - 2 = %d is odd or below -2 for "
+                "u^%d = f (p = %d)" % (rhs, n, self.p))
+        return (rhs + 2) // 2
 
     # ---- serialization -------------------------------------------------
 
@@ -132,34 +152,6 @@ class SuperellipticCurve:
 
     def __repr__(self):
         return "SuperellipticCurve(%s)" % self.text()
-
-
-def cyclic_cover_genus(curve: SuperellipticCurve) -> int:
-    """Genus of the cyclic cover u^n = f(t) by Riemann-Hurwitz.
-
-    2g - 2 = -2n + sum over finite branch roots of (n - gcd(n, m_i))
-    plus (n - gcd(n, sum m_i)) for the point at infinity; the last term
-    vanishes on its own when n divides the total degree.  Both sums run
-    over the multiplicity map {m: count} of `branch_exponents`, one term
-    per distinct exponent, so a marked form U^2 = V^m + 1 costs O(1)
-    whatever m is.
-    """
-    if curve.is_line():
-        return 0
-    n = curve.n
-    counts = curve.branch_exponents()
-    if not counts:
-        raise ValueError("constant right-hand side does not define a cover")
-    if gcd(n, *counts) != 1:
-        raise ValueError("cover u^%d = f is reducible" % n)
-    total = sum(m * c for m, c in counts.items())
-    rhs = -2 * n + sum(c * (n - gcd(n, m)) for m, c in counts.items())
-    rhs += n - gcd(n, total)
-    if rhs % 2 or rhs < -2:
-        raise InconsistencyError(
-            "cyclic cover genus: 2g - 2 = %d is odd or below -2 for "
-            "u^%d = f (p = %d)" % (rhs, n, curve.p))
-    return (rhs + 2) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +246,12 @@ def exceptional_drinfeld(table, orbit1=None, orbit2=None) -> SuperellipticCurve:
         seen.add(value)
         factors.append((value, inverse_mod(orbit.isotropy_order, n)))
     # every orbit contributes one branch value, counting a possible infinity
-    if len(factors) not in (table.total, table.total - 1):
+    orbit_count = len(table.orbits)
+    if len(factors) not in (orbit_count, orbit_count - 1):
         raise InconsistencyError(
             "branch values: %d finite values for %d orbits (kind %s, p = %d)"
-            % (len(factors), table.total, kind, p))
-    return SuperellipticCurve.from_factors(p, n, factors)
+            % (len(factors), orbit_count, kind, p))
+    return SuperellipticCurve(p, n, factors)
 
 
 def default_orbit_pair(table):

@@ -229,7 +229,6 @@ class OrbitTable:
     kind: str
     p: int
     orbits: list
-    total: int
     exceptional: dict = field(default_factory=dict)
     group: SubgroupTable = None
 
@@ -280,7 +279,7 @@ def orbit_table(kind: str, p: int) -> OrbitTable:
                                 "the rule 2h | p - 1 gives %s" % (found, profile))
     exceptional = {name: o for (name, _, _), o in zip(expected, pending)}
     _check_cyclic_isotropy(kind, p, exceptional)
-    return OrbitTable(kind, p, orbs, len(orbs), exceptional, group)
+    return OrbitTable(kind, p, orbs, exceptional, group)
 
 
 def _check_cyclic_isotropy(kind: str, p: int, exceptional: dict) -> None:

@@ -4,7 +4,6 @@ import pytest
 
 from fibercurve import atlas
 from fibercurve.ffield import InconsistencyError, is_prime
-from fibercurve.projline import SubgroupTable
 from fibercurve.exceptional import CongruenceError, check_congruence
 from fibercurve.atlas import (
     CARTAN_FAMILIES,
@@ -401,7 +400,7 @@ def test_exceptional_fiber_total_parts_sweep():
                 continue
             g = special_fiber(kind, p)
             total = sum(v.count for v in g.verticals())
-            assert total == 2 * orbit_table(kind, p).total, (kind, p)
+            assert total == 2 * len(orbit_table(kind, p).orbits), (kind, p)
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +427,12 @@ def test_genus_oracle_nsplus_closed_form():
             if family == "x0" and 200 < p < 397:
                 continue
             H = family_group_image(family, p)
-            assert genus_oracle(H, p) == genus_closed_form(family, p), (family, p)
+            assert genus_oracle(H) == genus_closed_form(family, p), (family, p)
 
 
 def test_total_genus_rejects_a_wrong_oracle(monkeypatch):
     real = atlas.genus_oracle
-    monkeypatch.setattr(atlas, "genus_oracle", lambda H, p: real(H, p) + 1)
+    monkeypatch.setattr(atlas, "genus_oracle", lambda H: real(H) + 1)
     for family in CARTAN_FAMILIES + ("x0",):
         with pytest.raises(InconsistencyError, match="total genus: .* p = 13"):
             total_genus(family, 13)
@@ -447,14 +446,6 @@ def test_total_genus_counts_cycles_once(monkeypatch):
         calls.clear()
         total_genus(family, 71)
         assert len(calls) == 1, family
-
-
-def test_genus_oracle_requires_matching_prime():
-    H = family_group_image("ns+", 13)
-    with pytest.raises(ValueError):
-        genus_oracle(H, 17)
-    with pytest.raises(ValueError, match="prime > 3"):
-        genus_oracle(SubgroupTable(9, [(1, 0, 0, 1)]), 9)
 
 
 def test_consistency_examples():
@@ -472,14 +463,6 @@ def test_consistency_examples():
     assert r.total_genus == total_genus("ns+", 29)
 
 
-def test_consistency_ledger_provenance_tags():
-    r = consistency_report("ns+", 17)
-    tags = {e["provenance"] for e in r.ledger}
-    assert "oracle" in tags
-    assert "derived-by-consistency" in tags
-    assert "closed-form" in tags
-
-
 def test_derived_quotient_genus_is_the_closed_form_below_2000():
     # every Cartan (family, p): 1204 reports, about 4.5 s
     for p in range(5, 2000):
@@ -489,8 +472,7 @@ def test_derived_quotient_genus_is_the_closed_form_below_2000():
             r = consistency_report(family, p)
             k = QUOTIENT_WIDTH[r.unknown_label] // 2
             assert r.derived_genus == igusa_genus(p, k), (family, p)
-            closed = [e for e in r.ledger if e["provenance"] == "closed-form"]
-            assert [(e["value"], e["ok"]) for e in closed] == [(r.derived_genus, True)]
+            assert r.ok, (family, p)
 
 
 def test_igusa_genus_known_values():

@@ -152,19 +152,50 @@ def test_internal_value_error_exits_4(capsys, monkeypatch, error):
     assert (code, out, err) == (4, "", "error: internal\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("fiber", "--family", "ns+", "--prime", "1048583"),
-    ("drinfeld", "--family", "ns", "--prime", "1048583"),
-    ("drinfeld", "--group", "a4", "--prime", "1048583"),
-    ("orbits", "--group", "s4", "--prime", "1048583"),
-    ("neron", "--family", "s", "--prime", "1048583"),
-    ("verify", "--suite", "paper", "--primes", "1048573..1048584"),
+PRIME_BOUND_MESSAGE = "p = 1048583 is not below the accepted bound 2^20 = 1048576"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("fiber", "--family", "ns+", "--prime", "1048583"), PRIME_BOUND_MESSAGE),
+    (("drinfeld", "--family", "ns", "--prime", "1048583"), PRIME_BOUND_MESSAGE),
+    (("drinfeld", "--group", "a4", "--prime", "1048583"), PRIME_BOUND_MESSAGE),
+    (("orbits", "--group", "s4", "--prime", "1048583"), PRIME_BOUND_MESSAGE),
+    (("neron", "--family", "s", "--prime", "1048583"), PRIME_BOUND_MESSAGE),
+    (("verify", "--suite", "paper", "--primes", "1048573..1048584"),
+     "--primes HI = 1048584 is above the accepted bound 2^20 = 1048576"),
 ], ids=["fiber", "drinfeld-family", "drinfeld-group", "orbits", "neron", "verify"])
-def test_prime_at_or_above_2_to_the_20_exits_2(capsys, argv):
+def test_prime_at_or_above_2_to_the_20_exits_2(capsys, argv, message):
     # 1048583 is the first prime above 2^20 = MAX_CHAR
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
-    assert err == "error: p = 1048583 is not below the accepted bound 2^20 = 1048576\n"
+    assert err == "error: %s\n" % message
+
+
+def count_primality_tests(monkeypatch):
+    calls = []
+    real = cli.is_prime
+    monkeypatch.setattr(cli, "is_prime", lambda n: calls.append(n) or real(n))
+    return calls
+
+
+def test_prime_past_the_bound_is_rejected_before_a_primality_test(monkeypatch):
+    calls = count_primality_tests(monkeypatch)
+    with pytest.raises(exceptional.UsageError, match="not below the accepted bound"):
+        cli._require_prime(10 ** 3000 + 7)
+    # a composite past the bound gets the bound message too
+    with pytest.raises(exceptional.UsageError, match="not below the accepted bound"):
+        cli._require_prime(1048577)
+    assert calls == []
+
+
+@pytest.mark.parametrize("primes", ["5..1048600",
+                                    "%d..%d" % (10 ** 3000, 10 ** 3000 + 100)],
+                         ids=["past-the-bound", "huge-lo"])
+def test_verify_range_past_the_bound_tests_no_number(capsys, monkeypatch, primes):
+    calls = count_primality_tests(monkeypatch)
+    code, out, err = run_cli(capsys, "verify", "--suite", "paper", "--primes", primes)
+    assert (code, out) == (2, "") and "is above the accepted bound 2^20" in err
+    assert calls == []
 
 
 def test_largest_prime_below_2_to_the_20_is_accepted(capsys):
@@ -420,7 +451,7 @@ def test_verify_jobs_clamped_to_primes_and_cores(capsys, monkeypatch):
 
 
 def test_battery_builds_each_family_once_per_prime(monkeypatch):
-    # at p = 53 the ledgers of ns and s, and of ns+ and s+, share a
+    # at p = 53 the reports of ns and s, and of ns+ and s+, share a
     # quotient label
     calls = []
     real = cli.atlas.total_genus
@@ -829,6 +860,20 @@ def test_neron_request_skips_kirchhoff_and_large_matrices(capsys, monkeypatch, f
     assert sizes and max(sizes) <= 3
 
 
-def test_every_exported_name_resolves():
-    for name in fibercurve.__all__:
-        assert getattr(fibercurve, name, None) is not None, name
+# the layers perfbench/tracer.py reads from sys.modules after `import
+# fibercurve`; the command line is imported by whoever runs it
+PACKAGE_MODULES = {"atlas", "drinfeld", "exceptional", "ffield", "neron", "projline"}
+
+
+def test_package_root_loads_every_layer_and_binds_nothing_else():
+    script = ("import json, sys, fibercurve\n"
+              "json.dump({'loaded': sorted(m for m in sys.modules\n"
+              "                            if m.startswith('fibercurve.')),\n"
+              "           'public': sorted(n for n in vars(fibercurve)\n"
+              "                            if not n.startswith('_'))}, sys.stdout)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                          capture_output=True, text=True, check=True)
+    result = json.loads(proc.stdout)
+    assert result["loaded"] == sorted("fibercurve." + m for m in PACKAGE_MODULES)
+    assert result["public"] == sorted(PACKAGE_MODULES)
+    assert fibercurve.__version__

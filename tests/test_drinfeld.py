@@ -20,7 +20,6 @@ from fibercurve.drinfeld import (
     admissible_twist,
     cartan_drinfeld,
     count_points_fp2,
-    cyclic_cover_genus,
     default_orbit_pair,
     exceptional_drinfeld,
     verify_quotient_maps,
@@ -102,12 +101,12 @@ def test_branch_count_and_exponent_inverse_invariants():
     for kind, p in (("a4", 13), ("a4", 103), ("s4", 73), ("a4", 37),
                     ("s4", 41), ("a5", 61), ("a5", 421)):
         table = orbit_table(kind, p)
-        if table.total < 2:
+        if len(table.orbits) < 2:
             continue
         curve = exceptional_drinfeld(table)
         n = (p + 1) // 2
         # branch values, with a possible value at infinity, biject with orbits
-        assert len(curve.factors) in (table.total, table.total - 1)
+        assert len(curve.factors) in (len(table.orbits), len(table.orbits) - 1)
         isotropies = sorted(o.isotropy_order for o in table.orbits)
         expected_exps = sorted(
             pow(h, -1, n) for h in isotropies
@@ -187,7 +186,7 @@ def test_phi_constant_on_orbits_exhaustive():
                 check_congruence(kind, p)
             except CongruenceError:
                 continue
-            if orbit_table(kind, p).total < 2:
+            if len(orbit_table(kind, p).orbits) < 2:
                 continue
             assert phi_constant_on_orbits(kind, p), (kind, p)
 
@@ -253,12 +252,12 @@ def test_closed_form_genus_matches_hyperelliptic_floor():
 
 def test_genus_rational_cover():
     for n in (2, 5, 7):
-        assert SuperellipticCurve.from_factors(13, n, [(0, 1)]).genus() == 0
+        assert SuperellipticCurve(13, n, [(0, 1)]).genus() == 0
 
 
 def test_genus_reducible_cover_rejected():
     with pytest.raises(ValueError):
-        cyclic_cover_genus(SuperellipticCurve.from_factors(13, 4, [(0, 2), (1, 2)]))
+        SuperellipticCurve(13, 4, [(0, 2), (1, 2)]).genus()
 
 
 def test_genus_random_against_reference():
@@ -272,7 +271,7 @@ def test_genus_random_against_reference():
             d = math.gcd(d, m)
         if math.gcd(n, d) != 1:
             continue
-        curve = SuperellipticCurve.from_factors(13, n, list(zip(roots, exps)))
+        curve = SuperellipticCurve(13, n, list(zip(roots, exps)))
         assert curve.genus() == rh_genus_reference(n, exps)
 
 
@@ -317,7 +316,7 @@ def test_exceptional_genus_matches_reference_below_500(kind):
         except CongruenceError:
             continue
         table = orbit_table(kind, p)
-        if table.total >= 2:
+        if len(table.orbits) >= 2:
             assert_genus_matches_reference(exceptional_drinfeld(table))
 
 
@@ -336,7 +335,7 @@ def test_marked_form_genus_up_to_a_million():
 
 
 def test_serialization_forms():
-    curve = SuperellipticCurve.from_factors(13, 7, [(1, 5), (0, 5)])
+    curve = SuperellipticCurve(13, 7, [(1, 5), (0, 5)])
     assert curve.text() == "u^7 = t^5 (t-1)^5"
     assert (curve.p, curve.n, curve.factors) == (13, 7, ((0, 5), (1, 5)))
     assert form_label(cartan_drinfeld("ns+", 13, 1)) == "Y^2 = X(X^7 + A)"
@@ -345,7 +344,7 @@ def test_serialization_forms():
 
 def test_duplicate_roots_rejected():
     with pytest.raises(ValueError):
-        SuperellipticCurve.from_factors(13, 7, [(1, 2), (14, 3)])
+        SuperellipticCurve(13, 7, [(1, 2), (14, 3)])
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def test_a4_13_orbits_match_published_sets():
     assert orbit_as_set(table.orbit_of(0)) == A4_13_ORBIT_OF_0
     assert orbit_as_set(table.orbit_of(1)) == A4_13_ORBIT_OF_1
     assert orbit_as_set(table.orbit_of(3)) == A4_13_ORBIT_OF_3
-    assert table.total == 3
+    assert len(table.orbits) == 3
     assert table.flags() == {"O2": True, "O3,1": True, "O3,2": True}
 
 
@@ -66,7 +66,7 @@ def test_a4_103_orbits_match_published_sets():
     table = orbit_table("a4", 103)
     assert orbit_as_set(table.orbit_of(0)) == A4_103_ORBIT_OF_0
     assert orbit_as_set(table.orbit_of(1)) == A4_103_ORBIT_OF_1
-    assert table.total == 10
+    assert len(table.orbits) == 10
     assert table.flags() == {"O2": False, "O3,1": True, "O3,2": True}
 
 
@@ -74,14 +74,14 @@ def test_s4_73_orbits_match_published_sets():
     table = orbit_table("s4", 73)
     assert orbit_as_set(table.orbit_of(0)) == S4_73_ORBIT_OF_0
     assert orbit_as_set(table.orbit_of(1)) == S4_73_ORBIT_OF_1
-    assert table.total == 5
+    assert len(table.orbits) == 5
 
 
 def test_a5_421_orbits_match_published_sets():
     table = orbit_table("a5", 421)
     assert orbit_as_set(table.orbit_of(0)) == A5_421_ORBIT_OF_0
     assert orbit_as_set(table.orbit_of(1)) == A5_421_ORBIT_OF_1
-    assert table.total == 9
+    assert len(table.orbits) == 9
 
 
 def test_group_orders():
@@ -117,7 +117,7 @@ def test_build_is_deterministic():
 
 def test_a5_59_single_orbit():
     table = orbit_table("a5", 59)
-    assert table.total == 1
+    assert len(table.orbits) == 1
     assert table.flags() == {"O2": False, "O3": False, "O5": False}
 
 
@@ -136,7 +136,7 @@ def test_orbit_table_spot_values():
         ("a5", 61, 3),
     ]
     for kind, p, np in cases:
-        assert orbit_table(kind, p).total == np, (kind, p)
+        assert len(orbit_table(kind, p).orbits) == np, (kind, p)
 
 
 def test_orbit_tables_sweep_below_100():
