@@ -1,12 +1,17 @@
 """Command-line front end.
 
-Subcommands: fiber, drinfeld, orbits, neron, verify.  Results are
+Subcommands: fiber, drinfeld, orbits, neron, verify (`USAGE`).  Each
+request is parsed against one option table (`build_parser`): options
+spelled in full, `--opt VALUE` or `--opt=VALUE`, the last of a repeated
+option counting; `-h` or `--help` prints `USAGE`.  Results are
 computed into JSON-serializable payloads and rendered as json, dot or
 text.  A cache stores the printed json or text output one file per
 request (its arguments, the format included), with a schema version and
 a fingerprint of the arguments and of the package's source, so a hit
 prints the stored text and computes and renders nothing.  Exit codes:
-0 success, 1 verification failure, 2 usage error,
+0 success, 1 verification failure, 2 usage error (a parser error, a
+prime that is out of bounds, not prime or incongruent, a verify range
+without a prime > 3; one `error:` line),
 3 a failed internal cross-check (two independent computations of the
 same quantity disagree; one `error:` line on stderr names the check),
 4 any other ValueError raised below the command line, such as a
@@ -15,7 +20,6 @@ FieldError, GraphError or GroupError (one `error:` line).
 
 from __future__ import annotations
 
-import argparse
 import functools
 import hashlib
 import json
@@ -80,16 +84,17 @@ def source_digest() -> str:
     return h.hexdigest()
 
 
-def _fingerprint(args: dict) -> str:
-    """Digest of the request and the code, so entries of other code miss."""
-    blob = json.dumps([source_digest(), args], sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+def _fingerprint(blob: bytes) -> str:
+    """Digest of the request's arguments, dumped to `blob`, and of the
+    code, so entries of other code miss."""
+    return hashlib.sha256(source_digest().encode() + b"\0" + blob).hexdigest()
 
 
-def _cache_path(cache_dir, subcommand, selector, p, args):
+def _cache_path(cache_dir, subcommand, selector, p, blob):
     """One file per request: the name carries a digest of the arguments,
-    not of the source, so a newer version of the code overwrites it."""
-    key = hashlib.sha256(json.dumps(args, sort_keys=True).encode()).hexdigest()[:12]
+    dumped to `blob`, not of the source, so a newer version of the code
+    overwrites it."""
+    key = hashlib.sha256(blob).hexdigest()[:12]
     name = "%s_%s_%d_%s.json" % (subcommand, selector.replace("+", "plus"), p, key)
     return os.path.join(cache_dir, name)
 
@@ -101,8 +106,9 @@ def cached_payload(cache_dir, subcommand, selector, p, args, compute):
     `warning:` line on stderr."""
     if cache_dir is None:
         return compute()
-    path = _cache_path(cache_dir, subcommand, selector, p, args)
-    fp = _fingerprint(args)
+    blob = json.dumps(args, sort_keys=True).encode()
+    path = _cache_path(cache_dir, subcommand, selector, p, blob)
+    fp = _fingerprint(blob)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entry = json.load(fh)
@@ -374,6 +380,9 @@ def run_verify(lo: int, hi: int, jobs: int) -> int:
         raise UsageError("--primes HI = %d is above the accepted bound 2^20 = %d"
                          % (hi, MAX_CHAR))
     primes = [p for p in range(max(lo, 5), hi) if is_prime(p)]
+    if not primes:
+        # a battery of no check would read as a pass
+        raise UsageError("--primes %d..%d holds no prime > 3" % (lo, hi))
     results = []
     # the pool starts all its workers at once, so never ask for more than
     # there are primes or cores
@@ -412,50 +421,110 @@ def run_verify(lo: int, hi: int, jobs: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the README's CLI block; -h and --help print it
+USAGE = """\
+fibercurve fiber    --family {ns|ns+|s|s+|a4|s4|a5} --prime P [--format json|dot|text] [--cache DIR]
+fibercurve drinfeld --family {ns|ns+|s|s+} --prime P [--format json|text] [--cache DIR]
+fibercurve drinfeld --group {a4|s4|a5} --prime P [--orbit-pair R1,R2] [--format json|text] [--cache DIR]
+fibercurve orbits   --group {a4|s4|a5} --prime P [--format json|text] [--cache DIR]
+fibercurve neron    --family {ns+|s+|ns|s} --prime P [--format json|text] [--cache DIR]
+fibercurve verify   --suite paper --primes LO..HI [--jobs N]
+"""
+
+
 @functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process."""
-    parser = argparse.ArgumentParser(
-        prog="fibercurve",
-        description="special fibers of prime-level modular curves: "
-        "components, equations, dual graphs, component groups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser() -> dict:
+    """The option table, built once per process: subcommand -> {option:
+    its choices, or the type of its value, int or str}."""
+    request = {"--prime": int, "--format": ("json", "text"), "--cache": str}
+    return {
+        "fiber": {"--family": FAMILIES, **request, "--format": ("json", "dot", "text")},
+        "drinfeld": {"--family": atlas.CARTAN_FAMILIES, "--group": EXCEPTIONAL_KINDS,
+                     **request, "--orbit-pair": str},
+        "orbits": {"--group": EXCEPTIONAL_KINDS, **request},
+        "neron": {"--family": ("ns+", "s+", "ns", "s"), **request},
+        "verify": {"--suite": ("paper",), "--primes": str, "--jobs": int},
+    }
 
-    fiber = sub.add_parser("fiber", help="special-fiber atlas for a family")
-    fiber.add_argument("--family", required=True, choices=FAMILIES)
-    fiber.add_argument("--prime", required=True, type=int)
-    fiber.add_argument("--format", default="text", choices=("json", "dot", "text"))
-    fiber.add_argument("--cache", default=None)
 
-    dr = sub.add_parser("drinfeld", help="horizontal-component equations")
-    sel = dr.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--family", choices=atlas.CARTAN_FAMILIES)
-    sel.add_argument("--group", choices=EXCEPTIONAL_KINDS)
-    dr.add_argument("--prime", required=True, type=int)
-    dr.add_argument("--orbit-pair", default=None,
-                    help="R1,R2 orbit representatives (integers or inf), with --group")
-    dr.add_argument("--format", default="text", choices=("json", "text"))
-    dr.add_argument("--cache", default=None)
+# drinfeld needs exactly one of --family and --group besides
+REQUIRED = {
+    "fiber": ("--family", "--prime"),
+    "drinfeld": ("--prime",),
+    "orbits": ("--group", "--prime"),
+    "neron": ("--family", "--prime"),
+    "verify": ("--suite", "--primes"),
+}
+DEFAULTS = {"--format": "text", "--jobs": 1}
 
-    orb = sub.add_parser("orbits", help="orbit table of an exceptional group")
-    orb.add_argument("--group", required=True, choices=EXCEPTIONAL_KINDS)
-    orb.add_argument("--prime", required=True, type=int)
-    orb.add_argument("--format", default="text", choices=("json", "text"))
-    orb.add_argument("--cache", default=None)
 
-    ner = sub.add_parser("neron", help="Neron component group of a fiber graph")
-    ner.add_argument("--family", required=True, choices=("ns+", "s+", "ns", "s"))
-    ner.add_argument("--prime", required=True, type=int)
-    ner.add_argument("--format", default="text", choices=("json", "text"))
-    ner.add_argument("--cache", default=None)
+def _parse_int(option, value):
+    try:
+        return int(value)
+    except ValueError:
+        pass
+    digits = value.strip()
+    if digits[1:] and digits[0] in "+-":
+        digits = digits[1:]
+    if digits.isdecimal():
+        # int() refuses a number past Python's int-string limit; its
+        # digits are not echoed
+        raise UsageError("%s has more than %d digits" % (option, sys.get_int_max_str_digits()))
+    raise UsageError("%s expects an integer, not %r" % (option, value))
 
-    ver = sub.add_parser("verify", help="run the verification battery")
-    ver.add_argument("--suite", required=True, choices=("paper",))
-    ver.add_argument("--primes", required=True, help="half-open range LO..HI")
-    ver.add_argument("--jobs", type=int, default=1)
 
-    return parser
+def parse_args(argv) -> dict:
+    """The request that argv names: the subcommand under "command" and
+    each of its options under its name without the dashes, dashes inside
+    it read as underscores, an option not given at its default (None
+    unless DEFAULTS names one).  An option is spelled in full, as
+    `--opt VALUE` or `--opt=VALUE`, and the last of a repeated option
+    counts.  Anything else raises UsageError."""
+    table = build_parser()
+    if not argv or argv[0] not in table:
+        raise UsageError("expected a subcommand, one of %s%s"
+                         % (", ".join(table), ", not %r" % argv[0] if argv else ""))
+    command, options, given = argv[0], table[argv[0]], {}
+    i = 1
+    while i < len(argv):
+        option, eq, value = argv[i].partition("=")
+        kind = options.get(option)
+        if kind is None:
+            raise UsageError("%s: unrecognized argument %r" % (command, argv[i]))
+        if not eq:
+            i += 1
+            if i == len(argv):
+                raise UsageError("%s expects a value" % option)
+            value = argv[i]
+        i += 1
+        if kind is int:
+            value = _parse_int(option, value)
+        elif kind is not str and value not in kind:
+            raise UsageError("%s: invalid choice %r (choose from %s)"
+                             % (option, value, ", ".join(kind)))
+        given[option] = value
+    missing = [option for option in REQUIRED[command] if option not in given]
+    if missing:
+        raise UsageError("%s needs %s" % (command, " and ".join(missing)))
+    if command == "drinfeld" and ("--family" in given) == ("--group" in given):
+        raise UsageError("drinfeld needs exactly one of --family and --group")
+    args = {"command": command}
+    for option in options:
+        args[option[2:].replace("-", "_")] = given.get(option, DEFAULTS.get(option))
+    return args
+
+
+def _unlimited_digits(work):
+    """work(), with Python's int-string limit lifted while it runs: s and
+    s+ group orders pass its 4300 digits from p = 6287."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return work()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return work()
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit_json(payload) -> str:
@@ -463,46 +532,50 @@ def _emit_json(payload) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # s and s+ group orders pass Python's 4300-digit limit from p = 6287
-        sys.set_int_max_str_digits(0)
-    cache_dir = getattr(args, "cache", None) or os.environ.get("FIBERCURVE_CACHE")
+    if argv is None:
+        argv = sys.argv[1:]
+    if "-h" in argv or "--help" in argv:
+        print(USAGE, end="")
+        return 0
     try:
-        if args.command == "verify":
-            lo, sep, hi = args.primes.partition("..")
+        args = parse_args(argv)
+        command = args["command"]
+        if command == "verify":
+            lo, sep, hi = args["primes"].partition("..")
             if not sep:
                 raise UsageError("--primes expects a half-open range LO..HI")
             try:
                 lo, hi = int(lo), int(hi)
             except ValueError:
                 raise UsageError("--primes bounds must be integers")
-            return run_verify(lo, hi, max(args.jobs, 1))
-        p = _require_prime(args.prime)
-        if args.command == "fiber":
-            if args.format == "dot":
-                print(fiber_dot(args.family, p))
+            return _unlimited_digits(lambda: run_verify(lo, hi, max(args["jobs"], 1)))
+        p = _require_prime(args["prime"])
+        family, group = args.get("family"), args.get("group")
+        if command == "fiber":
+            if args["format"] == "dot":
+                print(fiber_dot(family, p))
                 return 0
-            build, text = (lambda: fiber_payload(args.family, p)), fiber_text
-        elif args.command == "drinfeld":
-            if args.orbit_pair is not None and args.group is None:
+            build, text = (lambda: fiber_payload(family, p)), fiber_text
+        elif command == "drinfeld":
+            orbit_pair = args["orbit_pair"]
+            if orbit_pair is not None and group is None:
                 raise UsageError("--orbit-pair applies to --group only")
-            pair = None if args.orbit_pair is None else tuple(args.orbit_pair.split(","))
+            pair = None if orbit_pair is None else tuple(orbit_pair.split(","))
             if pair is not None and len(pair) != 2:
                 raise UsageError("--orbit-pair expects two representatives R1,R2")
-            build = lambda: drinfeld_payload(args.family, args.group, p, pair)  # noqa: E731
+            build = lambda: drinfeld_payload(family, group, p, pair)  # noqa: E731
             text = drinfeld_text
-        elif args.command == "orbits":
-            build, text = (lambda: orbits_payload(args.group, p)), orbits_text
+        elif command == "orbits":
+            build, text = (lambda: orbits_payload(group, p)), orbits_text
         else:
-            build, text = (lambda: neron_payload(args.family, p)), neron_text
-        render = _emit_json if args.format == "json" else text
-        selector = getattr(args, "group", None) or args.family
+            build, text = (lambda: neron_payload(family, p)), neron_text
+        render = _emit_json if args["format"] == "json" else text
+        cache_dir = args["cache"] or os.environ.get("FIBERCURVE_CACHE")
         # an entry holds printed output, so its key is every argument but
         # the cache directory, --format included
-        print(cached_payload(cache_dir, args.command, selector, p,
-                             {**vars(args), "cache": None}, lambda: render(build())))
+        print(_unlimited_digits(lambda: cached_payload(
+            cache_dir, command, group or family, p, {**args, "cache": None},
+            lambda: render(build()))))
         return 0
     except UsageError as exc:  # CongruenceError included
         print("error: %s" % exc, file=sys.stderr)

@@ -43,12 +43,14 @@ def is_prime(n: int) -> bool:
     for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % q == 0:
             return n == q
-    # deterministic Miller-Rabin, valid far beyond MAX_CHAR
+    # deterministic Miller-Rabin, valid far beyond MAX_CHAR; below
+    # 1373653, the least strong pseudoprime to bases 2 and 3
+    # (Pomerance-Selfridge-Wagstaff 1980), those two bases suffice
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in (2, 3) if n < 1373653 else (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue

@@ -251,10 +251,10 @@ def test_rule_with_an_absent_orbit_fails_the_orbit_table_and_worked_equation_row
             == (False, ADDED_O2_MESSAGE % 103))
 
 
-def test_argparse_usage_exit_2():
-    with pytest.raises(SystemExit) as info:
-        main(["fiber", "--family", "bogus", "--prime", "13"])
-    assert info.value.code == 2
+def test_argparse_usage_exit_2(capsys):
+    code, out, err = run_cli(capsys, "fiber", "--family", "bogus", "--prime", "13")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cache_round_trip_is_byte_identical(tmp_path, capsys):

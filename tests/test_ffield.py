@@ -23,6 +23,32 @@ from fibercurve.ffield import (
 )
 
 
+def test_is_prime_matches_a_sieve_below_1_400_000():
+    # crosses MAX_CHAR = 2^20 and 1373653, below which only the
+    # Miller-Rabin bases 2 and 3 run
+    n = 1_400_000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for q in range(2, math.isqrt(n) + 1):
+        if sieve[q]:
+            sieve[q * q::q] = bytes(len(range(q * q, n, q)))
+    assert [m for m in range(n) if is_prime(m) != sieve[m]] == []
+
+
+@pytest.mark.parametrize("n,prime", [
+    (1373653, False),  # 829 * 1657, the least strong pseudoprime to bases 2 and 3
+    (25326001, False),  # 2251 * 11251, a strong pseudoprime to bases 2, 3 and 5
+    (3215031751, False),  # 151 * 751 * 28351, to bases 2, 3, 5 and 7
+    (1373677, True),
+    (2 ** 31 - 1, True),
+    (10 ** 9 + 7, True),
+    (2 ** 61 - 1, True),
+    ((2 ** 31 - 1) * (10 ** 9 + 7), False),
+])
+def test_is_prime_above_the_two_base_bound(n, prime):
+    assert is_prime(n) is prime
+
+
 def test_inverse_mod_known_values():
     assert inverse_mod(3, 7) == 5
     assert inverse_mod(4, 37) == 28

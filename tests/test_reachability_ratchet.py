@@ -42,7 +42,8 @@ ALLOWED_UNREACHED = {
 }
 
 # each subcommand and family, json, text and dot, a cache miss and hit,
-# and the battery over the primes that also run the quotient-map samples
+# the battery over the primes that also run the quotient-map samples,
+# and the help text
 REQUESTS = (
     [["fiber", "--family", family, "--prime", "241", "--format", fmt]
      for family in cli.FAMILIES for fmt in ("json", "text", "dot")]
@@ -53,7 +54,8 @@ REQUESTS = (
        for command in ("drinfeld", "orbits") for kind in ("a4", "s4", "a5")
        for fmt in ("json", "text")]
     + [["drinfeld", "--group", "a4", "--prime", "13", "--orbit-pair", "0,1"],
-       ["verify", "--suite", "paper", "--primes", "5..32"]]
+       ["verify", "--suite", "paper", "--primes", "5..32"],
+       ["--help"]]
 )
 
 
