@@ -190,11 +190,11 @@ def fiber_dot(family: str, p: int) -> str:
 
 
 def drinfeld_payload(family, group, p, orbit_pair) -> dict:
+    """`orbit_pair` is None or two points of P^1(F_p), `_parse_point`'s."""
     if group is not None:
         table = orbit_table(group, p)
         if orbit_pair is not None:
-            o1 = table.orbit_of(_parse_point(p, orbit_pair[0]))
-            o2 = table.orbit_of(_parse_point(p, orbit_pair[1]))
+            o1, o2 = (table.orbit_of(x) for x in orbit_pair)
         else:
             o1 = o2 = None
         curve = drinfeld.exceptional_drinfeld(table, o1, o2)
@@ -222,11 +222,7 @@ def _parse_point(p, token):
     infinity for p, else an integer reduced mod p."""
     if token in ("inf", "oo", "infinity"):
         return p
-    try:
-        return int(token) % p
-    except ValueError:
-        raise UsageError("--orbit-pair representative %r is not an integer or inf"
-                         % token) from None
+    return _parse_int("--orbit-pair", token, "an integer or inf") % p
 
 
 def drinfeld_text(payload: dict) -> str:
@@ -458,7 +454,7 @@ REQUIRED = {
 DEFAULTS = {"--format": "text", "--jobs": 1}
 
 
-def _parse_int(option, value):
+def _parse_int(option, value, expected="an integer"):
     try:
         return int(value)
     except ValueError:
@@ -470,7 +466,7 @@ def _parse_int(option, value):
         # int() refuses a number past Python's int-string limit; its
         # digits are not echoed
         raise UsageError("%s has more than %d digits" % (option, sys.get_int_max_str_digits()))
-    raise UsageError("%s expects an integer, not %r" % (option, value))
+    raise UsageError("%s expects %s, not %r" % (option, expected, value))
 
 
 def parse_args(argv) -> dict:
@@ -560,9 +556,13 @@ def main(argv=None) -> int:
             orbit_pair = args["orbit_pair"]
             if orbit_pair is not None and group is None:
                 raise UsageError("--orbit-pair applies to --group only")
-            pair = None if orbit_pair is None else tuple(orbit_pair.split(","))
-            if pair is not None and len(pair) != 2:
-                raise UsageError("--orbit-pair expects two representatives R1,R2")
+            pair = None
+            if orbit_pair is not None:
+                tokens = orbit_pair.split(",")
+                if len(tokens) != 2:
+                    raise UsageError("--orbit-pair expects two representatives R1,R2")
+                # parsed here, under the int-string limit, as --prime is
+                pair = tuple(_parse_point(p, token) for token in tokens)
             build = lambda: drinfeld_payload(family, group, p, pair)  # noqa: E731
             text = drinfeld_text
         elif command == "orbits":

@@ -10,8 +10,8 @@ point.
 
 The module also carries the fiberwise point count over F_{p^2} of the
 twisted form x^p y - x y^p = a z^(p+1) (used for the maximality check)
-and sampling-based verification of the coordinate chains that take the
-generic component to its quotient models.
+and the check, as identities over F_{p^2}, of the coordinate chains
+that take the generic component to its quotient models.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from math import gcd, prod
-from operator import mul
 
 from .ffield import (
-    FieldError,
     InconsistencyError,
     element_of_order,
     field_create,
@@ -34,8 +32,7 @@ from .projline import first_nonsquare, point_str
 from .exceptional import CongruenceError, UsageError
 
 POINT_COUNT_MAX_P = 31
-SAMPLE_MAX_P = 31
-SAMPLE_MAX_DEGREE = 6  # extensions F_{p^(2k)} probed for sample points
+SAMPLE_MAX_P = 31  # the battery's quotient-map rows run at p <= SAMPLE_MAX_P
 
 CARTAN_FAMILIES = ("ns", "ns+", "s", "s+")
 
@@ -308,7 +305,7 @@ def count_points_fp2(p: int, a) -> int:
     # z = 1: for each x count y with x^p y - x y^p = a, an F_p-linear
     # equation in the coordinates of y
     basis = F2.basis()
-    basis_p = [F2(col) for col in F2.frobenius_columns()]
+    basis_p = [e.frobenius() for e in basis]
     rhs = list(a.coords)
     for x in F2.elements():
         if x.is_zero():
@@ -323,7 +320,7 @@ def count_points_fp2(p: int, a) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sampling-based checks of the quotient coordinate chains
+# the quotient coordinate chains as identities over F_{p^2}
 # ---------------------------------------------------------------------------
 
 
@@ -336,147 +333,74 @@ class QuotientMapCheck:
     witness: tuple = None
 
 
-def _sample_source_points(p: int, count: int, rng):
-    """Points (alpha, beta) with alpha^p beta - alpha beta^p = 1, each as
-    the triple (alpha, beta, 1/alpha).
-
-    For a fixed nonzero alpha the equation in beta reduces to the
-    additive equation s^p - s = c with s = beta/alpha and
-    c = -1/alpha^(p+1), solvable by F_p-linear algebra; the extension
-    degree 2k is raised until fibers with solutions appear.  The search
-    starts at F_{p^6} (k = 3): over F_{p^2} the curve has no points,
-    since Frobenius negates x^p y - x y^p, which therefore never equals
-    1; over F_{p^4} only 1/(p^2 + 1) of the alpha have a fiber with
-    solutions.
-
-    s -> s^p - s is F_p-linear with kernel F_p, and its image is the
-    kernel of the trace (additive Hilbert 90), so s^p - s = c is
-    solvable exactly when Tr(c) = 0: about one alpha in p.  The sampler
-    draws w = 1/alpha, uniform on F^* exactly when alpha is, so that
-    c = -w w^p.  With w = sum w_i e_i over the basis e_i of F, w^p is
-    sum w_j e_j^p, and Tr(w w^p) = sum_(i,j) w_i w_j Tr(e_i e_j^p): the
-    quadratic form w^T Q w, with Q computed once per field.  A draw is
-    tested with k^2 integer products and no field arithmetic; only the
-    w that pass pay for w^p, the inverse alpha and the solve.  Each
-    degree gets 4 p count draws, about four times the expected need.  A
-    draw that passes the trace test and has no solution raises
-    InconsistencyError.
-    """
-    for k in range(3, SAMPLE_MAX_DEGREE + 1):
-        F = field_create(p, 2 * k)
-        pts = _sample_in_field(F, p, count, rng)
-        if pts is not None:
-            return F, pts
-    raise FieldError("no sample points found up to degree %d" % (2 * SAMPLE_MAX_DEGREE))
-
-
-def _trace_form(F):
-    """The matrix Q of w -> Tr(w^(p+1)), Q[i][j] = Tr(e_i e_j^p); the
-    trace Tr(x) of the F_p-linear map y -> x y is linear in x."""
-    basis = F.basis()
-    traces = [sum((e * f).coords[i] for i, f in enumerate(basis)) for e in basis]
-    basis_p = [F(col) for col in F.frobenius_columns()]
-    return [[sum(map(mul, traces, (e * f).coords)) % F.p for f in basis_p] for e in basis]
-
-
-def _sample_in_field(F, p, count, rng):
-    # the matrix of s -> s^p - s: Frobenius's columns less the identity
-    cols = F.frobenius_columns()
-    frob_matrix = [[(c[i] - (i == j)) % p for j, c in enumerate(cols)] for i in range(F.k)]
-    form = _trace_form(F)
-    pts = []
-    for _ in range(4 * p * count):
-        w = F.random_element(rng)
-        if w.is_zero():
-            continue
-        coords = w.coords
-        if sum(wi * sum(map(mul, row, coords)) for wi, row in zip(coords, form)) % p:
-            continue  # Tr(c) != 0: s^p - s = c has no solution
-        c = -(w * w.frobenius())
-        sol = solve_affine_mod_p(frob_matrix, list(c.coords), p)
-        if sol is None:
-            raise InconsistencyError(
-                "quotient-map sampler: trace test passed a c with no solution "
-                "of s^p - s = c in degree %d (p = %d)" % (F.k, p))
-        alpha = w.inverse()
-        shift = rng.randrange(p)
-        beta = alpha * (F(tuple(sol[0])) + shift)
-        if alpha.frobenius() * beta - alpha * beta.frobenius() != F.one():
-            raise InconsistencyError(
-                "quotient-map sampler: a solution of s^p - s = c gives a point "
-                "off x^p y - x y^p = 1 in degree %d (p = %d)" % (F.k, p))
-        pts.append((alpha, beta, w))
-        if len(pts) == count:
-            return pts
-    return None
-
-
 def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
-    """Push sampled points of the generic component through the quotient
-    chain of each Cartan family; returns {family: QuotientMapCheck}.
+    """Check the coordinate chain that takes the generic component to each
+    Cartan family's quotient model at `samples` random draws; returns
+    {family: QuotientMapCheck}.
 
-    Checks, per family, that the sampled points (alpha, beta) of
-    alpha^p beta - alpha beta^p = 1 land on the intermediate and final
-    quotient equations, and that the special-linear and root-of-unity
-    actions preserve the source equation.  The points and the root of
-    unity are drawn once.  Each point's source and action checks, which
-    no family changes, run once and draw the point's random actions
-    once; the ns chain then serves ns and ns+, and the s chain s and
-    s+.  A family's witness is the first point it rejects, and the
-    draws are those a family replaying the actions on its own would
-    make, so the outcome does not depend on the sharing.  x -> x^p is
-    the field's linear map, `FqElement.frobenius`.
+    Write A = alpha, A' = alpha^p, B = beta and B' = beta^p for a point
+    (alpha, beta) of x^p y - x y^p = 1.  Every identity of the chains
+    follows from A'B - AB' = 1, lam^(p+1) = 1 and Frobenius being a ring
+    map, so that Frob of an expression in (A, B, lam) is the same
+    expression in (A', B', lam^p).  They therefore hold on all of
+    {A'B - AB' = 1} in F_{p^2}^4, although the curve itself has no
+    F_{p^2} point.  A draw takes A != 0, A' and B at random in F_{p^2}
+    and B' = (A'B - 1)/A; a B' that misses A'B - AB' = 1 raises
+    InconsistencyError.  lam, of order p + 1, is drawn once.
+
+    Per draw: a random element of SL_2(F_p) and a random (p+1)-st root
+    of unity preserve the source (else every family fails); the ns chain
+    serves ns and ns+, and the s chain s and s+.  At a point of a finite
+    field X^((p+1)/2) = V^(p+1) = V^p V, but that is not a formal
+    identity: here it reads Frob(V) V, so the ns+ and s+ rows carry only
+    the substitution X = V^2, Y = U V into the base chain's last
+    identity.  A family's witness is the first draw (A, A', B) it
+    rejects.
     """
     import random
 
-    if p > SAMPLE_MAX_P:
-        raise ValueError("p exceeds sampling bound")
     if samples < 0:
         raise ValueError("sample count must be nonnegative")
-    checks = {
-        family: QuotientMapCheck(
-            family=family,
-            p=p,
-            samples=samples,
-            passed=True,
-        )
-        for family in CARTAN_FAMILIES
-    }
+    checks = {family: QuotientMapCheck(family=family, p=p, samples=samples, passed=True)
+              for family in CARTAN_FAMILIES}
     if samples == 0:
         return checks
     rng = random.Random(seed)
-    F, pts = _sample_source_points(p, samples, rng)
+    F = field_create(p, 2)
     lam = element_of_order(F, p + 1, rng)
-    # the chains' constants, shared by every point
+    lam_p = lam.frobenius()
     half = F((p + 1) // 2)
-    aN = lam ** (p - 1) - lam ** 2  # lam^-2 = lam^(p-1), as lam^(p+1) = 1
-    consts = (F.one(), half, lam.frobenius(), aN, (aN * half) ** 2, half * half)
-    open_checks = dict(checks)
-    for alpha, beta, w in pts:
-        for family in _rejecting_families(p, lam, consts, alpha, beta, w, rng):
-            check = open_checks.pop(family, None)
-            if check is not None:
+    aN = lam_p * lam_p - lam * lam  # lam^-2 - lam^2, as lam^(p+1) = 1
+    consts = (lam, lam_p, half, aN, (aN * half) ** 2, half * half)
+    for _ in range(samples):
+        A = F.random_element(rng)
+        while A.is_zero():
+            A = F.random_element(rng)
+        A_p, B = F.random_element(rng), F.random_element(rng)
+        B_p = (A_p * B - 1) * A.inverse()
+        if A_p * B - A * B_p != 1:
+            raise InconsistencyError(
+                "quotient maps: B' = (A'B - 1)/A misses A'B - AB' = 1 at a draw "
+                "(p = %d)" % p)
+        for family in _rejecting_families(p, consts, A, A_p, B, B_p, rng):
+            check = checks[family]
+            if check.passed:
                 check.passed = False
-                check.witness = (alpha, beta)
-        if not open_checks:
-            break
+                check.witness = (A, A_p, B)
     return checks
 
 
-def _rejecting_families(p, lam, consts, alpha, beta, w, rng):
-    """The Cartan families that the point (alpha, beta) fails: all four
-    when the point is off the source or one of its symmetries moves it
-    off, else those whose chain breaks.  w is 1/alpha, which the sampler
-    drew.  Draws the point's random special-linear and root-of-unity
-    actions from rng.  `consts` holds the chains' constants: a = 1, 1/2,
-    lam^p, aN = lam^-2 - lam^2, (aN/2)^2 and (1/2)^2."""
-    a, half, lam_p, aN, aN_half_sq, half_sq = consts
+def _rejecting_families(p, consts, A, A_p, B, B_p, rng):
+    """The Cartan families that the draw (A, A', B, B') fails: all four
+    when one of the source's symmetries moves it off, else those whose
+    chain breaks.  Draws the random special-linear and root-of-unity
+    actions from rng.  `consts` holds lam, lam^p and the chains'
+    constants: 1/2, aN = lam^-2 - lam^2, (aN/2)^2 and (1/2)^2."""
+    lam, lam_p, half, aN, aN_half_sq, half_sq = consts
 
-    def on_source(x, y):
-        return x.frobenius() * y - x * y.frobenius() == a
+    def on_source(x, x_p, y, y_p):
+        return x_p * y - x * y_p == 1
 
-    if not on_source(alpha, beta):
-        return CARTAN_FAMILIES
     # the special-linear action (x, y) -> (a x + c y, b x + d y) and the
     # (p+1)-st root of unity action x -> u^-1 x both preserve the source
     for _ in range(2):
@@ -489,39 +413,42 @@ def _rejecting_families(p, lam, consts, alpha, beta, w, rng):
                 gc = -inverse_mod(gb, p) % p
                 gd = rng.randrange(p)
                 break
-        if not on_source(ga * alpha + gc * beta, gb * alpha + gd * beta):
+        if not on_source(ga * A + gc * B, ga * A_p + gc * B_p,
+                         gb * A + gd * B, gb * A_p + gd * B_p):
             return CARTAN_FAMILIES
     # lam has order p + 1, so lam^-r = lam^((-r) mod (p + 1))
     root_inv = lam ** (-rng.randrange(p + 1) % (p + 1))
-    if not on_source(root_inv * alpha, root_inv * beta):
+    root_inv_p = root_inv.frobenius()
+    if not on_source(root_inv * A, root_inv_p * A_p, root_inv * B, root_inv_p * B_p):
         return CARTAN_FAMILIES
 
     rejected = []
-    # the ns chain; ns+ continues it
-    atilde = lam * alpha + lam_p * beta
-    btilde = lam_p * alpha + lam * beta
-    u1 = atilde.frobenius() * atilde
-    v1 = atilde * btilde
+    # the ns chain; ns+ continues it.  Frob takes lam to lam^p and lam^p
+    # back to lam
+    atilde, btilde = lam * A + lam_p * B, lam_p * A + lam * B
+    atilde_p, btilde_p = lam_p * A_p + lam * B_p, lam * A_p + lam_p * B_p
+    u1 = atilde_p * atilde
+    V = atilde * btilde
+    V_norm = atilde_p * btilde_p * V  # Frob(V) V
     U = u1 - aN * half
-    V = v1
-    if (u1 - btilde.frobenius() * btilde != aN
-            or not (u1 * u1 - v1.frobenius() * v1 - aN * u1).is_zero()
-            or U * U != V.frobenius() * V + aN_half_sq):
+    if (u1 - btilde_p * btilde != aN
+            or not (u1 * u1 - V_norm - aN * u1).is_zero()
+            or U * U != V_norm + aN_half_sq):
         rejected += ["ns", "ns+"]
     else:
         X, Y = V * V, U * V
-        if Y * Y != X * (X ** ((p + 1) // 2) + aN_half_sq):
+        if Y * Y != X * (V_norm + aN_half_sq):
             rejected.append("ns+")
     # the s chain; s+ continues it
-    u = alpha.frobenius() * w  # alpha^p / alpha
-    v = alpha * beta
-    U = u * v - half
-    V = v
-    if (not (v.frobenius() - u * u * v + u).is_zero()
-            or U * U != V.frobenius() * V + half_sq):
+    u = A_p * A.inverse()  # alpha^p / alpha
+    V, V_p = A * B, A_p * B_p
+    V_norm = V_p * V
+    U = u * V - half
+    if (not (V_p - u * u * V + u).is_zero()
+            or U * U != V_norm + half_sq):
         rejected += ["s", "s+"]
     else:
         X, Y = V * V, U * V
-        if Y * Y != X * (X ** ((p + 1) // 2) + half_sq):
+        if Y * Y != X * (V_norm + half_sq):
             rejected.append("s+")
     return rejected

@@ -1,28 +1,19 @@
-"""Exact arithmetic over F_p and its extensions F_{p^k}.
+"""Exact arithmetic over F_p and F_{p^2}.
 
-Fields are created with a deterministically chosen defining polynomial
-(the first monic irreducible of the requested degree in lexicographic
-coefficient order), so that every value computed downstream is
-byte-reproducible across runs.  Elements are coordinate vectors over
-the prime field, low degree first, and the canonical order on elements,
+F_{p^2} is F_p[sqrt(d)], d the first nonsquare mod p, so every value
+computed downstream is byte-reproducible across runs.  Elements are
+coordinate vectors over the prime field: (a,) in F_p and (a, b) for
+a + b sqrt(d) in F_{p^2}.  The canonical order on elements,
 `FqElement.index()`, is the lexicographic order on those vectors.
-
-A product in F_{p^k}, k > 1, is one integer product (Kronecker
-substitution): each operand's coordinates are packed into 64-bit slots
-of one int, the int product's slots hold the coefficients of the
-polynomial product unreduced, and each of the k - 1 high slots is
-folded back, mod p, onto a precomputed packed row x^(k+i) mod f.
+Frobenius x -> x^p is conjugation, (a, b) -> (a, -b), and an inverse is
+the conjugate over the norm a^2 - d b^2.
 """
 
 from __future__ import annotations
 
 import itertools
-import struct
-from operator import mul
 
 MAX_CHAR = 1 << 20          # largest accepted characteristic
-MAX_ORDER = 10 ** 18        # largest constructible field order
-MAX_ENUM = 10 ** 6          # largest order for full element enumeration
 
 
 class FieldError(ValueError):
@@ -78,85 +69,23 @@ def inverse_mod(a: int, m: int) -> int:
 
 
 class GF:
-    """The field F_{p^k} with a fixed defining polynomial.
-
-    The polynomial is monic of degree k; its lower coefficients are the
-    first tuple (c_0, ..., c_{k-1}) in lexicographic order making
-    x^k + c_{k-1} x^{k-1} + ... + c_0 irreducible mod p: f has no root
-    in F_p and, for k > 3, passes Rabin's test, x^(p^k) = x mod f and
-    gcd(x^(p^(k/l)) - x, f) = 1 for each prime l | k.  g -> g^p is
-    F_p-linear mod f, with Berlekamp's matrix B (column i is x^(ip) mod
-    f), so x^(p^j) = B^j x: one powering for x^p, then k - 1 products
-    for B and k matrix-vector steps.  The field keeps its modulus's B,
-    packed one column per int, as its Frobenius map.
-
-    `_mul` packs coordinates into 64-bit slots, and no slot carries into
-    the next: a low slot ends below k p^2 from the product plus
-    (k - 1) p^2 from the folded rows, so every slot stays below
-    (2k - 1) p^2 < 2^64, since p < MAX_CHAR = 2^20 and p^k <= MAX_ORDER
-    keeps k <= 25.  A Frobenius image's slots stay below k p^2.
-    """
+    """The field F_p (k = 1) or F_{p^2} = F_p[sqrt(d)] (k = 2), d the
+    first nonsquare mod p."""
 
     def __init__(self, p: int, k: int = 1):
         if not is_prime(p):
             raise FieldError("characteristic %d is not prime" % p)
         if p <= 3 or p >= MAX_CHAR:
             raise FieldError("characteristic %d out of accepted range" % p)
-        if k < 1:
-            raise FieldError("extension degree must be positive")
-        if p ** k > MAX_ORDER:
-            raise FieldError("field order %d exceeds bound" % p ** k)
+        if k not in (1, 2):
+            raise FieldError("extension degree %d is not 1 or 2" % k)
         self.p = p
         self.k = k
         self.order = p ** k
-        self.modulus = self._find_modulus()
-        self._zero = FqElement(self, (0,) * k)
-        self._one = FqElement(self, (1,) + (0,) * (k - 1))
-        if k > 1:
-            self._pack = struct.Struct("<%dQ" % k)
-            self._unpack_product = struct.Struct("<%dQ" % (2 * k)).unpack
-            self._low_mask = (1 << 64 * k) - 1
-            # x^(k+i) mod f for i < k - 1, then Berlekamp's columns
-            # x^(jp) mod f = (x^j)^p for j < k, each packed like an operand
-            rems = [_poly_divmod((0,) * (k + i) + (1,), self.modulus, p)[1]
-                    for i in range(k - 1)]
-            packed = [int.from_bytes(self._pack.pack(*r, *(0,) * (k - len(r))), "little")
-                      for r in rems + _berlekamp_columns(self.modulus, p, k)]
-            self._rows, self._frob_cols = packed[:k - 1], packed[k - 1:]
-
-    # -- construction -------------------------------------------------
-
-    def _find_modulus(self):
-        # scan x^k + c_{k-1} x^{k-1} + ... + c_0 in lexicographic order of
-        # (c_{k-1}, ..., c_0), constant term varying fastest
-        p, k = self.p, self.k
-        if k == 1:
-            return (0, 1)
-        for high_first in itertools.product(range(p), repeat=k):
-            coeffs = tuple(reversed(high_first)) + (1,)
-            if self._is_irreducible(coeffs):
-                return coeffs
-        raise FieldError("no irreducible polynomial found")  # unreachable
-
-    def _is_irreducible(self, coeffs) -> bool:
-        p, k = self.p, self.k
-        for u in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * u + c) % p
-            if acc == 0:
-                return False
-        if k <= 3:
-            return True  # degree 2 or 3 with no roots is irreducible
-        rows = list(zip(*_berlekamp_columns(coeffs, p, k)))
-        x = (0, 1) + (0,) * (k - 2)
-        powers = [x]  # x^(p^j) for j = 0, ..., k
-        for _ in range(k):
-            powers.append(tuple(sum(map(mul, row, powers[-1])) % p for row in rows))
-        if powers[k] != x:
-            return False
-        return all(_poly_deg(_poly_gcd(_poly_sub(powers[k // ell], x, p), coeffs, p)) == 0
-                   for ell in _prime_divisors(k))
+        self._zero_coords = (0,) * k
+        self._one = FqElement(self, (1,) + self._zero_coords[1:])
+        if k == 2:
+            self.d = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
 
     # -- element creation ---------------------------------------------
 
@@ -166,27 +95,22 @@ class GF:
                 raise FieldError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            return FqElement(self, (value % self.p,) + (0,) * (self.k - 1))
+            return FqElement(self, (value % self.p,) + self._zero_coords[1:])
         coords = tuple(int(c) % self.p for c in value)
         if len(coords) != self.k:
             raise FieldError("expected %d coordinates" % self.k)
         return FqElement(self, coords)
-
-    def zero(self) -> "FqElement":
-        return self._zero
 
     def one(self) -> "FqElement":
         return self._one
 
     def elements(self):
         """All elements in canonical (lexicographic) order."""
-        if self.order > MAX_ENUM:
-            raise FieldError("field too large to enumerate")
         for coords in itertools.product(range(self.p), repeat=self.k):
             yield FqElement(self, coords)
 
     def basis(self):
-        """The coordinate basis 1, x, ..., x^(k-1) over F_p."""
+        """The coordinate basis 1, sqrt(d) of F_{p^2} (1 of F_p) over F_p."""
         return [self(tuple(int(i == j) for i in range(self.k))) for j in range(self.k)]
 
     def random_element(self, rng) -> "FqElement":
@@ -196,69 +120,53 @@ class GF:
 
     def _add(self, a, b):
         p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if self.k == 1:
+            return ((a[0] + b[0]) % p,)
+        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
 
     def _sub(self, a, b):
         p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
+        if self.k == 1:
+            return ((a[0] - b[0]) % p,)
+        return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
 
     def _neg(self, a):
-        p = self.p
-        return tuple(-x % p for x in a)
+        return self._sub(self._zero_coords, a)
 
     def _mul(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
+        p = self.p
+        if self.k == 1:
             return (a[0] * b[0] % p,)
-        # one int product of the packed operands: slot i holds the
-        # unreduced coefficient of x^i, and x^(k+i) = row i mod f
-        pack = self._pack
-        prod = (int.from_bytes(pack.pack(*a), "little")
-                * int.from_bytes(pack.pack(*b), "little"))
-        high = self._unpack_product(prod.to_bytes(16 * k, "little"))[k:]
-        low = prod & self._low_mask
-        for h, row in zip(high, self._rows):
-            low += h % p * row
-        return tuple(c % p for c in pack.unpack(low.to_bytes(8 * k, "little")))
+        (a0, a1), (b0, b1) = a, b
+        return ((a0 * b0 + self.d * a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
 
     def _frobenius(self, a):
-        # a^p = sum of a_j (x^j)^p: k int products on the packed columns
         if self.k == 1:
             return a
-        packed = sum(map(mul, a, self._frob_cols)).to_bytes(8 * self.k, "little")
-        return tuple(c % self.p for c in self._pack.unpack(packed))
-
-    def frobenius_columns(self):
-        """The matrix of x -> x^p: column j is the coordinates of (x^j)^p."""
-        return tuple(self._frobenius(e.coords) for e in self.basis())
+        return (a[0], -a[1] % self.p)
 
     def _pow(self, a, n: int):
         if n < 0:
-            return self._pow(self._inv(a), -n)
+            a, n = self._inv(a), -n
+        if self.k == 1:
+            return (pow(a[0], n, self.p),)
         result = self._one.coords
-        base = a
         while n:
             if n & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
+                result = self._mul(result, a)
+            a = self._mul(a, a)
             n >>= 1
         return result
 
     def _inv(self, a):
         if not any(a):
             raise ZeroDivisionError("inversion of zero")
-        # extended Euclid on polynomials over F_p
         p = self.p
-        r0, r1 = self.modulus, _poly_trim(a)
-        s0, s1 = (0,), (1,)
-        while _poly_deg(r1) > 0:
-            q, r = _poly_divmod(r0, r1, p)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, p), p)
-        c = inverse_mod(r1[0], p)
-        out = [x * c % p for x in s1]
-        out += [0] * (self.k - len(out))
-        return tuple(out[: self.k])
+        if self.k == 1:
+            return (pow(a[0], -1, p),)
+        a0, a1 = a
+        c = pow((a0 * a0 - self.d * a1 * a1) % p, -1, p)
+        return (a0 * c % p, -a1 * c % p)
 
     def __repr__(self):
         if self.k == 1:
@@ -266,15 +174,10 @@ class GF:
         return "GF(%d^%d)" % (self.p, self.k)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GF)
-            and self.p == other.p
-            and self.k == other.k
-            and self.modulus == other.modulus
-        )
+        return isinstance(other, GF) and (self.p, self.k) == (other.p, other.k)
 
     def __hash__(self):
-        return hash((self.p, self.k, self.modulus))
+        return hash((self.p, self.k))
 
 
 class FqElement:
@@ -311,7 +214,7 @@ class FqElement:
                 raise FieldError("field mismatch")
             return other.coords
         if isinstance(other, int):
-            return self.field(other).coords
+            return (other % self.field.p,) + self.field._zero_coords[1:]
         return NotImplemented
 
     def __add__(self, other):
@@ -345,12 +248,12 @@ class FqElement:
     def inverse(self):
         return FqElement(self.field, self.field._inv(self.coords))
 
-    def frobenius(self):  # self ** p, by the field's linear map
+    def frobenius(self):  # self ** p: conjugation in F_{p^2}
         return FqElement(self.field, self.field._frobenius(self.coords))
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.coords == self.field(other).coords
+            return self.coords == self._coerce(other)
         return (
             isinstance(other, FqElement)
             and self.field == other.field
@@ -367,7 +270,7 @@ class FqElement:
 
 
 def field_create(p: int, k: int = 1) -> GF:
-    """Field handle for F_{p^k}; deterministic defining polynomial."""
+    """Field handle for F_p (k = 1) or F_{p^2} (k = 2)."""
     return GF(p, k)
 
 
@@ -380,7 +283,7 @@ def sqrt_in_field(a: FqElement):
     field = a.field
     q = field.order
     if a.is_zero():
-        return field.zero()
+        return a
     if a ** ((q - 1) // 2) != field.one():
         return None
     r = _tonelli_shanks(a)
@@ -420,17 +323,19 @@ def _tonelli_shanks(a: FqElement):
 
 
 def _first_nonresidue(field: GF) -> FqElement:
-    """A quadratic nonresidue: the first x + c, c = 0, 1, ..., that is one,
-    else the first in canonical order.  The canonical order starts with
-    the multiples y x of the generator, which in F_{p^2} all share one
-    quadratic character; the norm of x + c is (-1)^k f(-c), a
-    nonresidue of F_p for about half the c."""
-    p, k = field.p, field.k
-    shifts = () if k == 1 else (FqElement(field, (c, 1) + (0,) * (k - 2)) for c in range(p))
-    canonical = (FqElement(field, coords)
-                 for coords in itertools.product(range(p), repeat=k) if any(coords))
+    """A quadratic nonresidue: in F_p the first in canonical order, in
+    F_{p^2} the first c + sqrt(d), c = 0, 1, ..., that is one.  An
+    element of F_{p^2} is a square exactly when its norm is one in F_p.
+    The norm of c + sqrt(d) is c^2 - d, so c = 0 serves when -1 is a
+    square (p = 1 mod 4), and c = 1 otherwise: 1 - d = -(d - 1), where
+    d - 1 is a square, lying below the first nonsquare d."""
+    p = field.p
+    if field.k == 1:
+        cands = (FqElement(field, (c,)) for c in range(1, p))
+    else:
+        cands = (FqElement(field, (c, 1)) for c in range(p))
     half = (field.order - 1) // 2
-    for cand in itertools.chain(shifts, canonical):
+    for cand in cands:
         if cand ** half != field.one():
             return cand
     raise FieldError("no quadratic nonresidue found")  # unreachable for q > 1
@@ -469,96 +374,7 @@ def _prime_divisors(n: int):
 
 
 # ---------------------------------------------------------------------------
-# dense univariate polynomials over a GF instance
-# ---------------------------------------------------------------------------
-
-
-def _poly_trim(c):
-    c = list(c)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return tuple(c)
-
-
-def _poly_deg(c) -> int:
-    for i in range(len(c) - 1, -1, -1):
-        if c[i]:
-            return i
-    return -1
-
-
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return _poly_trim((x - y) % p for x, y in zip(a, b))
-
-
-def _poly_mul(a, b, p):
-    if _poly_deg(a) < 0 or _poly_deg(b) < 0:
-        return (0,)
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b, p):
-    db = _poly_deg(b)
-    if db < 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    if len(a) <= db:
-        return (0,), _poly_trim(a)
-    inv_lead = inverse_mod(b[db], p)
-    rem = list(a)
-    q = [0] * (len(a) - db)
-    # rem is reduced mod p only where it is read: at each leading
-    # coefficient, and once on the remainder
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i] % p
-        if c:
-            factor = c * inv_lead % p
-            q[i - db] = factor
-            for j in range(db + 1):
-                rem[i - db + j] -= factor * b[j]
-    return _poly_trim(q), _poly_trim([x % p for x in rem[:max(db, 1)]])
-
-
-def _poly_gcd(a, b, p):
-    a, b = _poly_trim(a), _poly_trim(b)
-    while _poly_deg(b) >= 0:
-        a, b = b, _poly_divmod(a, b, p)[1]
-    if _poly_deg(a) >= 0:
-        c = inverse_mod(a[-1], p)
-        a = tuple(x * c % p for x in a)
-    return a
-
-
-def _berlekamp_columns(mod, p, k):
-    # x^(jp) mod the monic degree-k `mod` for j < k, each as k coefficients
-    xp, cols = _poly_powmod_x_q(p, mod, p), [(1,)]
-    for _ in range(k - 1):
-        cols.append(_poly_divmod(_poly_mul(cols[-1], xp, p), mod, p)[1])
-    return [c + (0,) * (k - len(c)) for c in cols]
-
-
-def _poly_powmod_x_q(q, mod, p):
-    # x^q reduced mod the monic polynomial `mod`, binary exponentiation
-    base = _poly_divmod((0, 1), mod, p)[1]
-    result = (1,)
-    while q:
-        if q & 1:
-            result = _poly_divmod(_poly_mul(result, base, p), mod, p)[1]
-        base = _poly_divmod(_poly_mul(base, base, p), mod, p)[1]
-        q >>= 1
-    return _poly_trim(result)
-
-
-# ---------------------------------------------------------------------------
-# F_p linear algebra (used by the fiberwise point counts and the
-# additive-equation solver for sampling curve points)
+# F_p linear algebra (used by the fiberwise point count over F_{p^2})
 # ---------------------------------------------------------------------------
 
 

@@ -263,9 +263,9 @@ def test_acceptance_08_supersingular_oracles():
 
 def test_acceptance_09a_action_and_quotient_map_suites():
     with Criterion(9, "action/quotient-map suites", 300):
-        # 50 samples x 4 families = 200 sampled points; each sample also
-        # exercises two random special-linear actions and one root of
-        # unity action on the source equation
+        # 50 draws over F_{p^2}, each checked by the four families' chains;
+        # each draw also exercises two random special-linear actions and
+        # one root of unity action on the source equation
         checks = verify_quotient_maps(13, 50, seed=1)
         assert sorted(checks) == sorted(("ns", "ns+", "s", "s+"))
         for chk in checks.values():

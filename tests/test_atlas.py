@@ -300,6 +300,20 @@ def test_cartan_fiber_builds_one_curve_per_automorphism_order(monkeypatch, famil
         assert (h.curve, h.genus) == (curve, curve.genus())
 
 
+def test_chen_identities_below_20000():
+    # J_{s+}(p) ~ J_{ns+}(p) x J_0(p) (Chen 1998; de Smit-Edixhoven 2000),
+    # and J_0(p) is totally toric at p, so both differences are g(X_0(p)).
+    # The unnormalized identity, with 2 g(X_0(p)), is observed here at
+    # every prime below 20000, not cited.
+    for p in range(5, 20000):
+        if is_prime(p):
+            g0 = genus_x0(p)
+            t = {f: toric_rank_closed_form(f, p) for f in CARTAN_FAMILIES}
+            g = {f: genus_closed_form(f, p) for f in CARTAN_FAMILIES}
+            assert t["s+"] - t["ns+"] == g["s+"] - g["ns+"] == g0, p
+            assert t["s"] - t["ns"] == g["s"] - g["ns"] == 2 * g0, p
+
+
 def test_toric_rank_closed_forms_sweep():
     for p in range(5, 500):
         if not is_prime(p):

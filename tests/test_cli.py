@@ -357,7 +357,7 @@ def test_each_orbit_pair_has_its_own_cache_entry(tmp_path, capsys, monkeypatch):
     for pair in ("0,1", "1,3", "0,1", "1,3"):
         code, out, _ = run_cli(capsys, *argv, "--orbit-pair", pair, "--cache", str(tmp_path))
         assert (code, out) == (0, expected[pair])
-    assert [call[3] for call in computed] == [("0", "1"), ("1", "3")]  # repeats hit
+    assert [call[3] for call in computed] == [(0, 1), (1, 3)]  # repeats hit
     assert len(list(tmp_path.iterdir())) == 2
 
 
@@ -751,8 +751,8 @@ def test_failed_toric_rank_check_exits_3_under_python_O():
 
 
 def test_wrong_square_root_exits_3_under_python_O():
-    # sqrt_in_field squares its root back, so a wrong root, or a wrong
-    # packed F_{p^k} product, ends in one diagnostic line under -O
+    # sqrt_in_field squares its root back, so a wrong root ends in one
+    # diagnostic line under -O
     proc = run_patched_under_python_O(
         "ffield", "_tonelli_shanks", ["verify", "--suite", "paper", "--primes", "5..6"])
     assert proc.returncode == 3 and proc.stdout == ""
@@ -825,20 +825,16 @@ def test_wrong_quotient_closed_form_fails_the_consistency_rows_under_python_O():
     assert len(failures) == 4 * 6  # four families at the six primes 5..19
 
 
-@pytest.mark.parametrize("name,result,check", [
-    # the particular solution of s^p - s = c moved off the solution set:
-    # shifting its top coordinate changes s^p - s
-    ("solve_affine_mod_p",
-     "(lambda sol: sol and (sol[0][:-1] + [sol[0][-1] + 1], sol[1]))(real(*args))",
-     "quotient-map sampler:"),
+@pytest.mark.parametrize("module,name,result,check", [
+    # an inverse one more than the true one puts a draw's
+    # B' = (A'B - 1)/A off A'B - AB' = 1
+    ("ffield", "FqElement.inverse", "real(*args) + 1", "quotient maps:"),
     # a square root inside the prime field is no admissible twist
-    ("sqrt_in_field", "real(*args) * 0", "admissible twist:"),
-    # no solution for a c of trace 0 contradicts additive Hilbert 90
-    ("solve_affine_mod_p", "None", "quotient-map sampler: trace test"),
-], ids=["sampler", "twist", "trace-test"])
-def test_failed_drinfeld_check_exits_3_under_python_O(name, result, check):
+    ("drinfeld", "sqrt_in_field", "real(*args) * 0", "admissible twist:"),
+], ids=["inverse", "twist"])
+def test_failed_drinfeld_check_exits_3_under_python_O(module, name, result, check):
     proc = run_patched_under_python_O(
-        "drinfeld", name, ["verify", "--suite", "paper", "--primes", "5..6"], result)
+        module, name, ["verify", "--suite", "paper", "--primes", "5..6"], result)
     assert proc.returncode == 3 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + check)

@@ -168,6 +168,21 @@ def test_prime_past_the_int_string_limit_exits_2_without_its_digits(capsys, int_
     assert err == "error: --prime has more than %d digits\n" % int_digit_limit
 
 
+@pytest.mark.parametrize("after_a_long_order", [False, True], ids=["fresh", "after"])
+def test_orbit_pair_past_the_int_string_limit_exits_2_without_its_digits(
+        capsys, int_digit_limit, after_a_long_order):
+    # parsed before the limit is lifted for the compute step, so its
+    # parse is bounded
+    if after_a_long_order:
+        assert run_cli(capsys, "neron", "--family", "s", "--prime", "6287")[0] == 0
+    digits = "7" * 5000
+    for pair in ("1," + digits, digits + ",inf"):
+        code, out, err = run_cli(capsys, "drinfeld", "--group", "a4", "--prime", "13",
+                                 "--orbit-pair", pair)
+        assert (code, out) == (2, "")
+        assert err == "error: --orbit-pair has more than %d digits\n" % int_digit_limit
+
+
 @pytest.mark.parametrize("primes", ["100..5", "1..4"])
 def test_verify_range_without_a_prime_exits_2(capsys, primes):
     code, out, err = run_cli(capsys, "verify", "--suite", "paper", "--primes", primes)

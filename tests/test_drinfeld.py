@@ -1,18 +1,19 @@
 import math
+import pathlib
 import random
-from functools import reduce
-from operator import mul
+import sys
+import types
 
 import pytest
 
-from fibercurve import drinfeld
+from fibercurve import cli, drinfeld
 from fibercurve.ffield import (
-    GF,
+    FqElement,
+    InconsistencyError,
     element_of_order,
     field_create,
     inverse_mod,
     is_prime,
-    solve_affine_mod_p,
 )
 from fibercurve.exceptional import CongruenceError, check_congruence, orbit_table
 from fibercurve.drinfeld import (
@@ -370,15 +371,11 @@ def brute_count_p5():
     return count
 
 
-@pytest.mark.parametrize("p,k", [(5, 2), (13, 2), (5, 6), (31, 6)])
+@pytest.mark.parametrize("p,k", [(5, 2), (13, 2)])
 def test_frobenius_map_is_the_p_th_power(p, k):
     F = field_create(p, k)
-    rng = random.Random(p * k)
-    elems = F.elements() if k == 2 else (F.random_element(rng) for _ in range(200))
-    for x in elems:
+    for x in F.elements():
         assert x.frobenius() == x ** p
-    basis = [F(tuple(int(i == j) for i in range(k))) for j in range(k)]
-    assert F.frobenius_columns() == tuple((e ** p).coords for e in basis)
 
 
 def test_count_points_fp2_matches_brute_force_at_5():
@@ -419,6 +416,9 @@ def test_admissible_twist_properties():
 CARTAN = ("ns", "ns+", "s", "s+")
 
 
+PRIMES_TO_31 = [p for p in range(5, 32) if is_prime(p)]
+
+
 @pytest.mark.parametrize("family", CARTAN)
 def test_quotient_maps_pass(family):
     checks = verify_quotient_maps(13, 30)
@@ -437,18 +437,24 @@ def test_quotient_maps_vacuous_on_zero_samples():
 
 def test_quotient_maps_bounds():
     with pytest.raises(ValueError):
-        verify_quotient_maps(37, 5)
-    with pytest.raises(ValueError):
         verify_quotient_maps(13, -1)
 
 
-def check_one_point(family, p, F, a, lam, alpha, beta, rng):
-    """One family's whole check at one point, written out per family with
-    plain powers: the reference for the library's shared per-point check."""
-    source = lambda x, y: x ** p * y - x * y ** p - a
+def test_quotient_maps_hold_at_every_prime_below_2000():
+    # the identities are formal, so they hold past the battery's bound
+    for p in range(5, 2000):
+        if is_prime(p):
+            checks = verify_quotient_maps(p, 8, seed=p)
+            assert all(chk.passed for chk in checks.values()), p
 
-    if not source(alpha, beta).is_zero():
-        return False
+
+def check_one_draw(family, p, lam, A, A_p, B, B_p, rng):
+    """One family's whole check at one draw, written out per family with
+    plain powers: the reference for the library's shared per-draw
+    check.  Frob takes (A, B, lam) to (A', B', lam^p)."""
+    F = lam.field
+    source = lambda x, x_p, y, y_p: x_p * y - x * y_p - 1
+
     # the special-linear action (x, y) -> (a x + c y, b x + d y) and the
     # (p+1)-st root of unity action x -> u^-1 x both preserve the source
     for _ in range(2):
@@ -461,105 +467,112 @@ def check_one_point(family, p, F, a, lam, alpha, beta, rng):
                 gc = -inverse_mod(gb, p) % p
                 gd = rng.randrange(p)
                 break
-        a2, b2 = ga * alpha + gc * beta, gb * alpha + gd * beta
-        if not source(a2, b2).is_zero():
+        if not source(ga * A + gc * B, ga * A_p + gc * B_p,
+                      gb * A + gd * B, gb * A_p + gd * B_p).is_zero():
             return False
     root = lam ** rng.randrange(p + 1)
-    if not source(root.inverse() * alpha, root.inverse() * beta).is_zero():
+    r, r_p = root.inverse(), (root ** p).inverse()
+    if not source(r * A, r_p * A_p, r * B, r_p * B_p).is_zero():
         return False
 
+    half = F(2).inverse()
     if family in ("ns", "ns+"):
         lam_p = lam ** p
-        atilde = lam * alpha + lam_p * beta
-        btilde = lam_p * alpha + lam * beta
+        atilde, btilde = lam * A + lam_p * B, lam_p * A + lam * B
+        atilde_p, btilde_p = lam_p * A_p + lam ** (p * p) * B_p, lam ** (p * p) * A_p + lam_p * B_p
         N = lam ** (-2) - lam ** 2
-        if atilde ** (p + 1) - btilde ** (p + 1) != a * N:
+        if atilde_p * atilde - btilde_p * btilde != N:
             return False
-        u1 = atilde ** (p + 1)
-        v1 = atilde * btilde
-        if not (u1 * u1 - v1 ** (p + 1) - a * N * u1).is_zero():
+        u1 = atilde_p * atilde
+        v1, v1_p = atilde * btilde, atilde_p * btilde_p
+        if not (u1 * u1 - v1_p * v1 - N * u1).is_zero():
             return False
-        half = F(2).inverse()
-        U = u1 - a * N * half
-        V = v1
-        if U * U != V ** (p + 1) + (a * N * half) ** 2:
+        U, V, V_p = u1 - N * half, v1, v1_p
+        if U * U != V_p * V + (N * half) ** 2:
             return False
         if family == "ns+":
             X, Y = V * V, U * V
-            if Y * Y != X * (X ** ((p + 1) // 2) + (a * N * half) ** 2):
+            if Y * Y != X * (V_p * V + (N * half) ** 2):
                 return False
     else:
-        u = alpha ** (p - 1)
-        v = alpha * beta
-        if not (v ** p - u * u * v + a * u).is_zero():
+        u = A_p * A ** (-1)
+        v, v_p = A * B, A_p * B_p
+        if not (v_p - u * u * v + u).is_zero():
             return False
-        half = F(2).inverse()
-        U = u * v - a * half
-        V = v
-        if U * U != V ** (p + 1) + (a * half) ** 2:
+        U, V, V_p = u * v - half, v, v_p
+        if U * U != V_p * V + half ** 2:
             return False
         if family == "s+":
             X, Y = V * V, U * V
-            if Y * Y != X * (X ** ((p + 1) // 2) + (a * half) ** 2):
+            if Y * Y != X * (V_p * V + half ** 2):
                 return False
     return True
 
 
-def per_family_quotient_check(family, p, samples, seed=0, check=check_one_point,
+def per_family_quotient_check(family, p, samples, seed=0, check=check_one_draw,
                               calls=None):
-    """One family's check the unshared way: its own generator, its own
-    sample and root of unity, then each point in turn.  `calls` collects
-    the point, root of unity and generator state of every call."""
+    """One family's check the unshared way: its own generator, root of
+    unity and draws, then each draw in turn.  `calls` collects the draw
+    and generator state of every call."""
     rng = random.Random(seed)
-    F, pts = drinfeld._sample_source_points(p, samples, rng)
+    F = field_create(p, 2)
     lam = element_of_order(F, p + 1, rng)
-    for alpha, beta, _ in pts:
+    for _ in range(samples):
+        A = F.random_element(rng)
+        while A.is_zero():
+            A = F.random_element(rng)
+        A_p, B = F.random_element(rng), F.random_element(rng)
+        B_p = (A_p * B - 1) * A ** (-1)
         if calls is not None:
-            calls.append((lam, alpha, beta, rng.getstate()))
-        if not check(family, p, F, F.one(), lam, alpha, beta, rng):
-            return False, (alpha, beta)
+            calls.append((A, A_p, B, B_p, rng.getstate()))
+        if not check(family, p, lam, A, A_p, B, B_p, rng):
+            return False, (A, A_p, B)
     return True, None
 
 
-@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
+@pytest.mark.parametrize("p", PRIMES_TO_31)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
     shared = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(p, lam, consts, alpha, beta, w, rng):
-        shared.append((lam, alpha, beta, rng.getstate()))
-        return rejecting_families(p, lam, consts, alpha, beta, w, rng)
+    def recording(p, consts, A, A_p, B, B_p, rng):
+        shared.append((A, A_p, B, B_p, rng.getstate()))
+        return rejecting_families(p, consts, A, A_p, B, B_p, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)
-    longest = 0
     for family in CARTAN:
         calls = []
         expect = per_family_quotient_check(family, p, 8, seed, calls=calls)
         assert (checks[family].passed, checks[family].witness) == expect, family
-        # same point, root of unity and generator state at every call
-        assert shared[:len(calls)] == calls, family
-        longest = max(longest, len(calls))
-    assert len(shared) == longest
+        # same draw and generator state at every call
+        assert shared == calls, family
 
 
 def test_shared_sample_reports_the_rejected_point(monkeypatch):
     p, seed = 13, 1
-    _, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
-    rejected = pts[3][:2]
+    draws = []
     rejecting_families = drinfeld._rejecting_families
 
-    def reject_for_s(p, lam, consts, alpha, beta, w, rng):
-        families = list(rejecting_families(p, lam, consts, alpha, beta, w, rng))
-        if (alpha, beta) == rejected:
+    def recording(p, consts, A, A_p, B, B_p, rng):
+        draws.append((A, A_p, B))
+        return rejecting_families(p, consts, A, A_p, B, B_p, rng)
+
+    monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
+    verify_quotient_maps(p, 8, seed=seed)
+    rejected = draws[3]
+
+    def reject_for_s(p, consts, A, A_p, B, B_p, rng):
+        families = list(rejecting_families(p, consts, A, A_p, B, B_p, rng))
+        if (A, A_p, B) == rejected:
             families.append("s")
         return families
 
-    def reject_for_s_reference(family, p, F, a, lam, alpha, beta, rng):
-        if family == "s" and (alpha, beta) == rejected:
+    def reject_for_s_reference(family, p, lam, A, A_p, B, B_p, rng):
+        if family == "s" and (A, A_p, B) == rejected:
             return False
-        return check_one_point(family, p, F, a, lam, alpha, beta, rng)
+        return check_one_draw(family, p, lam, A, A_p, B, B_p, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", reject_for_s)
     checks = verify_quotient_maps(p, 8, seed=seed)
@@ -580,131 +593,112 @@ def test_no_sample_points_over_fp2():
                 assert xp * y - x * yp != F.one()
 
 
+def fp2_product(x, y, p, d):
+    """(a + b sqrt d)(c + e sqrt d) on coordinate pairs, apart from the
+    library's field."""
+    (a, b), (c, e) = x, y
+    return (a * c + d * b * e) % p, (a * e + b * c) % p
+
+
+@pytest.mark.parametrize("p", PRIMES_TO_31)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_sampled_points_lie_on_the_curve(seed):
-    for p in (p for p in range(5, 32) if is_prime(p)):
-        F, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
-        assert F.p == p and F.k >= 6 and len(pts) == 8
-        for alpha, beta, w in pts:
-            assert alpha ** p * beta - alpha * beta ** p == F.one()
-            assert alpha * w == F.one()
+def test_sampled_points_lie_on_the_curve(seed, p, monkeypatch):
+    # every draw (A, A', B, B') has A != 0 and A'B - AB' = 1, recomputed
+    # on coordinate pairs over F_p[sqrt d], d the first nonsquare
+    draws = []
+    rejecting_families = drinfeld._rejecting_families
+
+    def recording(p, consts, A, A_p, B, B_p, rng):
+        draws.append((A, A_p, B, B_p))
+        return rejecting_families(p, consts, A, A_p, B, B_p, rng)
+
+    monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
+    checks = verify_quotient_maps(p, 8, seed=seed)
+    assert all(chk.passed for chk in checks.values())
+    d = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+    assert len(draws) == 8
+    for A, A_p, B, B_p in draws:
+        assert A.coords != (0, 0)
+        left = fp2_product(A_p.coords, B.coords, p, d)
+        right = fp2_product(A.coords, B_p.coords, p, d)
+        assert ((left[0] - right[0]) % p, (left[1] - right[1]) % p) == (1, 0)
 
 
-@pytest.mark.parametrize("seed", range(10))
-def test_degree_six_draw_budget_suffices(seed):
-    # 4 p draws per point leave no prime <= 31 short of points in F_{p^6}
-    for p in (p for p in range(5, 32) if is_prime(p)):
-        F, pts = drinfeld._sample_source_points(p, 8, random.Random(seed))
-        assert (F.p, F.k, len(pts)) == (p, 6, 8)
-        for alpha, beta, _ in pts:
-            assert alpha ** p * beta - alpha * beta ** p == F.one()
-
-
-@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
-def test_itoh_tsujii_inverse(p):
-    # x^-1 = x^(r-1)/N(x), x^(r-1) the product of the nontrivial conjugates
-    F = field_create(p, 6)
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_inverse_is_the_conjugate_over_the_norm(p):
+    # x^-1 = x^p / N(x), N(x) = x^(p+1) in F_p^*
+    F = field_create(p, 2)
     rng = random.Random(p)
     for _ in range(50):
         x = F.random_element(rng)
         if x.is_zero():
             continue
-        conjugates = [x]  # x, x^p, ..., x^(p^5)
-        for _ in range(F.k - 1):
-            conjugates.append(conjugates[-1].frobenius())
-        x_r1 = reduce(mul, conjugates[1:])
-        norm = x * x_r1
+        norm = x * x.frobenius()
         assert norm.in_prime_field() and not norm.is_zero()
-        assert x_r1 * inverse_mod(norm.lift(), p) == x.inverse()
+        assert norm == x ** (p + 1)
+        assert x.frobenius() * inverse_mod(norm.lift(), p) == x.inverse()
 
 
-@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_trace_test_accepts_exactly_the_solvable_draws(p, seed, monkeypatch):
-    # every draw of w = 1/alpha and every solve, in order: a draw is
-    # accepted when a solve follows it before the next draw
-    events = []
-    draw, solve = GF.random_element, drinfeld.solve_affine_mod_p
-
-    def recording_draw(F, rng):
-        w = draw(F, rng)
-        events.append(("draw", w))
-        return w
-
-    def recording_solve(matrix, rhs, q):
-        events.append(("solve", list(rhs)))
-        return solve(matrix, rhs, q)
-
-    monkeypatch.setattr(GF, "random_element", recording_draw)
-    monkeypatch.setattr(drinfeld, "solve_affine_mod_p", recording_solve)
-    drinfeld._sample_source_points(p, 8, random.Random(seed))
-    events.append(("draw", None))
-    matrices = {}  # the matrix of s -> s^p - s per field, built from x ** p
-    verdicts = []
-    for (kind, w), (after, rhs) in zip(events, events[1:]):
-        if kind != "draw" or w.is_zero():
-            continue
-        F = w.field
-        if F not in matrices:
-            basis = [F(tuple(int(i == j) for i in range(F.k))) for j in range(F.k)]
-            matrices[F] = [[(e ** p - e).coords[i] for e in basis] for i in range(F.k)]
-        c = -(w ** (p + 1))  # -1/alpha^(p+1)
-        solvable = solve_affine_mod_p(matrices[F], list(c.coords), p) is not None
-        assert (after == "solve") == solvable
-        if solvable:
-            assert rhs == list(c.coords)
-        verdicts.append(solvable)
-    assert verdicts.count(True) >= 8 and verdicts.count(False) > 0
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_lam_has_order_p_plus_1_and_frobenius_inverts_it(p):
+    # the chains use lam^(p+1) = 1, so Frob(lam) = lam^-1
+    F = field_create(p, 2)
+    lam = element_of_order(F, p + 1, random.Random(p))
+    assert lam ** (p + 1) == F.one()
+    assert all(lam ** ((p + 1) // q) != F.one()
+               for q in range(2, p + 2) if is_prime(q) and (p + 1) % q == 0)
+    assert lam.frobenius() == lam.inverse()
 
 
-@pytest.mark.parametrize("p", [p for p in range(5, 32) if is_prime(p)])
-def test_trace_form_equals_trace(p):
-    F = field_create(p, 6)
-    form = drinfeld._trace_form(F)
-    rng = random.Random(p)
-    for _ in range(100):
-        w = F.random_element(rng)
-        power = w ** (p + 1)
-        trace = sum((power ** p ** i for i in range(F.k)), F.zero())
-        assert trace.in_prime_field()
-        quadratic = sum(wi * form[i][j] * wj for i, wi in enumerate(w.coords)
-                        for j, wj in enumerate(w.coords))
-        assert quadratic % p == trace.lift()
+def test_a_draw_off_the_source_raises(monkeypatch):
+    # an inverse one more than the true one puts B' = (A'B - 1)/A off
+    # A'B - AB' = 1
+    real = FqElement.inverse
+    monkeypatch.setattr(FqElement, "inverse", lambda x: real(x) + 1)
+    with pytest.raises(InconsistencyError, match=r"quotient maps: .*\(p = 7\)"):
+        verify_quotient_maps(7, 8)
 
 
-@pytest.mark.parametrize("p", [5, 13, 31])
-def test_rejected_draw_does_no_field_arithmetic(p, monkeypatch):
-    # events in order; a draw's segment runs to the next draw or field
-    events = []
-    draw, mul_, inv = GF.random_element, GF._mul, GF._inv
-    frobenius, create = GF._frobenius, drinfeld.field_create
-    solve = drinfeld.solve_affine_mod_p
+def mutant(old, new):
+    """The drinfeld module with `old`, which its source holds once,
+    replaced by `new`."""
+    path = pathlib.Path(drinfeld.__file__)
+    source = path.read_text()
+    assert source.count(old) == 1, old
+    module = types.ModuleType("fibercurve.drinfeld_mutant")
+    module.__package__ = "fibercurve"
+    # dataclasses look their module up while the class is built
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(source.replace(old, new), str(path), "exec"), module.__dict__)
+    finally:
+        del sys.modules[module.__name__]
+    return module
 
-    def recording_draw(F, rng):
-        events.append("draw")
-        return draw(F, rng)
 
-    def record(name, fn):
-        def wrapped(*args):
-            events.append(name)
-            return fn(*args)
-        return wrapped
-
-    monkeypatch.setattr(GF, "random_element", recording_draw)
-    monkeypatch.setattr(GF, "_mul", record("mul", mul_))
-    monkeypatch.setattr(GF, "_inv", record("inv", inv))
-    monkeypatch.setattr(GF, "_frobenius", record("frob", frobenius))
-    monkeypatch.setattr(drinfeld, "field_create", record("field", create))
-    monkeypatch.setattr(drinfeld, "solve_affine_mod_p", record("solve", solve))
-    drinfeld._sample_source_points(p, 8, random.Random(p))
-    segments, rejected = [], 0
-    for event in events:
-        if event in ("draw", "field"):
-            segments.append([event])
-        elif segments:
-            segments[-1].append(event)
-    for segment in segments:
-        if segment[0] == "draw" and "solve" not in segment:
-            assert segment == ["draw"]
-            rejected += 1
-    assert rejected > 0 and events.count("solve") == 8
+@pytest.mark.parametrize("old,new,failing", [
+    # aN with its sign flipped
+    ("aN = lam_p * lam_p - lam * lam", "aN = lam * lam - lam_p * lam_p", {"ns", "ns+"}),
+    # the s chain's constant (1/2)^2 changed to 1/2
+    ("(aN * half) ** 2, half * half)", "(aN * half) ** 2, half)", {"s", "s+"}),
+    # the ns+ model's constant (aN/2)^2 negated
+    ("if Y * Y != X * (V_norm + aN_half_sq):",
+     "if Y * Y != X * (V_norm - aN_half_sq):", {"ns+"}),
+    # the s+ model's constant (1/2)^2 negated
+    ("if Y * Y != X * (V_norm + half_sq):",
+     "if Y * Y != X * (V_norm - half_sq):", {"s+"}),
+    # a determinant of 2, not 1, moves draws off the source
+    ("gd = (1 + gb * gc) * inverse_mod(ga, p) % p",
+     "gd = (2 + gb * gc) * inverse_mod(ga, p) % p", set(CARTAN)),
+    # Frob(u^-1) taken as u^-1, not u: a root other than +-1 moves draws
+    # off the source
+    ("root_inv_p = root_inv.frobenius()", "root_inv_p = root_inv", set(CARTAN)),
+], ids=["aN-sign", "s-constant", "ns+-constant", "s+-constant", "sl2-det",
+        "root-frobenius"])
+@pytest.mark.parametrize("p", PRIMES_TO_31)
+def test_a_wrong_chain_fails_its_quotient_map_rows(p, old, new, failing, monkeypatch):
+    monkeypatch.setattr(cli.drinfeld, "verify_quotient_maps",
+                        mutant(old, new).verify_quotient_maps)
+    rows = {name: ok for name, _, ok, _ in cli.checks_for_prime(p)
+            if name.startswith("quotient-maps-")}
+    assert rows == {"quotient-maps-" + f: f not in failing for f in CARTAN}

@@ -341,6 +341,17 @@ def test_banana_snf_is_cyclic_at_every_prime_below_1000():
                 [1] * (len(es) - 2) + [banana_order(es)]), p
 
 
+def test_banana_order_is_mazurs_order_below_20000():
+    # the Deligne-Rapoport fiber of X_0(p) is two lines crossing at the
+    # supersingular points with widths e, and its component group at p is
+    # cyclic of order num((p - 1)/12) (Mazur 1977): a closed form for the
+    # banana factor of SNF(A) that the Neron order check cannot see
+    for p in range(5, 20000):
+        if is_prime(p):
+            es = supersingular_data(p).e_values()
+            assert banana_order(es) == (p - 1) // math.gcd(p - 1, 12), p
+
+
 def fiber_with_e_list(es):
     """The s fiber at 29 with one horizontal per e in es: a K_{s,m} with
     widths e_x w_j."""

@@ -38,11 +38,10 @@ ALLOWED_UNREACHED = {
     "projline.borel",
     # error-only and degenerate-input paths
     "exceptional.VerificationError.__init__",
-    "ffield.GF.zero",  # sqrt_in_field(0)
 }
 
 # each subcommand and family, json, text and dot, a cache miss and hit,
-# the battery over the primes that also run the quotient-map samples,
+# the battery over the primes that also run the quotient-map draws,
 # and the help text
 REQUESTS = (
     [["fiber", "--family", family, "--prime", "241", "--format", fmt]
