@@ -10,7 +10,9 @@ Sanity is enforced from two directions.  The supersingular counts come
 from the classical closed form and are cross-checkable against a walk
 on the supersingular 2-isogeny graph over F_{p^2}
 (`isogeny_supersingular_data`), which a point-count oracle and a
-Hasse-polynomial oracle check in turn in the tests.  Total genera come
+Hasse-polynomial oracle check in turn in the tests.  All three run on
+the pair arithmetic of `ffield.field_create(p)`; the closed form does
+no field arithmetic, so it stays independent of them.  Total genera come
 from a coset-action count (Riemann-Hurwitz over the j-line with
 ramification orders 2, 3 and p), checked against closed forms for the
 Cartan families, and the identity
@@ -29,18 +31,17 @@ no toric rank are emitted for them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd
 from operator import add
 
-from .ffield import InconsistencyError, is_prime
+from .ffield import InconsistencyError, field_create, is_prime, sqrt_in_field
 from .projline import (
     SubgroupTable,
     borel,
     cartan_nonsplit,
     cartan_split,
     coset_cycle_counts,
-    first_nonsquare,
 )
 from .exceptional import (
     KINDS as EXCEPTIONAL_KINDS,
@@ -118,97 +119,6 @@ def supersingular_data(p: int) -> SupersingularData:
     )
 
 
-class _Fp2:
-    """Minimal F_{p^2} arithmetic on pairs (x, y) = x + y w, w^2 = d, for
-    the supersingular oracles: the isogeny walk, and the point-count and
-    Hasse oracles that the tests check it against.
-
-    Deliberately independent of the ffield module so the oracles and the
-    production arithmetic cannot share a bug.
-    """
-
-    def __init__(self, p):
-        self.p = p
-        self.d = first_nonsquare(p)
-        # p^2 - 1 = 2^e m with m odd, and c = z^m for a nonsquare z, for
-        # sqrt; x + w is a nonsquare for (p + 1)/2 of the x in F_p
-        self.e, self.m = 0, p * p - 1
-        while self.m % 2 == 0:
-            self.e, self.m = self.e + 1, self.m // 2
-        z = next((x, 1) for x in range(p) if not self.is_square((x, 1)))
-        self.c = self.pow(z, self.m)
-
-    def mul(self, a, b):
-        p, d = self.p, self.d
-        return ((a[0] * b[0] + d * a[1] * b[1]) % p, (a[0] * b[1] + a[1] * b[0]) % p)
-
-    def add(self, a, b):
-        p = self.p
-        return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
-
-    def scale(self, c, a):
-        p = self.p
-        return (c * a[0] % p, c * a[1] % p)
-
-    def norm(self, a):
-        # a^(p+1) = (x + y w)(x - y w)
-        return (a[0] * a[0] - self.d * a[1] * a[1]) % self.p
-
-    def inv(self, a):
-        # (x + y w)^-1 = (x - y w) / (x^2 - d y^2)
-        ninv = pow(self.norm(a), self.p - 2, self.p)
-        return (a[0] * ninv % self.p, -a[1] * ninv % self.p)
-
-    def pow(self, a, n):
-        out = (1, 0)
-        while n:
-            if n & 1:
-                out = self.mul(out, a)
-            a, n = self.mul(a, a), n >> 1
-        return out
-
-    def is_square(self, a):
-        # a^((p^2-1)/2) = N(a)^((p-1)/2)
-        return pow(self.norm(a), (self.p - 1) // 2, self.p) != self.p - 1
-
-    def sqrt(self, a):
-        """A square root of a, or None when a is not a square: Tonelli-Shanks
-        in the cyclic group F_{p^2}^* of order 2^e m."""
-        if not self.is_square(a):
-            return None
-        if a == (0, 0):
-            return a
-        one, e, c = (1, 0), self.e, self.c
-        r = self.pow(a, (self.m - 1) // 2)
-        root = self.mul(r, a)
-        t = self.mul(r, root)  # a^m
-        while t != one:
-            # the least i with t^(2^i) = 1; then c^(2^(e-i-1)) fixes the root
-            i, u = 1, self.mul(t, t)
-            while u != one:
-                i, u = i + 1, self.mul(u, u)
-            for _ in range(e - i - 1):
-                c = self.mul(c, c)
-            root, c = self.mul(root, c), self.mul(c, c)
-            t, e = self.mul(t, c), i
-        return root
-
-    def conj(self, a):
-        # a^p = x - y w, since w^p = d^((p-1)/2) w = -w
-        return (a[0], -a[1] % self.p)
-
-    def elements(self):
-        for x in range(self.p):
-            for y in range(self.p):
-                yield (x, y)
-
-    def conj_representatives(self):
-        """One element of each pair {a, a^p}: the one with y <= (p-1)/2."""
-        for x in range(self.p):
-            for y in range((self.p + 1) // 2):
-                yield (x, y)
-
-
 # Phi_2(X, Y) = X^3 + Y^3 - X^2 Y^2 + 1488 (X^2 Y + X Y^2) - 162000 (X^2 + Y^2)
 #   + 40773375 X Y + 8748000000 (X + Y) - 157464000000000, as the
 # coefficients of Y^2, Y and 1 (Y^3's is 1), each by rising powers of X
@@ -254,9 +164,10 @@ def _isogeny_supersingular_js(p: int) -> set:
     if start is None:
         raise ValueError("no known supersingular start for the 2-isogeny walk "
                          "at p = %d" % p)
-    K = _Fp2(p)
+    K = field_create(p)
     j, r = ((x % p, 0) for x in start)
     rows = [[(c % p, 0) for c in row] for row in PHI2]
+    half = ((p + 1) // 2, 0)
     seen, todo = {j}, [(j, r)]
     while todo:
         j, r = todo.pop()
@@ -264,14 +175,13 @@ def _isogeny_supersingular_js(p: int) -> set:
         # synthetic division by Y - r: Y^2 + b Y + c, remainder c0 + r c
         b = K.add(c2, r)
         c = K.add(c1, K.mul(r, b))
-        root = K.sqrt(K.add(K.mul(b, b), K.scale(-4, c)))
+        root = sqrt_in_field(K(K.sub(K.mul(b, b), K.mul((4, 0), c))))
         if K.add(c0, K.mul(r, c)) != (0, 0) or root is None:
             raise InconsistencyError(
                 "isogeny walk: %s is not a root of Phi_2(%s, Y), or its other "
                 "roots are not in F_{p^2} (p = %d)" % (r, j, p))
-        half = (p + 1) // 2
-        for y in (K.scale(half, K.add(root, K.scale(-1, b))),
-                  K.scale(-half, K.add(root, b))):
+        for y in (K.mul(half, K.sub(root.coords, b)),
+                  K.neg(K.mul(half, K.add(root.coords, b)))):
             if y not in seen:
                 seen.add(y)
                 todo.append((y, j))
@@ -304,7 +214,8 @@ def brute_supersingular_data(p: int) -> SupersingularData:
     For every row x1 the indices of x^3 over x0 are built once; for
     every j the indices of a x0 over x0 form one list, and a x1 w + b
     is one offset per row.  A row's contribution is then one C-level
-    sum over x0.  All of it is built with _Fp2's arithmetic.
+    sum over x0.  All of it is built with field_create(p)'s pair
+    arithmetic.
 
     Only one j of each Frobenius pair j = (j0, j1), j^p = (j0, -j1) is
     counted, the one with j1 <= (p-1)/2, over every x.  Frobenius is a
@@ -319,10 +230,10 @@ def brute_supersingular_data(p: int) -> SupersingularData:
 
 def _brute_supersingular_js(p: int) -> set:
     """The supersingular j that brute_supersingular_data counts."""
-    K = _Fp2(p)
+    K = field_create(p)
     q, m = p * p, 3 * p
     roots = [0] * q
-    for y in K.elements():
+    for y in product(range(p), repeat=2):
         v = K.mul(y, y)
         roots[v[0] * p + v[1]] += 1
     table = [roots[i % p * p + k % p] for i in range(m) for k in range(m)]
@@ -331,7 +242,7 @@ def _brute_supersingular_js(p: int) -> set:
         cubes = (K.mul(K.mul((x0, x1), (x0, x1)), (x0, x1)) for x0 in range(p))
         cube_rows.append([c0 * m + c1 for c0, c1 in cubes])
     ss = set()
-    for j in K.conj_representatives():
+    for j in product(range(p), range((p + 1) // 2)):
         (a0, a1), (b0, b1) = _curve_with_j(K, j)
         da1 = K.d * a1
         ax0 = [a0 * x0 % p * m + a1 * x0 % p for x0 in range(p)]
@@ -351,9 +262,9 @@ def _curve_with_j(K, j):
         return (0, 0), (1, 0)
     if j == (1728 % K.p, 0):
         return (1, 0), (0, 0)
-    u = K.add((1728 % K.p, 0), K.scale(-1, j))  # 1728 - j
+    u = K.sub((1728 % K.p, 0), j)
     c = K.mul(j, u)
-    return K.scale(3, c), K.scale(2, K.mul(c, u))
+    return K.mul((3, 0), c), K.mul((2, 0), K.mul(c, u))
 
 
 def hasse_supersingular_data(p: int) -> SupersingularData:
@@ -373,7 +284,7 @@ def hasse_supersingular_data(p: int) -> SupersingularData:
 
 def _hasse_supersingular_js(p: int) -> set:
     """The supersingular j that hasse_supersingular_data counts."""
-    K = _Fp2(p)
+    K = field_create(p)
     m = (p - 1) // 2
     coeffs = [1] * (m + 1)
     c = 1
@@ -384,13 +295,13 @@ def _hasse_supersingular_js(p: int) -> set:
     one = (1, 0)
     seen = {(0, 0), one}
     ss = set()
-    for lam in K.conj_representatives():
+    for lam in product(range(p), range((p + 1) // 2)):
         if lam in seen:
             continue
         # the S3-orbit: L, 1 - L, 1/L, 1/(1 - L), 1 - 1/L, 1 - 1/(1 - L)
-        mu = K.add(one, K.scale(-1, lam))
+        mu = K.sub(one, lam)
         orbit = [lam, mu, K.inv(lam), K.inv(mu)]
-        orbit += [K.add(one, K.scale(-1, x)) for x in orbit[2:]]
+        orbit += [K.sub(one, x) for x in orbit[2:]]
         seen.update(orbit)
         seen.update(map(K.conj, orbit))
         # Horner in coordinates: (u + v w) <- (u + v w)(l0 + l1 w) + c
@@ -408,10 +319,11 @@ def _legendre_j(K, lam):
     # j = 256 (L^2 - L + 1)^3 / (L^2 (L - 1)^2)
     one = (1, 0)
     l2 = K.mul(lam, lam)
-    num = K.add(K.add(l2, K.scale(-1, lam)), one)
+    num = K.add(K.sub(l2, lam), one)
     num = K.mul(K.mul(num, num), num)
-    den = K.mul(l2, K.mul(K.add(lam, K.scale(-1, one)), K.add(lam, K.scale(-1, one))))
-    return K.scale(256 % K.p, K.mul(num, K.inv(den)))
+    lm1 = K.sub(lam, one)
+    den = K.mul(l2, K.mul(lm1, lm1))
+    return K.mul((256 % K.p, 0), K.mul(num, K.inv(den)))
 
 
 # ---------------------------------------------------------------------------

@@ -24,11 +24,12 @@ from .ffield import (
     InconsistencyError,
     element_of_order,
     field_create,
+    first_nonsquare,
     inverse_mod,
     solve_affine_mod_p,
     sqrt_in_field,
 )
-from .projline import first_nonsquare, point_str
+from .projline import point_str
 from .exceptional import CongruenceError, UsageError
 
 POINT_COUNT_MAX_P = 31
@@ -273,7 +274,7 @@ def default_orbit_pair(table):
 
 def admissible_twist(p: int):
     """An element a of F_{p^2} with a not in F_p but a^2 in F_p."""
-    F2 = field_create(p, 2)
+    F2 = field_create(p)
     a = sqrt_in_field(F2(first_nonsquare(p)))
     if a is None or a.in_prime_field():
         raise InconsistencyError(
@@ -292,7 +293,7 @@ def count_points_fp2(p: int, a) -> int:
     if p > POINT_COUNT_MAX_P:
         raise ValueError("p = %d exceeds the enumeration bound %d" % (p, POINT_COUNT_MAX_P))
     F2 = a.field
-    if F2.p != p or F2.k != 2:
+    if F2.p != p:
         raise ValueError("twist must live in F_{p^2}")
     if a.is_zero() or a.in_prime_field() or not (a * a).in_prime_field():
         raise ValueError("twist must satisfy a not in F_p, a^2 in F_p")
@@ -312,7 +313,7 @@ def count_points_fp2(p: int, a) -> int:
             continue  # 0 - 0 = a is impossible for a != 0
         xp = x.frobenius()
         cols = [xp * e - x * ep for e, ep in zip(basis, basis_p)]
-        matrix = [[col.coords[i] for col in cols] for i in range(F2.k)]
+        matrix = [[col.coords[i] for col in cols] for i in range(2)]
         sol = solve_affine_mod_p(matrix, rhs, p)
         if sol is not None:
             count += p ** len(sol[1])
@@ -366,7 +367,7 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     if samples == 0:
         return checks
     rng = random.Random(seed)
-    F = field_create(p, 2)
+    F = field_create(p)
     lam = element_of_order(F, p + 1, rng)
     lam_p = lam.frobenius()
     half = F((p + 1) // 2)

@@ -92,12 +92,14 @@ def check_congruence(kind: str, p: int) -> None:
 
 
 def _sqrt_pair(p: int, a: int):
-    """Both square roots of a mod p, ascending; None when a is a nonsquare."""
-    F = field_create(p)
-    r = sqrt_in_field(F(a))
-    if r is None:
+    """Both square roots of a mod p, ascending; None when a is a nonsquare.
+
+    Every a in F_p is a square in F_{p^2}, and its root there lies in F_p
+    exactly when a is a square mod p.
+    """
+    r, s = sqrt_in_field(field_create(p)(a)).coords
+    if s:
         return None
-    r = r.lift()
     return tuple(sorted((r, (p - r) % p)))
 
 

@@ -1,12 +1,11 @@
-"""Exact arithmetic over F_p and F_{p^2}.
+"""Exact arithmetic over F_{p^2} = F_p[sqrt(d)], d the first nonsquare mod p.
 
-F_{p^2} is F_p[sqrt(d)], d the first nonsquare mod p, so every value
-computed downstream is byte-reproducible across runs.  Elements are
-coordinate vectors over the prime field: (a,) in F_p and (a, b) for
-a + b sqrt(d) in F_{p^2}.  The canonical order on elements,
-`FqElement.index()`, is the lexicographic order on those vectors.
-Frobenius x -> x^p is conjugation, (a, b) -> (a, -b), and an inverse is
-the conjugate over the norm a^2 - d b^2.
+Fixing d makes every value computed downstream byte-reproducible across
+runs.  An element is its coordinate pair (a, b) for a + b sqrt(d), and
+the canonical order on elements is the lexicographic order on pairs.
+Frobenius x -> x^p is conjugation, (a, b) -> (a, -b), the norm x^(p+1)
+is a^2 - d b^2, and an inverse is the conjugate over the norm.  F_p
+itself is plain ints with the builtin `pow`.
 """
 
 from __future__ import annotations
@@ -54,6 +53,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def first_nonsquare(p: int) -> int:
+    """The least quadratic nonresidue mod the odd prime p."""
+    for d in range(2, p):
+        if pow(d, (p - 1) // 2, p) == p - 1:
+            return d
+    raise FieldError("no nonsquare mod %d" % p)
+
+
 def inverse_mod(a: int, m: int) -> int:
     """Least positive residue r with a*r = 1 mod m.
 
@@ -69,23 +76,30 @@ def inverse_mod(a: int, m: int) -> int:
 
 
 class GF:
-    """The field F_p (k = 1) or F_{p^2} = F_p[sqrt(d)] (k = 2), d the
-    first nonsquare mod p."""
+    """The field F_{p^2} = F_p[sqrt(d)], d = first_nonsquare(p).
 
-    def __init__(self, p: int, k: int = 1):
+    add, sub, neg, mul, pow, inv, conj, norm and sqrt act on coordinate
+    pairs; an FqElement wraps a pair for operator syntax and calls them.
+    """
+
+    def __init__(self, p: int):
         if not is_prime(p):
             raise FieldError("characteristic %d is not prime" % p)
         if p <= 3 or p >= MAX_CHAR:
             raise FieldError("characteristic %d out of accepted range" % p)
-        if k not in (1, 2):
-            raise FieldError("extension degree %d is not 1 or 2" % k)
         self.p = p
-        self.k = k
-        self.order = p ** k
-        self._zero_coords = (0,) * k
-        self._one = FqElement(self, (1,) + self._zero_coords[1:])
-        if k == 2:
-            self.d = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
+        self.order = p * p
+        self.d = first_nonsquare(p)
+        self._one = FqElement(self, (1, 0))
+        # p^2 - 1 = 2^e m with m odd, and c = z^m for a nonsquare z, for
+        # sqrt.  An element is a square exactly when its norm is a
+        # square in F_p.  The norm of z = x + sqrt(d) is x^2 - d, so x = 0
+        # serves when -1 is a square (p = 1 mod 4), and x = 1 otherwise:
+        # 1 - d = -(d - 1), where d - 1 is a square, lying below d.
+        self._e, self._m = 0, p * p - 1
+        while self._m % 2 == 0:
+            self._e, self._m = self._e + 1, self._m // 2
+        self._c = self.pow((int(p % 4 == 3), 1), self._m)
 
     # -- element creation ---------------------------------------------
 
@@ -95,10 +109,10 @@ class GF:
                 raise FieldError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            return FqElement(self, (value % self.p,) + self._zero_coords[1:])
+            return FqElement(self, (value % self.p, 0))
         coords = tuple(int(c) % self.p for c in value)
-        if len(coords) != self.k:
-            raise FieldError("expected %d coordinates" % self.k)
+        if len(coords) != 2:
+            raise FieldError("expected 2 coordinates")
         return FqElement(self, coords)
 
     def one(self) -> "FqElement":
@@ -106,82 +120,97 @@ class GF:
 
     def elements(self):
         """All elements in canonical (lexicographic) order."""
-        for coords in itertools.product(range(self.p), repeat=self.k):
+        for coords in itertools.product(range(self.p), repeat=2):
             yield FqElement(self, coords)
 
     def basis(self):
-        """The coordinate basis 1, sqrt(d) of F_{p^2} (1 of F_p) over F_p."""
-        return [self(tuple(int(i == j) for i in range(self.k))) for j in range(self.k)]
+        """The coordinate basis 1, sqrt(d) of F_{p^2} over F_p."""
+        return [self._one, FqElement(self, (0, 1))]
 
     def random_element(self, rng) -> "FqElement":
-        return FqElement(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
+        return FqElement(self, (rng.randrange(self.p), rng.randrange(self.p)))
 
-    # -- raw tuple arithmetic -----------------------------------------
+    # -- arithmetic on coordinate pairs -------------------------------
 
-    def _add(self, a, b):
+    def add(self, a, b):
         p = self.p
-        if self.k == 1:
-            return ((a[0] + b[0]) % p,)
         return ((a[0] + b[0]) % p, (a[1] + b[1]) % p)
 
-    def _sub(self, a, b):
+    def sub(self, a, b):
         p = self.p
-        if self.k == 1:
-            return ((a[0] - b[0]) % p,)
         return ((a[0] - b[0]) % p, (a[1] - b[1]) % p)
 
-    def _neg(self, a):
-        return self._sub(self._zero_coords, a)
-
-    def _mul(self, a, b):
+    def neg(self, a):
         p = self.p
-        if self.k == 1:
-            return (a[0] * b[0] % p,)
+        return (-a[0] % p, -a[1] % p)
+
+    def mul(self, a, b):
+        p = self.p
         (a0, a1), (b0, b1) = a, b
         return ((a0 * b0 + self.d * a1 * b1) % p, (a0 * b1 + a1 * b0) % p)
 
-    def _frobenius(self, a):
-        if self.k == 1:
-            return a
-        return (a[0], -a[1] % self.p)
-
-    def _pow(self, a, n: int):
+    def pow(self, a, n: int):
         if n < 0:
-            a, n = self._inv(a), -n
-        if self.k == 1:
-            return (pow(a[0], n, self.p),)
-        result = self._one.coords
+            a, n = self.inv(a), -n
+        out = (1, 0)
         while n:
             if n & 1:
-                result = self._mul(result, a)
-            a = self._mul(a, a)
-            n >>= 1
-        return result
+                out = self.mul(out, a)
+            a, n = self.mul(a, a), n >> 1
+        return out
 
-    def _inv(self, a):
-        if not any(a):
+    def conj(self, a):
+        """Frobenius a -> a^p: sqrt(d)^p = d^((p-1)/2) sqrt(d) = -sqrt(d)."""
+        return (a[0], -a[1] % self.p)
+
+    def norm(self, a) -> int:
+        """a^(p+1) = a conj(a) = a0^2 - d a1^2, which is 0 only at a = 0."""
+        return (a[0] * a[0] - self.d * a[1] * a[1]) % self.p
+
+    def inv(self, a):
+        n = self.norm(a)
+        if not n:
             raise ZeroDivisionError("inversion of zero")
+        c = pow(n, -1, self.p)
+        return (a[0] * c % self.p, -a[1] * c % self.p)
+
+    def sqrt(self, a):
+        """A square root of a, or None when a is not a square: Tonelli-Shanks
+        in the cyclic group F_{p^2}^* of order 2^e m.  a^((p^2-1)/2) is
+        N(a)^((p-1)/2), so a is a square exactly when its norm is a square
+        in F_p.  sqrt_in_field fixes the choice of root and checks it."""
         p = self.p
-        if self.k == 1:
-            return (pow(a[0], -1, p),)
-        a0, a1 = a
-        c = pow((a0 * a0 - self.d * a1 * a1) % p, -1, p)
-        return (a0 * c % p, -a1 * c % p)
+        if pow(self.norm(a), (p - 1) // 2, p) == p - 1:
+            return None
+        if a == (0, 0):
+            return a
+        one, e, c = (1, 0), self._e, self._c
+        r = self.pow(a, (self._m - 1) // 2)
+        root = self.mul(r, a)
+        t = self.mul(r, root)  # a^m
+        while t != one:
+            # the least i with t^(2^i) = 1; then c^(2^(e-i-1)) fixes the root
+            i, u = 1, self.mul(t, t)
+            while u != one:
+                i, u = i + 1, self.mul(u, u)
+            for _ in range(e - i - 1):
+                c = self.mul(c, c)
+            root, c = self.mul(root, c), self.mul(c, c)
+            t, e = self.mul(t, c), i
+        return root
 
     def __repr__(self):
-        if self.k == 1:
-            return "GF(%d)" % self.p
-        return "GF(%d^%d)" % (self.p, self.k)
+        return "GF(%d^2)" % self.p
 
     def __eq__(self, other):
-        return isinstance(other, GF) and (self.p, self.k) == (other.p, other.k)
+        return isinstance(other, GF) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.p, self.k))
+        return hash(self.p)
 
 
 class FqElement:
-    """Immutable element of a GF instance."""
+    """Immutable element of a GF instance: its coordinate pair."""
 
     __slots__ = ("field", "coords")
 
@@ -189,24 +218,11 @@ class FqElement:
         self.field = field
         self.coords = coords
 
-    def index(self) -> int:
-        """Canonical rank: lexicographic position of the coordinate vector."""
-        i = 0
-        for c in self.coords:
-            i = i * self.field.p + c
-        return i
-
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return self.coords == (0, 0)
 
     def in_prime_field(self) -> bool:
-        return not any(self.coords[1:])
-
-    def lift(self) -> int:
-        """Integer residue for prime-field elements."""
-        if not self.in_prime_field():
-            raise FieldError("element not in the prime field")
-        return self.coords[0]
+        return not self.coords[1]
 
     def _coerce(self, other):
         if isinstance(other, FqElement):
@@ -214,14 +230,14 @@ class FqElement:
                 raise FieldError("field mismatch")
             return other.coords
         if isinstance(other, int):
-            return (other % self.field.p,) + self.field._zero_coords[1:]
+            return (other % self.field.p, 0)
         return NotImplemented
 
     def __add__(self, other):
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        return FqElement(self.field, self.field._add(self.coords, c))
+        return FqElement(self.field, self.field.add(self.coords, c))
 
     __radd__ = __add__
 
@@ -229,27 +245,24 @@ class FqElement:
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        return FqElement(self.field, self.field._sub(self.coords, c))
-
-    def __neg__(self):
-        return FqElement(self.field, self.field._neg(self.coords))
+        return FqElement(self.field, self.field.sub(self.coords, c))
 
     def __mul__(self, other):
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        return FqElement(self.field, self.field._mul(self.coords, c))
+        return FqElement(self.field, self.field.mul(self.coords, c))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return FqElement(self.field, self.field._pow(self.coords, n))
+        return FqElement(self.field, self.field.pow(self.coords, n))
 
     def inverse(self):
-        return FqElement(self.field, self.field._inv(self.coords))
+        return FqElement(self.field, self.field.inv(self.coords))
 
-    def frobenius(self):  # self ** p: conjugation in F_{p^2}
-        return FqElement(self.field, self.field._frobenius(self.coords))
+    def frobenius(self):  # self ** p
+        return FqElement(self.field, self.field.conj(self.coords))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -261,84 +274,34 @@ class FqElement:
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.k, self.coords))
+        return hash((self.field.p, self.coords))
 
     def __repr__(self):
-        if self.field.k == 1:
-            return "%d" % self.coords[0]
-        return "GF(%d^%d)%r" % (self.field.p, self.field.k, list(self.coords))
+        return "GF(%d^2)%r" % (self.field.p, list(self.coords))
 
 
-def field_create(p: int, k: int = 1) -> GF:
-    """Field handle for F_p (k = 1) or F_{p^2} (k = 2)."""
-    return GF(p, k)
+def field_create(p: int) -> GF:
+    """Field handle for F_{p^2}."""
+    return GF(p)
 
 
 def sqrt_in_field(a: FqElement):
     """Square root of a, or None when a is not a square.
 
-    When two roots exist the one with smaller canonical index is
-    returned, so root choices are reproducible.
+    When two roots exist the one with the lexicographically smaller
+    coordinate pair is returned, so root choices are reproducible.  The
+    root is squared back: a wrong one raises InconsistencyError.
     """
     field = a.field
-    q = field.order
-    if a.is_zero():
-        return a
-    if a ** ((q - 1) // 2) != field.one():
+    r = field.sqrt(a.coords)
+    if r is None:
         return None
-    r = _tonelli_shanks(a)
-    s = -r
-    root = r if r.index() <= s.index() else s
-    if root * root != a:
+    root = min(r, field.neg(r))
+    if field.mul(root, root) != a.coords:
         raise InconsistencyError(
             "square root: the computed root of a square does not square "
             "back to it in %r (p = %d)" % (field, field.p))
-    return root
-
-
-def _tonelli_shanks(a: FqElement):
-    field = a.field
-    q = field.order
-    if q % 4 == 3:
-        return a ** ((q + 1) // 4)
-    m, e = q - 1, 0
-    while m % 2 == 0:
-        m //= 2
-        e += 1
-    n = _first_nonresidue(field)
-    z = n ** m
-    x = a ** ((m + 1) // 2)
-    b = a ** m
-    while b != field.one():
-        t, k = b, 0
-        while t != field.one():
-            t = t * t
-            k += 1
-        w = z ** (1 << (e - k - 1))
-        x = x * w
-        b = b * w * w
-        e = k
-        z = w * w
-    return x
-
-
-def _first_nonresidue(field: GF) -> FqElement:
-    """A quadratic nonresidue: in F_p the first in canonical order, in
-    F_{p^2} the first c + sqrt(d), c = 0, 1, ..., that is one.  An
-    element of F_{p^2} is a square exactly when its norm is one in F_p.
-    The norm of c + sqrt(d) is c^2 - d, so c = 0 serves when -1 is a
-    square (p = 1 mod 4), and c = 1 otherwise: 1 - d = -(d - 1), where
-    d - 1 is a square, lying below the first nonsquare d."""
-    p = field.p
-    if field.k == 1:
-        cands = (FqElement(field, (c,)) for c in range(1, p))
-    else:
-        cands = (FqElement(field, (c, 1)) for c in range(p))
-    half = (field.order - 1) // 2
-    for cand in cands:
-        if cand ** half != field.one():
-            return cand
-    raise FieldError("no quadratic nonresidue found")  # unreachable for q > 1
+    return FqElement(field, root)
 
 
 def element_of_order(field: GF, n: int, rng) -> FqElement:

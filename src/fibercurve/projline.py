@@ -19,7 +19,7 @@ checks them against an explicit coset transversal at small p.
 
 from __future__ import annotations
 
-from .ffield import InconsistencyError, is_prime
+from .ffield import InconsistencyError, first_nonsquare, is_prime
 
 SUBGROUP_CAP = 10 ** 5
 
@@ -259,13 +259,6 @@ def _checked_order(table: SubgroupTable, order: int, family: str) -> SubgroupTab
             "group order: the image has %d elements, not %d (family %s, p = %d)"
             % (table.order, order, family, table.p))
     return table
-
-
-def first_nonsquare(p: int) -> int:
-    for d in range(2, p):
-        if pow(d, (p - 1) // 2, p) == p - 1:
-            return d
-    raise GroupError("no nonsquare found")
 
 
 def cartan_nonsplit(p: int, normalizer: bool = False) -> SubgroupTable:

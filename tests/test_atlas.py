@@ -1,9 +1,10 @@
+import itertools
 import json
 
 import pytest
 
 from fibercurve import atlas
-from fibercurve.ffield import InconsistencyError, is_prime
+from fibercurve.ffield import InconsistencyError, field_create, is_prime
 from fibercurve.exceptional import CongruenceError, check_congruence
 from fibercurve.atlas import (
     CARTAN_FAMILIES,
@@ -70,10 +71,11 @@ def test_two_oracles_agree_with_each_other():
 
 def brute_supersingular_js(p):
     """Every j in F_{p^2} whose curve has trace 0 mod p over F_{p^2}."""
-    K = atlas._Fp2(p)
+    K = field_create(p)
+    pairs = list(itertools.product(range(p), repeat=2))
     q, m = p * p, 3 * p
     roots = [0] * q
-    for y in K.elements():
+    for y in pairs:
         v = K.mul(y, y)
         roots[v[0] * p + v[1]] += 1
     table = [roots[i % p * p + k % p] for i in range(m) for k in range(m)]
@@ -82,7 +84,7 @@ def brute_supersingular_js(p):
         cubes = (K.mul(K.mul((x0, x1), (x0, x1)), (x0, x1)) for x0 in range(p))
         cube_rows.append([c0 * m + c1 for c0, c1 in cubes])
     ss = set()
-    for j in K.elements():
+    for j in pairs:
         (a0, a1), (b0, b1) = atlas._curve_with_j(K, j)
         da1 = K.d * a1
         ax0 = [a0 * x0 % p * m + a1 * x0 % p for x0 in range(p)]
@@ -97,7 +99,7 @@ def brute_supersingular_js(p):
 
 def hasse_supersingular_js(p):
     """The j of every root in F_{p^2} of sum C(m, i)^2 L^i, m = (p-1)/2."""
-    K = atlas._Fp2(p)
+    K = field_create(p)
     m = (p - 1) // 2
     coeffs = [1] * (m + 1)
     c = 1
@@ -106,7 +108,7 @@ def hasse_supersingular_js(p):
         coeffs[i] = c * c % p
     coeffs.reverse()
     ss = set()
-    for lam in K.elements():
+    for lam in itertools.product(range(p), repeat=2):
         if lam in ((0, 0), (1, 0)):
             continue
         l0, l1 = lam
@@ -146,29 +148,16 @@ def test_legendre_j_is_constant_on_s3_orbits():
     # because j takes one value on each orbit
     for p in range(5, 100):
         if is_prime(p):
-            K = atlas._Fp2(p)
+            K = field_create(p)
             one = (1, 0)
-            for lam in K.elements():
+            for lam in itertools.product(range(p), repeat=2):
                 if lam in ((0, 0), one):
                     continue
-                mu = K.add(one, K.scale(-1, lam))  # 1 - L
+                mu = K.sub(one, lam)
                 inv_lam, inv_mu = K.inv(lam), K.inv(mu)
-                images = [mu, inv_lam, inv_mu,
-                          K.add(one, K.scale(-1, inv_lam)), K.add(one, K.scale(-1, inv_mu))]
+                images = [mu, inv_lam, inv_mu, K.sub(one, inv_lam), K.sub(one, inv_mu)]
                 j = atlas._legendre_j(K, lam)
                 assert all(atlas._legendre_j(K, x) == j for x in images), (p, lam)
-
-
-def test_fp2_sqrt_squares_back_exactly_on_the_squares():
-    for p in (5, 7, 13, 17, 31):
-        K = atlas._Fp2(p)
-        squares = {K.mul(x, x) for x in K.elements()}
-        for a in K.elements():
-            root = K.sqrt(a)
-            if a in squares:
-                assert K.mul(root, root) == a, (p, a)
-            else:
-                assert root is None, (p, a)
 
 
 def walk_has_start(p):

@@ -11,6 +11,7 @@ from fibercurve.exceptional import (
     orbit_table,
     _det1_matrices,
     _scan_generators,
+    _sqrt_pair,
     _trace_data,
 )
 from fibercurve.ffield import inverse_mod
@@ -165,6 +166,15 @@ def brute_det1_walk(p):
             for b in range(p):
                 for c in range(p):
                     yield (a, b, c, (1 + b * c) * ainv % p)
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
+def test_sqrt_pair_matches_brute_force(p):
+    # the root comes from F_{p^2} and must land in F_p exactly on the squares
+    for a in range(p):
+        roots = [x for x in range(p) if x * x % p == a]
+        expected = tuple(sorted((roots[0], -roots[0] % p))) if roots else None
+        assert _sqrt_pair(p, a) == expected, (p, a)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])

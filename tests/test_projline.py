@@ -4,7 +4,7 @@ import pytest
 
 from fibercurve import projline
 from fibercurve.exceptional import build_exceptional
-from fibercurve.ffield import is_prime
+from fibercurve.ffield import first_nonsquare, is_prime
 from fibercurve.projline import (
     IDENTITY,
     GroupError,
@@ -14,7 +14,6 @@ from fibercurve.projline import (
     cartan_nonsplit,
     cartan_split,
     coset_cycle_counts,
-    first_nonsquare,
     generate_subgroup,
     mul,
     orbits,

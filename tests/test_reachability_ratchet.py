@@ -30,10 +30,6 @@ ALLOWED_UNREACHED = {
     "atlas._hasse_supersingular_js",
     "atlas._curve_with_j",
     "atlas._legendre_j",
-    "atlas._Fp2.conj",
-    "atlas._Fp2.conj_representatives",
-    "atlas._Fp2.elements",
-    "atlas._Fp2.inv",
     # the x0 image, which no subcommand accepts; the tracer wraps it
     "projline.borel",
     # error-only and degenerate-input paths
