@@ -12,11 +12,14 @@ PSL_2(F_p) from a generator pair (S, T) subject to trace conditions:
 
 Explicit generator matrices are used where a pinned convention exists
 (tetrahedral with a cube root of unity, octahedral from sqrt(2) and i,
-icosahedral at p = 421); otherwise a lexicographic scan over
-determinant-1 matrices finds the first pair passing the criteria, and
-the group order is verified in all cases.  The scan enumerates only the
-matrices whose trace is admissible, in the same lexicographic order, so
-it finds the same first pair as a walk over all of SL_2(F_p).
+icosahedral at p = 421); otherwise the first pair, in lexicographic
+order of determinant-1 entry tuples, that passes the criteria is solved
+for.  S is the least admissible matrix (0, 1, -1, t0): PSL_2(F_p) has
+one class each of involutions and of elements of order 3, so some
+conjugate of the group maps a generator onto it.  T is solved one first
+entry at a time, two quadratic roots per (tr T, tr ST) pair, and each
+sorted row is tried in the order of a walk over SL_2(F_p).  The group
+order is verified in all cases.
 
 Orbit decompositions of P^1(F_p) are cross-checked against one rule
 (`rational_orbits`): the exceptional orbit of isotropy h lies on
@@ -91,57 +94,38 @@ def check_congruence(kind: str, p: int) -> None:
         raise CongruenceError("A5 requires p = +-1 mod 5")
 
 
-def _sqrt_pair(p: int, a: int):
+def _sqrt_pair(field, a: int):
     """Both square roots of a mod p, ascending; None when a is a nonsquare.
 
-    Every a in F_p is a square in F_{p^2}, and its root there lies in F_p
-    exactly when a is a square mod p.
+    Euler's criterion rejects a nonsquare with one `pow`; the root of a
+    square is then taken in `field`, F_{p^2}, where it lies in F_p.
     """
-    r, s = sqrt_in_field(field_create(p)(a)).coords
-    if s:
+    p = field.p
+    if pow(a, (p - 1) // 2, p) == p - 1:
         return None
-    return tuple(sorted((r, (p - r) % p)))
+    r = sqrt_in_field(field(a)).coords[0]
+    return tuple(sorted((r, -r % p)))
 
 
-def _det1_matrices(p: int, traces):
-    """The matrices of SL_2(F_p) with trace in `traces`, in lexicographic
-    order of the entry tuple (a, b, c, d).
-
-    Only these are enumerated: a = 0 forces c = -1/b and d = t; a, b != 0
-    give d = t - a and c = (a d - 1)/b, one c per trace; b = 0 forces
-    d = 1/a, with every c, when a + 1/a is an allowed trace.
-    """
-    allowed = sorted({t % p for t in traces})
-    for a in range(p):
-        if a == 0:
-            for b in range(1, p):
-                c = -inverse_mod(b, p) % p
-                for t in allowed:
-                    yield (0, b, c, t)
-            continue
-        ainv = inverse_mod(a, p)
-        if (a + ainv) % p in allowed:
-            for c in range(p):
-                yield (a, 0, c, ainv)
-        for b in range(1, p):
-            binv = inverse_mod(b, p)
-            for c, d in sorted(
-                ((a * (t - a) - 1) * binv % p, (t - a) % p) for t in allowed
-            ):
-                yield (a, b, c, d)
+def _quadratic_roots(field, b: int, c: int) -> set:
+    """The roots of x^2 + b x + c mod p."""
+    p = field.p
+    roots = _sqrt_pair(field, b * b - 4 * c) or ()
+    return {(r - b) * ((p + 1) // 2) % p for r in roots}
 
 
-def _trace_data(kind: str, p: int):
-    """(allowed trace set, allowed combination values) for the scan."""
+def _trace_data(kind: str, field):
+    """(allowed trace set, allowed combination values) for the solve."""
+    p = field.p
     if kind == "a4":
         return {0, 1, p - 1}, {2}
     if kind == "s4":
-        roots = _sqrt_pair(p, 2)
+        roots = _sqrt_pair(field, 2)
         if roots is None:
             raise CongruenceError("sqrt(2) does not exist mod %d" % p)
         traces = {0, 1, p - 1, roots[0], roots[1]}
         return traces, {3}
-    mu_roots = _sqrt_pair(p, 5)
+    mu_roots = _sqrt_pair(field, 5)
     if mu_roots is None:
         raise CongruenceError("sqrt(5) does not exist mod %d" % p)
     inv2 = inverse_mod(2, p)
@@ -152,32 +136,47 @@ def _trace_data(kind: str, p: int):
     return traces, combos
 
 
-def _scan_generators(kind: str, p: int) -> SubgroupTable:
-    """First (S, T) in lexicographic order passing the trace criteria."""
-    traces, combos = _trace_data(kind, p)
+def _row(field, t0: int, pairs, a: int) -> set:
+    """The T = (a, b, c, d) of SL_2(F_p) with first entry a whose trace t
+    and tr(ST) = c - b + t0 d form one of `pairs`, for S = (0, 1, -1, t0)."""
+    p = field.p
+    row, ainv = set(), pow(a, -1, p) if a else 0
+    for t, tau in pairs:
+        # b = 0 forces d = 1/a, so t = a + 1/a, and c = tau - t0/a
+        if a and t == (a + ainv) % p:
+            row.add((a, 0, (tau - t0 * ainv) % p, ainv))
+        # b != 0: d = t - a and c = (a d - 1)/b, so b^2 + (tau - t0 d) b - (a d - 1) = 0
+        d = (t - a) % p
+        for b in _quadratic_roots(field, tau - t0 * d, 1 - a * d):
+            if b:
+                row.add((a, b, (a * d - 1) * pow(b, -1, p) % p, d))
+    return row
+
+
+def _solve_generators(kind: str, field) -> SubgroupTable:
+    """The first (S, T) in lexicographic order passing the trace criteria.
+
+    S is the least admissible matrix, (0, 1, -1, t0); T is solved one
+    first entry a at a time, and each row is tried in sorted order.
+    """
+    p = field.p
+    traces, combos = _trace_data(kind, field)
     target = PROJECTIVE_ORDER[kind]
     if kind == "a4":
-        s_traces, t_traces = {1, p - 1}, {0}
-        st_traces = {1, p - 1}
+        s_traces, t_traces, st_traces = {1, p - 1}, {0}, {1, p - 1}
     else:
         s_traces = t_traces = st_traces = traces
-    for sm in _det1_matrices(p, s_traces):
-        ts = (sm[0] + sm[3]) % p
-        for tm in _det1_matrices(p, t_traces):
-            tt = (tm[0] + tm[3]) % p
-            tst = (
-                sm[0] * tm[0] + sm[1] * tm[2] + sm[2] * tm[1] + sm[3] * tm[3]
-            ) % p
-            if tst not in st_traces:
-                continue
-            if (ts * ts + tt * tt + tst * tst - ts * tt * tst) % p not in combos:
-                continue
-            S = transform(p, *sm)
-            T = transform(p, *tm)
-            group = generate_subgroup(p, [S, T], cap=4 * target)
+    t0 = min(s_traces)
+    S = transform(p, 0, 1, -1, t0)
+    pairs = [(t, tau) for t in t_traces for tau in st_traces
+             if (t0 * t0 + t * t + tau * tau - t0 * t * tau) % p in combos]
+    for a in range(p):
+        for tm in sorted(_row(field, t0, pairs, a)):
+            group = generate_subgroup(p, [S, transform(p, *tm)], cap=4 * target)
             if group.order == target:
                 return group
-    raise GroupError("no generator pair found for %s at p=%d" % (kind, p))
+    raise InconsistencyError("generator pair: no solved pair generates a group of "
+                             "order %d (kind %s, p = %d)" % (target, kind, p))
 
 
 def build_exceptional(kind: str, p: int) -> SubgroupTable:
@@ -187,10 +186,11 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
     projective order (12, 24 or 60) is always verified.
     """
     check_congruence(kind, p)
+    field = field_create(p)
     target = PROJECTIVE_ORDER[kind]
     gens = None
     if kind == "a4" and p % 3 == 1:
-        zeta = _cube_root_of_unity(p)
+        zeta = _cube_root_of_unity(field)
         gens = (
             transform(p, zeta, 0, -1, zeta * zeta),
             transform(p, 0, -1, 1, 0),
@@ -199,8 +199,8 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
         if p in PINNED_S4_ROOTS:
             r2, i = PINNED_S4_ROOTS[p]
         else:
-            r2 = _sqrt_pair(p, 2)[0]
-            i = _sqrt_pair(p, -1)[0]
+            r2 = _sqrt_pair(field, 2)[0]
+            i = _sqrt_pair(field, -1)[0]
         gens = (transform(p, r2, 1, -1, 0), transform(p, 1, i, i, 0))
     elif kind == "a5" and p in A5_EXPLICIT:
         sm, tm = A5_EXPLICIT[p]
@@ -213,15 +213,13 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
                 % (group.order, target)
             )
         return group
-    return _scan_generators(kind, p)
+    return _solve_generators(kind, field)
 
 
-def _cube_root_of_unity(p: int) -> int:
-    """Canonically smallest primitive cube root of unity mod p."""
-    for z in range(2, p):
-        if z * z % p != 1 and pow(z, 3, p) == 1:
-            return z
-    raise CongruenceError("no primitive cube root of unity mod %d" % p)
+def _cube_root_of_unity(field) -> int:
+    """Canonically smallest primitive cube root of unity mod p = 1 mod 3:
+    the smaller root of z^2 + z + 1, (-1 +- sqrt(-3))/2."""
+    return min(_quadratic_roots(field, 1, 1))
 
 
 @dataclass

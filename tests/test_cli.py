@@ -718,13 +718,13 @@ def test_output_unchanged_under_python_O(argv):
 
 def run_patched_under_python_O(module, name, argv, result="real(*args) + 1"):
     """Run the CLI under -O with module.name returning `result`, an
-    expression in the unpatched function `real` and its `args`; by
-    default one more than it does."""
+    expression in the unpatched function `real` and its `args` and
+    `kwargs`; by default one more than it does."""
     script = (
         "import sys\n"
         "from fibercurve import cli, %s as module\n"
         "real = module.%s\n"
-        "module.%s = lambda *args: %s\n"
+        "module.%s = lambda *args, **kwargs: %s\n"
         "sys.exit(cli.main(%r))\n" % (module, name, name, result, list(argv))
     )
     return subprocess.run([sys.executable, "-O", "-c", script], env=package_env(),
@@ -794,18 +794,25 @@ def test_wrong_square_root_exits_3_under_python_O():
     # a rule that drops one of the orbits the group has
     ("exceptional", "rational_orbits", ["orbits", "--group", "a4", "--prime", "13"],
      "real(*args)[1:]", "orbit table:"),
+    # a closure one element short fails every solved candidate; a4 at
+    # 11 = 2 mod 3 has no explicit generators
+    ("exceptional", "generate_subgroup", ["orbits", "--group", "a4", "--prime", "11"],
+     "module.SubgroupTable(args[0], real(*args, **kwargs).elements[1:])",
+     "generator pair: no solved pair generates a group of order 12 (kind a4, p = 11)"),
     # a product that returns its right factor repeats classes in the
     # normalizer's list, and deduplication leaves it short
     ("projline", "mul", ["fiber", "--family", "ns+", "--prime", "13"], "args[1]",
      "group order:"),
 ], ids=["total-genus", "branch-values", "shared-branch-value", "orbit-stabilizer",
-        "orbit-stabilizer-non-member", "cover-genus", "identity-unknowns", "orbit-table", "group-order"])
+        "orbit-stabilizer-non-member", "cover-genus", "identity-unknowns", "orbit-table",
+        "generator-pair", "group-order"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: " + check)
-    assert "p = 13" in lines[0] and "Traceback" not in proc.stderr
+    prime = next(argv[i + 1] for i, arg in enumerate(argv) if arg.startswith("--prime"))
+    assert "p = %s" % prime.split("..")[0] in lines[0] and "Traceback" not in proc.stderr
 
 
 def test_orbit_rule_with_an_absent_orbit_exits_3_under_python_O():

@@ -1,20 +1,20 @@
 import pytest
 
-from fibercurve.ffield import is_prime
+import exceptional_oracle as oracle
+from fibercurve.ffield import field_create, inverse_mod, is_prime
 from fibercurve.projline import transform
 from fibercurve.exceptional import (
+    A5_EXPLICIT,
     KINDS,
     PROJECTIVE_ORDER,
     CongruenceError,
     check_congruence,
     build_exceptional,
     orbit_table,
-    _det1_matrices,
-    _scan_generators,
+    _cube_root_of_unity,
     _sqrt_pair,
     _trace_data,
 )
-from fibercurve.ffield import inverse_mod
 
 # published orbit sets; p stands for the point at infinity
 A4_13_ORBIT_OF_0 = {0, 9, 10, 13}
@@ -102,7 +102,7 @@ def test_congruence_gates():
     check_congruence("a5", 11)
 
 
-def test_scan_path_produces_correct_orders():
+def test_solve_path_produces_correct_orders():
     # primes where no explicit generator convention applies
     for kind, p in (("a4", 11), ("a4", 5), ("s4", 23), ("s4", 31),
                     ("a5", 11), ("a5", 19), ("a5", 29), ("a5", 31)):
@@ -170,11 +170,13 @@ def brute_det1_walk(p):
 
 @pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
 def test_sqrt_pair_matches_brute_force(p):
-    # the root comes from F_{p^2} and must land in F_p exactly on the squares
+    # Euler's criterion rejects the nonsquares; a square's root comes
+    # from F_{p^2} and must land in F_p
+    field = field_create(p)
     for a in range(p):
         roots = [x for x in range(p) if x * x % p == a]
         expected = tuple(sorted((roots[0], -roots[0] % p))) if roots else None
-        assert _sqrt_pair(p, a) == expected, (p, a)
+        assert _sqrt_pair(field, a) == expected, (p, a)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
@@ -186,10 +188,10 @@ def test_det1_matrices_match_filtered_full_walk(p):
             check_congruence(kind, p)
         except CongruenceError:
             continue
-        trace_sets.append(_trace_data(kind, p)[0])
+        trace_sets.append(_trace_data(kind, field_create(p))[0])
     for traces in trace_sets:
         expected = [m for m in brute_det1_walk(p) if (m[0] + m[3]) % p in traces]
-        assert list(_det1_matrices(p, traces)) == expected, sorted(traces)
+        assert list(oracle.det1_matrices(p, traces)) == expected, sorted(traces)
 
 
 # the first passing (S, T) pairs of the full lexicographic SL_2 walk,
@@ -205,7 +207,53 @@ SCAN_PAIRS = {
 
 @pytest.mark.parametrize("kind,p", sorted(SCAN_PAIRS))
 def test_scan_finds_the_pinned_first_pair(kind, p):
-    G = _scan_generators(kind, p)
+    G = oracle.scan_generators(kind, p)
     assert G.gens == SCAN_PAIRS[kind, p]
     assert G.order == PROJECTIVE_ORDER[kind]
-    assert build_exceptional(kind, p).elements == G.elements
+    H = build_exceptional(kind, p)
+    assert (H.gens, H.elements) == (G.gens, G.elements)
+
+
+def solve_path(kind, p):
+    """Whether build_exceptional solves for its pair: no explicit
+    generators are pinned for (kind, p)."""
+    return not ((kind == "a4" and p % 3 == 1) or (kind == "s4" and p % 8 == 1)
+                or (kind == "a5" and p in A5_EXPLICIT))
+
+
+def test_solve_matches_the_scan_below_2000():
+    cases = []
+    for p in range(5, 2000):
+        for kind in KINDS:
+            try:
+                check_congruence(kind, p)
+            except CongruenceError:
+                continue
+            if solve_path(kind, p):
+                cases.append((kind, p))
+    assert len(cases) == 376
+    for kind, p in cases:
+        G, H = oracle.scan_generators(kind, p), build_exceptional(kind, p)
+        assert (H.gens, H.elements) == (G.gens, G.elements), (kind, p)
+
+
+# the scan's pairs at the top of the accepted range, where the scan
+# itself takes seconds
+TOP_PAIRS = {
+    ("a4", 1048571): ((0, 1, 1048570, 1), (1, 218841, 218841, 1048570)),
+    ("s4", 1048559): ((0, 1, 1048558, 0), (1, 335473, 335474, 631733)),
+    ("a5", 1048571): ((0, 1, 1048570, 0), (0, 1, 822645, 305435)),
+}
+
+
+@pytest.mark.parametrize("kind,p", sorted(TOP_PAIRS))
+def test_solve_gives_the_scans_pair_at_the_top_of_the_range(kind, p):
+    G = build_exceptional(kind, p)
+    assert G.gens == TOP_PAIRS[kind, p]
+    assert G.order == PROJECTIVE_ORDER[kind]
+
+
+def test_cube_root_of_unity_matches_the_scan_below_20000():
+    for p in range(7, 20000, 6):  # p = 1 mod 3, odd
+        if is_prime(p):
+            assert _cube_root_of_unity(field_create(p)) == oracle.scan_cube_root_of_unity(p), p
