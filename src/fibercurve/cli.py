@@ -26,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 
 from . import atlas, drinfeld, neron
 from .exceptional import (
@@ -524,7 +525,43 @@ def _unlimited_digits(work):
 
 
 def _emit_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True), in one
+    pass: an indent sends json.dumps to its pure-Python encoder."""
+    parts = []
+    _write_json(payload, "\n", parts.append)
+    return "".join(parts)
+
+
+def _write_json(value, newline, out):
+    # json's own spellings: ASCII-escaped strings, int.__repr__ for ints
+    if isinstance(value, str):
+        out(encode_basestring_ascii(value))
+    elif value is None:
+        out("null")
+    elif value is True or value is False:
+        out("true" if value else "false")
+    elif isinstance(value, int):
+        out(int.__repr__(value))
+    elif isinstance(value, dict) and value:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out(newline + "]")
+    elif isinstance(value, (dict, list, tuple)):
+        out("{}" if isinstance(value, dict) else "[]")
+    else:
+        raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
 def main(argv=None) -> int:

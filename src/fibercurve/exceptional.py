@@ -97,13 +97,22 @@ def check_congruence(kind: str, p: int) -> None:
 def _sqrt_pair(field, a: int):
     """Both square roots of a mod p, ascending; None when a is a nonsquare.
 
-    Euler's criterion rejects a nonsquare with one `pow`; the root of a
-    square is then taken in `field`, F_{p^2}, where it lies in F_p.
+    Euler's criterion rejects a nonsquare with one `pow`.  For p = 3 mod 4
+    the root of a square is a^((p+1)/4), whose square a^((p+1)/2) is a
+    times Euler's 1; it is squared back like `sqrt_in_field`'s.  For
+    p = 1 mod 4 it is taken in `field`, F_{p^2}, where it lies in F_p.
     """
     p = field.p
     if pow(a, (p - 1) // 2, p) == p - 1:
         return None
-    r = sqrt_in_field(field(a)).coords[0]
+    if p % 4 == 1:
+        r = sqrt_in_field(field(a)).coords[0]
+    else:
+        r = pow(a, (p + 1) // 4, p)
+        if r * r % p != a % p:
+            raise InconsistencyError(
+                "square root: the computed root of a square does not square "
+                "back to it in %r (p = %d)" % (field, p))
     return tuple(sorted((r, -r % p)))
 
 

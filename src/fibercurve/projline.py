@@ -11,15 +11,18 @@ column vectors, (x : y) -> (a x + b y : c x + d y).
 
 The cycle counts of the elements of orders 2, 3 and p on the coset
 space H'\\PSL_2(F_p), with H' the part of H in PSL_2, come from one pass
-over H: each element's trace and determinant place it in PSL_2 and in
-its class, and the classical conjugacy data of PSL_2(F_p) turn the class
-sizes into fixed-coset counts; no coset is ever listed.  The test suite
-checks them against an explicit coset transversal at small p.
+over H: each element's determinant, looked up in one table of the
+squares mod p, places it in PSL_2, its trace places it in its class, and
+the classical conjugacy data of PSL_2(F_p) turn the class sizes into
+fixed-coset counts; no coset is ever listed.  The test suite checks them
+against an explicit coset transversal at small p.  The Cartan images
+are listed as normalized tuples, with only their normalizers' products
+formed by `mul`.
 """
 
 from __future__ import annotations
 
-from .ffield import InconsistencyError, first_nonsquare, is_prime
+from .ffield import InconsistencyError, first_nonsquare, is_prime, square_table
 
 SUBGROUP_CAP = 10 ** 5
 
@@ -75,11 +78,6 @@ def act(p: int, g, x: int) -> int:
     if ny == 0:
         return p
     return nx * pow(ny, -1, p) % p
-
-
-def _trace_det(p: int, g):
-    a, b, c, d = g
-    return (a + d) % p, (a * d - b * c) % p
 
 
 def projective_order(p: int, g) -> int:
@@ -195,7 +193,8 @@ def coset_cycle_counts(H: SubgroupTable) -> dict:
     and c_e the number of cycles of an element of order e on the n
     cosets; the count depends on e alone.  One pass over H takes each
     element's trace t and determinant d, keeps those with d a square
-    (H') and sorts them by class: t = 0 is order 2, t^2 = d order 3,
+    (H'), read off one `square_table(p)` rather than a `pow` per
+    element, and sorts them by class: t = 0 is order 2, t^2 = d order 3,
     and t^2 = 4d, other than the identity, order p.  By the
     orbit-counting identity c_e is the average over the powers g^j of
     an order-e element g of the number of fixed cosets, and a coset H'x
@@ -209,19 +208,22 @@ def coset_cycle_counts(H: SubgroupTable) -> dict:
     p = H.p
     if not is_prime(p) or p <= 3:
         raise GroupError("p must be a prime > 3")
+    squares = square_table(p)
     order = 0
     in_class = {2: 0, 3: 0, p: 0}
     for g in H.elements:
-        t, d = _trace_det(p, g)
-        if pow(d, (p - 1) // 2, p) != 1:
+        a, b, c, d = g
+        det = (a * d - b * c) % p
+        if not squares[det]:
             continue
         order += 1
+        t = (a + d) % p
         tt = t * t % p
         if t == 0:
             in_class[2] += 1
-        elif tt == d:
+        elif tt == det:
             in_class[3] += 1
-        elif tt == 4 * d % p and g != IDENTITY:
+        elif tt == 4 * det % p and g != IDENTITY:
             in_class[p] += 1
     if not order:
         raise GroupError("H has no element in PSL_2")
@@ -268,13 +270,13 @@ def cartan_nonsplit(p: int, normalizer: bool = False) -> SubgroupTable:
     d the first nonsquare: matrices [[a, b d], [b, a]].  Up to scalars
     these are exactly p + 1 classes: the identity (b = 0), [[0, d], [1, 0]]
     (a = 0), and [[1, b d], [b, 1]] for b in F_p^* (divide by a), so the
-    group is listed directly.  The normalizer adds conjugation,
-    [[1, 0], [0, -1]].
+    group is listed directly as the normalized tuples (0, 1, 1/d, 0) and
+    (1, b d, b, 1).  The normalizer adds conjugation, [[1, 0], [0, -1]],
+    each product formed by `mul`, so a wrong product shows in the order.
     """
     d = first_nonsquare(p)
-    elems = [transform(p, 0, d, 1, 0)]
-    elems += [transform(p, 1, b * d, b, 1) for b in range(p)]
-    w = transform(p, 1, 0, 0, -1)
+    elems = [(0, 1, pow(d, -1, p), 0)] + [(1, b * d % p, b, 1) for b in range(p)]
+    w = (1, 0, 0, p - 1)
     if normalizer:
         elems = elems + [mul(p, g, w) for g in elems]
     return _checked_order(SubgroupTable(p, elems), 2 * (p + 1) if normalizer else p + 1,
@@ -282,9 +284,14 @@ def cartan_nonsplit(p: int, normalizer: bool = False) -> SubgroupTable:
 
 
 def cartan_split(p: int, normalizer: bool = False) -> SubgroupTable:
-    """Image in PGL_2(F_p) of a split Cartan subgroup (or its normalizer)."""
-    elems = [transform(p, a, 0, 0, 1) for a in range(1, p)]
-    w = transform(p, 0, 1, 1, 0)
+    """Image in PGL_2(F_p) of a split Cartan subgroup (or its normalizer).
+
+    The diagonal matrices up to scalars are the p - 1 normalized tuples
+    (1, 0, 0, u), u in F_p^*, listed directly; the normalizer adds the
+    swap [[0, 1], [1, 0]], each product formed by `mul` as above.
+    """
+    elems = [(1, 0, 0, u) for u in range(1, p)]
+    w = (0, 1, 1, 0)
     if normalizer:
         elems = elems + [mul(p, g, w) for g in elems]
     return _checked_order(SubgroupTable(p, elems), 2 * (p - 1) if normalizer else p - 1,

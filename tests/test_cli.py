@@ -568,6 +568,69 @@ def test_neron_orders_past_4300_digits_render(family, p, capsys, restore_int_dig
     assert str(order) in out
 
 
+def indented_json(payload):
+    """The reference rendering the json writer must reproduce byte for byte."""
+    return json.dumps(payload, indent=2, sort_keys=True)
+
+
+def exceptional_fiber_payload():
+    payload = cli.fiber_payload("a4", 13)
+    # the shape only an exceptional kind has: no genus, no toric rank, no edge
+    assert payload["toric_rank"] is None and payload["edges"] == []
+    assert payload["vertical"][0]["genus"] is None
+    return payload
+
+
+def big_neron_payload():
+    payload = cli.neron_payload("s", 6287)
+    assert len(str(payload["order"])) > 4300
+    return payload
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cli.fiber_payload("ns+", 13),
+    exceptional_fiber_payload,
+    lambda: cli.drinfeld_payload("s", None, 29, None),
+    lambda: cli.drinfeld_payload(None, "a5", 241, None),
+    lambda: cli.orbits_payload("s4", 241),
+    big_neron_payload,
+    lambda: {},
+    lambda: [],
+    lambda: {"b": {}, "a": [], "c": [[], [{}], {"x": [[]]}]},
+    lambda: {"z": [1, [2, [3, {"y": None}]]], "a": True, "m": False, "n": -0},
+    lambda: [True, False, None, 0, -7, 10 ** 40, "", (1, "a tuple")],
+    lambda: {"caf\u00e9": "\u2013 \U0001d11e \u00ff", "\x01": "tab\tnew\nnul\x00\x1f\"\\/",
+             "": "\x7f\u2028"},
+], ids=["fiber-cartan", "fiber-exceptional", "drinfeld-family", "drinfeld-group", "orbits",
+        "neron-past-4300-digits", "empty-dict", "empty-list", "nested-empties", "nesting",
+        "scalars", "strings"])
+def test_json_writer_is_json_dumps_byte_for_byte(build):
+    # the command line renders under _unlimited_digits, and so does this
+    payload = cli._unlimited_digits(build)
+    assert cli._unlimited_digits(lambda: cli._emit_json(payload)) == \
+        cli._unlimited_digits(lambda: indented_json(payload))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no int-string limit in this Python")
+def test_json_writer_meets_the_int_string_limit_as_json_does(restore_int_digit_limit):
+    # both spell ints with int.__repr__, so the limit that _unlimited_digits
+    # lifts binds them alike
+    payload = cli._unlimited_digits(big_neron_payload)
+    sys.set_int_max_str_digits(4300)
+    for render in (cli._emit_json, indented_json):
+        with pytest.raises(ValueError, match="4300"):
+            render(payload)
+
+
+@pytest.mark.parametrize("payload", [
+    object(), 1.5, {"a": {1, 2}}, [b"bytes"], {1: "an int key"},
+], ids=["object", "float", "set", "bytes", "int-key"])
+def test_json_writer_rejects_what_it_does_not_spell(payload):
+    with pytest.raises(TypeError):
+        cli._emit_json(payload)
+
+
 def test_prediction_rejects_another_fiber():
     with pytest.raises(ValueError, match="ns\\+ fiber at p = 13"):
         neron.component_group_prediction(cli.atlas.special_fiber("s+", 13))
@@ -719,11 +782,12 @@ def test_output_unchanged_under_python_O(argv):
 def run_patched_under_python_O(module, name, argv, result="real(*args) + 1"):
     """Run the CLI under -O with module.name returning `result`, an
     expression in the unpatched function `real` and its `args` and
-    `kwargs`; by default one more than it does."""
+    `kwargs`; by default one more than it does.  A builtin the module
+    calls, such as pow, is shadowed in that module alone."""
     script = (
         "import sys\n"
         "from fibercurve import cli, %s as module\n"
-        "real = module.%s\n"
+        "real = eval(%r, vars(module))\n"
         "module.%s = lambda *args, **kwargs: %s\n"
         "sys.exit(cli.main(%r))\n" % (module, name, name, result, list(argv))
     )
@@ -803,9 +867,17 @@ def test_wrong_square_root_exits_3_under_python_O():
     # normalizer's list, and deduplication leaves it short
     ("projline", "mul", ["fiber", "--family", "ns+", "--prime", "13"], "args[1]",
      "group order:"),
+    # the p = 3 mod 4 root a^((p+1)/4), one off; s4 at 23 solves for its
+    # generators from sqrt(2)
+    ("exceptional", "pow", ["orbits", "--group", "s4", "--prime", "23"],
+     "real(*args) + 1 if args[1:] == ((args[2] + 1) // 4, args[2]) else real(*args)",
+     "square root:"),
+    # a squares table with every residue a square counts all of H as H'
+    ("projline", "square_table", ["fiber", "--family", "ns", "--prime", "13"],
+     "bytearray([1]) * args[0]", "coset cycle counts:"),
 ], ids=["total-genus", "branch-values", "shared-branch-value", "orbit-stabilizer",
         "orbit-stabilizer-non-member", "cover-genus", "identity-unknowns", "orbit-table",
-        "generator-pair", "group-order"])
+        "generator-pair", "group-order", "fp-square-root", "squares-table"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""

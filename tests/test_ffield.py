@@ -11,6 +11,7 @@ from fibercurve.ffield import (
     is_prime,
     solve_affine_mod_p,
     sqrt_in_field,
+    square_table,
 )
 
 
@@ -189,6 +190,15 @@ def test_sqrt_squares_back_at_every_prime_below_2000():
             for _ in range(8):
                 y = F.random_element(rng)
                 assert sqrt_in_field(y * y).coords in (y.coords, F.neg(y.coords)), p
+
+
+def test_square_table_is_euler_criterion_at_every_residue_below_2000():
+    # 0 reads as no square, as its Euler value 0 is not 1
+    for p in range(3, 2000):
+        if is_prime(p):
+            table = square_table(p)
+            assert len(table) == p
+            assert [a for a in range(p) if table[a] != (pow(a, (p - 1) // 2, p) == 1)] == [], p
 
 
 def test_sqrt_in_fp2_at_p_1999_returns_the_smaller_root():

@@ -372,6 +372,51 @@ def test_cartan_nonsplit_matches_brute_force(p):
             brute_cartan_nonsplit(p, normalizer)
 
 
+def brute_cartan_split(p, normalizer):
+    """Reference: every nonsingular diagonal [[a, 0], [0, e]], deduplicated
+    up to scalars."""
+    elems = {transform(p, a, 0, 0, e) for a in range(1, p) for e in range(1, p)}
+    if normalizer:
+        w = transform(p, 0, 1, 1, 0)
+        elems |= {mul(p, g, w) for g in elems}
+    return tuple(sorted(elems))
+
+
+@pytest.mark.parametrize(
+    "p", [p for p in range(5, 60) if is_prime(p)] + [97, 139]
+)
+def test_cartan_split_matches_brute_force(p):
+    for normalizer in (False, True):
+        assert tuple(sorted(cartan_split(p, normalizer).elements)) == \
+            brute_cartan_split(p, normalizer)
+
+
+def transform_built_cartan(p, split, normalizer):
+    """The Cartan images with every torus element sent through transform."""
+    if split:
+        elems = [transform(p, a, 0, 0, 1) for a in range(1, p)]
+        w = transform(p, 0, 1, 1, 0)
+    else:
+        d = first_nonsquare(p)
+        elems = [transform(p, 0, d, 1, 0)] + [transform(p, 1, b * d, b, 1) for b in range(p)]
+        w = transform(p, 1, 0, 0, -1)
+    if normalizer:
+        elems += [mul(p, g, w) for g in elems]
+    return elems
+
+
+@pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
+def test_listed_cartan_tables_are_the_transform_built_ones(p):
+    # the tori are listed as already normalized tuples; as sets they are
+    # the tables built one transform per element
+    for build, split in ((cartan_split, True), (cartan_nonsplit, False)):
+        for normalizer in (False, True):
+            listed = build(p, normalizer).elements
+            assert set(listed) == set(transform_built_cartan(p, split, normalizer)), \
+                (p, split, normalizer)
+            assert all(transform(p, *g) == g for g in listed), (p, split, normalizer)
+
+
 def test_cartan_subgroup_orders():
     for p in (13, 17, 29):
         assert cartan_nonsplit(p).order == p + 1
