@@ -20,17 +20,19 @@ there are fewer than two), that minor is +-1, so the first s - 2
 invariant factors are 1 and the last is |det A| = banana_order(e).
 For s <= 2, A has at most one row.  Any other e list raises GraphError.
 Only B, of m - 1 <= 3 rows, goes through `smith_normal_form_diagonal`,
-and the group order is checked against the closed-form tree count
+which takes its invariant factors from determinantal divisors, and the
+group order is checked against the closed-form tree count
 banana(e)^(m-1) banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`);
 a disagreement raises InconsistencyError.  The tests keep the general
 path, the Smith normal form of a relation matrix on any dual graph
-checked against a Kirchhoff determinant, as this one's oracle.
+taken modulo the determinant and checked against a Kirchhoff
+determinant, as this one's oracle (`tests/neron_oracle.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import combinations
 from math import gcd, lcm, prod
 
 from .ffield import InconsistencyError
@@ -69,111 +71,33 @@ class AbelianInvariants:
         return " x ".join("Z/%d" % d for d in self.factors)
 
 
-def _abs_det(matrix) -> int:
-    """|det| of a square integer matrix by fraction-free (Bareiss) elimination.
-
-    A pivot equal to the previous one leaves the rows with a zero below
-    it unchanged, so the column's first such entry is the pivot if any.
-    """
-    m = [list(row) for row in matrix]
-    prev = 1
-    for k in range(len(m)):
-        rows = [i for i in range(k, len(m)) if m[i][k]]
-        if not rows:
-            return 0
-        i = next((i for i in rows if abs(m[i][k]) == prev), rows[0])
-        top = m[i] if m[i][k] > 0 else [-x for x in m[i]]
-        m[i], m[k] = m[k], top
-        a, tail = top[k], top[k + 1:]
-        for row in m[k + 1:]:
-            if row[k] or a != prev:
-                b = row[k]
-                row[k + 1:] = [(a * x - b * y) // prev for x, y in zip(row[k + 1:], tail)]
-        prev = a
-    return prev
-
-
-def _reduce(row, d):
-    return [v if -d < v < d else v % d for v in row]
-
-
-def _fold(block, j, d):
-    """Clear column j below the top row by Euclid on rows, modulo d."""
-    top, rest = block[0], []
-    for row in block[1:]:
-        while row[j]:
-            if top[j]:
-                q = row[j] // top[j]
-                row = _reduce([x - q * y for x, y in zip(row, top)], d)
-            if row[j]:
-                top, row = row, top
-        rest.append(row)
-    return [top] + rest
+def _minor(m, rows, cols) -> int:
+    """The minor of m on the given rows and columns, by expansion along
+    the first of the rows."""
+    if len(rows) == 1:
+        return m[rows[0]][cols[0]]
+    return sum((-1) ** j * m[rows[0]][c] * _minor(m, rows[1:], cols[:j] + cols[j + 1:])
+               for j, c in enumerate(cols))
 
 
 def smith_normal_form_diagonal(matrix) -> list:
-    """Diagonal of the Smith normal form of a square nonsingular integer matrix.
-
-    The row lattice contains d Z^n for d = |det|, so the reduction runs
-    mod d and no entry exceeds it (Kannan-Bachem 1979, Domich-Kannan-
-    Trotter 1987).  Pivots that are units mod d come first, one column at
-    a time; without any, a factor common to the block is split off, or
-    Euclid on rows and columns makes a gcd pivot.
+    """Diagonal of the Smith normal form of a square nonsingular integer
+    matrix of at most 3 rows, from its determinantal divisors: the
+    product d_1 ... d_k is the gcd of the k x k minors (Smith 1861).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise GraphError("Smith normal form needs a square matrix")
-    d = _abs_det(matrix)
-    if not d:
+    if n > 3:
+        raise GraphError("Smith normal form takes at most 3 rows, not %d" % n)
+    divisors = [1]
+    for k in range(1, n + 1):
+        subsets = list(combinations(range(n), k))
+        divisors.append(gcd(*(_minor(matrix, rows, cols)
+                              for rows in subsets for cols in subsets)))
+    if not divisors[-1]:
         raise GraphError("Smith normal form needs a nonsingular matrix")
-    block = [_reduce(row, d) for row in matrix]
-    diag, scale, j, tried = [], 1, 0, 0
-    while block:
-        j %= len(block)
-        units = [i for i, row in enumerate(block) if gcd(row[j], d) == 1]
-        if units:
-            i = min(units, key=lambda i: (abs(block[i][j]) != 1, -block[i].count(0)))
-            if abs(block[i][j]) != 1:
-                inv = pow(block[i][j], -1, d)
-                block[i] = [x * inv % d for x in block[i]]
-            tried = 0
-        elif tried < len(block):
-            j, tried = j + 1, tried + 1
-            continue
-        else:
-            c = gcd(d, *chain.from_iterable(block))
-            if c > 1:
-                scale *= c
-                d //= c ** len(block)
-                block = [[x // c for x in row] for row in block]
-                tried = 0
-                continue
-            i = 0
-        block[0], block[i] = block[i], block[0]
-        block = _fold(block, j, d)
-        # until the pivot divides its row, fold the row in as a column
-        while gcd(*block[0]) != abs(block[0][j]):
-            block = [list(col) for col in zip(*block)]
-            block[0], block[j] = block[j], block[0]
-            j = 0
-            block = _fold(block, j, d)
-        g = gcd(block[0][j], d)
-        diag.append(scale * g)
-        d //= g
-        block = [row[:j] + row[j + 1:] for row in block[1:]]
-    # the diagonal need not be a divisibility chain yet
-    return _divisibility_chain(diag)
-
-
-def _divisibility_chain(values) -> list:
-    """The diagonal entries of the Smith normal form of diag(values):
-    as many, the same product, each dividing the next."""
-    rest = [x for x in values if x > 1]
-    for i in range(len(rest)):
-        for k in range(i + 1, len(rest)):
-            g = gcd(rest[i], rest[k])
-            rest[i], rest[k] = g, rest[i] // g * rest[k]
-    return [1] * (len(values) - len(rest)) + rest
+    return [d // prev for prev, d in zip(divisors, divisors[1:])]
 
 
 def _insert_factor(chain, x) -> list:

@@ -227,6 +227,11 @@ def coset_cycle_counts(H: SubgroupTable) -> dict:
             in_class[p] += 1
     if not order:
         raise GroupError("H has no element in PSL_2")
+    # [PGL_2 : PSL_2] = 2, so H' has index 1 or 2 in H
+    if order != len(H.elements) and 2 * order != len(H.elements):
+        raise InconsistencyError(
+            "coset cycle counts: |H'| = %d is neither |H| = %d nor half of it "
+            "(p = %d)" % (order, len(H.elements), p))
     n, rem = divmod(p * (p * p - 1) // 2, order)
     if rem:
         raise GroupError("|H'| does not divide |PSL2|")

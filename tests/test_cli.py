@@ -875,9 +875,15 @@ def test_wrong_square_root_exits_3_under_python_O():
     # a squares table with every residue a square counts all of H as H'
     ("projline", "square_table", ["fiber", "--family", "ns", "--prime", "13"],
      "bytearray([1]) * args[0]", "coset cycle counts:"),
+    # a squares table with its last entry flipped counts an H' that is
+    # neither H nor half of it, rather than one that does not divide |PSL_2|
+    ("projline", "square_table", ["fiber", "--family", "ns", "--prime", "13"],
+     "(lambda t: t[:-1] + bytearray([t[-1] ^ 1]))(real(*args))",
+     "coset cycle counts: |H'| = 5 is neither |H| = 14"),
 ], ids=["total-genus", "branch-values", "shared-branch-value", "orbit-stabilizer",
         "orbit-stabilizer-non-member", "cover-genus", "identity-unknowns", "orbit-table",
-        "generator-pair", "group-order", "fp-square-root", "squares-table"])
+        "generator-pair", "group-order", "fp-square-root", "squares-table",
+        "squares-flip"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import random
+import types
 
 import pytest
 
@@ -46,6 +47,13 @@ def reduced_unit_laplacian(graph):
         lap[i][j] -= 1
         lap[j][i] -= 1
     return [row[:-1] for row in lap[:-1]]
+
+
+def banana_matrix(lengths):
+    """l_1 J + diag(l_2..l_m): the Cartan A of the e list, or B of the
+    vertical widths."""
+    return [[lengths[0] + (i == k) * x for k in range(len(lengths) - 1)]
+            for i, x in enumerate(lengths[1:])]
 
 
 def determinant(m):
@@ -148,17 +156,19 @@ def test_smith_normal_form_divisibility_chain_random():
     for _ in range(40):
         n = rng.randrange(1, 5)
         m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        if determinant(m) == 0:
-            with pytest.raises(GraphError):
-                smith_normal_form_diagonal(m)
-            continue
-        diag = smith_normal_form_diagonal(m)
-        prev = None
-        for d in diag:
-            assert d >= 1
-            if prev is not None:
-                assert d % prev == 0
-            prev = d
+        # the program's form takes at most 3 rows, the oracle's any number
+        for snf in [oracle.smith_normal_form_diagonal] + [smith_normal_form_diagonal] * (n <= 3):
+            if determinant(m) == 0:
+                with pytest.raises(GraphError):
+                    snf(m)
+                continue
+            diag = snf(m)
+            prev = None
+            for d in diag:
+                assert d >= 1
+                if prev is not None:
+                    assert d % prev == 0
+                prev = d
 
 
 def test_inserted_factors_equal_the_pairwise_chain_on_random_multisets():
@@ -167,10 +177,10 @@ def test_inserted_factors_equal_the_pairwise_chain_on_random_multisets():
         values = [rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 12, 30)) * rng.randrange(1, 6)
                   for _ in range(rng.randrange(0, 9))]
         extra = [rng.randrange(1, 400) for _ in range(rng.randrange(1, 4))]
-        chain = neron._divisibility_chain(values)
+        chain = oracle._divisibility_chain(values)
         for x in extra:
             chain = neron._insert_factor(chain, x)
-        assert chain == neron._divisibility_chain(values + extra)
+        assert chain == oracle._divisibility_chain(values + extra)
 
 
 @pytest.mark.parametrize("family", CARTAN_FAMILIES)
@@ -180,11 +190,9 @@ def test_inserted_products_equal_the_pairwise_chain_below_500(family):
         fiber = special_fiber(family, p)
         es = [h.e for h in fiber.horizontals()]
         ws = [v.width for v in fiber.verticals()]
-        b_matrix = [[ws[0] + (i == k) * w for k in range(len(ws) - 1)]
-                    for i, w in enumerate(ws[1:])]
         snf_a = [1] * (len(es) - 2) + [banana_order(es)] if len(es) > 1 else []
-        snf_b = smith_normal_form_diagonal(b_matrix) if b_matrix else []
-        pairwise = neron._divisibility_chain([a * b for a in snf_a for b in snf_b])
+        snf_b = smith_normal_form_diagonal(banana_matrix(ws)) if len(ws) > 1 else []
+        pairwise = oracle._divisibility_chain([a * b for a in snf_a for b in snf_b])
         assert component_group(fiber).factors == tuple(d for d in pairwise if d > 1), p
 
 
@@ -199,22 +207,75 @@ def test_smith_normal_form_against_determinantal_divisors():
               for _ in range(n)] for _ in range(n)]
         if determinant(m) == 0:
             continue
-        diag = smith_normal_form_diagonal(m)
-        assert len(diag) == n
-        prod = 1
-        for k in range(1, n + 1):
-            minors = [determinant([[m[r][c] for c in cols] for r in rows])
-                      for rows in itertools.combinations(range(n), k)
-                      for cols in itertools.combinations(range(n), k)]
-            prod *= diag[k - 1]
-            assert prod == math.gcd(*minors), (m, diag)
+        for snf in [oracle.smith_normal_form_diagonal] + [smith_normal_form_diagonal] * (n <= 3):
+            diag = snf(m)
+            assert len(diag) == n
+            prod = 1
+            for k in range(1, n + 1):
+                minors = [determinant([[m[r][c] for c in cols] for r in rows])
+                          for rows in itertools.combinations(range(n), k)
+                          for cols in itertools.combinations(range(n), k)]
+                prod *= diag[k - 1]
+                assert prod == math.gcd(*minors), (m, diag)
         checked += 1
 
 
 def test_smith_normal_form_rejects_singular_and_non_square():
-    for m in ([[2, 4], [1, 2]], [[0]], [[1, 2]], [[1], [2]]):
+    # and the 4 x 4 identity: the program's form takes at most 3 rows
+    for m in ([[2, 4], [1, 2]], [[0]], [[1, 2]], [[1], [2]],
+              [[int(i == k) for k in range(4)] for i in range(4)]):
         with pytest.raises(GraphError):
             smith_normal_form_diagonal(m)
+
+
+def test_snf_matches_the_oracle():
+    # the determinantal divisors against the reduction modulo the
+    # determinant, on the B of every Cartan fiber below 2000 that has one
+    # and of all four families at 1048573
+    fibers = [special_fiber(family, p) for p in range(5, 2000) if is_prime(p)
+              for family in CARTAN_FAMILIES]
+    fibers += [special_fiber(family, 1048573) for family in CARTAN_FAMILIES]
+    matrices = [banana_matrix([v.width for v in f.verticals()])
+                for f in fibers if len(f.verticals()) > 1]
+    assert len(matrices) == 1054
+    for matrix in matrices:
+        assert smith_normal_form_diagonal(matrix) == oracle.smith_normal_form_diagonal(matrix), (
+            matrix)
+    rng = random.Random(43)
+    checked = 0
+    while checked < 2000:
+        n = rng.randrange(1, 4)
+        bound = rng.choice((1, 3, 9, 1000))
+        m = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(n)]
+        if determinant(m):
+            assert smith_normal_form_diagonal(m) == oracle.smith_normal_form_diagonal(m), m
+            checked += 1
+
+
+def test_the_oracle_catches_snf_without_its_lower_divisors():
+    # mutant: smith_normal_form_diagonal compiled from its source with
+    # every determinantal divisor but |det| set to 1, so it returns
+    # (1, ..., 1, |det B|); component_group rebound to call it
+    source = inspect.getsource(neron.smith_normal_form_diagonal)
+    edits = (("divisors = [1]\n", "divisors = [1] * n\n"),
+             ("range(1, n + 1)", "range(n, n + 1)"))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(vars(neron))
+    exec(compile(source, neron.__file__, "exec"), namespace)
+    mutant_snf = namespace["smith_normal_form_diagonal"]
+    mutant = types.FunctionType(neron.component_group.__code__, namespace)
+    fiber = special_fiber("s", 29)
+    matrix = banana_matrix([v.width for v in fiber.verticals()])
+    assert math.gcd(*itertools.chain(*matrix)) == 2  # d_1(B)
+    assert mutant_snf(matrix) == [1, 1, oracle._abs_det(matrix)]
+    assert mutant_snf(matrix) != oracle.smith_normal_form_diagonal(matrix)
+    # the order check passes, so only the oracle's group tells them apart
+    wrong = mutant(fiber)
+    general = oracle.component_group(oracle.fiber_metrized_graph(fiber))
+    assert wrong.order() == general.order() == component_group(fiber).order()
+    assert wrong != general == component_group(fiber)
 
 
 def test_spanning_tree_count_matches_determinant_banana():
@@ -270,7 +331,7 @@ def test_component_group_matches_subdivided_laplacian(family, p):
     # subdivision, whose reduced Laplacian has over a hundred rows here
     fiber = special_fiber(family, p)
     graph = oracle.fiber_metrized_graph(fiber)
-    diag = smith_normal_form_diagonal(reduced_unit_laplacian(subdivide(graph)))
+    diag = oracle.smith_normal_form_diagonal(reduced_unit_laplacian(subdivide(graph)))
     factors = tuple(d for d in diag if d > 1)
     assert oracle.component_group(graph).factors == component_group(fiber).factors == factors
 
@@ -334,10 +395,9 @@ def test_banana_snf_is_cyclic_at_every_prime_below_1000():
         if not is_prime(p):
             continue
         es = supersingular_data(p).e_values()
-        matrix = [[es[0] + (i == k) * e for k in range(len(es) - 1)]
-                  for i, e in enumerate(es[1:])]
+        matrix = banana_matrix(es)
         if matrix:
-            assert smith_normal_form_diagonal(matrix) == (
+            assert oracle.smith_normal_form_diagonal(matrix) == (
                 [1] * (len(es) - 2) + [banana_order(es)]), p
 
 
@@ -376,13 +436,11 @@ def test_cartan_component_group_rejects_an_uncovered_e_list(es):
     # the Kronecker answer without the guard, SNF(A) taken as
     # (1, ..., 1, banana(e)), has the right order whatever the e list, so
     # the order check cannot catch a wrong SNF(A)
-    ws = [v.width for v in verticals]
-    b_matrix = [[ws[0] + (i == k) * w for k in range(len(ws) - 1)]
-                for i, w in enumerate(ws[1:])]
     sizes = [x * y for x in [1] * (len(es) - 2) + [banana_order(es)]
-             for y in smith_normal_form_diagonal(b_matrix)]
+             for y in smith_normal_form_diagonal(banana_matrix([v.width for v in verticals]))]
     diag = [[x * (i == k) for k in range(len(sizes))] for i, x in enumerate(sizes)]
-    unguarded = AbelianInvariants(tuple(d for d in smith_normal_form_diagonal(diag) if d > 1))
+    unguarded = AbelianInvariants(
+        tuple(d for d in oracle.smith_normal_form_diagonal(diag) if d > 1))
     assert unguarded.order() == general.order()
     if es == [2, 2, 2]:
         assert general.factors == (4, 4, 12, 12, 1680, 5040)
