@@ -6,9 +6,9 @@ spelled in full, `--opt VALUE` or `--opt=VALUE`, the last of a repeated
 option counting; `-h` or `--help` prints `USAGE`.  Results are
 computed into JSON-serializable payloads and rendered as json, dot or
 text.  A cache stores the printed json or text output one file per
-request (its arguments, the format included), with a schema version and
-a fingerprint of the arguments and of the package's source, so a hit
-prints the stored text and computes and renders nothing.  Exit codes:
+request, behind a header of the schema, the package's source digest, the
+arguments and the output's length, so a hit is one read, a prefix
+compare and a decode, and computes and renders nothing.  Exit codes:
 0 success, 1 verification failure, 2 usage error (a parser error, a
 prime that is out of bounds, not prime or incongruent, a verify range
 without a prime > 3; one `error:` line),
@@ -21,8 +21,6 @@ FieldError, GraphError or GroupError (one `error:` line).
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import os
 import sys
 import tempfile
@@ -40,7 +38,7 @@ from .exceptional import (
 from .ffield import MAX_CHAR, InconsistencyError, is_prime
 from .projline import point_str
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 FAMILIES = atlas.CARTAN_FAMILIES + EXCEPTIONAL_KINDS
 
 SS_ORACLE_MAX_P = 100
@@ -77,6 +75,7 @@ PACKAGE_DIR = os.path.dirname(os.path.abspath(__file__))
 @functools.lru_cache(maxsize=None)
 def source_digest() -> str:
     """sha256 over the package's source files, once per process."""
+    import hashlib  # here, so a run without a cache never loads it
     h = hashlib.sha256()
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if name.endswith(".py"):
@@ -85,50 +84,49 @@ def source_digest() -> str:
     return h.hexdigest()
 
 
-def _fingerprint(blob: bytes) -> str:
-    """Digest of the request's arguments, dumped to `blob`, and of the
-    code, so entries of other code miss."""
-    return hashlib.sha256(source_digest().encode() + b"\0" + blob).hexdigest()
-
-
-def _cache_path(cache_dir, subcommand, selector, p, blob):
-    """One file per request: the name carries a digest of the arguments,
-    dumped to `blob`, not of the source, so a newer version of the code
+def _cache_path(cache_dir, subcommand, selector, p, key):
+    """One file per request: the name carries a digest of the arguments'
+    text `key`, not of the source, so a newer version of the code
     overwrites it."""
-    key = hashlib.sha256(blob).hexdigest()[:12]
-    name = "%s_%s_%d_%s.json" % (subcommand, selector.replace("+", "plus"), p, key)
+    import hashlib
+    digest = hashlib.sha256(key).hexdigest()[:12]
+    name = "%s_%s_%d_%s" % (subcommand, selector.replace("+", "plus"), p, digest)
     return os.path.join(cache_dir, name)
 
 
 def cached_payload(cache_dir, subcommand, selector, p, args, compute):
-    """Fetch or compute a request's printed output.  An entry that is not
-    an object with this schema, this fingerprint and a string output is
-    recomputed and overwritten.  A cache that cannot be written gets one
-    `warning:` line on stderr."""
+    """Fetch or compute a request's printed output.  An entry is the
+    lines `fibercurve SCHEMA_VERSION <source digest>`, the arguments and
+    the output's byte length, then the output's UTF-8 bytes.  A hit
+    starts with this request's first two lines, and the bytes after its
+    third are as many as it says and decode; any other entry (other
+    code, other arguments under a colliding name, another schema, a
+    truncated or undecodable body) is recomputed and overwritten.  A
+    cache that cannot be written gets one `warning:` line on stderr."""
     if cache_dir is None:
         return compute()
-    blob = json.dumps(args, sort_keys=True).encode()
-    path = _cache_path(cache_dir, subcommand, selector, p, blob)
-    fp = _fingerprint(blob)
+    # a repr of str, int and None holds no newline
+    key = repr(sorted(args.items())).encode()
+    path = _cache_path(cache_dir, subcommand, selector, p, key)
+    header = b"fibercurve %d %s\n%s\n" % (SCHEMA_VERSION, source_digest().encode(), key)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entry = json.load(fh)
-        if (isinstance(entry, dict) and entry.get("schema_version") == SCHEMA_VERSION
-                and entry.get("fingerprint") == fp and isinstance(entry.get("output"), str)):
-            return entry["output"]
+        with open(path, "rb", buffering=0) as fh:
+            entry = fh.read()
+        if entry.startswith(header):
+            length, _, body = entry[len(header):].partition(b"\n")
+            if length == b"%d" % len(body):
+                return body.decode()
     except (OSError, ValueError):
         pass
     output = compute()
+    body = output.encode()
     try:
         os.makedirs(cache_dir, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(
-                    {"schema_version": SCHEMA_VERSION, "fingerprint": fp, "output": output},
-                    fh,
-                    sort_keys=True,
-                )
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(header + b"%d\n" % len(body))
+                fh.write(body)  # not joined: an output can be tens of MB
             os.replace(tmp, path)
         finally:
             if os.path.exists(tmp):

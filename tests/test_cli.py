@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -274,12 +275,19 @@ def test_cache_stale_fingerprint_recomputed(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     path = next(tmp_path.iterdir())
-    entry = json.loads(path.read_text())
-    entry["fingerprint"] = "stale"
-    entry["output"] = "tampered"
-    path.write_text(json.dumps(entry))
+    good = path.read_bytes()
+    head, key, _, _ = good.split(b"\n", 3)
+    assert head == b"fibercurve 3 " + cli.source_digest().encode()
+
+    def tampered(digest):
+        return b"fibercurve 3 %s\n%s\n8\ntampered" % (digest, key)
+
+    path.write_bytes(tampered(cli.source_digest().encode()))
+    assert run_cli(capsys, *args)[1] == "tampered\n"  # a hit prints the body as it is
+    path.write_bytes(tampered(b"0" * 64))
     code, out2, _ = run_cli(capsys, *args)
     assert code == 0 and out2 == out  # recomputed, not reinterpreted
+    assert path.read_bytes() == good
 
 
 CACHED_REQUESTS = {
@@ -304,27 +312,65 @@ def test_cache_hit_prints_the_cold_bytes_and_computes_nothing(tmp_path, capsys, 
     argv += ("--cache", str(tmp_path))
     _, cold, _ = run_cli(capsys, *argv)
     cold_calls = list(calls)
+    # a hit decodes no JSON and takes one digest, the entry's file name
+    digests = []
+    real_sha256 = hashlib.sha256
+    monkeypatch.setattr(hashlib, "sha256", lambda *a: digests.append(a) or real_sha256(*a))
+    for name in ("load", "loads"):
+        monkeypatch.setattr(json, name, lambda *a, **k: pytest.fail("a hit decoded JSON"))
     code, warm, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert cold == warm == uncached
     assert "%s_payload" % command in cold_calls and calls == cold_calls  # the hit calls none
+    assert len(digests) == 1
 
 
-@pytest.mark.parametrize("entry", ["[1, 2]", '"x"', "null", "truncated", "output-not-str"])
+def schema_2_entry(good, body):
+    return json.dumps({"fingerprint": "0" * 64, "output": body.decode(), "schema_version": 2},
+                      sort_keys=True).encode()
+
+
+# the bytes of a bad entry, from the good entry and its body
+MALFORMED_ENTRIES = {
+    "empty": lambda good, body: b"",
+    "header-only": lambda good, body: good[:-len(body)],
+    "schema-2-json": schema_2_entry,
+    "schema-2-header": lambda good, body: b"fibercurve 2" + good[len(b"fibercurve 3"):],
+    "body-short": lambda good, body: good[:-1],
+    "body-long": lambda good, body: good + b"\n",
+    "body-not-utf8": lambda good, body: good[:-len(body)] + b"\xff" * len(body),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(MALFORMED_ENTRIES))
 def test_malformed_cache_entry_recomputed_and_overwritten(tmp_path, capsys, entry):
     args = ["fiber", "--family", "ns", "--prime", "13", "--format", "json",
             "--cache", str(tmp_path)]
     _, out, _ = run_cli(capsys, *args)
     (path,) = tmp_path.iterdir()
-    good = path.read_text()
-    if entry == "truncated":
-        entry = good[:len(good) // 2]
-    elif entry == "output-not-str":
-        entry = json.dumps(dict(json.loads(good), output=[out]))
-    path.write_text(entry)
+    good = path.read_bytes()
+    body = out[:-1].encode()  # print's newline is not stored
+    assert good.endswith(b"\n%d\n%s" % (len(body), body))
+    path.write_bytes(MALFORMED_ENTRIES[entry](good, body))
     code, again, err = run_cli(capsys, *args)
     assert (code, again, err) == (0, out, "")
-    assert path.read_text() == good
+    assert path.read_bytes() == good
+
+
+def test_entry_of_other_arguments_under_the_name_recomputed(tmp_path, capsys):
+    # the name carries 48 bits of the arguments' digest; an entry of other
+    # arguments found under it, as a collision would leave it, is not printed
+    argv = ("orbits", "--group", "a4", "--prime", "13", "--cache", str(tmp_path))
+    _, text, _ = run_cli(capsys, *argv, "--format", "text")
+    (path,) = tmp_path.iterdir()
+    good = path.read_bytes()
+    _, as_json, _ = run_cli(capsys, *argv, "--format", "json")
+    (other,) = set(tmp_path.iterdir()) - {path}
+    assert as_json != text
+    path.write_bytes(other.read_bytes())
+    code, out, err = run_cli(capsys, *argv, "--format", "text")
+    assert (code, out, err) == (0, text, "")
+    assert path.read_bytes() == good
 
 
 def counting(monkeypatch, name):
@@ -548,12 +594,18 @@ def restore_int_digit_limit():
 
 
 @pytest.mark.parametrize("family,p", [("s", 6287), ("s+", 10501)])
-def test_neron_orders_past_4300_digits_render(family, p, capsys, restore_int_digit_limit):
+def test_neron_orders_past_4300_digits_render(family, p, tmp_path, capsys, monkeypatch,
+                                              restore_int_digit_limit):
     # the first prime of each family whose group order has more than
     # 4300 digits, Python's default limit for int-to-str conversion
-    code, out, err = run_cli(capsys, "neron", "--family", family, "--prime", str(p),
-                             "--format", "json")
+    argv = ("neron", "--family", family, "--prime", str(p), "--format", "json")
+    code, out, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
+    # and a cold and a warm cached run print the same bytes
+    computed = counting(monkeypatch, "neron_payload")
+    for _ in range(2):
+        assert run_cli(capsys, *argv, "--cache", str(tmp_path)) == (0, out, "")
+    assert len(computed) == 1
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # for the test's own parsing
     order = json.loads(out)["order"]
@@ -677,6 +729,20 @@ def test_cache_entry_of_other_code_recomputed(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "source_digest", lambda: "other code")
     _, recomputed, _ = run_cli(capsys, *args)
     assert len(calls) == 2 and recomputed == out
+
+
+def test_uncached_run_never_loads_hashlib():
+    # only a cache takes a digest; a run without one skips the import
+    script = ("import sys\n"
+              "before = 'hashlib' in sys.modules\n"
+              "from fibercurve import cli\n"
+              "imported = 'hashlib' in sys.modules\n"
+              "cli.main(['orbits', '--group', 'a4', '--prime', '13'])\n"
+              "print(before, imported, 'hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=package_env(),
+                          capture_output=True, text=True, check=True)
+    before, imported, ran = proc.stdout.split()[-3:]
+    assert before == "True" or imported == ran == "False"
 
 
 def test_uncached_request_skips_source_digest(capsys, monkeypatch):
