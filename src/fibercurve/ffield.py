@@ -319,7 +319,7 @@ def element_of_order(field: GF, n: int, rng) -> FqElement:
     if (q - 1) % n:
         raise FieldError("order %d does not divide %d" % (n, q - 1))
     cof = (q - 1) // n
-    primes = _prime_divisors(n)
+    primes = prime_divisors(n)
     while True:
         t = field.random_element(rng)
         if t.is_zero():
@@ -331,7 +331,8 @@ def element_of_order(field: GF, n: int, rng) -> FqElement:
             return cand
 
 
-def _prime_divisors(n: int):
+def prime_divisors(n: int):
+    """The distinct primes dividing n, in increasing order, by trial division."""
     out = []
     d = 2
     while d * d <= n:

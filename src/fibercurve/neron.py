@@ -7,23 +7,17 @@ the critical group of that model's graph.
 A Cartan fiber's dual graph is the complete bipartite graph K_{s,m}
 between its horizontals and its verticals, and the edge (x, j) has
 width e_x w_j.  The length pairing on H_1 is then a Kronecker product
-A (x) B of the banana matrices A = e_1 J + diag(e_2..e_s) and
-B = w_1 J + diag(w_2..w_m), so the group is the sum of Z/(a_i b_k) over
-their Smith normal forms (`component_group`).
+A (x) B of the banana matrices A = M(e) and B = M(w), where
+M(L) = l_1 J + diag(l_2..l_m), so the group is the sum of Z/(a_i b_k)
+over their Smith normal forms (`component_group`).
 
-coker(A) is cyclic of order banana_order(e).  The e list is generic
-first, with at most one 2 and one 3, so e_1 = 1 once s >= 3.  Then
-A = J + D with D = diag(d_i) = diag(e_2..e_s), and deleting row r and
-column c != r of A leaves a minor of +-(the product of the d_i with i
-not in {r, c}).  With r and c at the non-unit d_i (at any index where
-there are fewer than two), that minor is +-1, so the first s - 2
-invariant factors are 1 and the last is |det A| = banana_order(e).
-For s <= 2, A has at most one row.  Any other e list raises GraphError.
-Only B, of m - 1 <= 3 rows, goes through `smith_normal_form_diagonal`,
-which takes its invariant factors from determinantal divisors, and the
-group order is checked against the closed-form tree count
-banana(e)^(m-1) banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`);
-a disagreement raises InconsistencyError.  The tests keep the general
+The Smith form of M(L) has a closed form on L
+(`smith_normal_form_diagonal`): for k <= m - 2 the k-th invariant
+factor is the product over primes q of q^(the k-th smallest exponent of
+q in L), and the last is det M(L) = banana_order(L) over the others.
+The group order is checked against the closed-form tree count
+banana(e)^(m-1) banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`); a
+disagreement raises InconsistencyError.  The tests keep the general
 path, the Smith normal form of a relation matrix on any dual graph
 taken modulo the determinant and checked against a Kirchhoff
 determinant, as this one's oracle (`tests/neron_oracle.py`).
@@ -32,10 +26,9 @@ determinant, as this one's oracle (`tests/neron_oracle.py`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import gcd, lcm, prod
 
-from .ffield import InconsistencyError
+from .ffield import InconsistencyError, prime_divisors
 
 
 class GraphError(ValueError):
@@ -71,40 +64,45 @@ class AbelianInvariants:
         return " x ".join("Z/%d" % d for d in self.factors)
 
 
-def _minor(m, rows, cols) -> int:
-    """The minor of m on the given rows and columns, by expansion along
-    the first of the rows."""
-    if len(rows) == 1:
-        return m[rows[0]][cols[0]]
-    return sum((-1) ** j * m[rows[0]][c] * _minor(m, rows[1:], cols[:j] + cols[j + 1:])
-               for j, c in enumerate(cols))
+def smith_normal_form_diagonal(lengths) -> list:
+    """Smith normal form of the banana matrix M(L) of the length list L,
+    as (factor, multiplicity) runs in divisibility order, units included.
 
-
-def smith_normal_form_diagonal(matrix) -> list:
-    """Diagonal of the Smith normal form of a square nonsingular integer
-    matrix of at most 3 rows, from its determinantal divisors: the
-    product d_1 ... d_k is the gcd of the k x k minors (Smith 1861).
+    A minor of M(L) on rows S + {r} and columns S + {c}, r != c, is
+    +-l_1 prod_S l, and a principal one on rows R is prod_R l +
+    l_1 sum_(i in R) prod_(R - i) l.  So for k <= m - 2 the gcd of the
+    k x k minors is the gcd of the products of k entries of L at distinct
+    places, whose exponent at q is the sum of the k smallest exponents of
+    q in L (Smith 1861: d_1 ... d_k is that gcd).  Only the distinct
+    entries of L are factored, never the last factor.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise GraphError("Smith normal form needs a square matrix")
-    if n > 3:
-        raise GraphError("Smith normal form takes at most 3 rows, not %d" % n)
-    divisors = [1]
-    for k in range(1, n + 1):
-        subsets = list(combinations(range(n), k))
-        divisors.append(gcd(*(_minor(matrix, rows, cols)
-                              for rows in subsets for cols in subsets)))
-    if not divisors[-1]:
-        raise GraphError("Smith normal form needs a nonsingular matrix")
-    return [d // prev for prev, d in zip(divisors, divisors[1:])]
+    m = len(lengths)
+    if m < 3:  # no k <= m - 2: (det M(L)) or the empty matrix
+        return [(banana_order(lengths), 1)] * (m - 1)
+    # the k-th smallest exponent of q is >= j when at most k - 1 entries
+    # miss q^j, so d_(k+1) gains a q over d_k for each q^j that exactly k
+    # entries miss, k < m - 2 while more than 2 entries have q^j
+    steps = {0: 1}
+    for q in {q for x in set(lengths) for q in prime_divisors(x)}:
+        power = q
+        while (hits := sum(x % power == 0 for x in lengths)) > 2:
+            steps[m - hits] = steps.get(m - hits, 1) * q
+            power *= q
+    starts = sorted(steps)
+    runs, d = [], 1
+    for k, end in zip(starts, starts[1:] + [m - 2]):
+        d *= steps[k]
+        runs.append((d, end - k))
+    runs.append((banana_order(lengths) // prod(f ** r for f, r in runs), 1))
+    return runs
 
 
-def _insert_factor(chain, x) -> list:
-    """The Smith form of diag(chain, x), chain a divisibility chain d_i:
-    d'_i = lcm(d_(i-1), gcd(d_i, x)) with d_0 = 1 and d_(n+1) = 0, which
-    places x's exponent among the sorted exponents at each prime."""
-    return [lcm(prev, gcd(d, x)) for prev, d in zip([1] + chain, chain + [0])]
+def _insert_factor(chain, x, r) -> list:
+    """The Smith form of diag(chain, x, ..., x) with r copies of x, chain
+    a divisibility chain d_i: d'_i = lcm(d_(i-r), gcd(d_i, x)) with
+    d_i = 1 before the chain and 0 past it, which places r copies of x's
+    exponent among the sorted exponents at each prime."""
+    return [lcm(prev, gcd(d, x)) for prev, d in zip([1] * r + chain, chain + [0] * r)]
 
 
 def component_group(fiber) -> AbelianInvariants:
@@ -112,9 +110,9 @@ def component_group(fiber) -> AbelianInvariants:
 
     Every horizontal x must meet every vertical j once, with width
     e_x w_j, where w_j is the vertical's `width`.  The group is the sum
-    of Z/(a_i b_k) over SNF(A) = (1, ..., 1, banana_order(e)) and SNF(B);
-    see the module docstring.  SNF(B) repeated s - 2 times is already a
-    chain, so each a b_k is inserted into it in time linear in s.
+    of Z/(a b) over the runs a of SNF(A) and b of SNF(B); see the module
+    docstring.  Each run of r equal products goes into the chain at once,
+    in time linear in the chain.
     """
     horizontals, verticals = fiber.horizontals(), fiber.verticals()
     if not horizontals or not fiber.incidence_complete:
@@ -126,15 +124,11 @@ def component_group(fiber) -> AbelianInvariants:
                          "horizontal x and vertical j, of width e_x w_j")
     es = [h.e for h in horizontals]
     ws = [v.width for v in verticals]
-    if len(es) > 2 and (es[0] != 1 or len(es) - es.count(1) > 2):
-        raise GraphError("no closed-form Smith normal form of A for e = %r" % (es,))
-    b_matrix = [[ws[0] + (i == k) * w for k in range(len(ws) - 1)]
-                for i, w in enumerate(ws[1:])]
-    snf_b = smith_normal_form_diagonal(b_matrix) if b_matrix else []
-    diag = [b for b in snf_b for _ in range(len(es) - 2)]
-    if len(es) > 1:
-        for b in snf_b:
-            diag = _insert_factor(diag, banana_order(es) * b)
+    snf_a, snf_b = smith_normal_form_diagonal(es), smith_normal_form_diagonal(ws)
+    diag = []
+    for a, r in snf_a:
+        for b, t in snf_b:
+            diag = _insert_factor(diag, a * b, r * t)
     invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
     trees = spanning_tree_count(es, ws)
     if invariants.order() != trees:

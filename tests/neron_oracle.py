@@ -7,8 +7,8 @@ and per edge, one relation per edge and per vertex but one
 spanning-tree count of the regular model's graph, a weighted
 matrix-tree (Kirchhoff) determinant of the dual graph.  Its Smith
 normal form, of a square nonsingular integer matrix of any size, works
-modulo the determinant; the program's own, for at most 3 rows, takes
-determinantal divisors, so the two sides share no algorithm.
+modulo the determinant; the program's own is a closed form on the
+banana lengths, so the two sides share no algorithm.
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import ast
 import dataclasses
 import inspect
 import itertools
@@ -136,19 +135,25 @@ def test_banana_order_law():
         assert oracle.component_group(g).order() == banana_order(lengths)
 
 
-def test_smith_normal_form_known_matrices():
-    assert smith_normal_form_diagonal([[2, 0], [0, 3]]) == [1, 6]
-    assert smith_normal_form_diagonal([[1, 0], [0, 1]]) == [1, 1]
-    assert smith_normal_form_diagonal([[4, 0], [0, 6]]) == [2, 12]
-    # invariant factors: d1 = gcd of entries, d1 d2 = gcd of 2x2 minors,
-    # d1 d2 d3 = |det| = 624
-    diag = smith_normal_form_diagonal([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
-    assert diag == [2, 2, 156]
-    prev = None
-    for d in diag:
-        if prev:
-            assert d % prev == 0
-        prev = d
+def expand(runs):
+    """The invariant factors of (factor, multiplicity) runs, one by one."""
+    return [d for d, r in runs for _ in range(r)]
+
+
+def test_smith_normal_form_known_lists():
+    assert smith_normal_form_diagonal([5]) == smith_normal_form_diagonal([]) == []
+    assert smith_normal_form_diagonal([2, 3]) == [(5, 1)]
+    assert smith_normal_form_diagonal([1, 1, 1]) == [(1, 1), (3, 1)]
+    # M = 2J + diag(2, 2) = [[4, 2], [2, 4]]: d_1 = 2, d_1 d_2 = 12
+    assert smith_normal_form_diagonal([2, 2, 2]) == [(2, 1), (6, 1)]
+    # exponents of 2 sorted (1, 1, 1, 1, 2), of 3 (0, 1, 1, 1, 1): d_1 = 2,
+    # d_2 = d_3 = 2 * 3, and the last is banana_order / 72
+    assert smith_normal_form_diagonal([6, 6, 12, 2, 6]) == [(2, 1), (6, 2), (78, 1)]
+    assert banana_order([6, 6, 12, 2, 6]) == 2 * 6 * 6 * 78
+    assert smith_normal_form_diagonal([1] * 6 + [2, 3]) == [(1, 6), (41, 1)]
+    # the oracle's form of a matrix that is no banana matrix: d_1 = gcd of
+    # entries, d_1 d_2 = gcd of 2x2 minors, d_1 d_2 d_3 = |det| = 624
+    assert oracle.smith_normal_form_diagonal([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == [2, 2, 156]
 
 
 def test_smith_normal_form_divisibility_chain_random():
@@ -156,13 +161,13 @@ def test_smith_normal_form_divisibility_chain_random():
     for _ in range(40):
         n = rng.randrange(1, 5)
         m = [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)]
-        # the program's form takes at most 3 rows, the oracle's any number
-        for snf in [oracle.smith_normal_form_diagonal] + [smith_normal_form_diagonal] * (n <= 3):
-            if determinant(m) == 0:
-                with pytest.raises(GraphError):
-                    snf(m)
-                continue
-            diag = snf(m)
+        if determinant(m) == 0:
+            with pytest.raises(GraphError):
+                oracle.smith_normal_form_diagonal(m)
+            continue
+        lengths = [rng.randrange(1, 30) for _ in range(rng.randrange(1, 9))]
+        for diag in oracle.smith_normal_form_diagonal(m), expand(
+                smith_normal_form_diagonal(lengths)):
             prev = None
             for d in diag:
                 assert d >= 1
@@ -176,28 +181,31 @@ def test_inserted_factors_equal_the_pairwise_chain_on_random_multisets():
     for _ in range(500):
         values = [rng.choice((1, 2, 3, 4, 5, 6, 8, 9, 12, 30)) * rng.randrange(1, 6)
                   for _ in range(rng.randrange(0, 9))]
-        extra = [rng.randrange(1, 400) for _ in range(rng.randrange(1, 4))]
+        extra = [(rng.randrange(1, 400), rng.randrange(1, 5))
+                 for _ in range(rng.randrange(1, 4))]
         chain = oracle._divisibility_chain(values)
-        for x in extra:
-            chain = neron._insert_factor(chain, x)
-        assert chain == oracle._divisibility_chain(values + extra)
+        for x, r in extra:
+            chain = neron._insert_factor(chain, x, r)
+            values += [x] * r
+        assert chain == oracle._divisibility_chain(values)
 
 
 @pytest.mark.parametrize("family", CARTAN_FAMILIES)
 def test_inserted_products_equal_the_pairwise_chain_below_500(family):
-    # the product step as it was: every a_i b_k, chained pairwise
+    # every a_i b_k over the oracle's SNF(A) and SNF(B), chained pairwise
     for p in (p for p in range(5, 500) if is_prime(p)):
         fiber = special_fiber(family, p)
         es = [h.e for h in fiber.horizontals()]
         ws = [v.width for v in fiber.verticals()]
-        snf_a = [1] * (len(es) - 2) + [banana_order(es)] if len(es) > 1 else []
-        snf_b = smith_normal_form_diagonal(banana_matrix(ws)) if len(ws) > 1 else []
+        snf_a = oracle.smith_normal_form_diagonal(banana_matrix(es)) if len(es) > 1 else []
+        snf_b = oracle.smith_normal_form_diagonal(banana_matrix(ws)) if len(ws) > 1 else []
         pairwise = oracle._divisibility_chain([a * b for a in snf_a for b in snf_b])
         assert component_group(fiber).factors == tuple(d for d in pairwise if d > 1), p
 
 
 def test_smith_normal_form_against_determinantal_divisors():
-    # d_1 ... d_k is the gcd of all k x k minors
+    # d_1 ... d_k is the gcd of all k x k minors: the oracle's form on any
+    # matrix, the closed form on banana matrices
     rng = random.Random(41)
     checked = 0
     while checked < 300:
@@ -207,70 +215,69 @@ def test_smith_normal_form_against_determinantal_divisors():
               for _ in range(n)] for _ in range(n)]
         if determinant(m) == 0:
             continue
-        for snf in [oracle.smith_normal_form_diagonal] + [smith_normal_form_diagonal] * (n <= 3):
-            diag = snf(m)
+        lengths = [rng.randrange(1, bound + 1) * rng.choice((1, 2, 6)) for _ in range(n + 1)]
+        for matrix, diag in ((m, oracle.smith_normal_form_diagonal(m)),
+                             (banana_matrix(lengths),
+                              expand(smith_normal_form_diagonal(lengths)))):
             assert len(diag) == n
             prod = 1
             for k in range(1, n + 1):
-                minors = [determinant([[m[r][c] for c in cols] for r in rows])
+                minors = [determinant([[matrix[r][c] for c in cols] for r in rows])
                           for rows in itertools.combinations(range(n), k)
                           for cols in itertools.combinations(range(n), k)]
                 prod *= diag[k - 1]
-                assert prod == math.gcd(*minors), (m, diag)
+                assert prod == math.gcd(*minors), (matrix, diag)
         checked += 1
 
 
 def test_smith_normal_form_rejects_singular_and_non_square():
-    # and the 4 x 4 identity: the program's form takes at most 3 rows
-    for m in ([[2, 4], [1, 2]], [[0]], [[1, 2]], [[1], [2]],
-              [[int(i == k) for k in range(4)] for i in range(4)]):
+    for m in ([[2, 4], [1, 2]], [[0]], [[1, 2]], [[1], [2]]):
         with pytest.raises(GraphError):
-            smith_normal_form_diagonal(m)
+            oracle.smith_normal_form_diagonal(m)
 
 
 def test_snf_matches_the_oracle():
-    # the determinantal divisors against the reduction modulo the
-    # determinant, on the B of every Cartan fiber below 2000 that has one
-    # and of all four families at 1048573
+    # the closed form against the reduction modulo the determinant, on the
+    # B of every Cartan fiber below 2000 that has one and of all four
+    # families at 1048573, and on short random lists
     fibers = [special_fiber(family, p) for p in range(5, 2000) if is_prime(p)
               for family in CARTAN_FAMILIES]
     fibers += [special_fiber(family, 1048573) for family in CARTAN_FAMILIES]
-    matrices = [banana_matrix([v.width for v in f.verticals()])
-                for f in fibers if len(f.verticals()) > 1]
-    assert len(matrices) == 1054
-    for matrix in matrices:
-        assert smith_normal_form_diagonal(matrix) == oracle.smith_normal_form_diagonal(matrix), (
-            matrix)
+    lists = [[v.width for v in f.verticals()] for f in fibers if len(f.verticals()) > 1]
+    assert len(lists) == 1054
     rng = random.Random(43)
-    checked = 0
-    while checked < 2000:
-        n = rng.randrange(1, 4)
-        bound = rng.choice((1, 3, 9, 1000))
-        m = [[rng.randrange(-bound, bound + 1) for _ in range(n)] for _ in range(n)]
-        if determinant(m):
-            assert smith_normal_form_diagonal(m) == oracle.smith_normal_form_diagonal(m), m
-            checked += 1
+    for pool in ([2, 4, 6, 8, 10], [1, 2, 3], range(1, 13), [2, 3, 4, 8, 9, 16]):
+        lists += [[rng.choice(pool) for _ in range(m)] for m in range(2, 10) for _ in range(60)]
+    for lengths in lists:
+        assert expand(smith_normal_form_diagonal(lengths)) == (
+            oracle.smith_normal_form_diagonal(banana_matrix(lengths))), lengths
 
 
-def test_the_oracle_catches_snf_without_its_lower_divisors():
-    # mutant: smith_normal_form_diagonal compiled from its source with
-    # every determinantal divisor but |det| set to 1, so it returns
-    # (1, ..., 1, |det B|); component_group rebound to call it
+def test_snf_matches_the_oracle_on_long_lists():
+    # B of an exceptional fiber: many widths 2h, h in {1, 2, 3, 4, 5}
+    rng = random.Random(53)
+    for _ in range(40):
+        lengths = [rng.choice((2, 4, 6, 8, 10)) for _ in range(rng.randrange(20, 121))]
+        assert expand(smith_normal_form_diagonal(lengths)) == (
+            oracle.smith_normal_form_diagonal(banana_matrix(lengths))), lengths
+
+
+def test_the_oracle_catches_snf_without_one_prime():
+    # mutant: smith_normal_form_diagonal compiled from its source with each
+    # entry's least prime dropped from the exponent sort, so the 2 in
+    # every factor but the last moves into the last; component_group
+    # rebound to call it
     source = inspect.getsource(neron.smith_normal_form_diagonal)
-    edits = (("divisors = [1]\n", "divisors = [1] * n\n"),
-             ("range(1, n + 1)", "range(n, n + 1)"))
-    for old, new in edits:
-        assert source.count(old) == 1, old
-        source = source.replace(old, new)
+    old, new = "prime_divisors(x)", "prime_divisors(x)[1:]"
+    assert source.count(old) == 1
     namespace = dict(vars(neron))
-    exec(compile(source, neron.__file__, "exec"), namespace)
+    exec(compile(source.replace(old, new), neron.__file__, "exec"), namespace)
     mutant_snf = namespace["smith_normal_form_diagonal"]
     mutant = types.FunctionType(neron.component_group.__code__, namespace)
     fiber = special_fiber("s", 29)
-    matrix = banana_matrix([v.width for v in fiber.verticals()])
-    assert math.gcd(*itertools.chain(*matrix)) == 2  # d_1(B)
-    assert mutant_snf(matrix) == [1, 1, oracle._abs_det(matrix)]
-    assert mutant_snf(matrix) != oracle.smith_normal_form_diagonal(matrix)
+    ws = [v.width for v in fiber.verticals()]
+    assert math.gcd(*itertools.chain(*banana_matrix(ws))) == 2  # d_1(B)
+    assert expand(mutant_snf(ws)) != oracle.smith_normal_form_diagonal(banana_matrix(ws))
     # the order check passes, so only the oracle's group tells them apart
     wrong = mutant(fiber)
     general = oracle.component_group(oracle.fiber_metrized_graph(fiber))
@@ -390,15 +397,17 @@ def test_cartan_component_group_rejects_a_missing_edge():
 
 
 def test_banana_snf_is_cyclic_at_every_prime_below_1000():
-    # the claim behind component_group: SNF(A) = (1, ..., 1, banana(e))
+    # the supersingular e lists have at most one 2 and one 3, so coker(A)
+    # is cyclic: SNF(A) = (1, ..., 1, banana(e))
     for p in range(5, 1000):
         if not is_prime(p):
             continue
         es = supersingular_data(p).e_values()
         matrix = banana_matrix(es)
         if matrix:
-            assert oracle.smith_normal_form_diagonal(matrix) == (
-                [1] * (len(es) - 2) + [banana_order(es)]), p
+            diag = oracle.smith_normal_form_diagonal(matrix)
+            assert diag == [1] * (len(es) - 2) + [banana_order(es)], p
+            assert expand(smith_normal_form_diagonal(es)) == diag, p
 
 
 def test_banana_order_is_mazurs_order_below_20000():
@@ -424,49 +433,22 @@ def fiber_with_e_list(es):
 
 
 @pytest.mark.parametrize("es", [[2, 2, 2], [1, 2, 3, 2]])
-def test_cartan_component_group_rejects_an_uncovered_e_list(es):
-    # a K_{s,m} with widths e_x w_j, but an e list no supersingular
-    # locus has: the general path still takes it, the Cartan path declines
-    bad = fiber_with_e_list(es)
-    verticals = bad.verticals()
-    general = oracle.component_group(oracle.fiber_metrized_graph(bad))
-    assert general.order() > 1
-    with pytest.raises(GraphError, match="no closed-form Smith normal form"):
-        component_group(bad)
-    # the Kronecker answer without the guard, SNF(A) taken as
-    # (1, ..., 1, banana(e)), has the right order whatever the e list, so
-    # the order check cannot catch a wrong SNF(A)
+def test_cartan_component_group_takes_any_e_list(es):
+    # a K_{s,m} with widths e_x w_j, but an e list no supersingular locus
+    # has, so coker(A) need not be cyclic: Z/2 x Z/6 for e = [2, 2, 2]
+    fiber = fiber_with_e_list(es)
+    general = oracle.component_group(oracle.fiber_metrized_graph(fiber))
+    assert component_group(fiber) == general
+    # SNF(A) taken as (1, ..., 1, banana(e)) gives a group of the same
+    # order, which the order check therefore cannot tell from this one
     sizes = [x * y for x in [1] * (len(es) - 2) + [banana_order(es)]
-             for y in smith_normal_form_diagonal(banana_matrix([v.width for v in verticals]))]
-    diag = [[x * (i == k) for k in range(len(sizes))] for i, x in enumerate(sizes)]
-    unguarded = AbelianInvariants(
-        tuple(d for d in oracle.smith_normal_form_diagonal(diag) if d > 1))
-    assert unguarded.order() == general.order()
+             for y in oracle.smith_normal_form_diagonal(
+                 banana_matrix([v.width for v in fiber.verticals()]))]
+    cyclic = AbelianInvariants(tuple(d for d in oracle._divisibility_chain(sizes) if d > 1))
+    assert cyclic.order() == general.order()
     if es == [2, 2, 2]:
+        assert smith_normal_form_diagonal(es) == [(2, 1), (6, 1)]
         assert general.factors == (4, 4, 12, 12, 1680, 5040)
-        assert unguarded.factors == (2, 2, 24, 24, 840, 10080)
-
-
-def test_the_oracle_catches_component_group_without_its_e_list_guard():
-    # mutant: component_group compiled from its source with the e-list
-    # guard's `if` deleted
-    tree = ast.parse(inspect.getsource(neron.component_group))
-    body = tree.body[0].body
-    guards = [node for node in body if isinstance(node, ast.If)
-              and "no closed-form Smith normal form" in ast.unparse(node)]
-    assert len(guards) == 1
-    body.remove(guards[0])
-    namespace = dict(vars(neron))
-    exec(compile(tree, neron.__file__, "exec"), namespace)
-    mutant = namespace["component_group"]
-    for p in (29, 31, 37):
-        fiber = special_fiber("s", p)
-        assert mutant(fiber) == component_group(fiber), p
-    # e = [2, 2, 2]: coker(A) = Z/2 x Z/6, not cyclic, yet the mutant's
-    # order check passes; only the oracle's group tells them apart
-    bad = fiber_with_e_list([2, 2, 2])
-    general = oracle.component_group(oracle.fiber_metrized_graph(bad))
-    wrong = mutant(bad)
-    assert wrong.order() == general.order()
-    assert wrong.factors == (2, 2, 24, 24, 840, 10080)
-    assert general.factors == (4, 4, 12, 12, 1680, 5040)
+        assert cyclic.factors == (2, 2, 24, 24, 840, 10080)
+    else:  # coker(A) is cyclic for [1, 2, 3, 2]
+        assert cyclic == general
