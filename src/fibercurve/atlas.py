@@ -175,13 +175,12 @@ def _isogeny_supersingular_js(p: int) -> set:
         # synthetic division by Y - r: Y^2 + b Y + c, remainder c0 + r c
         b = K.add(c2, r)
         c = K.add(c1, K.mul(r, b))
-        root = sqrt_in_field(K(K.sub(K.mul(b, b), K.mul((4, 0), c))))
+        root = sqrt_in_field(K, K.sub(K.mul(b, b), K.mul((4, 0), c)))
         if K.add(c0, K.mul(r, c)) != (0, 0) or root is None:
             raise InconsistencyError(
                 "isogeny walk: %s is not a root of Phi_2(%s, Y), or its other "
                 "roots are not in F_{p^2} (p = %d)" % (r, j, p))
-        for y in (K.mul(half, K.sub(root.coords, b)),
-                  K.neg(K.mul(half, K.add(root.coords, b)))):
+        for y in (K.mul(half, K.sub(root, b)), K.neg(K.mul(half, K.add(root, b)))):
             if y not in seen:
                 seen.add(y)
                 todo.append((y, j))

@@ -8,10 +8,12 @@ branch data comes from a quotient map of P^1 realized by an explicit
 rational function phi built from two group orbits, evaluated point by
 point.
 
-The module also carries the fiberwise point count over F_{p^2} of the
-twisted form x^p y - x y^p = a z^(p+1) (used for the maximality check)
-and the check, as identities over F_{p^2}, of the coordinate chains
-that take the generic component to its quotient models.
+The module also carries the point count over F_{p^2} of the twisted
+form x^p y - x y^p = a z^(p+1) (used for the maximality check), one
+F_p-linear solve per class of F_{p^2}^* / F_p^*, and the check, as
+identities over F_{p^2}, of the coordinate chains that take the generic
+component to its quotient models.  Both work on `ffield.GF`'s
+coordinate pairs.
 """
 
 from __future__ import annotations
@@ -273,10 +275,10 @@ def default_orbit_pair(table):
 
 
 def admissible_twist(p: int):
-    """An element a of F_{p^2} with a not in F_p but a^2 in F_p."""
-    F2 = field_create(p)
-    a = sqrt_in_field(F2(first_nonsquare(p)))
-    if a is None or a.in_prime_field():
+    """A pair a of F_{p^2} with a not in F_p but a^2 in F_p."""
+    F = field_create(p)
+    a = sqrt_in_field(F, (first_nonsquare(p), 0))
+    if a is None or not a[1]:
         raise InconsistencyError(
             "admissible twist: the square root of the first nonsquare is "
             "missing or lies in the prime field (p = %d)" % p)
@@ -284,40 +286,38 @@ def admissible_twist(p: int):
 
 
 def count_points_fp2(p: int, a) -> int:
-    """Projective points of x^p y - x y^p = a z^(p+1) over F_{p^2}.
+    """Projective points of x^p y - x y^p = a z^(p+1) over F_{p^2}, for a
+    pair a with a not in F_p and a^2 in F_p.
 
-    Computed fiberwise over the x-line: for fixed x the equation is
-    F_p-linear in y, so each affine fiber is counted by solving a linear
-    system over F_p; points at infinity are enumerated directly.
+    Counted fiberwise over the x-line, one class of F_{p^2}^* / F_p^* at
+    a time.  For fixed x, L_x(y) = x^p y - x y^p is F_p-linear in y, so
+    the affine fiber z = 1 is an F_p-linear system in the coordinates of
+    y; x = 0 gives 0 = a, which has no solution.  For lam in F_p^*,
+    lam^p = lam, so L_(lam x) = lam L_x and L_(lam x)(y / lam) = L_x(y):
+    y -> y / lam is a bijection between the fibers over x and lam x.
+    At z = 0, (x : 1 : 0) lies on the curve exactly when x^p = x, which
+    holds for all of x's class or none of it.  So one solve per class, at
+    the representatives (1, t) for t in F_p and (0, 1), each weighted by
+    the class size p - 1, counts every point but (0 : 1 : 0) and
+    (1 : 0 : 0): p + 1 solves instead of p^2 - 1.
     """
     if p > POINT_COUNT_MAX_P:
         raise ValueError("p = %d exceeds the enumeration bound %d" % (p, POINT_COUNT_MAX_P))
-    F2 = a.field
-    if F2.p != p:
-        raise ValueError("twist must live in F_{p^2}")
-    if a.is_zero() or a.in_prime_field() or not (a * a).in_prime_field():
+    F = field_create(p)
+    if not a[1] % p or F.mul(a, a)[1]:
         raise ValueError("twist must satisfy a not in F_p, a^2 in F_p")
-    count = 0
-    # z = 0: x^p y = x y^p on P^1, enumerate both charts
-    for t in F2.elements():
-        if t.frobenius() == t:  # (x : y) = (t : 1)
-            count += 1
-    count += 1  # (1 : 0) always satisfies x^p * 0 - x * 0 = 0
-    # z = 1: for each x count y with x^p y - x y^p = a, an F_p-linear
-    # equation in the coordinates of y
-    basis = F2.basis()
-    basis_p = [e.frobenius() for e in basis]
-    rhs = list(a.coords)
-    for x in F2.elements():
-        if x.is_zero():
-            continue  # 0 - 0 = a is impossible for a != 0
-        xp = x.frobenius()
-        cols = [xp * e - x * ep for e, ep in zip(basis, basis_p)]
-        matrix = [[col.coords[i] for col in cols] for i in range(2)]
-        sol = solve_affine_mod_p(matrix, rhs, p)
+    frob = F.conj
+    basis = ((1, 0), (0, 1))
+    fixed = solutions = 0
+    for x in [(1, t) for t in range(p)] + [(0, 1)]:
+        xp = frob(x)
+        fixed += xp == x
+        # column j is L_x of the j-th basis element
+        cols = [F.sub(F.mul(xp, e), F.mul(x, frob(e))) for e in basis]
+        sol = solve_affine_mod_p([[col[i] for col in cols] for i in range(2)], a, p)
         if sol is not None:
-            count += p ** len(sol[1])
-    return count
+            solutions += p ** len(sol[1])
+    return 2 + (p - 1) * (fixed + solutions)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +345,8 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     map, so that Frob of an expression in (A, B, lam) is the same
     expression in (A', B', lam^p).  They therefore hold on all of
     {A'B - AB' = 1} in F_{p^2}^4, although the curve itself has no
-    F_{p^2} point.  A draw takes A != 0, A' and B at random in F_{p^2}
+    F_{p^2} point.  A draw takes A != 0, A' and B at random in F_{p^2},
+    each a coordinate pair whose two residues come from rng in order,
     and B' = (A'B - 1)/A; a B' that misses A'B - AB' = 1 raises
     InconsistencyError.  lam, of order p + 1, is drawn once.
 
@@ -355,8 +356,8 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     field X^((p+1)/2) = V^(p+1) = V^p V, but that is not a formal
     identity: here it reads Frob(V) V, so the ns+ and s+ rows carry only
     the substitution X = V^2, Y = U V into the base chain's last
-    identity.  A family's witness is the first draw (A, A', B) it
-    rejects.
+    identity.  A family's witness is the first draw (A, A', B) of pairs
+    it rejects.
     """
     import random
 
@@ -368,22 +369,28 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
         return checks
     rng = random.Random(seed)
     F = field_create(p)
+    mul, sub = F.mul, F.sub
     lam = element_of_order(F, p + 1, rng)
-    lam_p = lam.frobenius()
-    half = F((p + 1) // 2)
-    aN = lam_p * lam_p - lam * lam  # lam^-2 - lam^2, as lam^(p+1) = 1
-    consts = (lam, lam_p, half, aN, (aN * half) ** 2, half * half)
+    lam_p = F.conj(lam)
+    half = ((p + 1) // 2, 0)
+    aN = sub(mul(lam_p, lam_p), mul(lam, lam))  # lam^-2 - lam^2, as lam^(p+1) = 1
+    aN_half = mul(aN, half)
+    consts = (lam, lam_p, half, aN, mul(aN_half, aN_half), mul(half, half))
+
+    def draw():
+        return rng.randrange(p), rng.randrange(p)
+
     for _ in range(samples):
-        A = F.random_element(rng)
-        while A.is_zero():
-            A = F.random_element(rng)
-        A_p, B = F.random_element(rng), F.random_element(rng)
-        B_p = (A_p * B - 1) * A.inverse()
-        if A_p * B - A * B_p != 1:
+        A = draw()
+        while A == (0, 0):
+            A = draw()
+        A_p, B = draw(), draw()
+        B_p = mul(sub(mul(A_p, B), (1, 0)), F.inv(A))
+        if sub(mul(A_p, B), mul(A, B_p)) != (1, 0):
             raise InconsistencyError(
                 "quotient maps: B' = (A'B - 1)/A misses A'B - AB' = 1 at a draw "
                 "(p = %d)" % p)
-        for family in _rejecting_families(p, consts, A, A_p, B, B_p, rng):
+        for family in _rejecting_families(F, consts, A, A_p, B, B_p, rng):
             check = checks[family]
             if check.passed:
                 check.passed = False
@@ -391,16 +398,22 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     return checks
 
 
-def _rejecting_families(p, consts, A, A_p, B, B_p, rng):
-    """The Cartan families that the draw (A, A', B, B') fails: all four
-    when one of the source's symmetries moves it off, else those whose
-    chain breaks.  Draws the random special-linear and root-of-unity
-    actions from rng.  `consts` holds lam, lam^p and the chains'
-    constants: 1/2, aN = lam^-2 - lam^2, (aN/2)^2 and (1/2)^2."""
+def _rejecting_families(F, consts, A, A_p, B, B_p, rng):
+    """The Cartan families that the draw (A, A', B, B') of pairs in the
+    field F fails: all four when one of the source's symmetries moves it
+    off, else those whose chain breaks.  Draws the random special-linear
+    and root-of-unity actions from rng.  `consts` holds lam, lam^p and
+    the chains' constants: 1/2, aN = lam^-2 - lam^2, (aN/2)^2 and
+    (1/2)^2."""
     lam, lam_p, half, aN, aN_half_sq, half_sq = consts
+    p, mul, add, sub = F.p, F.mul, F.add, F.sub
+    zero = (0, 0)
 
     def on_source(x, x_p, y, y_p):
-        return x_p * y - x * y_p == 1
+        return sub(mul(x_p, y), mul(x, y_p)) == (1, 0)
+
+    def comb(g, x, h, y):  # g x + h y for g, h in F_p
+        return (g * x[0] + h * y[0]) % p, (g * x[1] + h * y[1]) % p
 
     # the special-linear action (x, y) -> (a x + c y, b x + d y) and the
     # (p+1)-st root of unity action x -> u^-1 x both preserve the source
@@ -414,42 +427,44 @@ def _rejecting_families(p, consts, A, A_p, B, B_p, rng):
                 gc = -inverse_mod(gb, p) % p
                 gd = rng.randrange(p)
                 break
-        if not on_source(ga * A + gc * B, ga * A_p + gc * B_p,
-                         gb * A + gd * B, gb * A_p + gd * B_p):
+        if not on_source(comb(ga, A, gc, B), comb(ga, A_p, gc, B_p),
+                         comb(gb, A, gd, B), comb(gb, A_p, gd, B_p)):
             return CARTAN_FAMILIES
     # lam has order p + 1, so lam^-r = lam^((-r) mod (p + 1))
-    root_inv = lam ** (-rng.randrange(p + 1) % (p + 1))
-    root_inv_p = root_inv.frobenius()
-    if not on_source(root_inv * A, root_inv_p * A_p, root_inv * B, root_inv_p * B_p):
+    root_inv = F.pow(lam, -rng.randrange(p + 1) % (p + 1))
+    root_inv_p = F.conj(root_inv)
+    if not on_source(mul(root_inv, A), mul(root_inv_p, A_p),
+                     mul(root_inv, B), mul(root_inv_p, B_p)):
         return CARTAN_FAMILIES
 
     rejected = []
     # the ns chain; ns+ continues it.  Frob takes lam to lam^p and lam^p
     # back to lam
-    atilde, btilde = lam * A + lam_p * B, lam_p * A + lam * B
-    atilde_p, btilde_p = lam_p * A_p + lam * B_p, lam * A_p + lam_p * B_p
-    u1 = atilde_p * atilde
-    V = atilde * btilde
-    V_norm = atilde_p * btilde_p * V  # Frob(V) V
-    U = u1 - aN * half
-    if (u1 - btilde_p * btilde != aN
-            or not (u1 * u1 - V_norm - aN * u1).is_zero()
-            or U * U != V_norm + aN_half_sq):
+    atilde, btilde = add(mul(lam, A), mul(lam_p, B)), add(mul(lam_p, A), mul(lam, B))
+    atilde_p = add(mul(lam_p, A_p), mul(lam, B_p))
+    btilde_p = add(mul(lam, A_p), mul(lam_p, B_p))
+    u1 = mul(atilde_p, atilde)
+    V = mul(atilde, btilde)
+    V_norm = mul(mul(atilde_p, btilde_p), V)  # Frob(V) V
+    U = sub(u1, mul(aN, half))
+    if (sub(u1, mul(btilde_p, btilde)) != aN
+            or sub(sub(mul(u1, u1), V_norm), mul(aN, u1)) != zero
+            or mul(U, U) != add(V_norm, aN_half_sq)):
         rejected += ["ns", "ns+"]
     else:
-        X, Y = V * V, U * V
-        if Y * Y != X * (V_norm + aN_half_sq):
+        X, Y = mul(V, V), mul(U, V)
+        if mul(Y, Y) != mul(X, add(V_norm, aN_half_sq)):
             rejected.append("ns+")
     # the s chain; s+ continues it
-    u = A_p * A.inverse()  # alpha^p / alpha
-    V, V_p = A * B, A_p * B_p
-    V_norm = V_p * V
-    U = u * V - half
-    if (not (V_p - u * u * V + u).is_zero()
-            or U * U != V_norm + half_sq):
+    u = mul(A_p, F.inv(A))  # alpha^p / alpha
+    V, V_p = mul(A, B), mul(A_p, B_p)
+    V_norm = mul(V_p, V)
+    U = sub(mul(u, V), half)
+    if (add(sub(V_p, mul(mul(u, u), V)), u) != zero
+            or mul(U, U) != add(V_norm, half_sq)):
         rejected += ["s", "s+"]
     else:
-        X, Y = V * V, U * V
-        if Y * Y != X * (V_norm + half_sq):
+        X, Y = mul(V, V), mul(U, V)
+        if mul(Y, Y) != mul(X, add(V_norm, half_sq)):
             rejected.append("s+")
     return rejected

@@ -106,7 +106,7 @@ def _sqrt_pair(field, a: int):
     if pow(a, (p - 1) // 2, p) == p - 1:
         return None
     if p % 4 == 1:
-        r = sqrt_in_field(field(a)).coords[0]
+        r = sqrt_in_field(field, (a % p, 0))[0]
     else:
         r = pow(a, (p + 1) // 4, p)
         if r * r % p != a % p:

@@ -1,16 +1,16 @@
 """Exact arithmetic over F_{p^2} = F_p[sqrt(d)], d the first nonsquare mod p.
 
 Fixing d makes every value computed downstream byte-reproducible across
-runs.  An element is its coordinate pair (a, b) for a + b sqrt(d), and
-the canonical order on elements is the lexicographic order on pairs.
-Frobenius x -> x^p is conjugation, (a, b) -> (a, -b), the norm x^(p+1)
-is a^2 - d b^2, and an inverse is the conjugate over the norm.  F_p
-itself is plain ints with the builtin `pow`.
+runs.  An element is its coordinate pair (a, b) of residues for
+a + b sqrt(d), a plain tuple, and the canonical order on elements is
+the lexicographic order on pairs.  `GF(p)` holds p and d and acts on
+pairs: add, sub, neg, mul, pow, inv, conj, norm and sqrt.  Frobenius
+x -> x^p is conjugation, (a, b) -> (a, -b), the norm x^(p+1) is
+a^2 - d b^2, and an inverse is the conjugate over the norm.  F_p itself
+is plain ints with the builtin `pow`.
 """
 
 from __future__ import annotations
-
-import itertools
 
 MAX_CHAR = 1 << 20          # largest accepted characteristic
 
@@ -87,8 +87,8 @@ def inverse_mod(a: int, m: int) -> int:
 class GF:
     """The field F_{p^2} = F_p[sqrt(d)], d = first_nonsquare(p).
 
-    add, sub, neg, mul, pow, inv, conj, norm and sqrt act on coordinate
-    pairs; an FqElement wraps a pair for operator syntax and calls them.
+    add, sub, neg, mul, pow, inv, conj, norm and sqrt take and return
+    coordinate pairs (a, b) for a + b sqrt(d), with a and b in [0, p).
     """
 
     def __init__(self, p: int):
@@ -99,7 +99,6 @@ class GF:
         self.p = p
         self.order = p * p
         self.d = first_nonsquare(p)
-        self._one = FqElement(self, (1, 0))
         # p^2 - 1 = 2^e m with m odd, and c = z^m for a nonsquare z, for
         # sqrt.  An element is a square exactly when its norm is a
         # square in F_p.  The norm of z = x + sqrt(d) is x^2 - d, so x = 0
@@ -109,37 +108,6 @@ class GF:
         while self._m % 2 == 0:
             self._e, self._m = self._e + 1, self._m // 2
         self._c = self.pow((int(p % 4 == 3), 1), self._m)
-
-    # -- element creation ---------------------------------------------
-
-    def __call__(self, value) -> "FqElement":
-        if isinstance(value, FqElement):
-            if value.field is not self:
-                raise FieldError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FqElement(self, (value % self.p, 0))
-        coords = tuple(int(c) % self.p for c in value)
-        if len(coords) != 2:
-            raise FieldError("expected 2 coordinates")
-        return FqElement(self, coords)
-
-    def one(self) -> "FqElement":
-        return self._one
-
-    def elements(self):
-        """All elements in canonical (lexicographic) order."""
-        for coords in itertools.product(range(self.p), repeat=2):
-            yield FqElement(self, coords)
-
-    def basis(self):
-        """The coordinate basis 1, sqrt(d) of F_{p^2} over F_p."""
-        return [self._one, FqElement(self, (0, 1))]
-
-    def random_element(self, rng) -> "FqElement":
-        return FqElement(self, (rng.randrange(self.p), rng.randrange(self.p)))
-
-    # -- arithmetic on coordinate pairs -------------------------------
 
     def add(self, a, b):
         p = self.p
@@ -218,116 +186,46 @@ class GF:
         return hash(self.p)
 
 
-class FqElement:
-    """Immutable element of a GF instance: its coordinate pair."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, field: GF, coords: tuple):
-        self.field = field
-        self.coords = coords
-
-    def is_zero(self) -> bool:
-        return self.coords == (0, 0)
-
-    def in_prime_field(self) -> bool:
-        return not self.coords[1]
-
-    def _coerce(self, other):
-        if isinstance(other, FqElement):
-            if other.field is not self.field and other.field != self.field:
-                raise FieldError("field mismatch")
-            return other.coords
-        if isinstance(other, int):
-            return (other % self.field.p, 0)
-        return NotImplemented
-
-    def __add__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.add(self.coords, c))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.sub(self.coords, c))
-
-    def __mul__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FqElement(self.field, self.field.mul(self.coords, c))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        return FqElement(self.field, self.field.pow(self.coords, n))
-
-    def inverse(self):
-        return FqElement(self.field, self.field.inv(self.coords))
-
-    def frobenius(self):  # self ** p
-        return FqElement(self.field, self.field.conj(self.coords))
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.coords == self._coerce(other)
-        return (
-            isinstance(other, FqElement)
-            and self.field == other.field
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((self.field.p, self.coords))
-
-    def __repr__(self):
-        return "GF(%d^2)%r" % (self.field.p, list(self.coords))
-
-
 def field_create(p: int) -> GF:
     """Field handle for F_{p^2}."""
     return GF(p)
 
 
-def sqrt_in_field(a: FqElement):
-    """Square root of a, or None when a is not a square.
+def sqrt_in_field(field: GF, a):
+    """Square root of the pair a in `field`, or None when a is not a square.
 
     When two roots exist the one with the lexicographically smaller
     coordinate pair is returned, so root choices are reproducible.  The
     root is squared back: a wrong one raises InconsistencyError.
     """
-    field = a.field
-    r = field.sqrt(a.coords)
+    r = field.sqrt(a)
     if r is None:
         return None
     root = min(r, field.neg(r))
-    if field.mul(root, root) != a.coords:
+    if field.mul(root, root) != a:
         raise InconsistencyError(
             "square root: the computed root of a square does not square "
             "back to it in %r (p = %d)" % (field, field.p))
-    return FqElement(field, root)
+    return root
 
 
-def element_of_order(field: GF, n: int, rng) -> FqElement:
-    """A multiplicative element of exact order n, found by random search."""
-    q = field.order
+def element_of_order(field: GF, n: int, rng):
+    """A pair of exact multiplicative order n, found by random search: each
+    try draws its two coordinates from rng.randrange(p), in order."""
+    p, q = field.p, field.order
     if (q - 1) % n:
         raise FieldError("order %d does not divide %d" % (n, q - 1))
     cof = (q - 1) // n
     primes = prime_divisors(n)
+    one = (1, 0)
     while True:
-        t = field.random_element(rng)
-        if t.is_zero():
+        t = (rng.randrange(p), rng.randrange(p))
+        if t == (0, 0):
             continue
-        cand = t ** cof
-        if cand.is_zero() or cand == field.one() and n > 1:
+        cand = field.pow(t, cof)
+        if cand == one and n > 1:
             continue
-        if all(cand ** (n // ell) != field.one() for ell in primes):
+        if all(field.pow(cand, n // ell) != one for ell in primes):
             return cand
 
 

@@ -8,10 +8,9 @@ import pytest
 
 from fibercurve import cli, drinfeld
 from fibercurve.ffield import (
-    FqElement,
+    GF,
     InconsistencyError,
     element_of_order,
-    field_create,
     inverse_mod,
     is_prime,
 )
@@ -27,6 +26,7 @@ from fibercurve.drinfeld import (
 )
 
 from drinfeld_helpers import form_label, phi_constant_on_orbits
+from fp2_oracle import ElementField, enumerated_count_points_fp2
 
 WORKED = {
     ("a4", 13): (
@@ -356,8 +356,8 @@ def test_duplicate_roots_rejected():
 def brute_count_p5():
     """Independent double-loop count over F_25 for p = 5."""
     p = 5
-    F = field_create(p)
-    a = admissible_twist(p)
+    F = ElementField(p)
+    a = F(admissible_twist(p))
     count = 0
     for x in F.elements():
         for y in F.elements():
@@ -373,7 +373,7 @@ def brute_count_p5():
 
 @pytest.mark.parametrize("p", [5, 13])
 def test_frobenius_map_is_the_p_th_power(p):
-    F = field_create(p)
+    F = ElementField(p)
     for x in F.elements():
         assert x.frobenius() == x ** p
 
@@ -390,19 +390,44 @@ def test_count_points_maximality(p):
     assert n == 1 + p * p + 2 * p * genus
 
 
+@pytest.mark.parametrize("p", [p for p in range(5, drinfeld.POINT_COUNT_MAX_P + 1)
+                               if is_prime(p)])
+def test_class_weighted_count_equals_the_enumeration(p, monkeypatch):
+    # one solve per class of F_{p^2}^* / F_p^*, against one per nonzero x
+    a = admissible_twist(p)
+    solves = []
+    real = drinfeld.solve_affine_mod_p
+    monkeypatch.setattr(drinfeld, "solve_affine_mod_p",
+                        lambda *args: solves.append(args) or real(*args))
+    assert count_points_fp2(p, a) == enumerated_count_points_fp2(p, a) == p ** 3 + 1
+    assert len(solves) == p + 1
+
+
+@pytest.mark.parametrize("old,new", [
+    # each class counted once, not p - 1 times
+    ("return 2 + (p - 1) * (fixed + solutions)", "return 2 + fixed + solutions"),
+    # Frobenius taken as the identity: every x fixed, every L_x zero
+    ("frob = F.conj", "frob = lambda x: x"),
+], ids=["class-weight", "frobenius"])
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_a_wrong_count_fails_the_maximality_row(p, old, new, monkeypatch):
+    monkeypatch.setattr(cli.drinfeld, "count_points_fp2", mutant(old, new).count_points_fp2)
+    rows = {name: ok for name, _, ok, _ in cli.checks_for_prime(p)}
+    assert rows["maximality-count"] is False
+
+
 def test_count_points_preconditions():
-    F = field_create(5)
     with pytest.raises(ValueError):
-        count_points_fp2(5, F(2))  # lies in the prime field
+        count_points_fp2(5, (2, 0))  # lies in the prime field
     with pytest.raises(ValueError):
-        count_points_fp2(5, F(0))
+        count_points_fp2(5, (0, 0))
     with pytest.raises(ValueError):
         count_points_fp2(37, admissible_twist(31))
 
 
 def test_admissible_twist_properties():
     for p in (5, 13, 31):
-        a = admissible_twist(p)
+        a = ElementField(p)(admissible_twist(p))
         assert not a.is_zero()
         assert not a.in_prime_field()
         assert (a * a).in_prime_field()
@@ -515,8 +540,8 @@ def per_family_quotient_check(family, p, samples, seed=0, check=check_one_draw,
     unity and draws, then each draw in turn.  `calls` collects the draw
     and generator state of every call."""
     rng = random.Random(seed)
-    F = field_create(p)
-    lam = element_of_order(F, p + 1, rng)
+    F = ElementField(p)
+    lam = F(element_of_order(F, p + 1, rng))
     for _ in range(samples):
         A = F.random_element(rng)
         while A.is_zero():
@@ -524,9 +549,9 @@ def per_family_quotient_check(family, p, samples, seed=0, check=check_one_draw,
         A_p, B = F.random_element(rng), F.random_element(rng)
         B_p = (A_p * B - 1) * A ** (-1)
         if calls is not None:
-            calls.append((A, A_p, B, B_p, rng.getstate()))
+            calls.append((A.coords, A_p.coords, B.coords, B_p.coords, rng.getstate()))
         if not check(family, p, lam, A, A_p, B, B_p, rng):
-            return False, (A, A_p, B)
+            return False, (A.coords, A_p.coords, B.coords)
     return True, None
 
 
@@ -536,9 +561,9 @@ def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
     shared = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(p, consts, A, A_p, B, B_p, rng):
+    def recording(F, consts, A, A_p, B, B_p, rng):
         shared.append((A, A_p, B, B_p, rng.getstate()))
-        return rejecting_families(p, consts, A, A_p, B, B_p, rng)
+        return rejecting_families(F, consts, A, A_p, B, B_p, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)
@@ -555,22 +580,22 @@ def test_shared_sample_reports_the_rejected_point(monkeypatch):
     draws = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(p, consts, A, A_p, B, B_p, rng):
+    def recording(F, consts, A, A_p, B, B_p, rng):
         draws.append((A, A_p, B))
-        return rejecting_families(p, consts, A, A_p, B, B_p, rng)
+        return rejecting_families(F, consts, A, A_p, B, B_p, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     verify_quotient_maps(p, 8, seed=seed)
     rejected = draws[3]
 
-    def reject_for_s(p, consts, A, A_p, B, B_p, rng):
-        families = list(rejecting_families(p, consts, A, A_p, B, B_p, rng))
+    def reject_for_s(F, consts, A, A_p, B, B_p, rng):
+        families = list(rejecting_families(F, consts, A, A_p, B, B_p, rng))
         if (A, A_p, B) == rejected:
             families.append("s")
         return families
 
     def reject_for_s_reference(family, p, lam, A, A_p, B, B_p, rng):
-        if family == "s" and (A, A_p, B) == rejected:
+        if family == "s" and (A.coords, A_p.coords, B.coords) == rejected:
             return False
         return check_one_draw(family, p, lam, A, A_p, B, B_p, rng)
 
@@ -585,7 +610,7 @@ def test_shared_sample_reports_the_rejected_point(monkeypatch):
 def test_no_sample_points_over_fp2():
     # Frobenius negates x^p y - x y^p over F_{p^2}, so it never equals 1
     for p in (5, 7):
-        F = field_create(p)
+        F = ElementField(p)
         elems = list(F.elements())
         powers = [(x, x ** p) for x in elems]
         for x, xp in powers:
@@ -608,9 +633,9 @@ def test_sampled_points_lie_on_the_curve(seed, p, monkeypatch):
     draws = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(p, consts, A, A_p, B, B_p, rng):
+    def recording(F, consts, A, A_p, B, B_p, rng):
         draws.append((A, A_p, B, B_p))
-        return rejecting_families(p, consts, A, A_p, B, B_p, rng)
+        return rejecting_families(F, consts, A, A_p, B, B_p, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)
@@ -618,16 +643,16 @@ def test_sampled_points_lie_on_the_curve(seed, p, monkeypatch):
     d = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)
     assert len(draws) == 8
     for A, A_p, B, B_p in draws:
-        assert A.coords != (0, 0)
-        left = fp2_product(A_p.coords, B.coords, p, d)
-        right = fp2_product(A.coords, B_p.coords, p, d)
+        assert A != (0, 0)
+        left = fp2_product(A_p, B, p, d)
+        right = fp2_product(A, B_p, p, d)
         assert ((left[0] - right[0]) % p, (left[1] - right[1]) % p) == (1, 0)
 
 
 @pytest.mark.parametrize("p", PRIMES_TO_31)
 def test_inverse_is_the_conjugate_over_the_norm(p):
     # x^-1 = x^p / N(x), N(x) = x^(p+1) in F_p^*
-    F = field_create(p)
+    F = ElementField(p)
     rng = random.Random(p)
     for _ in range(50):
         x = F.random_element(rng)
@@ -642,8 +667,8 @@ def test_inverse_is_the_conjugate_over_the_norm(p):
 @pytest.mark.parametrize("p", PRIMES_TO_31)
 def test_lam_has_order_p_plus_1_and_frobenius_inverts_it(p):
     # the chains use lam^(p+1) = 1, so Frob(lam) = lam^-1
-    F = field_create(p)
-    lam = element_of_order(F, p + 1, random.Random(p))
+    F = ElementField(p)
+    lam = F(element_of_order(F, p + 1, random.Random(p)))
     assert lam ** (p + 1) == F.one()
     assert all(lam ** ((p + 1) // q) != F.one()
                for q in range(2, p + 2) if is_prime(q) and (p + 1) % q == 0)
@@ -653,8 +678,8 @@ def test_lam_has_order_p_plus_1_and_frobenius_inverts_it(p):
 def test_a_draw_off_the_source_raises(monkeypatch):
     # an inverse one more than the true one puts B' = (A'B - 1)/A off
     # A'B - AB' = 1
-    real = FqElement.inverse
-    monkeypatch.setattr(FqElement, "inverse", lambda x: real(x) + 1)
+    real = GF.inv
+    monkeypatch.setattr(GF, "inv", lambda F, x: F.add(real(F, x), (1, 0)))
     with pytest.raises(InconsistencyError, match=r"quotient maps: .*\(p = 7\)"):
         verify_quotient_maps(7, 8)
 
@@ -678,21 +703,22 @@ def mutant(old, new):
 
 @pytest.mark.parametrize("old,new,failing", [
     # aN with its sign flipped
-    ("aN = lam_p * lam_p - lam * lam", "aN = lam * lam - lam_p * lam_p", {"ns", "ns+"}),
+    ("aN = sub(mul(lam_p, lam_p), mul(lam, lam))",
+     "aN = sub(mul(lam, lam), mul(lam_p, lam_p))", {"ns", "ns+"}),
     # the s chain's constant (1/2)^2 changed to 1/2
-    ("(aN * half) ** 2, half * half)", "(aN * half) ** 2, half)", {"s", "s+"}),
+    ("mul(aN_half, aN_half), mul(half, half))", "mul(aN_half, aN_half), half)", {"s", "s+"}),
     # the ns+ model's constant (aN/2)^2 negated
-    ("if Y * Y != X * (V_norm + aN_half_sq):",
-     "if Y * Y != X * (V_norm - aN_half_sq):", {"ns+"}),
+    ("if mul(Y, Y) != mul(X, add(V_norm, aN_half_sq)):",
+     "if mul(Y, Y) != mul(X, sub(V_norm, aN_half_sq)):", {"ns+"}),
     # the s+ model's constant (1/2)^2 negated
-    ("if Y * Y != X * (V_norm + half_sq):",
-     "if Y * Y != X * (V_norm - half_sq):", {"s+"}),
+    ("if mul(Y, Y) != mul(X, add(V_norm, half_sq)):",
+     "if mul(Y, Y) != mul(X, sub(V_norm, half_sq)):", {"s+"}),
     # a determinant of 2, not 1, moves draws off the source
     ("gd = (1 + gb * gc) * inverse_mod(ga, p) % p",
      "gd = (2 + gb * gc) * inverse_mod(ga, p) % p", set(CARTAN)),
     # Frob(u^-1) taken as u^-1, not u: a root other than +-1 moves draws
     # off the source
-    ("root_inv_p = root_inv.frobenius()", "root_inv_p = root_inv", set(CARTAN)),
+    ("root_inv_p = F.conj(root_inv)", "root_inv_p = root_inv", set(CARTAN)),
 ], ids=["aN-sign", "s-constant", "ns+-constant", "s+-constant", "sl2-det",
         "root-frobenius"])
 @pytest.mark.parametrize("p", PRIMES_TO_31)

@@ -1,6 +1,7 @@
 import pytest
 
 import exceptional_oracle as oracle
+from fibercurve import exceptional
 from fibercurve.ffield import field_create, inverse_mod, is_prime
 from fibercurve.projline import transform
 from fibercurve.exceptional import (
@@ -257,3 +258,32 @@ def test_cube_root_of_unity_matches_the_scan_below_20000():
     for p in range(7, 20000, 6):  # p = 1 mod 3, odd
         if is_prime(p):
             assert _cube_root_of_unity(field_create(p)) == oracle.scan_cube_root_of_unity(p), p
+
+
+def test_every_solve_below_20000_stops_at_first_entry_6(monkeypatch):
+    # _solve_generators walks the first entries a = 0, 1, ... of T and
+    # returns inside the first row that gives the group; its failure path
+    # would walk all p rows.  Below 20000 no accepted (kind, p) needs a
+    # row past a = 6: a4 needs 6 at 7127, 8543 and 8951, s4 4 at 16319
+    # and a5 2 at 4889, 7499 and 16349
+    firsts = []
+    real_row = exceptional._row
+    monkeypatch.setattr(exceptional, "_row",
+                        lambda field, t0, pairs, a: firsts.append(a) or real_row(field, t0, pairs, a))
+    worst, builds = {kind: (-1, None) for kind in KINDS}, 0
+    for p in range(5, 20000):
+        if not is_prime(p):
+            continue
+        for kind in KINDS:
+            try:
+                check_congruence(kind, p)
+            except CongruenceError:
+                continue
+            firsts.clear()
+            assert build_exceptional(kind, p).order == PROJECTIVE_ORDER[kind]
+            builds += 1
+            assert bool(firsts) == solve_path(kind, p), (kind, p)
+            if firsts:
+                worst[kind] = max(worst[kind], (firsts[-1], p))
+    assert builds == 4503
+    assert worst == {"a4": (6, 8951), "s4": (4, 16319), "a5": (2, 16349)}
