@@ -385,12 +385,13 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
         while A == (0, 0):
             A = draw()
         A_p, B = draw(), draw()
-        B_p = mul(sub(mul(A_p, B), (1, 0)), F.inv(A))
+        A_inv = F.inv(A)
+        B_p = mul(sub(mul(A_p, B), (1, 0)), A_inv)
         if sub(mul(A_p, B), mul(A, B_p)) != (1, 0):
             raise InconsistencyError(
                 "quotient maps: B' = (A'B - 1)/A misses A'B - AB' = 1 at a draw "
                 "(p = %d)" % p)
-        for family in _rejecting_families(F, consts, A, A_p, B, B_p, rng):
+        for family in _rejecting_families(F, consts, A, A_p, B, B_p, A_inv, rng):
             check = checks[family]
             if check.passed:
                 check.passed = False
@@ -398,7 +399,7 @@ def verify_quotient_maps(p: int, samples: int, seed: int = 0) -> dict:
     return checks
 
 
-def _rejecting_families(F, consts, A, A_p, B, B_p, rng):
+def _rejecting_families(F, consts, A, A_p, B, B_p, A_inv, rng):
     """The Cartan families that the draw (A, A', B, B') of pairs in the
     field F fails: all four when one of the source's symmetries moves it
     off, else those whose chain breaks.  Draws the random special-linear
@@ -456,7 +457,7 @@ def _rejecting_families(F, consts, A, A_p, B, B_p, rng):
         if mul(Y, Y) != mul(X, add(V_norm, aN_half_sq)):
             rejected.append("ns+")
     # the s chain; s+ continues it
-    u = mul(A_p, F.inv(A))  # alpha^p / alpha
+    u = mul(A_p, A_inv)  # alpha^p / alpha
     V, V_p = mul(A, B), mul(A_p, B_p)
     V_norm = mul(V_p, V)
     U = sub(mul(u, V), half)

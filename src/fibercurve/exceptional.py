@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ffield import InconsistencyError, field_create, inverse_mod, is_prime, sqrt_in_field
+from .ffield import InconsistencyError, inverse_mod, is_prime, sqrt_mod_p
 from .projline import (
     GroupError,
     Orbit,
@@ -94,47 +94,37 @@ def check_congruence(kind: str, p: int) -> None:
         raise CongruenceError("A5 requires p = +-1 mod 5")
 
 
-def _sqrt_pair(field, a: int):
-    """Both square roots of a mod p, ascending; None when a is a nonsquare.
-
-    Euler's criterion rejects a nonsquare with one `pow`.  For p = 3 mod 4
-    the root of a square is a^((p+1)/4), whose square a^((p+1)/2) is a
-    times Euler's 1; it is squared back like `sqrt_in_field`'s.  For
-    p = 1 mod 4 it is taken in `field`, F_{p^2}, where it lies in F_p.
-    """
-    p = field.p
-    if pow(a, (p - 1) // 2, p) == p - 1:
+def _sqrt_pair(p: int, a: int):
+    """Both square roots of a mod p, ascending, from one `sqrt_mod_p`;
+    None when a is a nonsquare.  The root is squared back: a wrong one
+    raises InconsistencyError."""
+    r = sqrt_mod_p(a, p)
+    if r is None:
         return None
-    if p % 4 == 1:
-        r = sqrt_in_field(field, (a % p, 0))[0]
-    else:
-        r = pow(a, (p + 1) // 4, p)
-        if r * r % p != a % p:
-            raise InconsistencyError(
-                "square root: the computed root of a square does not square "
-                "back to it in %r (p = %d)" % (field, p))
+    if r * r % p != a % p:
+        raise InconsistencyError(
+            "square root: the computed root of a square does not square "
+            "back to it (p = %d)" % p)
     return tuple(sorted((r, -r % p)))
 
 
-def _quadratic_roots(field, b: int, c: int) -> set:
+def _quadratic_roots(p: int, b: int, c: int) -> set:
     """The roots of x^2 + b x + c mod p."""
-    p = field.p
-    roots = _sqrt_pair(field, b * b - 4 * c) or ()
+    roots = _sqrt_pair(p, b * b - 4 * c) or ()
     return {(r - b) * ((p + 1) // 2) % p for r in roots}
 
 
-def _trace_data(kind: str, field):
+def _trace_data(kind: str, p: int):
     """(allowed trace set, allowed combination values) for the solve."""
-    p = field.p
     if kind == "a4":
         return {0, 1, p - 1}, {2}
     if kind == "s4":
-        roots = _sqrt_pair(field, 2)
+        roots = _sqrt_pair(p, 2)
         if roots is None:
             raise CongruenceError("sqrt(2) does not exist mod %d" % p)
         traces = {0, 1, p - 1, roots[0], roots[1]}
         return traces, {3}
-    mu_roots = _sqrt_pair(field, 5)
+    mu_roots = _sqrt_pair(p, 5)
     if mu_roots is None:
         raise CongruenceError("sqrt(5) does not exist mod %d" % p)
     inv2 = inverse_mod(2, p)
@@ -145,10 +135,9 @@ def _trace_data(kind: str, field):
     return traces, combos
 
 
-def _row(field, t0: int, pairs, a: int) -> set:
+def _row(p: int, t0: int, pairs, a: int) -> set:
     """The T = (a, b, c, d) of SL_2(F_p) with first entry a whose trace t
     and tr(ST) = c - b + t0 d form one of `pairs`, for S = (0, 1, -1, t0)."""
-    p = field.p
     row, ainv = set(), pow(a, -1, p) if a else 0
     for t, tau in pairs:
         # b = 0 forces d = 1/a, so t = a + 1/a, and c = tau - t0/a
@@ -156,20 +145,19 @@ def _row(field, t0: int, pairs, a: int) -> set:
             row.add((a, 0, (tau - t0 * ainv) % p, ainv))
         # b != 0: d = t - a and c = (a d - 1)/b, so b^2 + (tau - t0 d) b - (a d - 1) = 0
         d = (t - a) % p
-        for b in _quadratic_roots(field, tau - t0 * d, 1 - a * d):
+        for b in _quadratic_roots(p, tau - t0 * d, 1 - a * d):
             if b:
                 row.add((a, b, (a * d - 1) * pow(b, -1, p) % p, d))
     return row
 
 
-def _solve_generators(kind: str, field) -> SubgroupTable:
+def _solve_generators(kind: str, p: int) -> SubgroupTable:
     """The first (S, T) in lexicographic order passing the trace criteria.
 
     S is the least admissible matrix, (0, 1, -1, t0); T is solved one
     first entry a at a time, and each row is tried in sorted order.
     """
-    p = field.p
-    traces, combos = _trace_data(kind, field)
+    traces, combos = _trace_data(kind, p)
     target = PROJECTIVE_ORDER[kind]
     if kind == "a4":
         s_traces, t_traces, st_traces = {1, p - 1}, {0}, {1, p - 1}
@@ -180,7 +168,7 @@ def _solve_generators(kind: str, field) -> SubgroupTable:
     pairs = [(t, tau) for t in t_traces for tau in st_traces
              if (t0 * t0 + t * t + tau * tau - t0 * t * tau) % p in combos]
     for a in range(p):
-        for tm in sorted(_row(field, t0, pairs, a)):
+        for tm in sorted(_row(p, t0, pairs, a)):
             group = generate_subgroup(p, [S, transform(p, *tm)], cap=4 * target)
             if group.order == target:
                 return group
@@ -195,11 +183,10 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
     projective order (12, 24 or 60) is always verified.
     """
     check_congruence(kind, p)
-    field = field_create(p)
     target = PROJECTIVE_ORDER[kind]
     gens = None
     if kind == "a4" and p % 3 == 1:
-        zeta = _cube_root_of_unity(field)
+        zeta = _cube_root_of_unity(p)
         gens = (
             transform(p, zeta, 0, -1, zeta * zeta),
             transform(p, 0, -1, 1, 0),
@@ -208,8 +195,8 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
         if p in PINNED_S4_ROOTS:
             r2, i = PINNED_S4_ROOTS[p]
         else:
-            r2 = _sqrt_pair(field, 2)[0]
-            i = _sqrt_pair(field, -1)[0]
+            r2 = _sqrt_pair(p, 2)[0]
+            i = _sqrt_pair(p, -1)[0]
         gens = (transform(p, r2, 1, -1, 0), transform(p, 1, i, i, 0))
     elif kind == "a5" and p in A5_EXPLICIT:
         sm, tm = A5_EXPLICIT[p]
@@ -222,13 +209,13 @@ def build_exceptional(kind: str, p: int) -> SubgroupTable:
                 % (group.order, target)
             )
         return group
-    return _solve_generators(kind, field)
+    return _solve_generators(kind, p)
 
 
-def _cube_root_of_unity(field) -> int:
+def _cube_root_of_unity(p: int) -> int:
     """Canonically smallest primitive cube root of unity mod p = 1 mod 3:
     the smaller root of z^2 + z + 1, (-1 +- sqrt(-3))/2."""
-    return min(_quadratic_roots(field, 1, 1))
+    return min(_quadratic_roots(p, 1, 1))
 
 
 @dataclass

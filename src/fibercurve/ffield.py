@@ -7,7 +7,8 @@ the lexicographic order on pairs.  `GF(p)` holds p and d and acts on
 pairs: add, sub, neg, mul, pow, inv, conj, norm and sqrt.  Frobenius
 x -> x^p is conjugation, (a, b) -> (a, -b), the norm x^(p+1) is
 a^2 - d b^2, and an inverse is the conjugate over the norm.  F_p itself
-is plain ints with the builtin `pow`.
+is plain ints with the builtin `pow`; its square roots are `sqrt_mod_p`'s
+(Tonelli-Shanks), and `GF.sqrt` builds its roots from them through the norm.
 """
 
 from __future__ import annotations
@@ -61,6 +62,31 @@ def first_nonsquare(p: int) -> int:
     raise FieldError("no nonsquare mod %d" % p)
 
 
+def sqrt_mod_p(a: int, p: int):
+    """A root of a mod the odd prime p, or None when a is a nonsquare:
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, 1993, Alg. 1.5.1).  For p - 1 = 2^e q, q odd, r = a^((q+1)/2)
+    squares to a t, t = a^q of order 2^i in the 2-Sylow subgroup of F_p^*
+    that c = first_nonsquare(p)^q generates; each step multiplies r by a
+    power of c and lowers i, and i = e marks a nonsquare.  For p = 3 mod 4
+    (e = 1) the root is a^((p+1)/4)."""
+    a %= p
+    if not a:
+        return 0
+    e = ((p - 1) & (1 - p)).bit_length() - 1
+    q = (p - 1) >> e
+    r, t, c = pow(a, (q + 1) >> 1, p), pow(a, q, p), 0
+    while t != 1:
+        i, u = 1, t * t % p
+        while u != 1:
+            i, u = i + 1, u * u % p
+        if i == e:
+            return None
+        b = pow(c or pow(first_nonsquare(p), q, p), 1 << (e - i - 1), p)
+        r, c, t, e = r * b % p, b * b % p, t * b * b % p, i
+    return r
+
+
 def square_table(p: int) -> bytearray:
     """t[a] = 1 for the nonzero squares a mod the odd prime p, else 0: the
     residues whose Euler criterion a^((p-1)/2) is 1, in one O(p) pass."""
@@ -99,15 +125,6 @@ class GF:
         self.p = p
         self.order = p * p
         self.d = first_nonsquare(p)
-        # p^2 - 1 = 2^e m with m odd, and c = z^m for a nonsquare z, for
-        # sqrt.  An element is a square exactly when its norm is a
-        # square in F_p.  The norm of z = x + sqrt(d) is x^2 - d, so x = 0
-        # serves when -1 is a square (p = 1 mod 4), and x = 1 otherwise:
-        # 1 - d = -(d - 1), where d - 1 is a square, lying below d.
-        self._e, self._m = 0, p * p - 1
-        while self._m % 2 == 0:
-            self._e, self._m = self._e + 1, self._m // 2
-        self._c = self.pow((int(p % 4 == 3), 1), self._m)
 
     def add(self, a, b):
         p = self.p
@@ -152,29 +169,22 @@ class GF:
         return (a[0] * c % self.p, -a[1] * c % self.p)
 
     def sqrt(self, a):
-        """A square root of a, or None when a is not a square: Tonelli-Shanks
-        in the cyclic group F_{p^2}^* of order 2^e m.  a^((p^2-1)/2) is
-        N(a)^((p-1)/2), so a is a square exactly when its norm is a square
-        in F_p.  sqrt_in_field fixes the choice of root and checks it."""
-        p = self.p
-        if pow(self.norm(a), (p - 1) // 2, p) == p - 1:
+        """A square root of a, or None when a is not a square, through the
+        norm.  A root (x0, x1) has x0^2 + d x1^2 = a0, 2 x0 x1 = a1 and norm
+        +-r for r^2 = N(a), so x0^2 = (a0 +- r)/2.  For a1 != 0 these two
+        multiply to d a1^2 / 4, a nonsquare, so exactly one is a square, and
+        x1 = a1/(2 x0); for a1 = 0 the root is (sqrt(a0), 0) or
+        (0, sqrt(a0/d)).  sqrt_in_field fixes the choice of root and checks it."""
+        p, (a0, a1) = self.p, a
+        if not a1:
+            x0 = sqrt_mod_p(a0, p)
+            return (0, sqrt_mod_p(a0 * pow(self.d, -1, p), p)) if x0 is None else (x0, 0)
+        r = sqrt_mod_p(self.norm(a), p)
+        if r is None:
             return None
-        if a == (0, 0):
-            return a
-        one, e, c = (1, 0), self._e, self._c
-        r = self.pow(a, (self._m - 1) // 2)
-        root = self.mul(r, a)
-        t = self.mul(r, root)  # a^m
-        while t != one:
-            # the least i with t^(2^i) = 1; then c^(2^(e-i-1)) fixes the root
-            i, u = 1, self.mul(t, t)
-            while u != one:
-                i, u = i + 1, self.mul(u, u)
-            for _ in range(e - i - 1):
-                c = self.mul(c, c)
-            root, c = self.mul(root, c), self.mul(c, c)
-            t, e = self.mul(t, c), i
-        return root
+        half = (p + 1) // 2  # neither candidate is 0, so `or` skips only a None
+        x0 = sqrt_mod_p((a0 + r) * half, p) or sqrt_mod_p((a0 - r) * half, p)
+        return (x0, a1 * pow(2 * x0, -1, p) % p)
 
     def __repr__(self):
         return "GF(%d^2)" % self.p

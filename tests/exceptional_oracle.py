@@ -11,7 +11,7 @@ smaller root of z^2 + z + 1.
 from __future__ import annotations
 
 from fibercurve.exceptional import PROJECTIVE_ORDER, CongruenceError, _trace_data
-from fibercurve.ffield import field_create, inverse_mod
+from fibercurve.ffield import inverse_mod
 from fibercurve.projline import GroupError, SubgroupTable, generate_subgroup, transform
 
 
@@ -45,7 +45,7 @@ def det1_matrices(p: int, traces):
 
 def scan_generators(kind: str, p: int) -> SubgroupTable:
     """First (S, T) in lexicographic order passing the trace criteria."""
-    traces, combos = _trace_data(kind, field_create(p))
+    traces, combos = _trace_data(kind, p)
     target = PROJECTIVE_ORDER[kind]
     if kind == "a4":
         s_traces, t_traces = {1, p - 1}, {0}

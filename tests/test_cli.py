@@ -943,9 +943,13 @@ def test_wrong_square_root_exits_3_under_python_O():
      "group order:"),
     # the p = 3 mod 4 root a^((p+1)/4), one off; s4 at 23 solves for its
     # generators from sqrt(2)
-    ("exceptional", "pow", ["orbits", "--group", "s4", "--prime", "23"],
+    ("ffield", "pow", ["orbits", "--group", "s4", "--prime", "23"],
      "real(*args) + 1 if args[1:] == ((args[2] + 1) // 4, args[2]) else real(*args)",
      "square root:"),
+    # a root from Tonelli-Shanks' loop, one off: s4 at 17 = 1 + 2^4 takes
+    # sqrt(2) and i for its explicit generators
+    ("exceptional", "sqrt_mod_p", ["orbits", "--group", "s4", "--prime", "17"],
+     "real(*args) + 1", "square root:"),
     # a squares table with every residue a square counts all of H as H'
     ("projline", "square_table", ["fiber", "--family", "ns", "--prime", "13"],
      "bytearray([1]) * args[0]", "coset cycle counts:"),
@@ -956,8 +960,8 @@ def test_wrong_square_root_exits_3_under_python_O():
      "coset cycle counts: |H'| = 5 is neither |H| = 14"),
 ], ids=["total-genus", "branch-values", "shared-branch-value", "orbit-stabilizer",
         "orbit-stabilizer-non-member", "cover-genus", "identity-unknowns", "orbit-table",
-        "generator-pair", "group-order", "fp-square-root", "squares-table",
-        "squares-flip"])
+        "generator-pair", "group-order", "fp-square-root", "fp-square-root-loop",
+        "squares-table", "squares-flip"])
 def test_failed_paper_check_exits_3_under_python_O(module, name, argv, result, check):
     proc = run_patched_under_python_O(module, name, argv, result)
     assert proc.returncode == 3 and proc.stdout == ""

@@ -561,9 +561,9 @@ def test_shared_sample_matches_per_family_checks(p, seed, monkeypatch):
     shared = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(F, consts, A, A_p, B, B_p, rng):
+    def recording(F, consts, A, A_p, B, B_p, A_inv, rng):
         shared.append((A, A_p, B, B_p, rng.getstate()))
-        return rejecting_families(F, consts, A, A_p, B, B_p, rng)
+        return rejecting_families(F, consts, A, A_p, B, B_p, A_inv, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)
@@ -580,16 +580,16 @@ def test_shared_sample_reports_the_rejected_point(monkeypatch):
     draws = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(F, consts, A, A_p, B, B_p, rng):
+    def recording(F, consts, A, A_p, B, B_p, A_inv, rng):
         draws.append((A, A_p, B))
-        return rejecting_families(F, consts, A, A_p, B, B_p, rng)
+        return rejecting_families(F, consts, A, A_p, B, B_p, A_inv, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     verify_quotient_maps(p, 8, seed=seed)
     rejected = draws[3]
 
-    def reject_for_s(F, consts, A, A_p, B, B_p, rng):
-        families = list(rejecting_families(F, consts, A, A_p, B, B_p, rng))
+    def reject_for_s(F, consts, A, A_p, B, B_p, A_inv, rng):
+        families = list(rejecting_families(F, consts, A, A_p, B, B_p, A_inv, rng))
         if (A, A_p, B) == rejected:
             families.append("s")
         return families
@@ -633,9 +633,9 @@ def test_sampled_points_lie_on_the_curve(seed, p, monkeypatch):
     draws = []
     rejecting_families = drinfeld._rejecting_families
 
-    def recording(F, consts, A, A_p, B, B_p, rng):
+    def recording(F, consts, A, A_p, B, B_p, A_inv, rng):
         draws.append((A, A_p, B, B_p))
-        return rejecting_families(F, consts, A, A_p, B, B_p, rng)
+        return rejecting_families(F, consts, A, A_p, B, B_p, A_inv, rng)
 
     monkeypatch.setattr(drinfeld, "_rejecting_families", recording)
     checks = verify_quotient_maps(p, 8, seed=seed)

@@ -1,8 +1,8 @@
 import pytest
 
 import exceptional_oracle as oracle
-from fibercurve import exceptional
-from fibercurve.ffield import field_create, inverse_mod, is_prime
+from fibercurve import exceptional, ffield
+from fibercurve.ffield import inverse_mod, is_prime
 from fibercurve.projline import transform
 from fibercurve.exceptional import (
     A5_EXPLICIT,
@@ -171,13 +171,12 @@ def brute_det1_walk(p):
 
 @pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
 def test_sqrt_pair_matches_brute_force(p):
-    # Euler's criterion rejects the nonsquares; a square's root comes
-    # from F_{p^2} and must land in F_p
-    field = field_create(p)
+    # sqrt_mod_p rejects the nonsquares; a square's two roots come back
+    # ascending
     for a in range(p):
         roots = [x for x in range(p) if x * x % p == a]
         expected = tuple(sorted((roots[0], -roots[0] % p))) if roots else None
-        assert _sqrt_pair(field, a) == expected, (p, a)
+        assert _sqrt_pair(p, a) == expected, (p, a)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
@@ -189,7 +188,7 @@ def test_det1_matrices_match_filtered_full_walk(p):
             check_congruence(kind, p)
         except CongruenceError:
             continue
-        trace_sets.append(_trace_data(kind, field_create(p))[0])
+        trace_sets.append(_trace_data(kind, p)[0])
     for traces in trace_sets:
         expected = [m for m in brute_det1_walk(p) if (m[0] + m[3]) % p in traces]
         assert list(oracle.det1_matrices(p, traces)) == expected, sorted(traces)
@@ -257,7 +256,7 @@ def test_solve_gives_the_scans_pair_at_the_top_of_the_range(kind, p):
 def test_cube_root_of_unity_matches_the_scan_below_20000():
     for p in range(7, 20000, 6):  # p = 1 mod 3, odd
         if is_prime(p):
-            assert _cube_root_of_unity(field_create(p)) == oracle.scan_cube_root_of_unity(p), p
+            assert _cube_root_of_unity(p) == oracle.scan_cube_root_of_unity(p), p
 
 
 def test_every_solve_below_20000_stops_at_first_entry_6(monkeypatch):
@@ -269,7 +268,7 @@ def test_every_solve_below_20000_stops_at_first_entry_6(monkeypatch):
     firsts = []
     real_row = exceptional._row
     monkeypatch.setattr(exceptional, "_row",
-                        lambda field, t0, pairs, a: firsts.append(a) or real_row(field, t0, pairs, a))
+                        lambda p, t0, pairs, a: firsts.append(a) or real_row(p, t0, pairs, a))
     worst, builds = {kind: (-1, None) for kind in KINDS}, 0
     for p in range(5, 20000):
         if not is_prime(p):
@@ -287,3 +286,24 @@ def test_every_solve_below_20000_stops_at_first_entry_6(monkeypatch):
                 worst[kind] = max(worst[kind], (firsts[-1], p))
     assert builds == 4503
     assert worst == {"a4": (6, 8951), "s4": (4, 16319), "a5": (2, 16349)}
+
+
+def test_every_build_below_1000_creates_no_field(monkeypatch):
+    # the traces, sqrt(2), i and the cube roots of unity all lie in F_p,
+    # so no build takes a root, or anything else, in F_{p^2}
+    def no_field(self, p):
+        raise RuntimeError("F_{%d^2} created" % p)
+
+    monkeypatch.setattr(ffield.GF, "__init__", no_field)
+    builds = 0
+    for p in range(5, 1000):
+        if not is_prime(p):
+            continue
+        for kind in KINDS:
+            try:
+                check_congruence(kind, p)
+            except CongruenceError:
+                continue
+            assert build_exceptional(kind, p).order == PROJECTIVE_ORDER[kind]
+            builds += 1
+    assert builds == 324

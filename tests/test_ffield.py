@@ -11,6 +11,7 @@ from fibercurve.ffield import (
     is_prime,
     solve_affine_mod_p,
     sqrt_in_field,
+    sqrt_mod_p,
     square_table,
 )
 
@@ -183,9 +184,9 @@ def test_sqrt_returns_smaller_root():
 
 
 def test_sqrt_squares_back_at_every_prime_below_2000():
-    # Tonelli-Shanks takes its nonsquare from sqrt(d) when p = 1 mod 4
-    # and from 1 + sqrt(d) otherwise; were either a square, some roots
-    # of random squares would come out wrong
+    # the root comes through the norm: a slip in the norm's root, in the
+    # choice between (a0 + r)/2 and (a0 - r)/2 or in a1/(2 x0) would
+    # make some roots of random squares come out wrong
     rng = random.Random(0)
     for p in range(5, 2000):
         if is_prime(p):
@@ -193,6 +194,35 @@ def test_sqrt_squares_back_at_every_prime_below_2000():
             for _ in range(8):
                 y = F.random_element(rng)
                 assert sqrt_in_field(F, (y * y).coords) in (y.coords, F.neg(y.coords)), p
+
+
+def test_sqrt_mod_p_is_none_exactly_on_the_nonsquares_below_2000():
+    for p in range(3, 2000):
+        if is_prime(p):
+            squares = {x * x % p for x in range(p)}
+            for a in range(p):
+                r = sqrt_mod_p(a, p)
+                if a in squares:
+                    assert r is not None and 0 <= r < p and r * r % p == a, (p, a)
+                else:
+                    assert r is None, (p, a)
+
+
+@pytest.mark.parametrize("p,e", [(65537, 16), (786433, 18), (1048573, 2), (1048571, 1)])
+def test_sqrt_mod_p_at_deep_two_power_and_top_primes(p, e):
+    # p - 1 = 2^e q with q odd: 65537 and 786433 run the loop deepest,
+    # 1048573 and 1048571 are at the top of the accepted range
+    assert (p - 1) % (1 << e) == 0 and (p - 1) >> e & 1
+    rng = random.Random(p)
+    for _ in range(2000):
+        y = rng.randrange(1, p)
+        assert sqrt_mod_p(y * y, p) in (y, p - y), (p, y)
+        a = rng.randrange(1, p)
+        r = sqrt_mod_p(a, p)
+        if pow(a, (p - 1) // 2, p) == 1:
+            assert r is not None and r * r % p == a, (p, a)
+        else:
+            assert r is None, (p, a)
 
 
 def test_square_table_is_euler_criterion_at_every_residue_below_2000():
