@@ -550,26 +550,36 @@ def toric_rank_closed_form(family: str, p: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def family_group_image(family: str, p: int) -> SubgroupTable:
-    """The image in PGL_2(F_p) of the subgroup defining the family."""
+def family_group_image(family: str, p: int):
+    """The elements of the family's image in PGL_2(F_p), for one pass; a
+    Cartan or x0 image raises once the pass has read other than |H| of them."""
     if family == "ns":
-        return cartan_nonsplit(p, normalizer=False)
+        return _counted(cartan_nonsplit(p, normalizer=False), p + 1, family, p)
     if family == "ns+":
-        return cartan_nonsplit(p, normalizer=True)
+        return _counted(cartan_nonsplit(p, normalizer=True), 2 * (p + 1), family, p)
     if family == "s":
-        return cartan_split(p, normalizer=False)
+        return _counted(cartan_split(p, normalizer=False), p - 1, family, p)
     if family == "s+":
-        return cartan_split(p, normalizer=True)
+        return _counted(cartan_split(p, normalizer=True), 2 * (p - 1), family, p)
     if family == "x0":
-        return borel(p)
+        return _counted(borel(p).elements, p * (p - 1), family, p)
     if family in EXCEPTIONAL_KINDS:
-        return build_exceptional(family, p)
+        return build_exceptional(family, p).elements
     raise ValueError("unknown family %r" % family)
 
 
-def genus_oracle(H: SubgroupTable) -> int:
+def _counted(elements, order: int, family: str, p: int):
+    read = 0
+    for read, g in enumerate(elements, 1):
+        yield g
+    if read != order:
+        raise InconsistencyError("group order: the image has %d elements, not %d "
+                                 "(family %s, p = %d)" % (read, order, family, p))
+
+
+def genus_oracle(p: int, elements) -> int:
     """Geometric genus of the coarse curve attached to H <= PGL_2(F_p),
-    with p = H.p.
+    H given by one pass over its elements.
 
     Riemann-Hurwitz over the j-line: with H' = H meet PSL_2 and
     n = [PSL_2 : H'], 2g - 2 = -2n + sum over e in {2, 3, p} of
@@ -578,8 +588,7 @@ def genus_oracle(H: SubgroupTable) -> int:
     and the c_e, and rejects a p that is not a prime > 3.  total_genus
     checks the result against genus_closed_form wherever one exists.
     """
-    p = H.p
-    counts = coset_cycle_counts(H)
+    counts = coset_cycle_counts(p, elements)
     rhs = counts[1] - counts[2] - counts[3] - counts[p]
     if rhs % 2 or rhs < -2:
         raise InconsistencyError(
@@ -614,9 +623,9 @@ def genus_closed_form(family: str, p: int) -> int:
 
 
 def total_genus(family: str, p: int, group: SubgroupTable = None) -> int:
-    """The genus oracle on the family's group image, or on `group` when
-    the caller has already built that image."""
-    genus = genus_oracle(group or family_group_image(family, p))
+    """The genus oracle on the family's group image, or on `group`'s
+    elements when the caller has already built that image."""
+    genus = genus_oracle(p, group.elements if group else family_group_image(family, p))
     if family not in EXCEPTIONAL_KINDS:
         closed = genus_closed_form(family, p)
         if genus != closed:

@@ -310,19 +310,22 @@ def checks_for_prime(p: int) -> list:
     def record(name, ok, detail=""):
         out.append((name, p, bool(ok), detail))
 
-    # each kind's orbit table, or the error of its failed check
-    tables = {}
+    # each kind's row; only the worked equation's kind keeps its table (or error)
+    worked = None
     for kind in EXCEPTIONAL_KINDS:
         try:
             check_congruence(kind, p)
         except CongruenceError:
             continue
         try:
-            tables[kind] = orbit_table(kind, p)
+            table = orbit_table(kind, p)
             record("orbit-table-%s" % kind, True)
         except VerificationError as exc:
-            tables[kind] = exc
+            table = exc
             record("orbit-table-%s" % kind, False, str(exc))
+        if p in WORKED_EQUATIONS and WORKED_EQUATIONS[p][0] == kind:
+            worked = table
+        del table
 
     # each family's fiber and genus, built once at this prime by its
     # report and read by the toric-rank rows and the ns+ prediction too
@@ -349,11 +352,10 @@ def checks_for_prime(p: int) -> list:
 
     if p in WORKED_EQUATIONS:
         kind, expect = WORKED_EQUATIONS[p]
-        table = tables[kind]
-        if isinstance(table, VerificationError):
-            record("worked-equation-%s" % kind, False, str(table))
+        if isinstance(worked, VerificationError):
+            record("worked-equation-%s" % kind, False, str(worked))
         else:
-            text = drinfeld.exceptional_drinfeld(table).text()
+            text = drinfeld.exceptional_drinfeld(worked).text()
             record("worked-equation-%s" % kind, text == expect, text)
 
     if p <= drinfeld.SAMPLE_MAX_P:

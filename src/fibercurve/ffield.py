@@ -96,6 +96,15 @@ def square_table(p: int) -> bytearray:
     return table
 
 
+def inverse_table(p: int) -> list:
+    """t[a] = 1/a mod the prime p for 0 < a < p, and t[0] = 0, in one O(p)
+    pass: p = (p // a) a + p % a, so 1/a = -(p // a)/(p % a), a smaller entry."""
+    table = [0, 1] + [0] * (p - 2)
+    for a in range(2, p):
+        table[a] = (p - p // a) * table[p % a] % p
+    return table
+
+
 def inverse_mod(a: int, m: int) -> int:
     """Least positive residue r with a*r = 1 mod m.
 

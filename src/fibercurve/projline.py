@@ -16,13 +16,14 @@ squares mod p, places it in PSL_2, its trace places it in its class, and
 the classical conjugacy data of PSL_2(F_p) turn the class sizes into
 fixed-coset counts; no coset is ever listed.  The test suite checks them
 against an explicit coset transversal at small p.  The Cartan images
-are listed as normalized tuples, with only their normalizers' products
-formed by `mul`.
+are generators of normalized tuples read off each torus's parametrization,
+and orbit images divide through one table of inverses.
 """
 
 from __future__ import annotations
 
-from .ffield import InconsistencyError, first_nonsquare, is_prime, square_table
+from .ffield import (InconsistencyError, first_nonsquare, inverse_table, is_prime,
+                     square_table)
 
 SUBGROUP_CAP = 10 ** 5
 
@@ -68,26 +69,12 @@ def mul(p: int, g, h):
     )
 
 
-def act(p: int, g, x: int) -> int:
-    """Column-vector action of PGL_2 on P^1."""
-    a, b, c, d = g
-    if x == p:
-        nx, ny = a, c
-    else:
-        nx, ny = (a * x + b) % p, (c * x + d) % p
-    if ny == 0:
-        return p
-    return nx * pow(ny, -1, p) % p
-
-
 def projective_order(p: int, g) -> int:
-    h = g
-    n = 1
+    h, n = g, 1
     while h != IDENTITY:
-        h = mul(p, h, g)
-        n += 1
-        if n > p * (p + 1):
+        if n > p:  # no element of PGL_2(F_p) has order above p + 1
             raise GroupError("order computation runaway")
+        h, n = mul(p, h, g), n + 1
     return n
 
 
@@ -153,17 +140,21 @@ def orbits(H: SubgroupTable):
 
     Each orbit is the image of its least point x under the whole of H,
     and the elements that fix x are its stabilizer, so one pass of H
-    gives both.  Orbits are listed with the smallest member first.  The
+    gives both, each image divided through one `inverse_table(p)`.
+    Orbits are listed with the smallest member first.  The
     orbit-stabilizer identity |orbit| * isotropy = |H| is checked for
     every orbit, and the orbits' cover of the line, before returning.
     """
     p = H.p
+    inv = inverse_table(p)
     remaining = set(range(p + 1))
     out = []
     for x in range(p + 1):
         if x not in remaining:
             continue
-        images = [act(p, g, x) for g in H.elements]
+        u, v = (1, 0) if x == p else (x, 1)
+        images = [(a * u + b * v) * inv[y] % p if (y := (c * u + d * v) % p) else p
+                  for a, b, c, d in H.elements]
         orbit = set(images)
         stab = [g for g, y in zip(H.elements, images) if y == x]
         if len(orbit) * len(stab) != H.order:
@@ -186,32 +177,31 @@ def orbits(H: SubgroupTable):
 # ---------------------------------------------------------------------------
 
 
-def coset_cycle_counts(H: SubgroupTable) -> dict:
+def coset_cycle_counts(p: int, elements) -> dict:
     """Cycle counts on the right cosets H'\\PSL_2(F_p), H' = H meet PSL_2.
 
-    Returns {1: n, 2: c_2, 3: c_3, p: c_p} with p = H.p, n = [PSL_2 : H']
-    and c_e the number of cycles of an element of order e on the n
-    cosets; the count depends on e alone.  One pass over H takes each
-    element's trace t and determinant d, keeps those with d a square
-    (H'), read off one `square_table(p)` rather than a `pow` per
-    element, and sorts them by class: t = 0 is order 2, t^2 = d order 3,
-    and t^2 = 4d, other than the identity, order p.  By the
-    orbit-counting identity c_e is the average over the powers g^j of
-    an order-e element g of the number of fixed cosets, and a coset H'x
-    is fixed by t exactly when x t x^{-1} lies in H', so each nontrivial
-    power fixes |C(t)| |H' meet class(t)| / |H'| cosets, with C(t) the
+    Returns {1: n, 2: c_2, 3: c_3, p: c_p} with n = [PSL_2 : H'] and c_e
+    the number of cycles of an element of order e on the n cosets; the
+    count depends on e alone.  One pass over `elements`, which yields each
+    element of H once, takes each one's trace t and determinant d, keeps
+    those with d a square (H'), read off one `square_table(p)` rather than
+    a `pow` per element, and sorts them by class: t = 0 is order 2, t^2 = d
+    order 3, and t^2 = 4d, other than the identity, order p.  By the
+    orbit-counting identity c_e is the average over the powers g^j of an
+    order-e element g of the number of fixed cosets, and a coset H'x is
+    fixed by t exactly when x t x^{-1} lies in H', so each nontrivial power
+    fixes |C(t)| |H' meet class(t)| / |H'| cosets, with C(t) the
     centralizer of t in PSL_2.  PSL_2(F_p) has one class of elements of
-    order 2 and one of order 3; the p - 1 nontrivial powers of a
-    p-element run through both unipotent classes (p - 1)/2 times each,
-    and each class holds half of the unipotents of H'.
+    order 2 and one of order 3; the p - 1 nontrivial powers of a p-element
+    run through both unipotent classes (p - 1)/2 times each, and each class
+    holds half of the unipotents of H'.
     """
-    p = H.p
     if not is_prime(p) or p <= 3:
         raise GroupError("p must be a prime > 3")
     squares = square_table(p)
-    order = 0
+    size = order = 0
     in_class = {2: 0, 3: 0, p: 0}
-    for g in H.elements:
+    for size, g in enumerate(elements, 1):
         a, b, c, d = g
         det = (a * d - b * c) % p
         if not squares[det]:
@@ -228,10 +218,10 @@ def coset_cycle_counts(H: SubgroupTable) -> dict:
     if not order:
         raise GroupError("H has no element in PSL_2")
     # [PGL_2 : PSL_2] = 2, so H' has index 1 or 2 in H
-    if order != len(H.elements) and 2 * order != len(H.elements):
+    if order != size and 2 * order != size:
         raise InconsistencyError(
             "coset cycle counts: |H'| = %d is neither |H| = %d nor half of it "
-            "(p = %d)" % (order, len(H.elements), p))
+            "(p = %d)" % (order, size, p))
     n, rem = divmod(p * (p * p - 1) // 2, order)
     if rem:
         raise GroupError("|H'| does not divide |PSL2|")
@@ -260,50 +250,35 @@ def coset_cycle_counts(H: SubgroupTable) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _checked_order(table: SubgroupTable, order: int, family: str) -> SubgroupTable:
-    if table.order != order:
-        raise InconsistencyError(
-            "group order: the image has %d elements, not %d (family %s, p = %d)"
-            % (table.order, order, family, table.p))
-    return table
+def cartan_nonsplit(p: int, normalizer: bool = False):
+    """The elements of the image in PGL_2(F_p) of a nonsplit Cartan
+    subgroup (or its normalizer), yielded once each.
 
-
-def cartan_nonsplit(p: int, normalizer: bool = False) -> SubgroupTable:
-    """Image in PGL_2(F_p) of a nonsplit Cartan subgroup (or its normalizer).
-
-    Realized as multiplication by F_{p^2}^* on the basis (1, sqrt(d)) for
-    d the first nonsquare: matrices [[a, b d], [b, a]].  Up to scalars
-    these are exactly p + 1 classes: the identity (b = 0), [[0, d], [1, 0]]
-    (a = 0), and [[1, b d], [b, 1]] for b in F_p^* (divide by a), so the
-    group is listed directly as the normalized tuples (0, 1, 1/d, 0) and
-    (1, b d, b, 1).  The normalizer adds conjugation, [[1, 0], [0, -1]],
-    each product formed by `mul`, so a wrong product shows in the order.
+    Realized as multiplication by F_{p^2}^* on the basis (1, sqrt(d)), d
+    the first nonsquare: up to scalars the matrices [[a, b d], [b, a]] are
+    the p + 1 classes (0, 1, 1/d, 0) (a = 0) and (1, b d, b, 1) for b in
+    F_p (divide by a).  Their products with [[1, 0], [0, -1]], for the
+    normalizer, are (0, 1, -1/d, 0) and (1, -b d, b, -1).
     """
     d = first_nonsquare(p)
-    elems = [(0, 1, pow(d, -1, p), 0)] + [(1, b * d % p, b, 1) for b in range(p)]
-    w = (1, 0, 0, p - 1)
+    e = pow(d, -1, p)
+    yield (0, 1, e, 0)
+    yield from ((1, b * d % p, b, 1) for b in range(p))
     if normalizer:
-        elems = elems + [mul(p, g, w) for g in elems]
-    return _checked_order(SubgroupTable(p, elems), 2 * (p + 1) if normalizer else p + 1,
-                          "ns+" if normalizer else "ns")
+        yield (0, 1, p - e, 0)
+        yield from ((1, -b * d % p, b, p - 1) for b in range(p))
 
 
-def cartan_split(p: int, normalizer: bool = False) -> SubgroupTable:
-    """Image in PGL_2(F_p) of a split Cartan subgroup (or its normalizer).
-
-    The diagonal matrices up to scalars are the p - 1 normalized tuples
-    (1, 0, 0, u), u in F_p^*, listed directly; the normalizer adds the
-    swap [[0, 1], [1, 0]], each product formed by `mul` as above.
-    """
-    elems = [(1, 0, 0, u) for u in range(1, p)]
-    w = (0, 1, 1, 0)
+def cartan_split(p: int, normalizer: bool = False):
+    """The elements of the image in PGL_2(F_p) of a split Cartan subgroup
+    (or its normalizer), yielded once each: the diagonal matrices up to
+    scalars are (1, 0, 0, u), u in F_p^*, and their products with the
+    swap [[0, 1], [1, 0]], for the normalizer, are (0, 1, u, 0)."""
+    yield from ((1, 0, 0, u) for u in range(1, p))
     if normalizer:
-        elems = elems + [mul(p, g, w) for g in elems]
-    return _checked_order(SubgroupTable(p, elems), 2 * (p - 1) if normalizer else p - 1,
-                          "s+" if normalizer else "s")
+        yield from ((0, 1, u, 0) for u in range(1, p))
 
 
 def borel(p: int) -> SubgroupTable:
     """Image in PGL_2(F_p) of the upper-triangular Borel subgroup."""
-    elems = [transform(p, a, b, 0, 1) for a in range(1, p) for b in range(p)]
-    return _checked_order(SubgroupTable(p, elems), p * (p - 1), "x0")
+    return SubgroupTable(p, [transform(p, a, b, 0, 1) for a in range(1, p) for b in range(p)])

@@ -429,13 +429,13 @@ def test_genus_oracle_nsplus_closed_form():
         for p in primes:
             if family == "x0" and 200 < p < 397:
                 continue
-            H = family_group_image(family, p)
-            assert genus_oracle(H) == genus_closed_form(family, p), (family, p)
+            assert genus_oracle(p, family_group_image(family, p)) == \
+                genus_closed_form(family, p), (family, p)
 
 
 def test_total_genus_rejects_a_wrong_oracle(monkeypatch):
     real = atlas.genus_oracle
-    monkeypatch.setattr(atlas, "genus_oracle", lambda H: real(H) + 1)
+    monkeypatch.setattr(atlas, "genus_oracle", lambda p, elements: real(p, elements) + 1)
     for family in CARTAN_FAMILIES + ("x0",):
         with pytest.raises(InconsistencyError, match="total genus: .* p = 13"):
             total_genus(family, 13)
@@ -444,7 +444,8 @@ def test_total_genus_rejects_a_wrong_oracle(monkeypatch):
 def test_total_genus_counts_cycles_once(monkeypatch):
     calls = []
     real = atlas.coset_cycle_counts
-    monkeypatch.setattr(atlas, "coset_cycle_counts", lambda H: calls.append(H) or real(H))
+    monkeypatch.setattr(atlas, "coset_cycle_counts",
+                        lambda p, elements: calls.append(p) or real(p, elements))
     for family in CARTAN_FAMILIES + ("x0", "a4", "s4", "a5"):
         calls.clear()
         total_genus(family, 71)

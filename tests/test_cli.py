@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -538,6 +539,29 @@ def test_battery_builds_each_cartan_fiber_once_per_prime(monkeypatch):
     assert names["neron-prediction"]
 
 
+@pytest.mark.parametrize("p,kept", [(73, ["s4"]), (97, [])])
+def test_battery_keeps_only_the_worked_equations_orbit_table(monkeypatch, p, kept):
+    # 73 and 97 build the a4 and s4 tables, and 73 has s4's worked
+    # equation; while the Cartan reports are built only that table lives
+    alive, seen = {}, []
+    real_table, real_report = cli.orbit_table, cli.atlas.consistency_report
+
+    def tracked(kind, q):
+        table = real_table(kind, q)
+        alive[kind] = weakref.ref(table)
+        return table
+
+    def report(family, q):
+        seen.append(sorted(kind for kind, ref in alive.items() if ref() is not None))
+        return real_report(family, q)
+
+    monkeypatch.setattr(cli, "orbit_table", tracked)
+    monkeypatch.setattr(cli.atlas, "consistency_report", report)
+    results = cli.checks_for_prime(p)
+    assert sorted(alive) == ["a4", "s4"] and seen == [kept] * 4
+    assert all(ok for _, _, ok, _ in results)
+
+
 def test_battery_checks_supersingular_data_with_the_walk_once_per_prime(monkeypatch):
     walked, old = [], []
     real = cli.atlas.isogeny_supersingular_data
@@ -937,10 +961,10 @@ def test_wrong_square_root_exits_3_under_python_O():
     ("exceptional", "generate_subgroup", ["orbits", "--group", "a4", "--prime", "11"],
      "module.SubgroupTable(args[0], real(*args, **kwargs).elements[1:])",
      "generator pair: no solved pair generates a group of order 12 (kind a4, p = 11)"),
-    # a product that returns its right factor repeats classes in the
-    # normalizer's list, and deduplication leaves it short
-    ("projline", "mul", ["fiber", "--family", "ns+", "--prime", "13"], "args[1]",
-     "group order:"),
+    # a nonsplit image that skips its first element reads one short of
+    # |H| in the genus pass
+    ("atlas", "cartan_nonsplit", ["fiber", "--family", "ns+", "--prime", "13"],
+     "(g for i, g in enumerate(real(*args, **kwargs)) if i)", "group order:"),
     # the p = 3 mod 4 root a^((p+1)/4), one off; s4 at 23 solves for its
     # generators from sqrt(2)
     ("ffield", "pow", ["orbits", "--group", "s4", "--prime", "23"],

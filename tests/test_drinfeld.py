@@ -165,7 +165,7 @@ def mobius_through(p, triples):
 
 
 def test_pair_change_is_a_single_mobius_transformation():
-    from fibercurve.projline import act
+    from projline_oracle import act
 
     for kind, p in (("s4", 73), ("a4", 103)):
         table = orbit_table(kind, p)

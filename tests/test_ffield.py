@@ -8,6 +8,7 @@ from fibercurve.ffield import (
     FieldError,
     field_create,
     inverse_mod,
+    inverse_table,
     is_prime,
     solve_affine_mod_p,
     sqrt_in_field,
@@ -232,6 +233,24 @@ def test_square_table_is_euler_criterion_at_every_residue_below_2000():
             table = square_table(p)
             assert len(table) == p
             assert [a for a in range(p) if table[a] != (pow(a, (p - 1) // 2, p) == 1)] == [], p
+
+
+def test_inverse_table_inverts_every_residue_below_2000():
+    # 0 has no inverse and reads 0
+    for p in range(2, 2000):
+        if is_prime(p):
+            table = inverse_table(p)
+            assert len(table) == p and table[0] == 0
+            assert [a for a in range(1, p) if table[a] * a % p != 1] == [], p
+
+
+@pytest.mark.parametrize("p", [65537, 1048573])
+def test_inverse_table_at_large_primes(p):
+    table = inverse_table(p)
+    assert len(table) == p and table[1] == 1 and table[p - 1] == p - 1
+    rng = random.Random(p)
+    for a in [rng.randrange(1, p) for _ in range(2000)]:
+        assert table[a] * a % p == 1 and 0 < table[a] < p, (p, a)
 
 
 def test_sqrt_in_fp2_at_p_1999_returns_the_smaller_root():

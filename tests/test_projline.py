@@ -1,15 +1,15 @@
 import random
+import time
 
 import pytest
 
 from fibercurve import projline
-from fibercurve.exceptional import build_exceptional
-from fibercurve.ffield import first_nonsquare, is_prime
+from fibercurve.exceptional import KINDS, CongruenceError, build_exceptional, check_congruence
+from fibercurve.ffield import first_nonsquare, inverse_table, is_prime
 from fibercurve.projline import (
     IDENTITY,
     GroupError,
     SubgroupTable,
-    act,
     borel,
     cartan_nonsplit,
     cartan_split,
@@ -21,6 +21,7 @@ from fibercurve.projline import (
     projective_order,
     transform,
 )
+from projline_oracle import act, act_orbits
 
 
 def in_psl2(p, g):
@@ -152,7 +153,7 @@ def test_orbits_a4_13_match_published_sets():
 def test_orbit_sizes_partition_the_line():
     rng = random.Random(2)
     for p in (13, 29, 41):
-        G = cartan_nonsplit(p, normalizer=True)
+        G = SubgroupTable(p, cartan_nonsplit(p, normalizer=True))
         orbs = orbits(G)
         assert sum(len(o) for o in orbs) == p + 1
         for o in orbs:
@@ -162,7 +163,7 @@ def test_orbit_sizes_partition_the_line():
 def test_orbit_multiset_invariant_under_conjugation():
     rng = random.Random(9)
     for p in (13, 29, 97):
-        G = cartan_nonsplit(p, normalizer=True)
+        G = SubgroupTable(p, cartan_nonsplit(p, normalizer=True))
         sizes = sorted(len(o) for o in orbits(G))
         for _ in range(3):
             g = rand_transform(p, rng)
@@ -176,19 +177,45 @@ def test_orbit_multiset_invariant_under_conjugation():
 @pytest.mark.parametrize("kind,p,calls", [
     ("a4", 13, 36), ("s4", 73, 120), ("a5", 421, 540), ("ns+", 13, 28),
 ])
-def test_orbits_act_once_per_element_and_orbit(monkeypatch, kind, p, calls):
+def test_orbits_build_one_inverse_table_and_no_pow_per_image(monkeypatch, kind, p, calls):
     # one image of the orbit's least point under each element gives the
-    # orbit and its stabilizer: |H| act calls per orbit, no more
-    H = cartan_nonsplit(p, normalizer=True) if kind == "ns+" else build_exceptional(kind, p)
-    count = [0]
+    # orbit and its stabilizer, |H| images per orbit, each divided
+    # through the one inverse table of the sweep, with no pow of its own
+    H = (SubgroupTable(p, cartan_nonsplit(p, normalizer=True)) if kind == "ns+"
+         else build_exceptional(kind, p))
+    tables, pows = [], []
 
-    def counted(*args):
-        count[0] += 1
-        return act(*args)
+    def counted_table(*args):
+        tables.append(args)
+        return inverse_table(*args)
 
-    monkeypatch.setattr(projline, "act", counted)
+    def counted_pow(*args):
+        pows.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(projline, "inverse_table", counted_table)
+    monkeypatch.setattr(projline, "pow", counted_pow, raising=False)
     orbs = orbits(H)
-    assert count[0] == len(orbs) * H.order == calls
+    assert tables == [(p,)] and pows == []
+    assert len(orbs) * H.order == calls
+
+
+def test_orbits_match_the_act_sweep_at_every_exceptional_group_below_2000():
+    # the same orbits, in the same order, with the same stabilizers, as the
+    # sweep that divides by one pow per image (593 groups, about 1 s)
+    cases = 0
+    for p in range(5, 2000):
+        if not is_prime(p):
+            continue
+        for kind in KINDS:
+            try:
+                check_congruence(kind, p)
+            except CongruenceError:
+                continue
+            H = build_exceptional(kind, p)
+            assert [(o.points, o.stabilizer) for o in orbits(H)] == act_orbits(H), (kind, p)
+            cases += 1
+    assert cases == 593
 
 
 def psl2_table(p):
@@ -204,9 +231,15 @@ def psl2_part(H):
     return SubgroupTable(H.p, [g for g in H.elements if in_psl2(H.p, g)])
 
 
+def cartan_tables(p):
+    """The four Cartan images, each as a table."""
+    return [SubgroupTable(p, build(p, normalizer)) for build in (cartan_nonsplit, cartan_split)
+            for normalizer in (False, True)]
+
+
 def cycle_count(H, g):
-    """coset_cycle_counts(H) at the projective order of g."""
-    return coset_cycle_counts(H)[projective_order(H.p, g)]
+    """coset_cycle_counts on H's elements at the projective order of g."""
+    return coset_cycle_counts(H.p, H.elements)[projective_order(H.p, g)]
 
 
 def explicit_cycle_count(G, H, g):
@@ -238,38 +271,38 @@ def explicit_cycle_count(G, H, g):
 def test_coset_cycle_counts_identity_gives_index():
     p = 13
     G = psl2_table(p)
-    H = psl2_part(cartan_nonsplit(p, normalizer=True))
+    H = psl2_part(SubgroupTable(p, cartan_nonsplit(p, normalizer=True)))
     assert explicit_cycle_count(G, H, IDENTITY) == G.order // H.order
-    assert coset_cycle_counts(H)[1] == explicit_cycle_count(G, H, IDENTITY)
+    assert coset_cycle_counts(p, H.elements)[1] == explicit_cycle_count(G, H, IDENTITY)
 
 
 def test_coset_cycle_counts_requires_containment():
     p = 13
-    Hp = psl2_part(cartan_split(p, normalizer=False))
+    Hp = psl2_part(SubgroupTable(p, cartan_split(p, normalizer=False)))
     # five elements of PSL_2(F_13): 5 does not divide 1092
     five = SubgroupTable(p, Hp.elements[:5])
     with pytest.raises(GroupError, match="does not divide"):
-        coset_cycle_counts(five)
+        coset_cycle_counts(p, five.elements)
     # 2 is not a square mod 13, so H' is empty
     with pytest.raises(GroupError, match="no element in PSL_2"):
-        coset_cycle_counts(SubgroupTable(p, [transform(p, 2, 0, 0, 1)]))
+        coset_cycle_counts(p, SubgroupTable(p, [transform(p, 2, 0, 0, 1)]).elements)
     with pytest.raises(GroupError, match="prime > 3"):
-        coset_cycle_counts(SubgroupTable(9, [IDENTITY]))
+        coset_cycle_counts(9, SubgroupTable(9, [IDENTITY]).elements)
 
 
 @pytest.mark.parametrize("p", [p for p in range(5, 60) if is_prime(p)])
 def test_coset_cycle_counts_read_only_the_psl2_part(p):
-    for H in (cartan_nonsplit(p), cartan_nonsplit(p, normalizer=True),
-              cartan_split(p), cartan_split(p, normalizer=True), borel(p)):
-        assert coset_cycle_counts(H) == coset_cycle_counts(psl2_part(H)), (p, H.order)
+    for H in cartan_tables(p) + [borel(p)]:
+        assert coset_cycle_counts(p, H.elements) == \
+            coset_cycle_counts(p, psl2_part(H).elements), (p, H.order)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_lazy_psl2_counts_match_explicit_transversal(p):
     table = psl2_table(p)
     subgroups = [
-        psl2_part(cartan_nonsplit(p, normalizer=True)),
-        psl2_part(cartan_split(p, normalizer=True)),
+        psl2_part(SubgroupTable(p, cartan_nonsplit(p, normalizer=True))),
+        psl2_part(SubgroupTable(p, cartan_split(p, normalizer=True))),
         psl2_part(borel(p)),
     ]
     elements = [
@@ -316,14 +349,7 @@ def test_cycle_count_independent_of_representative():
 
     for p in (5, 7, 11, 13):
         table = psl2_table(p)
-        subgroups = [
-            cartan_nonsplit(p, normalizer=False),
-            cartan_nonsplit(p, normalizer=True),
-            cartan_split(p, normalizer=False),
-            cartan_split(p, normalizer=True),
-            borel(p),
-            build_exceptional("a4", p),
-        ]
+        subgroups = cartan_tables(p) + [borel(p), build_exceptional("a4", p)]
         if p % 8 in (1, 7):
             subgroups.append(build_exceptional("s4", p))
         if p % 5 in (1, 4):
@@ -344,9 +370,9 @@ def test_cycle_count_independent_of_representative():
 def test_cycle_counts_feeding_the_genus_values():
     # order-2 element on the nonsplit-normalizer cosets at p = 13, and the
     # cusp count (order-p cycles) at p = 17
-    H13 = psl2_part(cartan_nonsplit(13, normalizer=True))
+    H13 = psl2_part(SubgroupTable(13, cartan_nonsplit(13, normalizer=True)))
     assert cycle_count(H13, transform(13, 0, -1, 1, 0)) == 42
-    H17 = psl2_part(cartan_nonsplit(17, normalizer=True))
+    H17 = psl2_part(SubgroupTable(17, cartan_nonsplit(17, normalizer=True)))
     assert cycle_count(H17, transform(17, 1, 1, 0, 1)) == 8
 
 
@@ -368,7 +394,7 @@ def brute_cartan_nonsplit(p, normalizer):
 )
 def test_cartan_nonsplit_matches_brute_force(p):
     for normalizer in (False, True):
-        assert tuple(sorted(cartan_nonsplit(p, normalizer).elements)) == \
+        assert tuple(sorted(SubgroupTable(p, cartan_nonsplit(p, normalizer)).elements)) == \
             brute_cartan_nonsplit(p, normalizer)
 
 
@@ -387,7 +413,7 @@ def brute_cartan_split(p, normalizer):
 )
 def test_cartan_split_matches_brute_force(p):
     for normalizer in (False, True):
-        assert tuple(sorted(cartan_split(p, normalizer).elements)) == \
+        assert tuple(sorted(SubgroupTable(p, cartan_split(p, normalizer)).elements)) == \
             brute_cartan_split(p, normalizer)
 
 
@@ -407,22 +433,24 @@ def transform_built_cartan(p, split, normalizer):
 
 @pytest.mark.parametrize("p", [p for p in range(5, 200) if is_prime(p)])
 def test_listed_cartan_tables_are_the_transform_built_ones(p):
-    # the tori are listed as already normalized tuples; as sets they are
-    # the tables built one transform per element
+    # the tori are yielded as already normalized tuples, each class once;
+    # as sets they are the tables built one transform per element
     for build, split in ((cartan_split, True), (cartan_nonsplit, False)):
         for normalizer in (False, True):
-            listed = build(p, normalizer).elements
-            assert set(listed) == set(transform_built_cartan(p, split, normalizer)), \
+            listed = list(build(p, normalizer))
+            table = SubgroupTable(p, listed)
+            assert table.order == len(listed), (p, split, normalizer)
+            assert set(table.elements) == set(transform_built_cartan(p, split, normalizer)), \
                 (p, split, normalizer)
             assert all(transform(p, *g) == g for g in listed), (p, split, normalizer)
 
 
 def test_cartan_subgroup_orders():
     for p in (13, 17, 29):
-        assert cartan_nonsplit(p).order == p + 1
-        assert cartan_nonsplit(p, normalizer=True).order == 2 * (p + 1)
-        assert cartan_split(p).order == p - 1
-        assert cartan_split(p, normalizer=True).order == 2 * (p - 1)
+        assert SubgroupTable(p, cartan_nonsplit(p)).order == p + 1
+        assert SubgroupTable(p, cartan_nonsplit(p, normalizer=True)).order == 2 * (p + 1)
+        assert SubgroupTable(p, cartan_split(p)).order == p - 1
+        assert SubgroupTable(p, cartan_split(p, normalizer=True)).order == 2 * (p - 1)
         assert borel(p).order == p * (p - 1)
 
 
@@ -430,3 +458,20 @@ def test_projective_order_flags():
     p = 13
     assert projective_order(p, transform(p, 1, 1, 0, 1)) == p
     assert projective_order(p, transform(p, 0, -1, 1, -1)) == 3
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 101])
+def test_projective_order_reaches_p_plus_1(p):
+    # the nonsplit torus is cyclic of order p + 1, the largest element
+    # order in PGL_2(F_p), so the runaway bound must let it through
+    assert max(projective_order(p, g) for g in cartan_nonsplit(p)) == p + 1
+
+
+def test_projective_order_runaway_stops_after_p_plus_1_products():
+    # the singular (1, 1, 0, 0) is its own square, so no power is the
+    # identity; at p(p + 1) products this took about 40 s
+    p = 10007
+    start = time.process_time()
+    with pytest.raises(GroupError, match="runaway"):
+        projective_order(p, (1, 1, 0, 0))
+    assert time.process_time() - start < 1.0
