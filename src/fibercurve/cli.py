@@ -277,7 +277,7 @@ def neron_payload(family: str, p: int) -> dict:
     payload = {
         "family": family,
         "p": p,
-        "invariants": sorted(invariants.factors),
+        "invariants": [d for d, k in invariants.runs for _ in range(k)],
         "order": invariants.order(),
         "group": invariants.describe(),
     }

@@ -11,24 +11,26 @@ A (x) B of the banana matrices A = M(e) and B = M(w), where
 M(L) = l_1 J + diag(l_2..l_m), so the group is the sum of Z/(a_i b_k)
 over their Smith normal forms (`component_group`).
 
-The Smith form of M(L) has a closed form on L
-(`smith_normal_form_diagonal`): for k <= m - 2 the k-th invariant
-factor is the product over primes q of q^(the k-th smallest exponent of
-q in L), and the last is det M(L) = banana_order(L) over the others.
-The group order is checked against the closed-form tree count
-banana(e)^(m-1) banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`); a
-disagreement raises InconsistencyError.  The tests keep the general
-path, the Smith normal form of a relation matrix on any dual graph
-taken modulo the determinant and checked against a Kirchhoff
-determinant, as this one's oracle (`tests/neron_oracle.py`).
+One routine takes every Smith form here, that of a diagonal matrix on
+runs (`_diagonal_runs`).  SNF(M(L)) is the first m - 2 factors of
+diag(L) and det M(L) = banana_order(L) over them
+(`smith_normal_form_diagonal`), and the group is SNF(diag(a_i b_k)).
+Its order is checked against the closed-form tree count banana(e)^(m-1)
+banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`); a disagreement
+raises InconsistencyError.  The tests keep the general path, the Smith
+normal form of a relation matrix on any dual graph taken modulo the
+determinant and checked against a Kirchhoff determinant, as this one's
+oracle (`tests/neron_oracle.py`).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from math import gcd, lcm, prod
 
-from .ffield import InconsistencyError, prime_divisors
+from .ffield import InconsistencyError
 
 
 class GraphError(ValueError):
@@ -37,31 +39,55 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class AbelianInvariants:
-    """Invariant factors d_1 | d_2 | ... | d_r, each >= 2."""
+    """Invariant factors d_1 | d_2 | ... | d_r, each >= 2, as runs (d, k)
+    of k >= 1 equal factors d, the factors strictly ascending."""
 
-    factors: tuple
+    runs: tuple
 
     def order(self) -> int:
-        # one power per distinct factor: a product of the factors one by
-        # one is quadratic in the digits of the order
-        return prod(d ** self.factors.count(d) for d in set(self.factors))
+        return prod(d ** k for d, k in self.runs)
 
     def is_trivial(self) -> bool:
-        return not self.factors
+        return not self.runs
 
     def __post_init__(self):
-        prev = None
-        for d in self.factors:
+        prev = 1
+        for d, k in self.runs:
             if d < 2:
                 raise GraphError("invariant factors must be >= 2")
-            if prev is not None and d % prev:
-                raise GraphError("divisibility chain broken")
+            if d % prev or d == prev or k < 1:
+                raise GraphError("not the canonical runs of a divisibility chain")
             prev = d
 
     def describe(self) -> str:
-        if not self.factors:
-            return "trivial"
-        return " x ".join("Z/%d" % d for d in self.factors)
+        return " x ".join(" x ".join(["Z/%d" % d] * k) for d, k in self.runs) or "trivial"
+
+
+def _diagonal_runs(entries) -> list:
+    """Smith normal form of the diagonal matrix with the (value, count)
+    runs `entries`, as (factor, multiplicity) runs, units included.
+
+    A run of r copies of x goes into the chain d_1 | ... | d_n as
+    d'_i = lcm(d_(i-r), gcd(d_i, x)), d_i = 1 before the chain and 0 past
+    it, which places r copies of x's exponent among the sorted exponents
+    at each prime.  One step per overlap of a run of d_(i-r) with one of
+    d_i: the cuts are the chain's run starts, the same shifted by r, and n.
+    """
+    chain = []
+    for x, r in entries:
+        right, out, kv = iter(chain + [(0, r)]), [], 0  # the runs of d_i
+        for u, ku in [(1, r)] + chain:  # the runs of d_(i-r)
+            while ku:
+                if not kv:
+                    v, kv = next(right)
+                k = min(ku, kv)
+                ku, kv = ku - k, kv - k
+                d = lcm(u, gcd(v, x))
+                if out and out[-1][0] == d:
+                    k += out.pop()[1]
+                out.append((d, k))
+        chain = out
+    return chain
 
 
 def smith_normal_form_diagonal(lengths) -> list:
@@ -72,64 +98,36 @@ def smith_normal_form_diagonal(lengths) -> list:
     +-l_1 prod_S l, and a principal one on rows R is prod_R l +
     l_1 sum_(i in R) prod_(R - i) l.  So for k <= m - 2 the gcd of the
     k x k minors is the gcd of the products of k entries of L at distinct
-    places, whose exponent at q is the sum of the k smallest exponents of
-    q in L (Smith 1861: d_1 ... d_k is that gcd).  Only the distinct
-    entries of L are factored, never the last factor.
+    places, as it is for diag(L) (Smith 1861: d_1 ... d_k is that gcd).
+    The first m - 2 factors are therefore those of diag(L), and the last
+    is det M(L) = banana_order(L) over their product.
     """
     m = len(lengths)
-    if m < 3:  # no k <= m - 2: (det M(L)) or the empty matrix
-        return [(banana_order(lengths), 1)] * (m - 1)
-    # the k-th smallest exponent of q is >= j when at most k - 1 entries
-    # miss q^j, so d_(k+1) gains a q over d_k for each q^j that exactly k
-    # entries miss, k < m - 2 while more than 2 entries have q^j
-    steps = {0: 1}
-    for q in {q for x in set(lengths) for q in prime_divisors(x)}:
-        power = q
-        while (hits := sum(x % power == 0 for x in lengths)) > 2:
-            steps[m - hits] = steps.get(m - hits, 1) * q
-            power *= q
-    starts = sorted(steps)
-    runs, d = [], 1
-    for k, end in zip(starts, starts[1:] + [m - 2]):
-        d *= steps[k]
-        runs.append((d, end - k))
-    runs.append((banana_order(lengths) // prod(f ** r for f, r in runs), 1))
-    return runs
-
-
-def _insert_factor(chain, x, r) -> list:
-    """The Smith form of diag(chain, x, ..., x) with r copies of x, chain
-    a divisibility chain d_i: d'_i = lcm(d_(i-r), gcd(d_i, x)) with
-    d_i = 1 before the chain and 0 past it, which places r copies of x's
-    exponent among the sorted exponents at each prime."""
-    return [lcm(prev, gcd(d, x)) for prev, d in zip([1] * r + chain, chain + [0] * r)]
+    if m < 2:  # the empty matrix
+        return []
+    chain = _diagonal_runs(Counter(lengths).items())
+    starts = accumulate((k for _, k in chain), initial=0)
+    runs = [(d, min(k, m - 2 - i)) for (d, k), i in zip(chain, starts) if i < m - 2]
+    return runs + [(banana_order(lengths) // prod(d ** k for d, k in runs), 1)]
 
 
 def component_group(fiber) -> AbelianInvariants:
     """Invariant factors of the component group of a Cartan fiber's model.
 
-    Every horizontal x must meet every vertical j once, with width
-    e_x w_j, where w_j is the vertical's `width`.  The group is the sum
+    The caller's contract: each horizontal x meets each vertical j once,
+    with width e_x w_j, w_j the vertical's `width`, as the Cartan fiber
+    builder makes them; the edges are not read here.  The group is the sum
     of Z/(a b) over the runs a of SNF(A) and b of SNF(B); see the module
-    docstring.  Each run of r equal products goes into the chain at once,
-    in time linear in the chain.
+    docstring.
     """
     horizontals, verticals = fiber.horizontals(), fiber.verticals()
     if not horizontals or not fiber.incidence_complete:
         raise GraphError("not a Cartan dual graph: family %r" % fiber.family)
-    edges = fiber.edges
-    if len(set(edges)) != len(edges) or set(edges) != {
-            (h.name, v.name, h.e * v.width) for h in horizontals for v in verticals}:
-        raise GraphError("not a Cartan dual graph: the edges are not one per "
-                         "horizontal x and vertical j, of width e_x w_j")
     es = [h.e for h in horizontals]
     ws = [v.width for v in verticals]
     snf_a, snf_b = smith_normal_form_diagonal(es), smith_normal_form_diagonal(ws)
-    diag = []
-    for a, r in snf_a:
-        for b, t in snf_b:
-            diag = _insert_factor(diag, a * b, r * t)
-    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
+    diag = _diagonal_runs((a * b, r * t) for a, r in snf_a for b, t in snf_b)
+    invariants = AbelianInvariants(tuple(run for run in diag if run[0] > 1))
     trees = spanning_tree_count(es, ws)
     if invariants.order() != trees:
         raise InconsistencyError(
@@ -170,8 +168,8 @@ def expected_invariants_nsplus(p: int, s: int):
         return AbelianInvariants(())
     if s <= 1:
         return None
-    n = (p - 1) // gcd(p - 1, 12)
-    return AbelianInvariants(tuple([8] * (s - 2) + [8 * n]))
+    n = (p - 1) // gcd(p - 1, 12)  # > 1, since s > 1 leaves out p = 5, 13
+    return AbelianInvariants(tuple(run for run in ((8, s - 2), (8 * n, 1)) if run[1]))
 
 
 def component_group_prediction(fiber) -> PredictionCheck:

@@ -14,7 +14,7 @@ banana lengths, so the two sides share no algorithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from math import gcd, lcm, prod
 
 from fibercurve.ffield import InconsistencyError
@@ -128,6 +128,16 @@ def _divisibility_chain(values) -> list:
     return [1] * (len(values) - len(rest)) + rest
 
 
+def runs_of(factors) -> tuple:
+    """The (factor, multiplicity) runs of an ascending factor list."""
+    return tuple((d, len(list(same))) for d, same in groupby(factors))
+
+
+def expand(runs) -> list:
+    """The factors of (factor, multiplicity) runs, one by one."""
+    return [d for d, k in runs for _ in range(k)]
+
+
 @dataclass(frozen=True)
 class MetrizedGraph:
     vertices: tuple
@@ -205,7 +215,7 @@ def component_group(graph: MetrizedGraph) -> AbelianInvariants:
         diag = smith_normal_form_diagonal(_relation_matrix(graph))
     except GraphError:  # det = tree count, 0 exactly when disconnected
         raise GraphError("graph must be connected") from None
-    invariants = AbelianInvariants(tuple(d for d in diag if d > 1))
+    invariants = AbelianInvariants(runs_of(d for d in diag if d > 1))
     trees = spanning_tree_count(graph)
     if invariants.order() != trees:
         raise InconsistencyError(

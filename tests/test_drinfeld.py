@@ -14,7 +14,9 @@ from fibercurve.ffield import (
     inverse_mod,
     is_prime,
 )
-from fibercurve.exceptional import CongruenceError, check_congruence, orbit_table
+from fibercurve.atlas import supersingular_data
+from fibercurve.exceptional import KINDS, CongruenceError, check_congruence, orbit_table
+from fibercurve.projline import cartan_nonsplit, cartan_split
 from fibercurve.drinfeld import (
     SuperellipticCurve,
     admissible_twist,
@@ -25,7 +27,7 @@ from fibercurve.drinfeld import (
     verify_quotient_maps,
 )
 
-from drinfeld_helpers import form_label, phi_constant_on_orbits
+from drinfeld_helpers import form_label, horizontal_genus, phi_constant_on_orbits
 from fp2_oracle import ElementField, enumerated_count_points_fp2
 
 WORKED = {
@@ -319,6 +321,63 @@ def test_exceptional_genus_matches_reference_below_500(kind):
         table = orbit_table(kind, p)
         if len(table.orbits) >= 2:
             assert_genus_matches_reference(exceptional_drinfeld(table))
+
+
+CARTAN_IMAGES = {
+    "ns": lambda p: cartan_nonsplit(p),
+    "ns+": lambda p: cartan_nonsplit(p, normalizer=True),
+    "s": lambda p: cartan_split(p),
+    "s+": lambda p: cartan_split(p, normalizer=True),
+}
+
+
+def test_riemann_hurwitz_genus_is_the_cartan_equations_genus_below_1000():
+    # every (family, p, e): 1 340 curves in about 0.6 s (2 420 below 2000
+    # in about 2 s also agree)
+    checked = 0
+    for p in range(5, 1000):
+        if is_prime(p):
+            for e in set(supersingular_data(p).e_values()):
+                for family, image in CARTAN_IMAGES.items():
+                    assert horizontal_genus(p, image(p), e) == (
+                        cartan_drinfeld(family, p, e).genus()), (family, p, e)
+                    checked += 1
+    assert checked == 1340
+
+
+# the accepted exceptional (kind, p) below 200 with a horizontal whose
+# printed equation's genus is not the Riemann-Hurwitz genus on DL: the
+# equation leaves out the branch values of the orbits that are not
+# F_p-rational.  A fix removes pairs from this list; nothing adds to it.
+EXCEPTIONAL_GENUS_MISMATCHES = {
+    "a4": (7, 17, 19, 23, 29, 31, 41, 43, 47, 53, 59, 67, 71, 79, 83, 89, 101,
+           103, 107, 113, 127, 131, 137, 139, 149, 151, 163, 167, 173, 179, 191,
+           197, 199),
+    "s4": (17, 31, 41, 47, 71, 79, 89, 103, 113, 127, 137, 151, 167, 191, 199),
+    "a5": (31, 41, 71, 79, 89, 101, 109, 131, 139, 149, 151, 179, 191, 199),
+}
+
+
+def test_exceptional_genus_mismatches_only_shrink():
+    # 76 pairs with at least 2 orbits, 62 of them mismatched, in under
+    # 0.1 s; a4@103 prints genus 204 where Riemann-Hurwitz gives 217
+    genera = {}
+    for p in range(5, 200):
+        for kind in KINDS:
+            try:
+                check_congruence(kind, p)
+            except CongruenceError:
+                continue
+            table = orbit_table(kind, p)
+            if len(table.orbits) >= 2:
+                genera[kind, p] = (exceptional_drinfeld(table).genus(),
+                                   horizontal_genus(p, table.group.elements, 1))
+    assert len(genera) == 76 and genera["a4", 103] == (204, 217)
+    mismatched = {key for key, (printed, expected) in genera.items() if printed != expected}
+    pinned = {(kind, p) for kind, primes in EXCEPTIONAL_GENUS_MISMATCHES.items()
+              for p in primes}
+    assert mismatched - pinned == set(), "new mismatches"
+    assert pinned - mismatched == set(), "fixed: drop from the list"
 
 
 def test_marked_form_genus_up_to_a_million():

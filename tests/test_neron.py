@@ -22,6 +22,7 @@ from fibercurve.neron import (
 )
 
 import neron_oracle as oracle
+from neron_oracle import expand
 
 
 def subdivide(graph):
@@ -91,7 +92,7 @@ def brute_spanning_trees(graph):
 def test_triangle_component_group():
     g = oracle.MetrizedGraph.build(["a", "b", "c"],
                                    [("a", "b", 1), ("b", "c", 1), ("c", "a", 1)])
-    assert oracle.component_group(g).factors == (3,)
+    assert oracle.component_group(g).runs == ((3, 1),)
     assert brute_spanning_trees(subdivide(g)) == 3
 
 
@@ -133,11 +134,6 @@ def test_banana_order_law():
         lengths = [rng.randrange(1, 10) for _ in range(rng.randrange(2, 6))]
         g = oracle.MetrizedGraph.build(["L", "R"], [("L", "R", l) for l in lengths])
         assert oracle.component_group(g).order() == banana_order(lengths)
-
-
-def expand(runs):
-    """The invariant factors of (factor, multiplicity) runs, one by one."""
-    return [d for d, r in runs for _ in range(r)]
 
 
 def test_smith_normal_form_known_lists():
@@ -183,11 +179,10 @@ def test_inserted_factors_equal_the_pairwise_chain_on_random_multisets():
                   for _ in range(rng.randrange(0, 9))]
         extra = [(rng.randrange(1, 400), rng.randrange(1, 5))
                  for _ in range(rng.randrange(1, 4))]
-        chain = oracle._divisibility_chain(values)
-        for x, r in extra:
-            chain = neron._insert_factor(chain, x, r)
-            values += [x] * r
-        assert chain == oracle._divisibility_chain(values)
+        runs = neron._diagonal_runs([(v, 1) for v in values] + extra)
+        assert expand(runs) == oracle._divisibility_chain(
+            values + [x for x, r in extra for _ in range(r)])
+        assert tuple(runs) == oracle.runs_of(expand(runs))  # canonical
 
 
 @pytest.mark.parametrize("family", CARTAN_FAMILIES)
@@ -200,7 +195,7 @@ def test_inserted_products_equal_the_pairwise_chain_below_500(family):
         snf_a = oracle.smith_normal_form_diagonal(banana_matrix(es)) if len(es) > 1 else []
         snf_b = oracle.smith_normal_form_diagonal(banana_matrix(ws)) if len(ws) > 1 else []
         pairwise = oracle._divisibility_chain([a * b for a in snf_a for b in snf_b])
-        assert component_group(fiber).factors == tuple(d for d in pairwise if d > 1), p
+        assert expand(component_group(fiber).runs) == [d for d in pairwise if d > 1], p
 
 
 def test_smith_normal_form_against_determinantal_divisors():
@@ -262,13 +257,12 @@ def test_snf_matches_the_oracle_on_long_lists():
             oracle.smith_normal_form_diagonal(banana_matrix(lengths))), lengths
 
 
-def test_the_oracle_catches_snf_without_one_prime():
-    # mutant: smith_normal_form_diagonal compiled from its source with each
-    # entry's least prime dropped from the exponent sort, so the 2 in
-    # every factor but the last moves into the last; component_group
-    # rebound to call it
+def test_the_oracle_catches_snf_read_as_cyclic():
+    # mutant: smith_normal_form_diagonal compiled from its source with
+    # diag(L) read as the identity, so SNF(M(L)) = (1, ..., 1, banana(L)),
+    # of the right size and order; component_group rebound to call it
     source = inspect.getsource(neron.smith_normal_form_diagonal)
-    old, new = "prime_divisors(x)", "prime_divisors(x)[1:]"
+    old, new = "Counter(lengths).items()", "[(1, m)]"
     assert source.count(old) == 1
     namespace = dict(vars(neron))
     exec(compile(source.replace(old, new), neron.__file__, "exec"), namespace)
@@ -305,19 +299,24 @@ def test_closed_form_tree_count_against_brute_force():
 
 def test_invariants_validation():
     with pytest.raises(GraphError):
-        AbelianInvariants((1,))
+        AbelianInvariants(((1, 1),))
     with pytest.raises(GraphError):
-        AbelianInvariants((4, 6))  # 4 does not divide 6
-    inv = AbelianInvariants((2, 4, 8))
+        AbelianInvariants(((4, 1), (6, 1)))  # 4 does not divide 6
+    for runs in (((2, 1), (2, 1)), ((2, 0), (4, 1)), ((4, 1), (2, 1))):
+        with pytest.raises(GraphError):
+            AbelianInvariants(runs)  # not canonical
+    inv = AbelianInvariants(((2, 1), (4, 1), (8, 1)))
     assert inv.order() == 64
     assert inv.describe() == "Z/2 x Z/4 x Z/8"
+    inv = AbelianInvariants(((2, 2), (6, 1)))
+    assert inv.order() == 24 and inv.describe() == "Z/2 x Z/2 x Z/6"
 
 
 def test_nsplus_29_component_group():
     fiber = special_fiber("ns+", 29)
     inv = oracle.component_group(oracle.fiber_metrized_graph(fiber))
-    assert inv.factors == (8, 56)
-    assert expected_invariants_nsplus(29, 3).factors == (8, 56)
+    assert inv.runs == ((8, 1), (56, 1))
+    assert expected_invariants_nsplus(29, 3).runs == ((8, 1), (56, 1))
 
 
 @pytest.mark.parametrize("p", [17, 29, 37, 41, 53, 101, 137])
@@ -329,7 +328,7 @@ def test_prediction_match_for_1_mod_4(p):
     n = Fraction(p - 1, 12).numerator
     s = special_fiber("ns+", p).supersingular.s
     expect = sorted([8] * (s - 2) + [8 * n])
-    assert sorted(chk.invariants.factors) == expect
+    assert expand(chk.invariants.runs) == expect
 
 
 @pytest.mark.parametrize("family,p", [("s", 11), ("s+", 29), ("ns+", 101)])
@@ -339,8 +338,9 @@ def test_component_group_matches_subdivided_laplacian(family, p):
     fiber = special_fiber(family, p)
     graph = oracle.fiber_metrized_graph(fiber)
     diag = oracle.smith_normal_form_diagonal(reduced_unit_laplacian(subdivide(graph)))
-    factors = tuple(d for d in diag if d > 1)
-    assert oracle.component_group(graph).factors == component_group(fiber).factors == factors
+    group = component_group(fiber)
+    assert oracle.component_group(graph) == group
+    assert expand(group.runs) == [d for d in diag if d > 1]
 
 
 @pytest.mark.parametrize("p", [19, 23, 31, 43])
@@ -378,22 +378,6 @@ def test_cartan_component_group_matches_relation_matrix(family, p):
     es = [h.e for h in fiber.horizontals()]
     ws = [w // es[0] for a, _, w in fiber.edges if a == fiber.horizontals()[0].name]
     assert spanning_tree_count(es, ws) == oracle.spanning_tree_count(graph)
-
-
-def test_cartan_component_group_rejects_a_width_that_is_not_a_product():
-    fiber = special_fiber("s", 29)
-    a, b, w = fiber.edges[-1]
-    bad = dataclasses.replace(fiber, edges=fiber.edges[:-1] + [(a, b, w + 1)])
-    assert component_group(fiber).order() > 1
-    with pytest.raises(GraphError):
-        component_group(bad)
-
-
-def test_cartan_component_group_rejects_a_missing_edge():
-    fiber = special_fiber("s+", 29)
-    bad = dataclasses.replace(fiber, edges=fiber.edges[1:])
-    with pytest.raises(GraphError):
-        component_group(bad)
 
 
 def test_banana_snf_is_cyclic_at_every_prime_below_1000():
@@ -444,11 +428,38 @@ def test_cartan_component_group_takes_any_e_list(es):
     sizes = [x * y for x in [1] * (len(es) - 2) + [banana_order(es)]
              for y in oracle.smith_normal_form_diagonal(
                  banana_matrix([v.width for v in fiber.verticals()]))]
-    cyclic = AbelianInvariants(tuple(d for d in oracle._divisibility_chain(sizes) if d > 1))
+    cyclic = AbelianInvariants(oracle.runs_of(
+        d for d in oracle._divisibility_chain(sizes) if d > 1))
     assert cyclic.order() == general.order()
     if es == [2, 2, 2]:
         assert smith_normal_form_diagonal(es) == [(2, 1), (6, 1)]
-        assert general.factors == (4, 4, 12, 12, 1680, 5040)
-        assert cyclic.factors == (2, 2, 24, 24, 840, 10080)
+        assert expand(general.runs) == [4, 4, 12, 12, 1680, 5040]
+        assert expand(cyclic.runs) == [2, 2, 24, 24, 840, 10080]
     else:  # coker(A) is cyclic for [1, 2, 3, 2]
         assert cyclic == general
+
+
+@pytest.mark.parametrize("family", CARTAN_FAMILIES)
+def test_component_group_has_at_most_four_runs_at_the_top(family):
+    # s fiber: 262 140 invariant factors, in 4 runs
+    assert len(component_group(special_fiber(family, 1048573)).runs) <= 4
+
+
+class Untouchable:
+    def __getattribute__(self, name):
+        raise AssertionError("the edge list was read")
+
+
+@pytest.mark.parametrize("family,p", [(family, p) for family in CARTAN_FAMILIES
+                                      for p in (29, 101, 1997)])
+def test_component_group_does_not_read_the_edges(family, p):
+    fiber = special_fiber(family, p)
+    blind = dataclasses.replace(fiber, edges=Untouchable())
+    assert component_group(blind) == component_group(fiber)
+
+
+@pytest.mark.parametrize("kind,p", [("s4", 17), ("a5", 29)])
+def test_component_group_rejects_an_exceptional_fiber(kind, p):
+    # a4@13 in test_fiber_metrized_graph_rejects_partial_incidence
+    with pytest.raises(GraphError, match="not a Cartan dual graph"):
+        component_group(special_fiber(kind, p))
