@@ -24,6 +24,7 @@ import functools
 import os
 import sys
 import tempfile
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii
 
 from . import atlas, drinfeld, neron
@@ -287,7 +288,7 @@ def neron_payload(family: str, p: int) -> dict:
 
 
 def neron_text(payload: dict) -> str:
-    line = "component group (%s, p = %d): %s, order %d" % (
+    line = "component group (%s, p = %d): %s, order %s" % (
         payload["family"],
         payload["p"],
         payload["group"],
@@ -511,22 +512,11 @@ def parse_args(argv) -> dict:
     return args
 
 
-def _unlimited_digits(work):
-    """work(), with Python's int-string limit lifted while it runs: s and
-    s+ group orders pass its 4300 digits from p = 6287."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return work()
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return work()
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _emit_json(payload) -> str:
     """The bytes of json.dumps(payload, indent=2, sort_keys=True), in one
-    pass: an indent sends json.dumps to its pure-Python encoder."""
+    pass: an indent sends json.dumps to its pure-Python encoder.  A Neron
+    order is a Decimal, and str() gives it the digits json.dumps gives
+    its int, in linear time and past any int-string limit."""
     parts = []
     _write_json(payload, "\n", parts.append)
     return "".join(parts)
@@ -560,6 +550,8 @@ def _write_json(value, newline, out):
         out(newline + "]")
     elif isinstance(value, (dict, list, tuple)):
         out("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, Decimal):  # a Neron order
+        out(str(value))
     else:
         raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
@@ -581,7 +573,7 @@ def main(argv=None) -> int:
                 lo, hi = int(lo), int(hi)
             except ValueError:
                 raise UsageError("--primes bounds must be integers")
-            return _unlimited_digits(lambda: run_verify(lo, hi, max(args["jobs"], 1)))
+            return run_verify(lo, hi, max(args["jobs"], 1))
         p = _require_prime(args["prime"])
         family, group = args.get("family"), args.get("group")
         if command == "fiber":
@@ -610,9 +602,8 @@ def main(argv=None) -> int:
         cache_dir = args["cache"] or os.environ.get("FIBERCURVE_CACHE")
         # an entry holds printed output, so its key is every argument but
         # the cache directory, --format included
-        print(_unlimited_digits(lambda: cached_payload(
-            cache_dir, command, group or family, p, {**args, "cache": None},
-            lambda: render(build()))))
+        print(cached_payload(cache_dir, command, group or family, p, {**args, "cache": None},
+                             lambda: render(build())))
         return 0
     except UsageError as exc:  # CongruenceError included
         print("error: %s" % exc, file=sys.stderr)

@@ -17,20 +17,25 @@ diag(L) and det M(L) = banana_order(L) over them
 (`smith_normal_form_diagonal`), and the group is SNF(diag(a_i b_k)).
 Its order is checked against the closed-form tree count banana(e)^(m-1)
 banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`); a disagreement
-raises InconsistencyError.  The tests keep the general path, the Smith
-normal form of a relation matrix on any dual graph taken modulo the
-determinant and checked against a Kirchhoff determinant, as this one's
-oracle (`tests/neron_oracle.py`).
+raises InconsistencyError.  Both are exact Decimals (`power_product`),
+so no int of a million digits is built or printed.  The tests keep the
+general path, the Smith normal form of a relation matrix on any dual
+graph taken modulo the determinant and checked against a Kirchhoff
+determinant, as this one's oracle (`tests/neron_oracle.py`).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
+from functools import reduce
+from itertools import accumulate, starmap
 from math import gcd, lcm, prod
 
 from .ffield import InconsistencyError
+
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
 
 
 class GraphError(ValueError):
@@ -44,8 +49,10 @@ class AbelianInvariants:
 
     runs: tuple
 
-    def order(self) -> int:
-        return prod(d ** k for d, k in self.runs)
+    def order(self) -> Decimal:
+        """Exact, but only to compare and print: arithmetic on it outside
+        `_EXACT` rounds to the default context's 28 digits."""
+        return power_product(self.runs)
 
     def is_trivial(self) -> bool:
         return not self.runs
@@ -130,18 +137,24 @@ def component_group(fiber) -> AbelianInvariants:
     invariants = AbelianInvariants(tuple(run for run in diag if run[0] > 1))
     trees = spanning_tree_count(es, ws)
     if invariants.order() != trees:
+        tree_runs = (banana_order(es), len(ws) - 1), (banana_order(ws), len(es) - 1)
         raise InconsistencyError(
-            "component group: Smith normal form order %d disagrees with the "
-            "closed-form spanning-tree count %d (family %s, p = %d)"
-            % (invariants.order(), trees, fiber.family, fiber.p)
+            "component group: the Smith normal form runs %s and the closed-form "
+            "spanning-tree count's runs %s differ in order (family %s, p = %d)"
+            % (invariants.runs, tree_runs, fiber.family, fiber.p)
         )
     return invariants
 
 
-def spanning_tree_count(es, ws) -> int:
+def spanning_tree_count(es, ws) -> Decimal:
     """Spanning trees of K_{s,m} with the edge (x, j) subdivided into
     e_x w_j unit edges: banana(e)^(m-1) banana(w)^(s-1)."""
-    return banana_order(es) ** (len(ws) - 1) * banana_order(ws) ** (len(es) - 1)
+    return power_product(((banana_order(es), len(ws) - 1), (banana_order(ws), len(es) - 1)))
+
+
+def power_product(runs) -> Decimal:
+    """The product of b^k over the (b, k) runs, as an exact Decimal."""
+    return reduce(_EXACT.multiply, starmap(_EXACT.power, runs), Decimal(1))
 
 
 def banana_order(lengths) -> int:

@@ -653,12 +653,20 @@ def big_neron_payload():
     return payload
 
 
+def with_int_order(payload):
+    """The payload json.dumps can spell: a Neron order's Decimal as its int."""
+    if isinstance(payload, dict) and "order" in payload:
+        return {**payload, "order": int(payload["order"])}
+    return payload
+
+
 @pytest.mark.parametrize("build", [
     lambda: cli.fiber_payload("ns+", 13),
     exceptional_fiber_payload,
     lambda: cli.drinfeld_payload("s", None, 29, None),
     lambda: cli.drinfeld_payload(None, "a5", 241, None),
     lambda: cli.orbits_payload("s4", 241),
+    lambda: cli.neron_payload("ns+", 101),
     big_neron_payload,
     lambda: {},
     lambda: [],
@@ -668,25 +676,27 @@ def big_neron_payload():
     lambda: {"caf\u00e9": "\u2013 \U0001d11e \u00ff", "\x01": "tab\tnew\nnul\x00\x1f\"\\/",
              "": "\x7f\u2028"},
 ], ids=["fiber-cartan", "fiber-exceptional", "drinfeld-family", "drinfeld-group", "orbits",
-        "neron-past-4300-digits", "empty-dict", "empty-list", "nested-empties", "nesting",
+        "neron", "neron-past-4300-digits", "empty-dict", "empty-list", "nested-empties", "nesting",
         "scalars", "strings"])
-def test_json_writer_is_json_dumps_byte_for_byte(build):
-    # the command line renders under _unlimited_digits, and so does this
-    payload = cli._unlimited_digits(build)
-    assert cli._unlimited_digits(lambda: cli._emit_json(payload)) == \
-        cli._unlimited_digits(lambda: indented_json(payload))
+def test_json_writer_is_json_dumps_byte_for_byte(build, restore_int_digit_limit):
+    payload = build()
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # for json.dumps of an order past 4300 digits
+    assert cli._emit_json(payload) == indented_json(with_int_order(payload))
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="no int-string limit in this Python")
-def test_json_writer_meets_the_int_string_limit_as_json_does(restore_int_digit_limit):
-    # both spell ints with int.__repr__, so the limit that _unlimited_digits
-    # lifts binds them alike
-    payload = cli._unlimited_digits(big_neron_payload)
+def test_json_writer_renders_an_order_past_the_int_string_limit(restore_int_digit_limit):
+    # the writer spells the order's Decimal with str(), which the limit
+    # does not bind; json.dumps of the same order as an int meets it
+    payload = big_neron_payload()
+    sys.set_int_max_str_digits(0)
+    expected = indented_json(with_int_order(payload))
     sys.set_int_max_str_digits(4300)
-    for render in (cli._emit_json, indented_json):
-        with pytest.raises(ValueError, match="4300"):
-            render(payload)
+    assert cli._emit_json(payload) == expected
+    with pytest.raises(ValueError, match="4300"):
+        indented_json(with_int_order(payload))
 
 
 @pytest.mark.parametrize("payload", [
@@ -893,14 +903,17 @@ def run_patched_under_python_O(module, name, argv, result="real(*args) + 1"):
                           capture_output=True, text=True, check=False)
 
 
-def test_failed_cross_check_exits_3_under_python_O():
-    # the order check must survive -O and end in one diagnostic line
+@pytest.mark.parametrize("p", [11, 6287])
+def test_failed_cross_check_exits_3_under_python_O(p):
+    # the order check must survive -O and end in one diagnostic line, of
+    # runs and not of orders: at 6287 the order has more than 4300 digits
     proc = run_patched_under_python_O(
-        "neron", "banana_order", ["neron", "--family", "s", "--prime", "11"])
+        "neron", "banana_order", ["neron", "--family", "s", "--prime", str(p)])
     assert proc.returncode == 3 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: component group:")
-    assert "family s, p = 11" in lines[0] and "Traceback" not in proc.stderr
+    assert "family s, p = %d" % p in lines[0] and "Traceback" not in proc.stderr
+    assert len(lines[0]) < 1000
 
 
 def test_failed_toric_rank_check_exits_3_under_python_O():

@@ -1,6 +1,7 @@
 """The command line's option table against the argparse parser it
 replaced (`tests/cli_oracle.py`), its help text and its start-up cost."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -149,12 +150,36 @@ def int_digit_limit():
     sys.set_int_max_str_digits(limit)
 
 
-def test_neron_request_restores_the_int_string_limit(capsys, int_digit_limit):
-    # the order of s at 6287 has more than 4300 digits
-    code, out, err = run_cli(capsys, "neron", "--family", "s", "--prime", "6287",
-                             "--format", "json")
-    assert (code, err) == (0, "") and len(out) > 4300
+def test_no_request_sets_the_int_string_limit(capsys, int_digit_limit, monkeypatch):
+    # the order of s at 6287 has more than 4300 digits, and prints under
+    # the limit as it stands
+    monkeypatch.setattr(sys, "set_int_max_str_digits",
+                        lambda limit: pytest.fail("the int-string limit was set"))
+    for fmt in ("json", "text"):
+        code, out, err = run_cli(capsys, "neron", "--family", "s", "--prime", "6287",
+                                 "--format", fmt)
+        assert (code, err) == (0, "") and len(out) > 4300
+    code, out, err = run_cli(capsys, "verify", "--suite", "paper", "--primes", "5..32")
+    assert (code, err) == (0, "") and "failures: 0" in out
     assert sys.get_int_max_str_digits() == int_digit_limit
+
+
+# sha256 of `neron --family F --prime 1048573 --format json`, whose orders
+# have 1 104 783 (s) and 605 002 (s+) digits
+TOP_NERON_SHA256 = {
+    "s": "d66ba61f6a9a762320e4209829a8894c5f8dfda4da639b1a7fee8b122c792399",
+    "s+": "51a7d7fad913ae45b363809188335e0def59f3902830618b40cfc2aff4a05efd",
+}
+
+
+@pytest.mark.parametrize("family", sorted(TOP_NERON_SHA256))
+def test_neron_at_the_top_of_the_range_prints_its_bytes_under_the_limit(
+        capsys, int_digit_limit, family):
+    # about 2 s for the two families together (1.2 s of it s)
+    code, out, err = run_cli(capsys, "neron", "--family", family, "--prime", "1048573",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == TOP_NERON_SHA256[family]
 
 
 @pytest.mark.parametrize("after_a_long_order", [False, True], ids=["fresh", "after"])
@@ -171,8 +196,7 @@ def test_prime_past_the_int_string_limit_exits_2_without_its_digits(capsys, int_
 @pytest.mark.parametrize("after_a_long_order", [False, True], ids=["fresh", "after"])
 def test_orbit_pair_past_the_int_string_limit_exits_2_without_its_digits(
         capsys, int_digit_limit, after_a_long_order):
-    # parsed before the limit is lifted for the compute step, so its
-    # parse is bounded
+    # parsed under the limit, as --prime is, so its parse is bounded
     if after_a_long_order:
         assert run_cli(capsys, "neron", "--family", "s", "--prime", "6287")[0] == 0
     digits = "7" * 5000

@@ -285,6 +285,19 @@ def test_spanning_tree_count_matches_determinant_banana():
     assert brute_spanning_trees(subdivide(g)) == 5
 
 
+def test_power_product_is_the_exact_product_of_powers():
+    # the order's digits are str() of the Decimal, so they must be those
+    # of the int product, at sizes far past the default context's 28
+    # digits and below the int-string limit
+    rng = random.Random(53)
+    assert str(neron.power_product(())) == "1"
+    for _ in range(200):
+        runs = [(rng.randrange(1, 10 ** rng.randrange(1, 30)), rng.randrange(0, 30))
+                for _ in range(rng.randrange(0, 5))]
+        exact = math.prod(b ** k for b, k in runs)
+        assert str(neron.power_product(runs)) == str(exact), runs
+
+
 def test_closed_form_tree_count_against_brute_force():
     # K_{s,m} with the edge (x, j) of width e_x w_j, subdivided
     assert spanning_tree_count([1, 2], [1, 3]) == 12  # the cycle C_12
