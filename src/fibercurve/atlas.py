@@ -432,23 +432,38 @@ def special_fiber(family: str, p: int) -> FiberGraph:
     raise ValueError("unknown family %r" % family)
 
 
-def _cartan_fiber(family: str, p: int) -> FiberGraph:
-    if not is_prime(p) or p <= 3:
-        raise ValueError("p must be a prime > 3")
-    ss = supersingular_data(p)
+def cartan_verticals(family: str, p: int) -> list:
+    """The verticals of the Cartan family's fiber at p, rational ones
+    first; a vertical's `width` is its crossing width with e = 1."""
+    if family not in CARTAN_FAMILIES:
+        raise ValueError("no Cartan verticals for family %r" % family)
     if family in ("ns+", "s+") and p % 4 == 1:
         label, igusa = LABEL_C4, ("IgA", "IgB")
     else:
         label = LABEL_PM
         igusa = ("Ig",) if family in ("ns+", "s+") else ("Ig1", "Igd")
     rational = {"s": ("R1", "R2"), "s+": ("R",)}.get(family, ())
-    # rational verticals first; w is the crossing width with e = 1
-    vertices = [ComponentDescriptor(name, "vertical-rational", LABEL_P1, genus=0,
-                                    genus_provenance="known", width=p - 1)
-                for name in rational]
-    vertices += [ComponentDescriptor(name, "vertical-igusa", label,
-                                     width=QUOTIENT_WIDTH[label]) for name in igusa]
-    igusa_first = vertices[len(rational):] + vertices[:len(rational)]
+    return ([ComponentDescriptor(name, "vertical-rational", LABEL_P1, genus=0,
+                                 genus_provenance="known", width=p - 1) for name in rational]
+            + [ComponentDescriptor(name, "vertical-igusa", label,
+                                   width=QUOTIENT_WIDTH[label]) for name in igusa])
+
+
+def check_toric_rank(family: str, p: int, toric: int) -> None:
+    """Raise InconsistencyError unless `toric`, the first Betti number of
+    the family's dual graph at p, equals its closed form."""
+    closed = toric_rank_closed_form(family, p)
+    if toric != closed:
+        raise InconsistencyError(
+            "toric rank: the dual graph's first Betti number %d disagrees "
+            "with the closed form %d (family %s, p = %d)" % (toric, closed, family, p)
+        )
+
+
+def _cartan_fiber(family: str, p: int) -> FiberGraph:
+    ss = supersingular_data(p)
+    vertices = cartan_verticals(family, p)
+    igusa_first = sorted(vertices, key=lambda v: v.label == LABEL_P1)
     # a horizontal's curve depends on its automorphism order e alone, so
     # each e's curve and genus are built once and shared
     shared = {}
@@ -470,12 +485,7 @@ def _cartan_fiber(family: str, p: int) -> FiberGraph:
             "of the dual graph (derived, not stated as a crossing count)"
         )
     graph = FiberGraph(family, p, ss, vertices, edges, notes=notes)
-    toric, closed = graph.toric_rank(), toric_rank_closed_form(family, p)
-    if toric != closed:
-        raise InconsistencyError(
-            "toric rank: the dual graph's first Betti number %d disagrees "
-            "with the closed form %d (family %s, p = %d)" % (toric, closed, family, p)
-        )
+    check_toric_rank(family, p, graph.toric_rank())
     return graph
 
 
@@ -666,7 +676,6 @@ def igusa_genus(p: int, k: int) -> int:
 
 @dataclass
 class ConsistencyReport:
-    graph: FiberGraph
     total_genus: int
     toric_rank: int
     unknown_label: str
@@ -699,5 +708,5 @@ def consistency_report(family: str, p: int) -> ConsistencyReport:
     known = sum(v.genus for v in graph.vertices if v.genus is not None)
     derived, rem = divmod(total - toric - known, len(unknown))
     ok = rem == 0 and 0 <= derived == igusa_genus(p, QUOTIENT_WIDTH[label] // 2)
-    return ConsistencyReport(graph=graph, total_genus=total, toric_rank=toric,
+    return ConsistencyReport(total_genus=total, toric_rank=toric,
                              unknown_label=label, derived_genus=derived, ok=ok)

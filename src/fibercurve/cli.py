@@ -271,19 +271,16 @@ def orbits_text(payload: dict) -> str:
 
 
 def neron_payload(family: str, p: int) -> dict:
-    fiber = atlas.special_fiber(family, p)
-    # the ns+ prediction computes the component group it checks
-    check = neron.component_group_prediction(fiber) if family == "ns+" else None
-    invariants = check.invariants if check is not None else neron.component_group(fiber)
+    invariants = neron.component_group(family, p)
     payload = {
         "family": family,
         "p": p,
         "invariants": [d for d, k in invariants.runs for _ in range(k)],
-        "order": invariants.order(),
+        "order": invariants.order,
         "group": invariants.describe(),
     }
-    if check is not None:
-        payload["verdict"] = check.verdict
+    if family == "ns+":
+        payload["verdict"] = neron.component_group_prediction(p, invariants)
     return payload
 
 
@@ -329,7 +326,7 @@ def checks_for_prime(p: int) -> list:
         del table
 
     # each family's fiber and genus, built once at this prime by its
-    # report and read by the toric-rank rows and the ns+ prediction too
+    # report and read by the toric-rank rows
     reports = {family: atlas.consistency_report(family, p)
                for family in atlas.CARTAN_FAMILIES}
     for family, report in reports.items():
@@ -364,9 +361,9 @@ def checks_for_prime(p: int) -> list:
         for family, chk in checks.items():
             record("quotient-maps-%s" % family, chk.passed)
 
-    chk = neron.component_group_prediction(reports["ns+"].graph)
+    verdict = neron.component_group_prediction(p, neron.component_group("ns+", p))
     accepted = ("match", "vacuous-trivial") if p % 4 == 1 else ("trivial",)
-    record("neron-prediction", chk.verdict in accepted, chk.verdict)
+    record("neron-prediction", verdict in accepted, verdict)
 
     return out
 

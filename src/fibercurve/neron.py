@@ -9,14 +9,17 @@ between its horizontals and its verticals, and the edge (x, j) has
 width e_x w_j.  The length pairing on H_1 is then a Kronecker product
 A (x) B of the banana matrices A = M(e) and B = M(w), where
 M(L) = l_1 J + diag(l_2..l_m), so the group is the sum of Z/(a_i b_k)
-over their Smith normal forms (`component_group`).
+over their Smith normal forms (`component_group`).  The group therefore
+reads two short lists, the supersingular e list and the vertical widths
+of `atlas.cartan_verticals`, and never builds the fiber.
 
 One routine takes every Smith form here, that of a diagonal matrix on
 runs (`_diagonal_runs`).  SNF(M(L)) is the first m - 2 factors of
 diag(L) and det M(L) = banana_order(L) over them
 (`smith_normal_form_diagonal`), and the group is SNF(diag(a_i b_k)).
 Its order is checked against the closed-form tree count banana(e)^(m-1)
-banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`); a disagreement
+banana(w)^(s-1) of K_{s,m} (`spanning_tree_count`), and the toric rank
+(s - 1)(m - 1) of K_{s,m} against its closed form; a disagreement
 raises InconsistencyError.  Both are exact Decimals (`power_product`),
 so no int of a million digits is built or printed.  The tests keep the
 general path, the Smith normal form of a relation matrix on any dual
@@ -29,10 +32,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import accumulate, starmap
 from math import gcd, lcm, prod
 
+from .atlas import cartan_verticals, check_toric_rank, supersingular_data
 from .ffield import InconsistencyError
 
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])
@@ -49,9 +53,11 @@ class AbelianInvariants:
 
     runs: tuple
 
+    @cached_property
     def order(self) -> Decimal:
         """Exact, but only to compare and print: arithmetic on it outside
-        `_EXACT` rounds to the default context's 28 digits."""
+        `_EXACT` rounds to the default context's 28 digits.  Cached, so
+        the order check and the printed order share one product."""
         return power_product(self.runs)
 
     def is_trivial(self) -> bool:
@@ -118,30 +124,29 @@ def smith_normal_form_diagonal(lengths) -> list:
     return runs + [(banana_order(lengths) // prod(d ** k for d, k in runs), 1)]
 
 
-def component_group(fiber) -> AbelianInvariants:
-    """Invariant factors of the component group of a Cartan fiber's model.
+def component_group(family: str, p: int) -> AbelianInvariants:
+    """Invariant factors of the component group of the Cartan family's
+    model at p.
 
-    The caller's contract: each horizontal x meets each vertical j once,
-    with width e_x w_j, w_j the vertical's `width`, as the Cartan fiber
-    builder makes them; the edges are not read here.  The group is the sum
-    of Z/(a b) over the runs a of SNF(A) and b of SNF(B); see the module
-    docstring.
+    The dual graph is K_{s,m}, each supersingular point x meeting each
+    vertical j once with width e_x w_j: the e list of `supersingular_data`
+    and the widths of `atlas.cartan_verticals`, the lists the fiber builder
+    makes its edges from.  The group is the sum of Z/(a b) over the runs a
+    of SNF(A) and b of SNF(B); see the module docstring.
     """
-    horizontals, verticals = fiber.horizontals(), fiber.verticals()
-    if not horizontals or not fiber.incidence_complete:
-        raise GraphError("not a Cartan dual graph: family %r" % fiber.family)
-    es = [h.e for h in horizontals]
-    ws = [v.width for v in verticals]
+    es = supersingular_data(p).e_values()
+    ws = [v.width for v in cartan_verticals(family, p)]
+    check_toric_rank(family, p, (len(es) - 1) * (len(ws) - 1))
     snf_a, snf_b = smith_normal_form_diagonal(es), smith_normal_form_diagonal(ws)
     diag = _diagonal_runs((a * b, r * t) for a, r in snf_a for b, t in snf_b)
     invariants = AbelianInvariants(tuple(run for run in diag if run[0] > 1))
     trees = spanning_tree_count(es, ws)
-    if invariants.order() != trees:
+    if invariants.order != trees:
         tree_runs = (banana_order(es), len(ws) - 1), (banana_order(ws), len(es) - 1)
         raise InconsistencyError(
             "component group: the Smith normal form runs %s and the closed-form "
             "spanning-tree count's runs %s differ in order (family %s, p = %d)"
-            % (invariants.runs, tree_runs, fiber.family, fiber.p)
+            % (invariants.runs, tree_runs, family, p)
         )
     return invariants
 
@@ -164,42 +169,22 @@ def banana_order(lengths) -> int:
     return sum(whole // length for length in lengths)
 
 
-@dataclass
-class PredictionCheck:
-    """Outcome of the nonsplit-normalizer component-group prediction."""
-
-    p: int
-    invariants: AbelianInvariants
-    expected: AbelianInvariants
-    verdict: str  # "match" | "mismatch" | "vacuous-trivial" | "trivial"
-
-
 def expected_invariants_nsplus(p: int, s: int):
     """(Z/8nZ) x (Z/8Z)^(S-2) with n = num((p-1)/12), for p = 1 mod 4
     and S >= 2; None marks the degenerate S <= 1 case."""
-    if p % 4 != 1:
-        return AbelianInvariants(())
     if s <= 1:
         return None
     n = (p - 1) // gcd(p - 1, 12)  # > 1, since s > 1 leaves out p = 5, 13
     return AbelianInvariants(tuple(run for run in ((8, s - 2), (8 * n, 1)) if run[1]))
 
 
-def component_group_prediction(fiber) -> PredictionCheck:
-    """The component group of the ns+ fiber at p against its predicted
-    invariants."""
-    p = fiber.p
-    if fiber.family != "ns+":
-        raise ValueError("expected the ns+ fiber at p = %d, not the %s fiber"
-                         % (p, fiber.family))
-    invariants = component_group(fiber)
-    expected = expected_invariants_nsplus(p, fiber.supersingular.s)
+def component_group_prediction(p: int, invariants: AbelianInvariants) -> str:
+    """The verdict on `invariants`, the component group of ns+ at p,
+    against its predicted invariants: "match", "mismatch",
+    "vacuous-trivial" or "trivial"."""
     if p % 4 == 3:
-        verdict = "trivial" if invariants.is_trivial() else "mismatch"
-        expected = AbelianInvariants(())
-    elif expected is None:
-        verdict = "vacuous-trivial" if invariants.is_trivial() else "mismatch"
-        expected = AbelianInvariants(())
-    else:
-        verdict = "match" if invariants == expected else "mismatch"
-    return PredictionCheck(p, invariants, expected, verdict)
+        return "trivial" if invariants.is_trivial() else "mismatch"
+    expected = expected_invariants_nsplus(p, supersingular_data(p).s)
+    if expected is None:
+        return "vacuous-trivial" if invariants.is_trivial() else "mismatch"
+    return "match" if invariants == expected else "mismatch"

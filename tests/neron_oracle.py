@@ -217,10 +217,10 @@ def component_group(graph: MetrizedGraph) -> AbelianInvariants:
         raise GraphError("graph must be connected") from None
     invariants = AbelianInvariants(runs_of(d for d in diag if d > 1))
     trees = spanning_tree_count(graph)
-    if invariants.order() != trees:
+    if invariants.order != trees:
         raise InconsistencyError(
             "component group: Smith normal form order %d disagrees with the "
-            "spanning-tree count %d" % (invariants.order(), trees)
+            "spanning-tree count %d" % (invariants.order, trees)
         )
     return invariants
 

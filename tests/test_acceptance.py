@@ -37,7 +37,7 @@ from fibercurve.atlas import (
     supersingular_data,
     total_genus,
 )
-from fibercurve.neron import component_group_prediction
+from fibercurve import neron
 
 from drinfeld_helpers import form_label, phi_constant_on_orbits
 from neron_oracle import MetrizedGraph, component_group, expand, fiber_metrized_graph
@@ -243,7 +243,8 @@ def test_acceptance_07_component_groups():
             fiber = special_fiber("ns+", p)
             invariants = component_group(fiber_metrized_graph(fiber))
             assert invariants.is_trivial(), p
-        assert component_group_prediction(special_fiber("ns+", 13)).verdict == "vacuous-trivial"
+        invariants = neron.component_group("ns+", 13)
+        assert neron.component_group_prediction(13, invariants) == "vacuous-trivial"
 
 
 # -- 8: supersingular oracle agreement ----------------------------------------

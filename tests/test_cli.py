@@ -522,8 +522,8 @@ def test_exceptional_fiber_builds_its_group_once(capsys, monkeypatch, kind, p):
 
 
 def test_battery_builds_each_cartan_fiber_once_per_prime(monkeypatch):
-    # the toric-rank rows and the ns+ prediction reuse the fibers the
-    # consistency reports build
+    # the toric-rank rows reuse the fibers the consistency reports build,
+    # and the ns+ prediction builds none: it reads the e list and widths
     calls = []
     real = cli.atlas._cartan_fiber
 
@@ -623,9 +623,8 @@ def test_neron_orders_past_4300_digits_render(family, p, tmp_path, capsys, monke
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)  # for the test's own parsing
     order = json.loads(out)["order"]
-    fiber = cli.atlas.special_fiber(family, p)
-    es = [h.e for h in fiber.horizontals()]
-    ws = [v.width for v in fiber.verticals()]
+    es = cli.atlas.supersingular_data(p).e_values()
+    ws = [v.width for v in cli.atlas.cartan_verticals(family, p)]
     assert order == neron.spanning_tree_count(es, ws)
     assert len(str(order)) > 4300
     code, out, err = run_cli(capsys, "neron", "--family", family, "--prime", str(p),
@@ -707,11 +706,6 @@ def test_json_writer_rejects_what_it_does_not_spell(payload):
         cli._emit_json(payload)
 
 
-def test_prediction_rejects_another_fiber():
-    with pytest.raises(ValueError, match="ns\\+ fiber at p = 13"):
-        neron.component_group_prediction(cli.atlas.special_fiber("s+", 13))
-
-
 def test_battery_runs_the_consistency_identities_above_200():
     rows = [(r[0], r[2]) for r in cli.checks_for_prime(211)
             if r[0].startswith("consistency-")]
@@ -783,8 +777,8 @@ def test_source_digest_tracks_a_payload_builder(tmp_path, monkeypatch):
         shutil.copytree(cli.PACKAGE_DIR, copy,
                         ignore=shutil.ignore_patterns("__pycache__"))
     source = (edited / "cli.py").read_text()
-    changed = source.replace('"order": invariants.order(),',
-                             '"order": invariants.order() + 0,')
+    changed = source.replace('"order": invariants.order,',
+                             '"order": invariants.order + 0,')
     assert changed != source
     (edited / "cli.py").write_text(changed)
     digest = cli.source_digest()
@@ -837,6 +831,38 @@ def test_neron_request_skips_the_relation_matrix(capsys, monkeypatch, family):
     calls = count_group_calls(monkeypatch)
     code, _, _ = run_cli(capsys, "neron", "--family", family, "--prime", "29")
     assert code == 0 and calls == ["component_group", "spanning_tree_count"]
+
+
+@pytest.mark.parametrize("family", ["ns", "ns+", "s", "s+"])
+def test_neron_request_takes_the_order_once(capsys, monkeypatch, family):
+    # one exact product for the order, shared by its check and the
+    # payload, and one for the tree count
+    calls = []
+    real = neron.power_product
+    monkeypatch.setattr(neron, "power_product", lambda runs: calls.append(runs) or real(runs))
+    code, _, _ = run_cli(capsys, "neron", "--family", family, "--prime", "29",
+                         "--format", "json")
+    assert code == 0 and len(calls) == 2
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a fiber was built")
+
+
+@pytest.mark.parametrize("family,p", [(family, p) for p in (29, 101)
+                                      for family in ("ns", "ns+", "s", "s+")])
+def test_neron_request_builds_no_fiber(capsys, monkeypatch, family, p):
+    # the group reads the e list and the vertical widths alone: no fiber
+    # graph and no horizontal equation
+    expected = {fmt: run_cli(capsys, "neron", "--family", family, "--prime", str(p),
+                             "--format", fmt) for fmt in ("json", "text")}
+    for module, name in ((cli.atlas, "special_fiber"), (cli.atlas, "FiberGraph"),
+                         (cli.atlas, "cartan_drinfeld"), (cli.drinfeld, "cartan_drinfeld")):
+        monkeypatch.setattr(module, name, refuse)
+    for fmt, (code, out, err) in expected.items():
+        assert code == 0 and out and err == ""
+        assert run_cli(capsys, "neron", "--family", family, "--prime", str(p),
+                       "--format", fmt) == (code, out, err)
 
 
 def package_env():
@@ -916,13 +942,19 @@ def test_failed_cross_check_exits_3_under_python_O(p):
     assert len(lines[0]) < 1000
 
 
-def test_failed_toric_rank_check_exits_3_under_python_O():
-    proc = run_patched_under_python_O(
-        "atlas", "toric_rank_closed_form", ["fiber", "--family", "s", "--prime", "11"])
+@pytest.mark.parametrize("argv,family", [
+    (["fiber", "--family", "s", "--prime", "11"], "s"),
+    (["neron", "--family", "s", "--prime", "11"], "s"),
+    (["verify", "--suite", "paper", "--primes", "11..12"], "ns"),
+], ids=["fiber", "neron", "verify"])
+def test_failed_toric_rank_check_exits_3_under_python_O(argv, family):
+    # the check runs on every path that reads the vertical inventory,
+    # whether or not it builds the fiber
+    proc = run_patched_under_python_O("atlas", "toric_rank_closed_form", argv)
     assert proc.returncode == 3 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: toric rank:")
-    assert "family s, p = 11" in lines[0] and "Traceback" not in proc.stderr
+    assert "family %s, p = 11" % family in lines[0] and "Traceback" not in proc.stderr
 
 
 def test_wrong_square_root_exits_3_under_python_O():
@@ -1046,8 +1078,8 @@ def test_failed_drinfeld_check_exits_3_under_python_O(module, name, result, chec
 def test_neron_request_skips_kirchhoff_and_large_matrices(capsys, monkeypatch, family, p):
     # the Smith form is taken twice, on the e list and on the width list,
     # and never on a matrix
-    fiber = cli.atlas.special_fiber(family, p)
-    lists = [[h.e for h in fiber.horizontals()], [v.width for v in fiber.verticals()]]
+    lists = [cli.atlas.supersingular_data(p).e_values(),
+             [v.width for v in cli.atlas.cartan_verticals(family, p)]]
     calls = []
     real_snf = neron.smith_normal_form_diagonal
 

@@ -80,9 +80,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(argv)
 ops = [{"req": argv, "status": "ok", "failure": code != 0, "spans": rec.take(),
         "busy_s": 0.0, "wait_s": 0.0}]
-fiber = atlas.special_fiber("s", 29)
 json.dump({"metrics": tracer.layer_metrics(ops, 1, 1.0, 1, 0.0), "spans": ops[0]["spans"],
-           "s": len(fiber.horizontals()), "m": len(fiber.verticals())}, sys.stdout)
+           "s": len(atlas.supersingular_data(29).e_values()),
+           "m": len(atlas.cartan_verticals("s", 29))}, sys.stdout)
 """
 
 
@@ -99,6 +99,10 @@ def test_trace_times_both_smith_forms_of_a_neron_request():
     snf = [s for s in spans if s[0] == "neron.smith_normal_form_diagonal"]
     assert [s[5] for s in snf] == [result["s"], result["m"]] == [3, 4]
     assert all(spans[s[3]][0] == "neron.component_group" and not s[4] for s in snf)
+    # the group reads the two lists and builds no fiber
+    names = {s[0] for s in spans}
+    assert not names & {"atlas.special_fiber", "drinfeld.cartan_drinfeld"}
+    assert "atlas.supersingular_data" in names
     metrics = result["metrics"]
     assert metrics["neron.snf_s"] > 0 and metrics["neron.failures"] == 0
     assert metrics["neron.laplacian_dim_max"] == 4
